@@ -347,7 +347,7 @@ type engine_setup = {
   batches : int * int * int;
 }
 
-let nofuse_tiers = { Codegen.default_tiers with Codegen.fuse = false }
+let nofuse_tiers = { Codegen.fuse = false }
 
 let engine_setups () =
   List.map

@@ -13,13 +13,12 @@ type t = {
   mutable perfect_edge_table : Edge_profile.table option;
   cache_dir : string option;
   identity : string;
-      (* store version + workload + size + seed + program and cost-model
-         digests: everything a persisted run's validity depends on *)
+      (* workload + size + seed + program and cost-model digests:
+         everything a persisted run's validity depends on *)
   mutable memory_hits : int;
   mutable disk_hits : int;
   mutable executed : int;
   mutable store_errors : int;
-  mutable migrated : int;
   mutable diags : Dcg.parse_error list;  (* oldest first *)
   m_hit : Metrics.counter option;
   m_miss : Metrics.counter option;
@@ -35,10 +34,8 @@ let create ?(config = Exp_harness.default) ?cache_dir env =
         match Exp_store.prepare_dir dir with Ok () -> [] | Error e -> [ e ])
   in
   let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
-  (* the codec version is no longer part of the identity: the codec is
-     sniffed per file, so a v1 text entry with a matching key migrates
-     instead of reading as stale (v1 readers stripped their historical
-     "store-v<N>|" key prefix symmetrically — see Exp_codec.check_key) *)
+  (* the format version is not part of the identity: the frame's
+     version byte covers it *)
   let identity =
     Fmt.str "workload=%s|size=%d|seed=%d|prog=%s|cost=%s"
       env.Exp_harness.workload.Workload.name env.Exp_harness.size
@@ -62,7 +59,6 @@ let create ?(config = Exp_harness.default) ?cache_dir env =
     disk_hits = 0;
     executed = 0;
     store_errors = List.length open_diags;
-    migrated = 0;
     diags = open_diags;
     m_hit = counter "exp.cache_hit";
     m_miss = counter "exp.cache_miss";
@@ -78,7 +74,7 @@ let stats t =
     disk_hits = t.disk_hits;
     executed = t.executed;
     store_errors = t.store_errors;
-    migrated = t.migrated;
+    migrated = 0;
   }
 
 let diagnostics t = t.diags
@@ -145,7 +141,6 @@ let payload_of_run (r : Exp_harness.run) =
 type outcome = {
   o_run : Exp_harness.run;
   o_from_disk : bool;
-  o_migrated : bool;
   o_diags : Dcg.parse_error list;
 }
 
@@ -166,14 +161,14 @@ let compute t config =
           | Ok () -> diags
           | Error e -> diags @ [ e ])
     in
-    { o_run = r; o_from_disk = false; o_migrated = false; o_diags = diags }
+    { o_run = r; o_from_disk = false; o_diags = diags }
   in
   match slot with
   | None -> execute []
   | Some (file, key) -> (
-      match Exp_store.load_versioned ~file ~key with
+      match Exp_store.load ~file ~key with
       | Ok None -> execute []
-      | Ok (Some (payload, codec_version)) -> (
+      | Ok (Some payload) -> (
           match faults with
           | Some inj when Fault_injector.fire_corrupt inj ~what:"store" ->
               (* the plan says this load observed a corrupted entry:
@@ -192,18 +187,7 @@ let compute t config =
                 ]
           | Some _ | None ->
           match Exp_harness.rebuild ?faults t.env config payload with
-          | Ok r ->
-              (* a valid entry written by an older codec is re-encoded
-                 in place with the current one (atomic rename, so a
-                 concurrent reader sees either version, both valid) *)
-              let migrated, diags =
-                if codec_version = Exp_store.version then (false, [])
-                else
-                  match Exp_store.save ~file ~key payload with
-                  | Ok () -> (true, [])
-                  | Error e -> (false, [ e ])
-              in
-              { o_run = r; o_from_disk = true; o_migrated = migrated; o_diags = diags }
+          | Ok r -> { o_run = r; o_from_disk = true; o_diags = [] }
           | Error reason ->
               (* shape passed the digest but not the configuration:
                  recompute and overwrite, reporting why *)
@@ -231,7 +215,6 @@ let install t config o =
     t.executed <- t.executed + 1;
     mincr t.m_miss
   end;
-  if o.o_migrated then t.migrated <- t.migrated + 1;
   t.store_errors <- t.store_errors + List.length o.o_diags;
   t.diags <- t.diags @ o.o_diags;
   o.o_run

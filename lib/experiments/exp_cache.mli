@@ -7,11 +7,12 @@
     is part of the key, so distinct configurations never alias.
 
     With [cache_dir], completed runs are additionally persisted through
-    {!Exp_store} under a composite identity (store version, workload,
-    size, seed, digests of the compiled program and cost model, and the
+    {!Exp_store} under a composite identity (workload, size, seed,
+    digests of the compiled program and cost model, and the
     configuration key), and recalled on later sweeps by
-    {!Exp_harness.rebuild} — zero application execution.  Stale or
-    damaged entries surface as {!diagnostics} and are silently
+    {!Exp_harness.rebuild} — zero application execution.  Stale,
+    damaged or foreign-format entries (an entry written by an older
+    store format included) surface as {!diagnostics} and are
     recomputed and overwritten, never trusted or crashed on.  An
     unusable [cache_dir] (unwritable, or a path component that is not a
     directory) is reported the same way, once, at {!create} — runs
@@ -71,7 +72,10 @@ type stats = {
   disk_hits : int;  (** rebuilt from a persisted entry, no execution *)
   executed : int;  (** actually simulated *)
   store_errors : int;  (** stale/corrupt/unwritable entries (see {!diagnostics}) *)
-  migrated : int;  (** legacy-codec entries re-encoded with the current codec *)
+  migrated : int;
+      (** always 0: the store has one format, so nothing is migrated
+          (kept for source compatibility; an entry in an older format
+          counts as a store error and is recomputed) *)
 }
 
 val stats : t -> stats
@@ -89,7 +93,7 @@ val store_file : t -> Exp_harness.config -> string option
 
 (** Like {!store_file}, but also the composite identity key the entry
     is (or would be) persisted under — e.g. to forge or inspect entries
-    in tests and migration tooling. *)
+    in tests. *)
 val store_slot : t -> Exp_harness.config -> (string * string) option
 
 (** {2 The shared convenience runs, derived from the base configuration} *)

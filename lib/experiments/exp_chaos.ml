@@ -64,28 +64,6 @@ type report = {
   violations : string list;
 }
 
-let zero_counts =
-  {
-    Fault_injector.compile_fail = 0;
-    sample_overrun = 0;
-    store_corrupt = 0;
-    backoffs = 0;
-    gaveups = 0;
-    samples_dropped = 0;
-    path_overflow = 0;
-    edge_overflow = 0;
-    quarantined = 0;
-    instance_crash = 0;
-    torn_write = 0;
-    straggler = 0;
-    seg_corrupt = 0;
-    restarts = 0;
-    lost_instances = 0;
-    writes_recovered = 0;
-    catchups = 0;
-    seg_quarantined = 0;
-  }
-
 let zero_meas =
   { Exp_harness.iter1 = 0; iter2 = 0; compile = 0; checksum = 0 }
 
@@ -114,7 +92,7 @@ let run_case ~engine ~healthy env (c : case) =
       label = c.label;
       engine;
       meas = zero_meas;
-      counts = zero_counts;
+      counts = Fault_injector.zero_counts;
       loss = 0.;
       max_loss = c.max_loss;
       violations = [];
@@ -130,7 +108,7 @@ let run_case ~engine ~healthy env (c : case) =
       let counts =
         match r.Exp_harness.faults with
         | Some inj -> Fault_injector.counts inj
-        | None -> zero_counts
+        | None -> Fault_injector.zero_counts
       in
       let hm = healthy.Exp_harness.meas and fm = r.Exp_harness.meas in
       if fm.Exp_harness.checksum <> hm.Exp_harness.checksum then

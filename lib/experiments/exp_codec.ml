@@ -1,13 +1,11 @@
-(* Versioned codecs for persisted run payloads.
+(* The run cache's wire format, and the binary frame both on-disk
+   stores share.
 
-   The store frames every entry through a [codec] record: v2 is the
-   compact binary format (varint-packed profile rows, raw MD5 trailer),
-   v1 the legacy line-oriented text format kept readable so caches
-   written before the binary store migrate transparently.  Both embed
-   the composite identity key and an MD5 digest over the body, so a
-   damaged entry fails the digest check, a stale one fails the key
-   comparison, and a future-versioned one is reported as such — always
-   a structured [Dcg.parse_error], never a silent miss or a crash. *)
+   An entry is one PEPRUN frame (varint-packed profile rows, raw MD5
+   trailer) that embeds the composite identity key, so a damaged entry
+   fails the digest check, a stale one fails the key comparison, and a
+   foreign or future-versioned one fails the frame checks — always a
+   structured [Dcg.parse_error], never a silent miss or a crash. *)
 
 type payload = {
   iter1 : int;
@@ -21,17 +19,18 @@ type payload = {
   pedges : string list;
 }
 
-let err ?(line = 0) ?(text = "") file reason =
-  { Dcg.file = Some file; line; text = String.trim text; reason }
-
 (* --------------------------- binary wire --------------------------- *)
 
 module Bin = struct
   type writer = Buffer.t
 
-  let writer () = Buffer.create 512
   let byte w b = Buffer.add_char w (Char.chr (b land 0xff))
-  let raw w s = Buffer.add_string w s
+
+  let frame ~magic ~version =
+    let w = Buffer.create 512 in
+    Buffer.add_string w magic;
+    byte w version;
+    w
 
   (* zigzag so small magnitudes of either sign stay short, then
      unsigned LEB128 over the 63-bit pattern ([lsr] is logical, so the
@@ -54,15 +53,15 @@ module Bin = struct
     let body = Buffer.contents w in
     body ^ Digest.string body
 
+  (* a read past the body's end: reported as truncation *)
   exception Malformed of string
 
-  type reader = { s : string; limit : int; mutable p : int }
+  (* a body the format rejects: reported verbatim *)
+  exception Reject of string
 
-  let reader ?(pos = 0) ?limit s =
-    let limit = match limit with Some l -> l | None -> String.length s in
-    if pos < 0 || limit > String.length s || pos > limit then
-      raise (Malformed "reader bounds out of range");
-    { s; limit; p = pos }
+  let fail reason = raise (Reject reason)
+
+  type reader = { s : string; limit : int; mutable p : int }
 
   let rbyte r =
     if r.p >= r.limit then raise (Malformed "unexpected end of input");
@@ -80,167 +79,57 @@ module Bin = struct
     let u = go 0 0 in
     (u lsr 1) lxor ~-(u land 1)
 
+  let rcount r =
+    let k = rint r in
+    if k < 0 || k > r.limit - r.p then raise (Malformed "count out of range");
+    k
+
   let rstr r =
-    let len = rint r in
-    if len < 0 || len > r.limit - r.p then
-      raise (Malformed "string length out of range");
+    let len = rcount r in
     let s = String.sub r.s r.p len in
     r.p <- r.p + len;
     s
 
-  let pos r = r.p
-  let at_end r = r.p = r.limit
-
-  let check_digest s =
-    let n = String.length s in
-    n >= 16
-    && String.equal (Digest.string (String.sub s 0 (n - 16))) (String.sub s (n - 16) 16)
+  let check_frame ~magic ~version ~what ~file s body =
+    let error fmt =
+      Fmt.kstr
+        (fun reason ->
+          Error { Dcg.file = Some file; line = 0; text = ""; reason })
+        fmt
+    in
+    (* magic and version first, so a foreign or future-versioned file
+       is named as such even when its digest is consistent; then the
+       digest, so any flipped or missing byte is rejected before the
+       body is interpreted at all *)
+    let n = String.length s and header = String.length magic + 1 in
+    if n < header then error "truncated %s entry" what
+    else if not (String.starts_with ~prefix:magic s) then
+      error "not a pepsim %s entry" what
+    else if Char.code s.[header - 1] <> version then
+      error "unsupported %s version v%d (want v%d)" what
+        (Char.code s.[header - 1])
+        version
+    else if n < header + 16 then
+      error "truncated %s entry (missing digest trailer)" what
+    else if
+      not
+        (String.equal
+           (Digest.string (String.sub s 0 (n - 16)))
+           (String.sub s (n - 16) 16))
+    then error "corrupt %s entry (content digest mismatch)" what
+    else
+      let r = { s; limit = n - 16; p = header } in
+      match body r with
+      | v when r.p = r.limit -> Ok v
+      | _ -> error "trailing garbage in %s entry" what
+      | exception Reject reason -> error "%s" reason
+      | exception Malformed m -> error "truncated %s entry (%s)" what m
 end
 
-type codec = {
-  version : int;
-  name : string;
-  encode : key:string -> payload -> string;
-  decode :
-    file:string -> key:string -> string -> (payload, Dcg.parse_error) result;
-}
+(* ---------------------------- run entries -------------------------- *)
 
-exception Fail of Dcg.parse_error
-
-let check_key ~file ~expected stored =
-  (* legacy entries carried the store version inside the key itself *)
-  let stored =
-    match String.index_opt stored '|' with
-    | Some i
-      when String.length stored > 6
-           && String.sub stored 0 7 = "store-v"
-           && int_of_string_opt (String.sub stored 7 (i - 7)) <> None ->
-        String.sub stored (i + 1) (String.length stored - i - 1)
-    | _ -> stored
-  in
-  if stored <> expected then
-    raise
-      (Fail
-         (err ~line:2 file
-            (Fmt.str
-               "stale cache entry: key mismatch (expected %S, found %S) — \
-                program, cost model or format changed since it was written"
-               expected stored)))
-
-(* ------------------------- v1: legacy text ------------------------- *)
-
-let text_magic = "pepsim-run-cache"
-
-let digest_lines lines =
-  Digest.to_hex (Digest.string (String.concat "\n" lines))
-
-let v1_encode ~key p =
-  let section name lines = Fmt.str "%s %d" name (List.length lines) :: lines in
-  let body =
-    (text_magic ^ " v2")
-    :: ("key store-v2|" ^ key)
-    :: Fmt.str "meas %d %d %d %d" p.iter1 p.iter2 p.compile p.checksum
-    :: Fmt.str "nsamples %d" p.n_samples
-    :: List.concat
-         [
-           section "pep.paths" p.pep_paths;
-           section "pep.edges" p.pep_edges;
-           section "ppaths" p.ppaths;
-           section "pedges" p.pedges;
-         ]
-  in
-  String.concat "\n" (body @ [ "digest " ^ digest_lines body ]) ^ "\n"
-
-let v1_decode ~file ~key contents =
-  try
-    let lines = String.split_on_char '\n' contents in
-    (* a well-formed file ends with "...\n": drop the final empty slot *)
-    let lines =
-      match List.rev lines with "" :: rev -> List.rev rev | _ -> lines
-    in
-    let arr = Array.of_list lines in
-    let n = Array.length arr in
-    let fail ?line ?text reason = raise (Fail (err ?line ?text file reason)) in
-    if n < 2 then fail "truncated cache entry";
-    (match String.split_on_char ' ' arr.(0) with
-    | [ m; v ] when m = text_magic ->
-        if v <> "v1" && v <> "v2" then
-          fail ~line:1 ~text:arr.(0)
-            (Fmt.str "unsupported cache version %s (want v2)" v)
-    | _ -> fail ~line:1 ~text:arr.(0) "not a pepsim run-cache file");
-    (match String.index_opt arr.(n - 1) ' ' with
-    | Some 6 when String.sub arr.(n - 1) 0 6 = "digest" ->
-        let stored = String.sub arr.(n - 1) 7 (String.length arr.(n - 1) - 7) in
-        let body = Array.to_list (Array.sub arr 0 (n - 1)) in
-        if digest_lines body <> stored then
-          fail ~line:n ~text:arr.(n - 1)
-            "corrupt cache entry (content digest mismatch)"
-    | _ ->
-        fail ~line:n ~text:arr.(n - 1)
-          "truncated cache entry (missing digest trailer)");
-    (* cursor over the verified body *)
-    let pos = ref 1 in
-    let next what =
-      if !pos >= n - 1 then
-        fail ~line:n (Fmt.str "truncated cache entry (missing %s)" what);
-      let l = arr.(!pos) in
-      incr pos;
-      l
-    in
-    let field name l =
-      let prefix = name ^ " " in
-      if String.starts_with ~prefix l then
-        String.sub l (String.length prefix)
-          (String.length l - String.length prefix)
-      else fail ~line:!pos ~text:l (Fmt.str "expected a %S line" name)
-    in
-    let int_field name l =
-      match int_of_string_opt (field name l) with
-      | Some v -> v
-      | None -> fail ~line:!pos ~text:l (Fmt.str "bad %s value" name)
-    in
-    check_key ~file ~expected:key (field "key" (next "key"));
-    let meas_line = next "meas" in
-    let iter1, iter2, compile, checksum =
-      match
-        List.map int_of_string_opt
-          (String.split_on_char ' ' (field "meas" meas_line))
-      with
-      | [ Some a; Some b; Some c; Some d ] -> (a, b, c, d)
-      | _ -> fail ~line:!pos ~text:meas_line "bad meas line"
-    in
-    let n_samples = int_field "nsamples" (next "nsamples") in
-    let section name =
-      let k = int_field name (next name) in
-      if k < 0 then fail (Fmt.str "negative %s section length" name);
-      List.init k (fun _ -> next (name ^ " line"))
-    in
-    let pep_paths = section "pep.paths" in
-    let pep_edges = section "pep.edges" in
-    let ppaths = section "ppaths" in
-    let pedges = section "pedges" in
-    if !pos <> n - 1 then
-      fail ~line:(!pos + 1) ~text:arr.(!pos) "trailing garbage in cache entry";
-    Ok
-      {
-        iter1;
-        iter2;
-        compile;
-        checksum;
-        n_samples;
-        pep_paths;
-        pep_edges;
-        ppaths;
-        pedges;
-      }
-  with Fail e -> Error e
-
-let v1_text = { version = 1; name = "text"; encode = v1_encode; decode = v1_decode }
-
-(* ------------------------ v2: compact binary ----------------------- *)
-
-let bin_magic = "PEPRUN"
-let bin_version = 2
+let magic = "PEPRUN"
+let version = 2
 
 (* A profile line whose fields are all integers in canonical rendering
    is stored as a varint row; anything else (and any line whose
@@ -261,10 +150,8 @@ let pack_line l =
           Some (List.map Option.get ints)
       | _ -> None)
 
-let v2_encode ~key p =
-  let w = Bin.writer () in
-  Buffer.add_string w bin_magic;
-  Bin.byte w bin_version;
+let encode ~key p =
+  let w = Bin.frame ~magic ~version in
   Bin.str w key;
   Bin.int w p.iter1;
   Bin.int w p.iter2;
@@ -298,51 +185,36 @@ let v2_encode ~key p =
   section p.pedges;
   Bin.contents_with_digest w
 
-let v2_decode ~file ~key contents =
-  let fail reason = raise (Fail (err file reason)) in
-  try
-    let n = String.length contents in
-    if n < String.length bin_magic + 1 then fail "truncated cache entry";
-    if String.sub contents 0 (String.length bin_magic) <> bin_magic then
-      fail "not a pepsim run-cache file";
-    let v = Char.code contents.[String.length bin_magic] in
-    if v <> bin_version then
-      fail (Fmt.str "unsupported cache version v%d (want v%d)" v bin_version);
-    (* digest first: any flipped or missing byte is rejected before the
-       body is interpreted at all *)
-    if n < String.length bin_magic + 1 + 16 then
-      fail "truncated cache entry (missing digest trailer)";
-    if not (Bin.check_digest contents) then
-      fail "corrupt cache entry (content digest mismatch)";
-    let r =
-      Bin.reader ~pos:(String.length bin_magic + 1) ~limit:(n - 16) contents
-    in
-    check_key ~file ~expected:key (Bin.rstr r);
-    let iter1 = Bin.rint r in
-    let iter2 = Bin.rint r in
-    let compile = Bin.rint r in
-    let checksum = Bin.rint r in
-    let n_samples = Bin.rint r in
-    let section name =
-      let tag = Bin.rbyte r in
-      let k = Bin.rint r in
-      if k < 0 then fail (Fmt.str "negative %s section length" name);
-      match tag with
-      | 0 ->
-          List.init k (fun _ ->
-              let arity = Bin.rint r in
-              if arity < 0 then fail (Fmt.str "bad %s row arity" name);
-              String.concat " "
-                (List.init arity (fun _ -> string_of_int (Bin.rint r))))
-      | 1 -> List.init k (fun _ -> Bin.rstr r)
-      | t -> fail (Fmt.str "unknown %s section tag %d" name t)
-    in
-    let pep_paths = section "pep.paths" in
-    let pep_edges = section "pep.edges" in
-    let ppaths = section "ppaths" in
-    let pedges = section "pedges" in
-    if not (Bin.at_end r) then fail "trailing garbage in cache entry";
-    Ok
+let decode ~file ~key contents =
+  Bin.check_frame ~magic ~version ~what:"cache" ~file contents (fun r ->
+      let stored = Bin.rstr r in
+      if stored <> key then
+        Bin.fail
+          (Fmt.str
+             "stale cache entry: key mismatch (expected %S, found %S) — \
+              program or cost model changed since it was written"
+             key stored);
+      let iter1 = Bin.rint r in
+      let iter2 = Bin.rint r in
+      let compile = Bin.rint r in
+      let checksum = Bin.rint r in
+      let n_samples = Bin.rint r in
+      let section name =
+        let tag = Bin.rbyte r in
+        let k = Bin.rcount r in
+        match tag with
+        | 0 ->
+            List.init k (fun _ ->
+                String.concat " "
+                  (List.init (Bin.rcount r) (fun _ ->
+                       string_of_int (Bin.rint r))))
+        | 1 -> List.init k (fun _ -> Bin.rstr r)
+        | t -> Bin.fail (Fmt.str "unknown %s section tag %d" name t)
+      in
+      let pep_paths = section "pep.paths" in
+      let pep_edges = section "pep.edges" in
+      let ppaths = section "ppaths" in
+      let pedges = section "pedges" in
       {
         iter1;
         iter2;
@@ -353,23 +225,4 @@ let v2_decode ~file ~key contents =
         pep_edges;
         ppaths;
         pedges;
-      }
-  with
-  | Fail e -> Error e
-  | Bin.Malformed m -> Error (err file ("truncated cache entry (" ^ m ^ ")"))
-
-let v2_binary =
-  { version = 2; name = "binary"; encode = v2_encode; decode = v2_decode }
-
-let current = v2_binary
-
-let sniff contents =
-  if String.starts_with ~prefix:text_magic contents then `Codec v1_text
-  else if
-    String.starts_with ~prefix:bin_magic contents
-    && String.length contents > String.length bin_magic
-  then begin
-    let v = Char.code contents.[String.length bin_magic] in
-    if v = bin_version then `Codec v2_binary else `Unknown_version v
-  end
-  else `Not_a_store_file
+      })

@@ -1,17 +1,17 @@
-(** Versioned codecs for persisted run payloads.
+(** The run cache's wire format, and the binary frame both on-disk
+    stores share.
 
-    {!Exp_store} frames every on-disk entry through a [codec]: v2 is the
-    current compact binary format, v1 the legacy line-oriented text
-    format, kept readable so caches written before the binary store
-    migrate transparently.  Both protect their content with an MD5
-    digest and embed the composite identity key, so a damaged entry
-    fails the digest check and a stale one fails the key comparison —
-    always as a structured {!Dcg.parse_error}, never a silent miss.
+    A run-cache entry is one [PEPRUN] frame: magic, version byte, the
+    composite identity key, the measurement and the four profile tables
+    as varints, then an MD5 trailer.  A damaged entry fails the digest
+    check, a stale one fails the key comparison, and anything else — an
+    unknown version, another format's bytes — fails the frame checks;
+    always as a structured {!Dcg.parse_error}, never a silent miss or a
+    crash.
 
-    The {!Bin} submodule exposes the binary primitives (zigzag varints,
-    length-prefixed strings, digest trailer) so other stores — the
-    fleet's profile segments ({!Fleet_store}) — share one wire
-    vocabulary. *)
+    The {!Bin} submodule holds the binary primitives and the frame
+    checks, so the fleet's profile segments ({!Fleet_store}) share one
+    wire vocabulary and one frame reader. *)
 
 (** Everything needed to rebuild an [Exp_harness.run] without executing
     the application: the measurement, the sample count, and the
@@ -30,74 +30,63 @@ type payload = {
 
 (** Low-level binary wire format: unsigned LEB128 varints over
     zigzag-mapped ints (small magnitudes stay short, negatives legal),
-    length-prefixed strings, and an MD5 trailer over everything that
-    precedes it.  Readers are bounds-checked: malformed input raises
-    {!Bin.Malformed}, which the codecs turn into a structured error. *)
+    length-prefixed strings, and frames — a magic, a version byte, the
+    body, and an MD5 trailer over everything before it. *)
 module Bin : sig
   type writer
 
-  val writer : unit -> writer
+  (** Start a frame: [magic], then the [version] byte.  Close it with
+      {!contents_with_digest}. *)
+  val frame : magic:string -> version:int -> writer
+
   val byte : writer -> int -> unit
-
-  (** Append bytes verbatim, no length prefix (file magics). *)
-  val raw : writer -> string -> unit
-
   val int : writer -> int -> unit
   val str : writer -> string -> unit
 
   (** The accumulated bytes plus a 16-byte raw MD5 digest of them. *)
   val contents_with_digest : writer -> string
 
-  exception Malformed of string
-
+  (** A bounds-checked cursor over a frame's body. *)
   type reader
-
-  (** [reader ~pos s] reads [s] from [pos] up to [limit] (default: end
-      of [s]). *)
-  val reader : ?pos:int -> ?limit:int -> string -> reader
 
   val rbyte : reader -> int
   val rint : reader -> int
   val rstr : reader -> string
-  val pos : reader -> int
-  val at_end : reader -> bool
 
-  (** Verify the 16-byte digest trailer of [s] over [s[0..len-17]];
-      [false] when too short or mismatched. *)
-  val check_digest : string -> bool
+  (** An element count: a non-negative varint no larger than the bytes
+      left (every element takes at least one), so a forged count cannot
+      drive a huge allocation. *)
+  val rcount : reader -> int
+
+  (** Reject the frame being read, with [reason] as the diagnostic; for
+      use inside {!check_frame}'s [body]. *)
+  val fail : string -> 'a
+
+  (** [check_frame ~magic ~version ~what ~file s body] checks that [s]
+      is one whole frame — long enough, [magic], version byte
+      [version], matching digest trailer — before reading anything,
+      then runs [body] over the bytes between header and trailer and
+      requires it to consume all of them.  Every failure comes back as
+      an [Error] naming [file]: a failed frame check, a read past the
+      end, a {!fail} from [body], or trailing bytes.  [what] names the
+      format in diagnostics (["cache"], ["segment"]). *)
+  val check_frame :
+    magic:string ->
+    version:int ->
+    what:string ->
+    file:string ->
+    string ->
+    (reader -> 'a) ->
+    ('a, Dcg.parse_error) result
 end
 
-(** MD5 hex over the lines joined with ["\n"] — the legacy text
-    format's integrity trailer (exposed so tests can forge v1 entries
-    with valid digests). *)
-val digest_lines : string list -> string
+(** Full file bytes for a payload under its identity [key].  Profile
+    lines whose fields are all integers are packed as varint rows;
+    anything else falls back to length-prefixed strings, so
+    {!decode}∘[encode] is the identity on arbitrary payloads. *)
+val encode : key:string -> payload -> string
 
-type codec = {
-  version : int;
-  name : string;
-  encode : key:string -> payload -> string;
-      (** full file bytes for a payload under its identity key *)
-  decode :
-    file:string -> key:string -> string -> (payload, Dcg.parse_error) result;
-      (** decode full file bytes, verifying digest, shape and key;
-          [file] only labels diagnostics *)
-}
-
-(** The legacy line-oriented text format ([pepsim-run-cache v1]/[v2]
-    files).  Decoding tolerates the historical ["store-v<N>|"] key
-    prefix; encoding writes it, so forged legacy entries in tests are
-    byte-faithful. *)
-val v1_text : codec
-
-(** The compact binary format: profile lines whose fields are all
-    integers are packed as varint rows; anything else falls back to
-    length-prefixed strings, so [encode]∘[decode] is the identity on
-    arbitrary payloads. *)
-val v2_binary : codec
-
-(** The codec {!Exp_store.save} writes with (currently {!v2_binary}). *)
-val current : codec
-
-(** Identify which codec wrote [contents] (by magic, then version). *)
-val sniff :
-  string -> [ `Codec of codec | `Unknown_version of int | `Not_a_store_file ]
+(** Decode full file bytes, verifying frame, digest, shape and [key];
+    [file] only labels diagnostics. *)
+val decode :
+  file:string -> key:string -> string -> (payload, Dcg.parse_error) result

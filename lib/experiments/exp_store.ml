@@ -2,18 +2,15 @@
 
    One file per (workload, size, seed, configuration) run, named by the
    MD5 of that identity so a cache directory can be shared across
-   sweeps.  The bytes inside are framed by a versioned [Exp_codec]
-   codec: writes use the current compact binary codec, loads sniff the
-   file's magic and dispatch — legacy line-oriented text entries (v1)
-   stay readable and are transparently re-encoded by [Exp_cache].
+   sweeps.  The bytes inside are one [Exp_codec] frame.
 
    The composite key embeds digests of the compiled program and the
    cost model (see Exp_cache), so a stale entry — same file name,
    different program — fails the key comparison; a damaged entry fails
-   the digest or shape checks; an entry written by a future codec is
-   reported as an unsupported version.  Either way the caller gets a
-   structured [Dcg.parse_error] and recomputes; a load never crashes
-   and never returns a partially-filled payload. *)
+   the digest or shape checks; an entry in any other format or version
+   fails the frame checks.  Either way the caller gets a structured
+   [Dcg.parse_error] and recomputes; a load never crashes and never
+   returns a partially-filled payload. *)
 
 type payload = Exp_codec.payload = {
   iter1 : int;
@@ -27,15 +24,10 @@ type payload = Exp_codec.payload = {
   pedges : string list;
 }
 
-let version = Exp_codec.current.Exp_codec.version
-
 let filename ~dir file_key =
   Filename.concat dir (Digest.to_hex (Digest.string file_key) ^ ".run")
 
-let digest_lines = Exp_codec.digest_lines
-
-let err ?(line = 0) ?(text = "") file reason =
-  { Dcg.file = Some file; line; text = String.trim text; reason }
+let err file reason = { Dcg.file = Some file; line = 0; text = ""; reason }
 
 let rec ensure_dir dir =
   if Sys.file_exists dir then
@@ -63,12 +55,8 @@ let sweep_tmp dir =
   | entries ->
       Array.iter
         (fun f ->
-          if
-            (String.starts_with ~prefix:"run-" f
-            || String.starts_with ~prefix:"fleet-" f)
-            && Filename.check_suffix f ".tmp"
-          then
-            try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+          if String.starts_with ~prefix:"run-" f && Filename.check_suffix f ".tmp"
+          then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
         entries
   | exception Sys_error _ -> ()
 
@@ -99,13 +87,13 @@ let read_file file =
 
 (* Atomic byte-level write (temp file in the target directory, then
    rename), shared by the run cache and the fleet segment store. *)
-let write_file ?(tmp_prefix = "run-") ~file contents =
+let write_file ~file contents =
   try
     let dir = Filename.dirname file in
     match ensure_dir dir with
     | Error _ as e -> e
     | Ok () -> (
-        let tmp = Filename.temp_file ~temp_dir:dir tmp_prefix ".tmp" in
+        let tmp = Filename.temp_file ~temp_dir:dir "run-" ".tmp" in
         try
           Out_channel.with_open_bin tmp (fun oc ->
               Out_channel.output_string oc contents);
@@ -118,43 +106,11 @@ let write_file ?(tmp_prefix = "run-") ~file contents =
 
 (* ---------------------------- save / load -------------------------- *)
 
-let save ~file ~key p =
-  let flat =
-    List.for_all
-      (fun l -> not (String.contains l '\n' || String.contains l '\r'))
-      (key :: (p.pep_paths @ p.pep_edges @ p.ppaths @ p.pedges))
-  in
-  if not flat then
-    Error (err file "refusing to save: payload line contains a newline")
-  else
-    write_file ~file (Exp_codec.current.Exp_codec.encode ~key p)
+let save ~file ~key p = write_file ~file (Exp_codec.encode ~key p)
 
-(* [load_versioned] also reports which codec decoded the entry, so
-   [Exp_cache] can transparently re-encode legacy entries in place. *)
-let load_versioned ~file ~key =
+let load ~file ~key =
   if not (Sys.file_exists file) then Ok None
   else
     match read_file file with
     | Error _ as e -> e
-    | Ok contents -> (
-        match Exp_codec.sniff contents with
-        | `Codec c -> (
-            match c.Exp_codec.decode ~file ~key contents with
-            | Ok p -> Ok (Some (p, c.Exp_codec.version))
-            | Error _ as e -> e)
-        | `Unknown_version v ->
-            Error
-              (err file
-                 (Fmt.str "unsupported cache version v%d (want v%d)" v version))
-        | `Not_a_store_file ->
-            Error
-              (err file
-                 ~text:
-                   (String.sub contents 0 (min 32 (String.length contents)))
-                 "not a pepsim run-cache file"))
-
-let load ~file ~key =
-  match load_versioned ~file ~key with
-  | Ok None -> Ok None
-  | Ok (Some (p, _)) -> Ok (Some p)
-  | Error _ as e -> e
+    | Ok contents -> Result.map Option.some (Exp_codec.decode ~file ~key contents)

@@ -2,17 +2,12 @@
 
     One file per (workload, size, seed, configuration) run, keyed by a
     composite identity that embeds digests of the compiled program and
-    cost model (built by {!Exp_cache}).  The bytes inside are framed by
-    a versioned {!Exp_codec} codec: writes use the current compact
-    binary codec, loads sniff the magic and dispatch, so legacy text
-    entries stay readable.  Loading validates version, content digest,
-    identity key and record shape before returning anything; every
-    failure is a structured {!Dcg.parse_error} so callers recompute
-    with a diagnostic instead of trusting or crashing on a bad entry. *)
-
-(** The current codec's version ({!Exp_codec.current}); entries written
-    by a future codec are reported stale and recomputed. *)
-val version : int
+    cost model (built by {!Exp_cache}).  The bytes inside are one
+    {!Exp_codec} frame.  Loading validates magic, version, content
+    digest, identity key and record shape before returning anything;
+    every failure — an entry in any other format included — is a
+    structured {!Dcg.parse_error}, so callers recompute with a
+    diagnostic instead of trusting or crashing on a bad entry. *)
 
 (** Re-export of {!Exp_codec.payload}: everything needed to rebuild an
     {!Exp_harness.run} without executing the application. *)
@@ -32,21 +27,16 @@ type payload = Exp_codec.payload = {
     [dir/<md5 hex of file_key>.run]. *)
 val filename : dir:string -> string -> string
 
-(** MD5 hex over the lines joined with ["\n"] — the legacy text
-    format's integrity trailer (re-exported from {!Exp_codec} for
-    tests that forge v1 entries). *)
-val digest_lines : string list -> string
-
 (** Create [dir] (and parents) if missing.  [Error] carries a
     structured diagnostic: permission denied, or a path component that
     exists but is not a directory.  Concurrent creation by another
     worker is tolerated. *)
 val ensure_dir : string -> (unit, Dcg.parse_error) result
 
-(** {!ensure_dir}, plus: sweep stray [run-*.tmp]/[fleet-*.tmp] files
-    left by a crash between temp-write and rename (they are never read,
-    only accumulate), and probe that the directory is actually writable
-    so an unusable store directory surfaces as one diagnostic at open
+(** {!ensure_dir}, plus: sweep stray [run-*.tmp] files left by a crash
+    between temp-write and rename (they are never read, only
+    accumulate), and probe that the directory is actually writable so
+    an unusable store directory surfaces as one diagnostic at open
     instead of a silent recompute on every run.  Call when opening a
     store directory. *)
 val prepare_dir : string -> (unit, Dcg.parse_error) result
@@ -54,24 +44,17 @@ val prepare_dir : string -> (unit, Dcg.parse_error) result
 (** Read a whole file as bytes; [Error] is a structured diagnostic. *)
 val read_file : string -> (string, Dcg.parse_error) result
 
-(** Atomically (temp file in the target directory, then rename) write
-    [contents] to [file], creating missing directories.  Shared by the
-    run cache and the fleet segment store ([tmp_prefix] defaults to
-    ["run-"]; {!prepare_dir} sweeps both prefixes). *)
-val write_file :
-  ?tmp_prefix:string -> file:string -> string -> (unit, Dcg.parse_error) result
+(** Atomically (a [run-*.tmp] file in the target directory, then
+    rename) write [contents] to [file], creating missing directories.
+    Shared by the run cache and the fleet segment store. *)
+val write_file : file:string -> string -> (unit, Dcg.parse_error) result
 
-(** Persist a payload under [key] with the current codec.  All I/O
-    failures are structured errors, never exceptions. *)
+(** Persist a payload under [key].  All I/O failures are structured
+    errors, never exceptions. *)
 val save : file:string -> key:string -> payload -> (unit, Dcg.parse_error) result
 
-(** [Ok None] when no entry exists; [Error _] for stale (key or
-    version mismatch), corrupt (digest mismatch), truncated or
-    unreadable entries — whichever codec wrote them. *)
+(** [Ok None] when no entry exists; [Error _] for stale (key
+    mismatch), corrupt (digest mismatch), truncated, unreadable or
+    foreign (other format or version) entries. *)
 val load :
   file:string -> key:string -> (payload option, Dcg.parse_error) result
-
-(** Like {!load}, but also reports the codec version that decoded the
-    entry, so callers can migrate legacy entries in place. *)
-val load_versioned :
-  file:string -> key:string -> ((payload * int) option, Dcg.parse_error) result

@@ -313,6 +313,8 @@ let counts t =
     seg_quarantined = t.c_seg_quarantined.n;
   }
 
+let zero_counts = counts (create Fault_plan.empty)
+
 (* Fold a worker injector's read-back into this (main-domain) injector.
    Workers each run their own injector over disjoint keyed streams, so
    summing counts is exact; the merge order only affects nothing. *)

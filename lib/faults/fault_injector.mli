@@ -134,6 +134,9 @@ type counts = {
 
 val counts : t -> counts
 
+(** Every count zero: what {!counts} reads on a fresh injector. *)
+val zero_counts : counts
+
 (** Fold a worker injector's {!counts} into this injector's cells (and
     its metrics, when a sink is attached).  Fleet workers run private
     injectors over disjoint keyed streams; the main domain absorbs

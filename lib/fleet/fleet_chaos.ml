@@ -163,30 +163,7 @@ let sweep ?jobs ?(cases = Exp_chaos.fleet_curated) ~dir spec =
 let passed reports = List.for_all (fun r -> r.violations = []) reports
 
 let pp_report ppf r =
-  let c =
-    Option.value r.counts
-      ~default:
-        {
-          Fault_injector.compile_fail = 0;
-          sample_overrun = 0;
-          store_corrupt = 0;
-          backoffs = 0;
-          gaveups = 0;
-          samples_dropped = 0;
-          path_overflow = 0;
-          edge_overflow = 0;
-          quarantined = 0;
-          instance_crash = 0;
-          torn_write = 0;
-          straggler = 0;
-          seg_corrupt = 0;
-          restarts = 0;
-          lost_instances = 0;
-          writes_recovered = 0;
-          catchups = 0;
-          seg_quarantined = 0;
-        }
-  in
+  let c = Option.value r.counts ~default:Fault_injector.zero_counts in
   Fmt.pf ppf
     "@[<v>%-16s %s %-9s crash/torn/strag/rot=%d/%d/%d/%d \
      restart/lostinst/recov/catch/quar=%d/%d/%d/%d/%d lost=%d rebuilt=%d"

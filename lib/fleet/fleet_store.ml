@@ -1,8 +1,9 @@
 (* Time-windowed, digest-protected profile segments.
 
    One binary file per segment, reusing the run cache's wire
-   vocabulary (Exp_codec.Bin varints + raw MD5 trailer) and directory
-   discipline (Exp_store.prepare_dir / atomic write_file).  A segment
+   vocabulary and frame reader (Exp_codec.Bin: varints, magic +
+   version byte, raw MD5 trailer) and directory discipline
+   (Exp_store.prepare_dir / atomic write_file).  A segment
    carries per-window *deltas* of the three profile tables — paths,
    edges, DCG — plus the method-name table of the program that
    produced them, so queries never rebuild a program or machine.
@@ -37,159 +38,126 @@ let segment_key s =
 let filename ~dir s =
   Filename.concat dir (Digest.to_hex (Digest.string (segment_key s)) ^ ".seg")
 
-let err ?(text = "") file reason =
-  { Dcg.file = Some file; line = 0; text; reason }
+let err file reason = { Dcg.file = Some file; line = 0; text = ""; reason }
 
 (* ------------------------------ encode ----------------------------- *)
 
+module Bin = Exp_codec.Bin
+
 let encode s =
-  let w = Exp_codec.Bin.writer () in
-  Exp_codec.Bin.raw w magic;
-  Exp_codec.Bin.byte w version;
-  Exp_codec.Bin.str w (segment_key s);
-  Exp_codec.Bin.str w s.cohort.Fleet.Cohort.name;
-  Exp_codec.Bin.str w s.cohort.Fleet.Cohort.workload;
-  Exp_codec.Bin.int w s.cohort.Fleet.Cohort.size;
-  Exp_codec.Bin.int w s.cohort.Fleet.Cohort.seed;
-  Exp_codec.Bin.str w s.cohort.Fleet.Cohort.config_key;
+  let w = Bin.frame ~magic ~version in
+  Bin.str w (segment_key s);
+  Bin.str w s.cohort.Fleet.Cohort.name;
+  Bin.str w s.cohort.Fleet.Cohort.workload;
+  Bin.int w s.cohort.Fleet.Cohort.size;
+  Bin.int w s.cohort.Fleet.Cohort.seed;
+  Bin.str w s.cohort.Fleet.Cohort.config_key;
   (match s.cohort.Fleet.Cohort.drift with
-  | Fleet.Drift.No_drift -> Exp_codec.Bin.byte w 0
+  | Fleet.Drift.No_drift -> Bin.byte w 0
   | Fleet.Drift.Phase_shift { at_window; phase } ->
-      Exp_codec.Bin.byte w 1;
-      Exp_codec.Bin.int w at_window;
-      Exp_codec.Bin.int w phase);
-  Exp_codec.Bin.int w s.window.Fleet.Window.lo;
-  Exp_codec.Bin.int w s.window.Fleet.Window.hi;
-  Exp_codec.Bin.int w s.window.Fleet.Window.start_cycle;
-  Exp_codec.Bin.int w s.window.Fleet.Window.end_cycle;
-  Exp_codec.Bin.int w s.origin;
-  Exp_codec.Bin.int w s.instances;
-  Exp_codec.Bin.int w s.samples;
-  Exp_codec.Bin.int w (Array.length s.methods);
-  Array.iter (Exp_codec.Bin.str w) s.methods;
+      Bin.byte w 1;
+      Bin.int w at_window;
+      Bin.int w phase);
+  Bin.int w s.window.Fleet.Window.lo;
+  Bin.int w s.window.Fleet.Window.hi;
+  Bin.int w s.window.Fleet.Window.start_cycle;
+  Bin.int w s.window.Fleet.Window.end_cycle;
+  Bin.int w s.origin;
+  Bin.int w s.instances;
+  Bin.int w s.samples;
+  Bin.int w (Array.length s.methods);
+  Array.iter (Bin.str w) s.methods;
   let rows3 rows =
-    Exp_codec.Bin.int w (List.length rows);
+    Bin.int w (List.length rows);
     List.iter
       (fun (a, b, c) ->
-        Exp_codec.Bin.int w a;
-        Exp_codec.Bin.int w b;
-        Exp_codec.Bin.int w c)
+        Bin.int w a;
+        Bin.int w b;
+        Bin.int w c)
       rows
   in
   rows3 s.paths;
-  Exp_codec.Bin.int w (List.length s.edges);
+  Bin.int w (List.length s.edges);
   List.iter
     (fun (a, b, c, d) ->
-      Exp_codec.Bin.int w a;
-      Exp_codec.Bin.int w b;
-      Exp_codec.Bin.int w c;
-      Exp_codec.Bin.int w d)
+      Bin.int w a;
+      Bin.int w b;
+      Bin.int w c;
+      Bin.int w d)
     s.edges;
   rows3 s.dcg;
-  Exp_codec.Bin.contents_with_digest w
+  Bin.contents_with_digest w
 
 (* ------------------------------ decode ----------------------------- *)
 
-exception Fail of Dcg.parse_error
-
 let decode ~file contents =
-  let fail reason = raise (Fail (err file reason)) in
-  try
-    let n = String.length contents in
-    if n < String.length magic + 1 then fail "truncated fleet segment";
-    if String.sub contents 0 (String.length magic) <> magic then
-      fail "not a pepsim fleet segment";
-    let v = Char.code contents.[String.length magic] in
-    if v <> version then
-      fail (Fmt.str "unsupported segment version v%d (want v%d)" v version);
-    if n < String.length magic + 1 + 16 then
-      fail "truncated fleet segment (missing digest trailer)";
-    if not (Exp_codec.Bin.check_digest contents) then
-      fail "corrupt fleet segment (content digest mismatch)";
-    let r =
-      Exp_codec.Bin.reader ~pos:(String.length magic + 1) ~limit:(n - 16)
-        contents
-    in
-    let stored_key = Exp_codec.Bin.rstr r in
-    let name = Exp_codec.Bin.rstr r in
-    let workload = Exp_codec.Bin.rstr r in
-    let size = Exp_codec.Bin.rint r in
-    let seed = Exp_codec.Bin.rint r in
-    let config_key = Exp_codec.Bin.rstr r in
-    let drift =
-      match Exp_codec.Bin.rbyte r with
-      | 0 -> Fleet.Drift.No_drift
-      | 1 ->
-          let at_window = Exp_codec.Bin.rint r in
-          let phase = Exp_codec.Bin.rint r in
-          Fleet.Drift.Phase_shift { at_window; phase }
-      | t -> fail (Fmt.str "unknown drift tag %d" t)
-    in
-    let lo = Exp_codec.Bin.rint r in
-    let hi = Exp_codec.Bin.rint r in
-    let start_cycle = Exp_codec.Bin.rint r in
-    let end_cycle = Exp_codec.Bin.rint r in
-    let origin = Exp_codec.Bin.rint r in
-    let instances = Exp_codec.Bin.rint r in
-    let samples = Exp_codec.Bin.rint r in
-    let n_methods = Exp_codec.Bin.rint r in
-    if n_methods < 0 then fail "negative method table length";
-    let methods =
-      Array.init n_methods (fun _ -> Exp_codec.Bin.rstr r)
-    in
-    let count what =
-      let k = Exp_codec.Bin.rint r in
-      if k < 0 then fail (Fmt.str "negative %s section length" what);
-      k
-    in
-    let paths =
-      List.init (count "paths") (fun _ ->
-          let a = Exp_codec.Bin.rint r in
-          let b = Exp_codec.Bin.rint r in
-          let c = Exp_codec.Bin.rint r in
-          (a, b, c))
-    in
-    let edges =
-      List.init (count "edges") (fun _ ->
-          let a = Exp_codec.Bin.rint r in
-          let b = Exp_codec.Bin.rint r in
-          let c = Exp_codec.Bin.rint r in
-          let d = Exp_codec.Bin.rint r in
-          (a, b, c, d))
-    in
-    let dcg =
-      List.init (count "dcg") (fun _ ->
-          let a = Exp_codec.Bin.rint r in
-          let b = Exp_codec.Bin.rint r in
-          let c = Exp_codec.Bin.rint r in
-          (a, b, c))
-    in
-    if not (Exp_codec.Bin.at_end r) then fail "trailing garbage in segment";
-    let s =
-      {
-        cohort =
-          { Fleet.Cohort.name; workload; size; seed; config_key; drift };
-        window = { Fleet.Window.lo; hi; start_cycle; end_cycle };
-        origin;
-        instances;
-        samples;
-        methods;
-        paths;
-        edges;
-        dcg;
-      }
-    in
-    (* self-check: the stored identity must match the decoded fields
-       (catches a segment renamed or spliced across stores) *)
-    if segment_key s <> stored_key then
-      fail
-        (Fmt.str "segment identity mismatch (stored %S, decoded %S)" stored_key
-           (segment_key s));
-    Ok s
-  with
-  | Fail e -> Error e
-  | Exp_codec.Bin.Malformed m ->
-      Error (err file ("truncated fleet segment (" ^ m ^ ")"))
+  Bin.check_frame ~magic ~version ~what:"segment" ~file contents (fun r ->
+      let stored_key = Bin.rstr r in
+      let name = Bin.rstr r in
+      let workload = Bin.rstr r in
+      let size = Bin.rint r in
+      let seed = Bin.rint r in
+      let config_key = Bin.rstr r in
+      let drift =
+        match Bin.rbyte r with
+        | 0 -> Fleet.Drift.No_drift
+        | 1 ->
+            let at_window = Bin.rint r in
+            let phase = Bin.rint r in
+            Fleet.Drift.Phase_shift { at_window; phase }
+        | t -> Bin.fail (Fmt.str "unknown drift tag %d" t)
+      in
+      let lo = Bin.rint r in
+      let hi = Bin.rint r in
+      let start_cycle = Bin.rint r in
+      let end_cycle = Bin.rint r in
+      let origin = Bin.rint r in
+      let instances = Bin.rint r in
+      let samples = Bin.rint r in
+      let methods = Array.init (Bin.rcount r) (fun _ -> Bin.rstr r) in
+      let paths =
+        List.init (Bin.rcount r) (fun _ ->
+            let a = Bin.rint r in
+            let b = Bin.rint r in
+            let c = Bin.rint r in
+            (a, b, c))
+      in
+      let edges =
+        List.init (Bin.rcount r) (fun _ ->
+            let a = Bin.rint r in
+            let b = Bin.rint r in
+            let c = Bin.rint r in
+            let d = Bin.rint r in
+            (a, b, c, d))
+      in
+      let dcg =
+        List.init (Bin.rcount r) (fun _ ->
+            let a = Bin.rint r in
+            let b = Bin.rint r in
+            let c = Bin.rint r in
+            (a, b, c))
+      in
+      let s =
+        {
+          cohort =
+            { Fleet.Cohort.name; workload; size; seed; config_key; drift };
+          window = { Fleet.Window.lo; hi; start_cycle; end_cycle };
+          origin;
+          instances;
+          samples;
+          methods;
+          paths;
+          edges;
+          dcg;
+        }
+      in
+      (* self-check: the stored identity must match the decoded fields
+         (catches a segment renamed or spliced across stores) *)
+      if segment_key s <> stored_key then
+        Bin.fail
+          (Fmt.str "segment identity mismatch (stored %S, decoded %S)"
+             stored_key (segment_key s));
+      s)
 
 (* ----------------------- journal & recovery ------------------------ *)
 
@@ -342,9 +310,7 @@ let save ?inject ~dir s =
         match intent () with
         | Error _ as e -> e
         | Ok () -> (
-            match
-              Exp_store.write_file ~tmp_prefix:"fleet-" ~file bytes
-            with
+            match Exp_store.write_file ~file bytes with
             | Error _ as e -> e
             | Ok () -> append_journal ~dir ("C " ^ base)))
     | Some (`Torn draw) -> (
@@ -368,10 +334,7 @@ let save ?inject ~dir s =
             let b = Bytes.of_string bytes in
             let pos = draw mod Bytes.length b in
             Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
-            match
-              Exp_store.write_file ~tmp_prefix:"fleet-" ~file
-                (Bytes.to_string b)
-            with
+            match Exp_store.write_file ~file (Bytes.to_string b) with
             | Error _ as e -> e
             | Ok () -> append_journal ~dir ("C " ^ base)))
   end

@@ -1,7 +1,8 @@
 (** Time-windowed, digest-protected profile segments.
 
     The fleet's profile store: one compact binary file per segment
-    (reusing {!Exp_codec.Bin} and {!Exp_store}'s directory discipline),
+    (one {!Exp_codec.Bin} frame, checked by the run cache's frame
+    reader; {!Exp_store}'s directory discipline and atomic writes),
     each carrying per-window {e deltas} of the path / edge / DCG tables
     plus the method-name table — queries never rebuild a program.
 
@@ -83,7 +84,8 @@ val note_degraded :
 val load_degraded : dir:string -> (string * int * string) list
 
 (** Decode one segment's bytes: magic, version, digest, shape and
-    identity self-check all validated before anything is returned. *)
+    identity self-check all validated before anything is returned;
+    every failure is an [Error] naming [file]. *)
 val decode : file:string -> string -> (segment, Dcg.parse_error) result
 
 (** Every [*.seg] in [dir], sorted by identity key; unreadable,

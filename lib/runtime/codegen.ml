@@ -186,27 +186,17 @@ and ic = {
   mutable stable : int;  (* consecutive same-generation megamorphic hits *)
 }
 
-type tiers = {
-  fuse : bool;
-  pic : bool;
-  pic_mono_misses : int;
-  pic_poly_misses : int;
-  pic_mega_stable : int;
-}
+type tiers = { fuse : bool }
 
-let default_tiers =
-  {
-    fuse = true;
-    pic = true;
-    pic_mono_misses = 4;
-    pic_poly_misses = 4;
-    pic_mega_stable = 64;
-  }
+let default_tiers = { fuse = true }
+let tier_name t = if t.fuse then "v2-flat" else "v2-flat-nofuse"
 
-let tier_name t =
-  "v2-flat"
-  ^ (if t.fuse then "" else "-nofuse")
-  ^ if t.pic then "" else "-nopic"
+(* PIC ladder thresholds: mono misses before promoting to poly, poly
+   misses before promoting to megamorphic, stable megamorphic hits
+   before demoting back to mono *)
+let pic_mono_misses = 4
+let pic_poly_misses = 4
+let pic_mega_stable = 64
 
 (* Engine-level telemetry counters; host-side only, absent entirely
    when the engine was created without a sink. *)
@@ -716,17 +706,15 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
       (* monomorphic; the hit case is inlined at the call site *)
       count_miss eng;
       let bd = get_body eng ic.cidx in
-      if eng.tiers.pic then begin
-        ic.miss_streak <- ic.miss_streak + 1;
-        if ic.miss_streak >= eng.tiers.pic_mono_misses then begin
-          ic.g1 <- ic.g0;
-          ic.b1 <- ic.b0;
-          ic.tier <- 1;
-          ic.miss_streak <- 0;
-          match eng.stats with
-          | Some s -> Metrics.incr s.pic_promote_poly
-          | None -> ()
-        end
+      ic.miss_streak <- ic.miss_streak + 1;
+      if ic.miss_streak >= pic_mono_misses then begin
+        ic.g1 <- ic.g0;
+        ic.b1 <- ic.b0;
+        ic.tier <- 1;
+        ic.miss_streak <- 0;
+        match eng.stats with
+        | Some s -> Metrics.incr s.pic_promote_poly
+        | None -> ()
       end;
       ic.g0 <- gen;
       ic.b0 <- bd;
@@ -760,7 +748,7 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
         ic.g0 <- gen;
         ic.b0 <- bd;
         ic.miss_streak <- ic.miss_streak + 1;
-        if ic.miss_streak >= eng.tiers.pic_poly_misses then begin
+        if ic.miss_streak >= pic_poly_misses then begin
           ic.tier <- 2;
           ic.miss_streak <- 0;
           (* the call-site fast path is a single stamp compare on slot
@@ -782,7 +770,7 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
       if ic.g2 = gen then begin
         count_hit eng;
         ic.stable <- ic.stable + 1;
-        if ic.stable >= eng.tiers.pic_mega_stable then begin
+        if ic.stable >= pic_mega_stable then begin
           ic.tier <- 0;
           ic.miss_streak <- 0;
           ic.stable <- 0;

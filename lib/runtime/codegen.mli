@@ -35,20 +35,17 @@
 
 type t
 
-(** Tier policy: which profile-guided tiers are active and the
-    promotion/demotion thresholds of the PIC ladder. *)
+(** Tier policy: which profile-guided tiers are active.  The PIC ladder
+    is always on; it promotes after 4 mono misses and after 4 poly
+    misses, and demotes after 64 stable megamorphic hits. *)
 type tiers = {
   fuse : bool;  (** compile superinstructions for profiled-hot blocks *)
-  pic : bool;  (** enable the poly/mega tiers (off = v1-style mono IC) *)
-  pic_mono_misses : int;  (** mono misses before promoting to poly *)
-  pic_poly_misses : int;  (** poly misses before promoting to megamorphic *)
-  pic_mega_stable : int;  (** stable megamorphic hits before demoting *)
 }
 
 val default_tiers : tiers
 
-(** Short engine-tier label for bench/result names: ["v2-flat"], with
-    ["-nofuse"] / ["-nopic"] suffixes for disabled tiers. *)
+(** Short engine-tier label for bench/result names: ["v2-flat"], or
+    ["v2-flat-nofuse"] with fusion off. *)
 val tier_name : tiers -> string
 
 (** [create ?telemetry ?tiers ?hooks machine] builds an engine over

@@ -368,11 +368,7 @@ let test_fusion_patterns_differential () =
   and st_f = Machine.create ~seed:3 p
   and st_n = Machine.create ~seed:3 p in
   let fused = all_hot_engine st_f in
-  let nofuse =
-    all_hot_engine
-      ~tiers:{ Codegen.default_tiers with Codegen.fuse = false }
-      st_n
-  in
+  let nofuse = all_hot_engine ~tiers:{ Codegen.fuse = false } st_n in
   let r_o = Interp.run Interp.no_hooks st_o in
   let r_f = Codegen.run fused in
   let r_n = Codegen.run nofuse in

@@ -5,9 +5,9 @@
      folded, diff) — and a warm rerun simulates nothing and leaves the
      store untouched;
    - the segment codec: save/load round-trips arbitrary segments
-     (QCheck), a flipped byte is rejected by the digest before any row
-     is believed, a forged future version and junk files come back as
-     structured diagnostics;
+     (QCheck), a flipped bit, a cut, appended bytes or a run-cache
+     entry is rejected before any row is believed, and a forged future
+     version and junk files come back as structured diagnostics;
    - compaction and retention: merge sums rows and spans windows,
      compact leaves exactly one merged segment per (cohort, window),
      retain drops the oldest windows;
@@ -219,7 +219,8 @@ let gen_segment =
 
 let prop_segment_codec =
   QCheck.Test.make ~count:100 ~name:"segment codec: save/load = id, tamper rejected"
-    gen_segment (fun (name, methods, rows3, rows4) ->
+    (QCheck.pair gen_segment (QCheck.int_bound 100000))
+    (fun ((name, methods, rows3, rows4), i) ->
       let dir = fresh_dir () in
       ignore (Fleet_store.open_ dir);
       let s =
@@ -245,22 +246,32 @@ let prop_segment_codec =
       in
       match Fleet_store.save ~dir s with
       | Error e -> QCheck.Test.fail_reportf "save: %a" Dcg.pp_parse_error e
-      | Ok () -> (
+      | Ok () ->
           let file = Fleet_store.filename ~dir s in
           let bytes = read_all file in
-          match Fleet_store.decode ~file bytes with
+          (match Fleet_store.decode ~file bytes with
           | Error e ->
               QCheck.Test.fail_reportf "decode: %a" Dcg.pp_parse_error e
-          | Ok s' ->
-              if s <> s' then QCheck.Test.fail_report "roundtrip mismatch";
-              let i = String.length bytes / 2 in
-              let t = Bytes.of_string bytes in
-              Bytes.set t i (Char.chr (Char.code bytes.[i] lxor (1 lsl (i mod 8))));
-              if Bytes.to_string t = bytes then true
-              else
-                match Fleet_store.decode ~file (Bytes.to_string t) with
-                | Ok _ -> QCheck.Test.fail_report "tampered bytes accepted"
-                | Error _ -> true))
+          | Ok s' -> if s <> s' then QCheck.Test.fail_report "roundtrip mismatch");
+          (* damaged copies, and the same rows as a valid run-cache entry *)
+          let foreign =
+            Exp_codec.encode ~key:(Fleet_store.segment_key s)
+              {
+                Exp_codec.iter1 = 0;
+                iter2 = 0;
+                compile = 0;
+                checksum = 0;
+                n_samples = s.Fleet_store.samples;
+                pep_paths =
+                  List.map (fun (a, b, c) -> Fmt.str "%d %d %d" a b c) rows3;
+                pep_edges = [];
+                ppaths = [];
+                pedges = [];
+              }
+          in
+          Test_pool.rejects_all ~file (Fleet_store.decode ~file)
+            (Test_pool.damaged_frames ~foreign i bytes);
+          true)
 
 (* --------------------- merge / compact / retain ------------------- *)
 

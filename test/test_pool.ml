@@ -5,14 +5,14 @@
      cold on-disk cache, warm on-disk cache) is bit-identical — float
      bits, not tolerances — to the serial on-demand build, and so is
      every cached run's measurement;
-   - robustness: truncated, bit-flipped, wrong-version (text and
-     binary) and stale-keyed store entries are recomputed with a
-     structured diagnostic, never trusted and never crashed on; a
-     digest-valid tamper is caught by the re-lint; legacy text entries
-     load transparently and migrate to the binary codec in place;
+   - robustness: truncated, bit-flipped, wrong-version, stale-keyed and
+     legacy-text store entries are recomputed with a structured
+     diagnostic, never trusted and never crashed on; a digest-valid
+     tamper is caught by the re-lint;
    - the memoization contract: a config runs exactly once per cache,
      disk hits included;
-   - config_key injectivity over randomized configurations, and the
+   - config_key injectivity over randomized configurations, the codec's
+     round trip and its rejection of damaged or foreign frames, and the
      store's save/load round-trip (QCheck). *)
 
 let check = Alcotest.check
@@ -221,15 +221,21 @@ let test_store_bit_flip () =
       write_all file (Bytes.to_string b))
 
 (* a forged digest does not save a wrong version: the version check runs
-   even on digest-consistent files — here a legacy text entry claiming a
-   version the text codec never wrote *)
+   even on digest-consistent files — here the real entry re-framed with
+   version byte 99 and a recomputed, valid trailer *)
 let test_store_wrong_version () =
-  recompute_after ~expect:"unsupported cache version" (fun file key ->
-      let body = [ "pepsim-run-cache v99"; "key store-v2|" ^ key ] in
-      write_lines file (body @ [ "digest " ^ Exp_store.digest_lines body ]))
+  recompute_after ~expect:"unsupported cache version" (fun file _key ->
+      let bytes = read_all file in
+      let body =
+        Bytes.of_string (String.sub bytes 0 (String.length bytes - 16))
+      in
+      Bytes.set body 6 (Char.chr 99);
+      let body = Bytes.to_string body in
+      write_all file (body ^ Digest.string body))
 
-(* same for the binary frame: a future codec version is a structured
-   diagnostic, not a silent miss or a misparse *)
+(* a future version whose trailer does not match: the version is checked
+   before the digest, so the diagnostic names the version — not a silent
+   miss or a misparse *)
 let test_store_future_binary_version () =
   recompute_after ~expect:"unsupported cache version" (fun file _key ->
       write_all file ("PEPRUN" ^ String.make 1 (Char.chr 99) ^ "future bytes"))
@@ -301,31 +307,17 @@ let test_store_lint_catches_valid_digest_tamper () =
   check cb "re-lint catches inflated counts" true
     (Pep_check.has_errors r.Exp_harness.checks)
 
-(* a legacy text (v1) entry is read transparently, served as a disk
-   hit, and re-encoded in place with the current binary codec *)
-let test_store_migrates_legacy_text () =
-  let dir = fresh_dir () in
-  let orig, file, key = populate dir in
-  let p =
-    match Exp_store.load ~file ~key with
-    | Ok (Some p) -> p
-    | Ok None -> Alcotest.fail "entry vanished"
-    | Error e -> Alcotest.failf "entry unreadable: %s" e.Dcg.reason
-  in
-  write_all file (Exp_codec.v1_text.Exp_codec.encode ~key p);
-  check cb "forged entry is text" true
-    (String.starts_with ~prefix:"pepsim-run-cache" (read_all file));
-  let cache = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
-  let r = Exp_cache.run cache rob_config in
-  check_meas "legacy entry serves the run" orig.Exp_harness.meas
-    r.Exp_harness.meas;
-  let s = Exp_cache.stats cache in
-  check ci "legacy entry is a disk hit" 1 s.Exp_cache.disk_hits;
-  check ci "no execution" 0 s.Exp_cache.executed;
-  check ci "no store errors" 0 s.Exp_cache.store_errors;
-  check ci "one migration" 1 s.Exp_cache.migrated;
-  check cb "entry re-encoded as binary" true
-    (String.starts_with ~prefix:"PEPRUN" (read_all file))
+(* an entry in the retired line-oriented text format, valid in that
+   format, is one more unreadable entry: a counted miss with a
+   diagnostic, then a recompute that rewrites it in the binary format *)
+let test_store_legacy_text_is_a_miss () =
+  recompute_after ~expect:"not a pepsim cache entry" (fun file key ->
+      let body =
+        [ "pepsim-run-cache v2"; "key store-v2|" ^ key; "meas 1 2 3 4";
+          "nsamples 0"; "pep.paths 0"; "pep.edges 0"; "ppaths 0"; "pedges 0" ]
+      in
+      let digest = Digest.to_hex (Digest.string (String.concat "\n" body)) in
+      write_lines file (body @ [ "digest " ^ digest ]))
 
 (* ------------------- memoization contract ------------------- *)
 
@@ -525,27 +517,86 @@ let gen_payload =
             (list_size (int_range 0 8) gen_flat_string)
             (list_size (int_range 0 8) gen_flat_string))))
 
-(* the binary codec in memory: encode∘decode is the identity on
-   arbitrary payloads, and any single flipped bit — body, digest
-   trailer, magic or version byte — is rejected, never misparsed *)
+(* Damaged variants of a valid frame, drawn from [i]: one flipped bit,
+   a cut at a random offset, bytes appended, and [foreign] — the other
+   store's valid bytes. *)
+let damaged_frames ~foreign i bytes =
+  let n = String.length bytes in
+  let flipped = Bytes.of_string bytes in
+  let j = i mod n in
+  Bytes.set flipped j (Char.chr (Char.code bytes.[j] lxor (1 lsl (i mod 8))));
+  [
+    ("flipped-bit", Bytes.to_string flipped);
+    ("truncated", String.sub bytes 0 (i mod n));
+    ("appended", bytes ^ String.make (1 + (i mod 7)) (Char.chr (i land 0xff)));
+    ("foreign", foreign);
+  ]
+
+(* every damaged variant is an [Error] naming [file]: never accepted,
+   never an escaped exception *)
+let rejects_all ~file decode variants =
+  List.iter
+    (fun (what, bytes) ->
+      match decode bytes with
+      | Ok _ -> QCheck.Test.fail_reportf "%s frame accepted" what
+      | Error e when e.Dcg.file <> Some file ->
+          QCheck.Test.fail_reportf "%s frame: diagnostic does not name %s" what
+            file
+      | Error _ -> ()
+      | exception exn ->
+          QCheck.Test.fail_reportf "%s frame raised %s" what
+            (Printexc.to_string exn))
+    variants
+
+(* a valid fleet segment: foreign bytes for the run-cache decoder *)
+let segment_bytes =
+  lazy
+    (let dir = fresh_dir () in
+     let s =
+       {
+         Fleet_store.cohort =
+           {
+             Fleet.Cohort.name = "c";
+             workload = "w";
+             size = 1;
+             seed = 1;
+             config_key = "k";
+             drift = Fleet.Drift.No_drift;
+           };
+         window = Fleet.Window.raw ~index:0 ~start_cycle:0 ~end_cycle:1;
+         origin = 0;
+         instances = 1;
+         samples = 1;
+         methods = [| "main" |];
+         paths = [ (0, 0, 1) ];
+         edges = [];
+         dcg = [];
+       }
+     in
+     match
+       Result.bind (Fleet_store.open_ dir) (fun _ -> Fleet_store.save ~dir s)
+     with
+     | Ok () -> read_all (Fleet_store.filename ~dir s)
+     | Error e -> failwith e.Dcg.reason)
+
+(* the codec in memory: encode∘decode is the identity on arbitrary
+   payloads, and a damaged or foreign frame — flipped bit anywhere
+   (body, digest trailer, magic, version byte), cut short, extended, or
+   a fleet segment — is rejected, never misparsed *)
 let prop_codec_binary =
   QCheck.Test.make ~count:200 ~name:"binary codec round trip and tamper"
     (QCheck.make
        QCheck.Gen.(triple gen_payload gen_flat_string (int_range 0 100000)))
     (fun (p, key, i) ->
       let key = "k|" ^ key in
-      let c = Exp_codec.v2_binary in
-      let enc = c.Exp_codec.encode ~key p in
-      (match c.Exp_codec.decode ~file:"mem" ~key enc with
+      let enc = Exp_codec.encode ~key p in
+      (match Exp_codec.decode ~file:"mem" ~key enc with
       | Ok p' when p' = p -> ()
       | Ok _ -> QCheck.Test.fail_report "payload changed through binary codec"
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e.Dcg.reason);
-      let b = Bytes.of_string enc in
-      let j = i mod Bytes.length b in
-      Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor (1 lsl (i mod 8))));
-      (match c.Exp_codec.decode ~file:"mem" ~key (Bytes.to_string b) with
-      | Error _ -> ()
-      | Ok _ -> QCheck.Test.fail_report "tampered byte not rejected");
+      rejects_all ~file:"mem"
+        (Exp_codec.decode ~file:"mem" ~key)
+        (damaged_frames ~foreign:(Lazy.force segment_bytes) i enc);
       true)
 
 let rt_dir = lazy (fresh_dir ())
@@ -586,8 +637,8 @@ let suite =
       test_store_stale_program;
     Alcotest.test_case "digest-valid tamper caught by re-lint" `Slow
       test_store_lint_catches_valid_digest_tamper;
-    Alcotest.test_case "legacy text entry migrates to binary" `Slow
-      test_store_migrates_legacy_text;
+    Alcotest.test_case "legacy text entry is a miss" `Slow
+      test_store_legacy_text_is_a_miss;
     Alcotest.test_case "all_runs records each run once" `Slow
       test_all_runs_records_once;
     QCheck_alcotest.to_alcotest prop_config_key_injective;
