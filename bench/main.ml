@@ -54,23 +54,6 @@ let parse_args () =
   let cache_dir = if !no_cache then None else !cache_dir in
   (List.rev !ids, !scale, !seed, !jobs, cache_dir, !micro, !json_out)
 
-let print_cache_report caches =
-  let tot f = List.fold_left (fun acc c -> acc + f (Exp_cache.stats c)) 0 caches in
-  let memory = tot (fun s -> s.Exp_cache.memory_hits)
-  and disk = tot (fun s -> s.Exp_cache.disk_hits)
-  and executed = tot (fun s -> s.Exp_cache.executed)
-  and errors = tot (fun s -> s.Exp_cache.store_errors) in
-  Printf.printf
-    "[exp-cache] exp.cache_hit=%d exp.cache_miss=%d memory_hits=%d \
-     disk_hits=%d executed=%d store_errors=%d\n%!"
-    (memory + disk) executed memory disk executed errors;
-  List.iter
-    (fun c ->
-      List.iter
-        (fun d -> Format.eprintf "bench: cache: %a@." Dcg.pp_parse_error d)
-        (Exp_cache.diagnostics c))
-    caches
-
 let run_figures ids scale seed jobs cache_dir =
   let t0 = Unix.gettimeofday () in
   Printf.printf
@@ -83,7 +66,7 @@ let run_figures ids scale seed jobs cache_dir =
   in
   Exp_pool.prefetch ~jobs caches ids;
   List.iter (fun id -> Exp_figures.print (Exp_figures.by_id id caches)) ids;
-  if cache_dir <> None then print_cache_report caches;
+  if cache_dir <> None then Exp_cache.print_report caches;
   Printf.printf "\n[figures done in %.1fs]\n%!" (Unix.gettimeofday () -. t0)
 
 (* ------------------------- microbenchmarks ------------------------- *)

@@ -20,28 +20,6 @@ open Cmdliner
 (* Shared flags come from {!Cli}, the one spec table every subcommand
    draws from. *)
 
-(* One aggregated accounting line (the exp.cache_hit / exp.cache_miss
-   counters CI asserts on), plus any store diagnostics. *)
-let print_cache_report caches =
-  let tot f =
-    List.fold_left (fun acc c -> acc + f (Exp_cache.stats c)) 0 caches
-  in
-  Printf.printf
-    "[exp-cache] exp.cache_hit=%d exp.cache_miss=%d memory_hits=%d \
-     disk_hits=%d executed=%d store_errors=%d\n"
-    (tot (fun s -> s.Exp_cache.memory_hits + s.Exp_cache.disk_hits))
-    (tot (fun s -> s.Exp_cache.executed))
-    (tot (fun s -> s.Exp_cache.memory_hits))
-    (tot (fun s -> s.Exp_cache.disk_hits))
-    (tot (fun s -> s.Exp_cache.executed))
-    (tot (fun s -> s.Exp_cache.store_errors));
-  List.iter
-    (fun c ->
-      List.iter
-        (fun e -> Fmt.epr "cache: %a@." Dcg.pp_parse_error e)
-        (Exp_cache.diagnostics c))
-    caches
-
 let print_diags diags =
   List.iter (fun d -> Fmt.pr "%a@." Pep_check.pp_diagnostic d) diags
 
@@ -198,7 +176,7 @@ let workload_cmd =
           (Exp_report.overhead ~base:base.Exp_harness.meas.iter2
              run.Exp_harness.meas.iter2);
         Option.iter (print_profiles env.Exp_harness.program) run.Exp_harness.pep;
-        if cache_dir <> None then print_cache_report [ cache ];
+        if cache_dir <> None then Exp_cache.print_report [ cache ];
         if verify || deep then begin
           let diags =
             Pep_check.check_program_static env.Exp_harness.program
@@ -267,7 +245,7 @@ let experiments_cmd =
     List.iter
       (fun id -> Exp_figures.print (Exp_figures.by_id id caches))
       ids;
-    if cache_dir <> None then print_cache_report caches;
+    if cache_dir <> None then Exp_cache.print_report caches;
     (match (trace_out, telemetry) with
     | Some path, Some tel ->
         let trace = Option.get (Telemetry.trace tel) in

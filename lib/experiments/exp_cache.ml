@@ -10,6 +10,7 @@ type t = {
   env : Exp_harness.env;
   base_config : Exp_harness.config;
   runs : (string, Exp_harness.run) Hashtbl.t;
+  series : (string, int list) Hashtbl.t;  (* adaptive totals, by series key *)
   mutable perfect_edge_table : Edge_profile.table option;
   cache_dir : string option;
   identity : string;
@@ -52,6 +53,7 @@ let create ?(config = Exp_harness.default) ?cache_dir env =
     env;
     base_config = config;
     runs = Hashtbl.create 16;
+    series = Hashtbl.create 4;
     perfect_edge_table = None;
     cache_dir;
     identity;
@@ -78,6 +80,22 @@ let stats t =
   }
 
 let diagnostics t = t.diags
+
+let print_report caches =
+  let tot f = List.fold_left (fun acc c -> acc + f (stats c)) 0 caches in
+  let memory = tot (fun s -> s.memory_hits)
+  and disk = tot (fun s -> s.disk_hits)
+  and executed = tot (fun s -> s.executed) in
+  Printf.printf
+    "[exp-cache] exp.cache_hit=%d exp.cache_miss=%d memory_hits=%d \
+     disk_hits=%d executed=%d store_errors=%d\n%!"
+    (memory + disk) executed memory disk executed
+    (tot (fun s -> s.store_errors));
+  List.iter
+    (fun c ->
+      List.iter (Fmt.epr "cache: %a@." Dcg.pp_parse_error) (diagnostics c))
+    caches
+
 let mincr = function Some c -> Metrics.incr c | None -> ()
 
 (* A [From_pep] optimizing compilation consults the live sampler state
@@ -95,12 +113,14 @@ let persistable (config : Exp_harness.config) =
 
 (* Measurements are bit-identical with and without a telemetry sink (a
    tested invariant), so the persisted identity strips it: traced and
-   untraced sweeps share disk entries. *)
-let file_and_key t config =
+   untraced sweeps share disk entries.  [suffix] extends both the file
+   key and the identity key (an adaptive series' trial count). *)
+let file_and_key ?(suffix = "") t config =
   match t.cache_dir with
   | Some dir when persistable config ->
       let ckey =
         Exp_harness.config_key { config with Exp_harness.telemetry = None }
+        ^ suffix
       in
       let file_key =
         Fmt.str "%s|%d|%d|%s" t.env.Exp_harness.workload.Workload.name
@@ -110,7 +130,11 @@ let file_and_key t config =
   | Some _ | None -> None
 
 let store_file t config = Option.map fst (file_and_key t config)
-let store_slot = file_and_key
+let store_slot t config = file_and_key t config
+let series_suffix trials = Fmt.str "|adaptive=%d" trials
+
+let adaptive_slot t config ~trials =
+  file_and_key ~suffix:(series_suffix trials) t config
 
 let payload_of_run (r : Exp_harness.run) =
   {
@@ -144,31 +168,29 @@ type outcome = {
   o_diags : Dcg.parse_error list;
 }
 
-(* The worker half of a run: everything except touching the memo table
-   and counters.  Reads only immutable cache state (env, identity,
-   cache_dir), so concurrent [compute]s on one cache from several
-   domains are safe; the only side effect is an atomic store write. *)
-let compute t config =
-  let faults = Exp_harness.injector_of config in
-  let slot = file_and_key t config in
-  let execute diags =
-    let r = Exp_harness.replay ?faults t.env config in
-    let diags =
-      match slot with
-      | None -> diags
-      | Some (file, key) -> (
-          match Exp_store.save ~file ~key (payload_of_run r) with
-          | Ok () -> diags
-          | Error e -> diags @ [ e ])
-    in
-    { o_run = r; o_from_disk = false; o_diags = diags }
+let diag file reason = { Dcg.file = Some file; line = 0; text = ""; reason }
+
+(* Load-or-execute through one store slot: a valid entry is [accept]ed
+   (its value and [true]), anything else runs [execute] and overwrites
+   the slot, with a diagnostic saying why the entry was not used.
+   Reads only immutable cache state, so it is safe on worker domains;
+   the only side effect is an atomic store write. *)
+let through_store ~faults ~slot ~load ~save ~accept ~execute =
+  let fresh diags =
+    let v = execute () in
+    match slot with
+    | None -> (v, false, diags)
+    | Some (file, key) -> (
+        match save ~file ~key v with
+        | Ok () -> (v, false, diags)
+        | Error e -> (v, false, diags @ [ e ]))
   in
   match slot with
-  | None -> execute []
+  | None -> fresh []
   | Some (file, key) -> (
-      match Exp_store.load ~file ~key with
-      | Ok None -> execute []
-      | Ok (Some payload) -> (
+      match load ~file ~key with
+      | Ok None -> fresh []
+      | Ok (Some stored) -> (
           match faults with
           | Some inj when Fault_injector.fire_corrupt inj ~what:"store" ->
               (* the plan says this load observed a corrupted entry:
@@ -176,38 +198,35 @@ let compute t config =
                  mismatch would *)
               Fault_injector.note_quarantine inj ~what:"store"
                 ~reason:"fault plan corrupted this cache entry";
-              execute
+              fresh
                 [
-                  {
-                    Dcg.file = Some file;
-                    line = 0;
-                    text = "";
-                    reason = "cache entry quarantined by fault plan; recomputed";
-                  };
+                  diag file "cache entry quarantined by fault plan; recomputed";
                 ]
-          | Some _ | None ->
-          match Exp_harness.rebuild ?faults t.env config payload with
-          | Ok r -> { o_run = r; o_from_disk = true; o_diags = [] }
-          | Error reason ->
-              (* shape passed the digest but not the configuration:
-                 recompute and overwrite, reporting why *)
-              execute
-                [
-                  {
-                    Dcg.file = Some file;
-                    line = 0;
-                    text = "";
-                    reason = "cache entry rejected: " ^ reason;
-                  };
-                ])
-      | Error e -> execute [ e ])
+          | Some _ | None -> (
+              match accept stored with
+              | Ok v -> (v, true, [])
+              | Error reason ->
+                  (* shape passed the digest but not the configuration:
+                     recompute and overwrite, reporting why *)
+                  fresh [ diag file ("cache entry rejected: " ^ reason) ]))
+      | Error e -> fresh [ e ])
 
-(* The main-domain half: memoize and account.  Callers that shard
-   [compute]s across domains must install results in a deterministic
-   order (the pool installs in sorted-key order). *)
-let install t config o =
-  Hashtbl.replace t.runs (Exp_harness.config_key config) o.o_run;
-  if o.o_from_disk then begin
+(* The worker half of a run: everything except touching the memo table
+   and counters.  Reads only immutable cache state (env, identity,
+   cache_dir), so concurrent [compute]s on one cache from several
+   domains are safe. *)
+let compute t config =
+  let faults = Exp_harness.injector_of config in
+  let o_run, o_from_disk, o_diags =
+    through_store ~faults ~slot:(file_and_key t config) ~load:Exp_store.load
+      ~save:(fun ~file ~key r -> Exp_store.save ~file ~key (payload_of_run r))
+      ~accept:(Exp_harness.rebuild ?faults t.env config)
+      ~execute:(fun () -> Exp_harness.replay ?faults t.env config)
+  in
+  { o_run; o_from_disk; o_diags }
+
+let account t ~from_disk diags =
+  if from_disk then begin
     t.disk_hits <- t.disk_hits + 1;
     mincr t.m_hit
   end
@@ -215,9 +234,21 @@ let install t config o =
     t.executed <- t.executed + 1;
     mincr t.m_miss
   end;
-  t.store_errors <- t.store_errors + List.length o.o_diags;
-  t.diags <- t.diags @ o.o_diags;
+  t.store_errors <- t.store_errors + List.length diags;
+  t.diags <- t.diags @ diags
+
+(* The main-domain half: memoize and account.  Callers that shard
+   [compute]s across domains must install results in a deterministic
+   order (the pool installs in sorted-key order). *)
+let install t config o =
+  Hashtbl.replace t.runs (Exp_harness.config_key config) o.o_run;
+  account t ~from_disk:o.o_from_disk o.o_diags;
   o.o_run
+
+let memory_hit t v =
+  t.memory_hits <- t.memory_hits + 1;
+  mincr t.m_hit;
+  v
 
 let find_run t config =
   Hashtbl.find_opt t.runs (Exp_harness.config_key config)
@@ -227,11 +258,33 @@ let find_run t config =
    configurations can never alias to the same cached run. *)
 let run t config =
   match find_run t config with
-  | Some r ->
-      t.memory_hits <- t.memory_hits + 1;
-      mincr t.m_hit;
-      r
+  | Some r -> memory_hit t r
   | None -> install t config (compute t config)
+
+(* Each trial is a deterministic function of env, config and trial
+   index, so a whole series is memoized and persisted as one entry. *)
+let adaptive t config ~trials =
+  let key = Exp_harness.config_key config ^ series_suffix trials in
+  match Hashtbl.find_opt t.series key with
+  | Some totals -> memory_hit t totals
+  | None ->
+      let totals, from_disk, diags =
+        through_store
+          ~faults:(Exp_harness.injector_of config)
+          ~slot:(adaptive_slot t config ~trials)
+          ~load:Exp_store.load_series ~save:Exp_store.save_series
+          ~accept:(fun totals ->
+            if List.length totals = trials then Ok totals
+            else
+              Error
+                (Fmt.str "%d totals for %d trials" (List.length totals) trials))
+          ~execute:(fun () ->
+            List.init trials (fun trial ->
+                Exp_harness.adaptive_total ~config ~trial t.env))
+      in
+      Hashtbl.replace t.series key totals;
+      account t ~from_disk diags;
+      totals
 
 let with_profiling t profiling = { t.base_config with Exp_harness.profiling }
 let base t = run t (with_profiling t Exp_harness.Base)

@@ -1,30 +1,35 @@
-(** Memoized experiment runs, with an optional persistent on-disk layer.
+(** Memoized experiment runs and adaptive series, with an optional
+    persistent on-disk layer.
 
     Several figures share configurations (the PEP(64,17) replay run feeds
     Fig. 6 overhead, Fig. 8 path accuracy and Fig. 9 edge accuracy); the
     cache executes each distinct configuration once per benchmark,
     memoizing by {!Exp_harness.config_key} — every configuration field
-    is part of the key, so distinct configurations never alias.
+    is part of the key, so distinct configurations never alias.  Fig.
+    11's adaptive trials are memoized the same way, one entry per
+    (configuration, trial count) series ({!adaptive}).
 
-    With [cache_dir], completed runs are additionally persisted through
-    {!Exp_store} under a composite identity (workload, size, seed,
-    digests of the compiled program and cost model, and the
-    configuration key), and recalled on later sweeps by
-    {!Exp_harness.rebuild} — zero application execution.  Stale,
-    damaged or foreign-format entries (an entry written by an older
-    store format included) surface as {!diagnostics} and are
-    recomputed and overwritten, never trusted or crashed on.  An
-    unusable [cache_dir] (unwritable, or a path component that is not a
-    directory) is reported the same way, once, at {!create} — runs
-    still execute, they just are not persisted.
+    With [cache_dir], completed runs and series are additionally
+    persisted through {!Exp_store} under a composite identity (workload,
+    size, seed, digests of the compiled program and cost model, and the
+    configuration key; a series adds [|adaptive=<trials>]).  An entry
+    embeds that key's MD5 (format v3).  Runs are recalled on later
+    sweeps by {!Exp_harness.rebuild} — zero application execution — and
+    series by reading their totals back.  Stale, damaged or
+    foreign-format entries (an entry written by an older store format,
+    or a run entry where a series was expected, included) surface as
+    {!diagnostics} and are recomputed and overwritten, never trusted or
+    crashed on.  An unusable [cache_dir] (unwritable, or a path
+    component that is not a directory) is reported the same way, once,
+    at {!create} — runs still execute, they just are not persisted.
 
     Fault plans: a configuration whose plan
     {!Fault_plan.perturbs_execution} is never persisted (a rebuild's
     precompile order would re-order the live run's fault-decision
     stream); a [corrupt=P] plan additionally makes loads of persisted
     entries observe deliberate corruption with probability [P] — the
-    entry is quarantined with a diagnostic and the run recomputed,
-    exercising exactly the real digest-mismatch path. *)
+    entry is quarantined with a diagnostic and the run or series
+    recomputed, exercising exactly the real digest-mismatch path. *)
 
 type t
 
@@ -65,12 +70,30 @@ type outcome
 val compute : t -> Exp_harness.config -> outcome
 val install : t -> Exp_harness.config -> outcome -> Exp_harness.run
 
-(** {2 Accounting} *)
+(** {2 Adaptive series} *)
+
+(** [adaptive t config ~trials] is
+    [List.init trials (fun trial -> Exp_harness.adaptive_total ~config
+    ~trial (env t))]: the per-trial totals of the adaptive methodology
+    (paper Fig. 11), computed once per (configuration, [trials]) and
+    persisted as one entry under the same rules as a run. *)
+val adaptive : t -> Exp_harness.config -> trials:int -> int list
+
+(** Like {!store_slot}, for the series {!adaptive} persists. *)
+val adaptive_slot :
+  t -> Exp_harness.config -> trials:int -> (string * string) option
+
+(** {2 Accounting}
+
+    A series counts like a run: computed, recalled from disk, or
+    recalled from memory. *)
 
 type stats = {
   memory_hits : int;  (** recalled from the in-process memo table *)
   disk_hits : int;  (** rebuilt from a persisted entry, no execution *)
-  executed : int;  (** actually simulated *)
+  executed : int;
+      (** actually simulated: one per run replayed, and one per adaptive
+          series computed (all its trials) *)
   store_errors : int;  (** stale/corrupt/unwritable entries (see {!diagnostics}) *)
   migrated : int;
       (** always 0: the store has one format, so nothing is migrated
@@ -84,6 +107,13 @@ val stats : t -> stats
     (stale key, corrupt content, unreadable file) or could not be
     written; oldest first.  Same shape as [Advice.of_lines] errors. *)
 val diagnostics : t -> Dcg.parse_error list
+
+(** The accounting of a suite's caches: one
+    [[exp-cache] exp.cache_hit=… exp.cache_miss=… memory_hits=…
+    disk_hits=… executed=… store_errors=…] line on stdout (hits are
+    memory plus disk hits, misses are executions), then every
+    {!diagnostics} entry on stderr, prefixed [cache: ]. *)
+val print_report : t list -> unit
 
 (** Where [config] would be persisted ([None] if no [cache_dir], or the
     configuration is not persistable — [From_pep] opt-profiles consult

@@ -1,11 +1,13 @@
 (* The run cache's wire format, and the binary frame both on-disk
    stores share.
 
-   An entry is one PEPRUN frame (varint-packed profile rows, raw MD5
-   trailer) that embeds the composite identity key, so a damaged entry
-   fails the digest check, a stale one fails the key comparison, and a
-   foreign or future-versioned one fails the frame checks — always a
-   structured [Dcg.parse_error], never a silent miss or a crash. *)
+   A run entry is one PEPRUN frame (varint-packed profile rows, raw MD5
+   trailer); an adaptive series entry is one PEPSER frame (the per-trial
+   totals).  Both embed the 16-byte MD5 of the composite identity key,
+   not the key text, so a damaged entry fails the digest check, a stale
+   one fails the key-digest comparison, and a foreign or
+   future-versioned one fails the frame checks — always a structured
+   [Dcg.parse_error], never a silent miss or a crash. *)
 
 type payload = {
   iter1 : int;
@@ -126,10 +128,27 @@ module Bin = struct
       | exception Malformed m -> error "truncated %s entry (%s)" what m
 end
 
-(* ---------------------------- run entries -------------------------- *)
+(* --------------------------- cache entries ------------------------- *)
 
 let magic = "PEPRUN"
-let version = 2
+let series_magic = "PEPSER"
+
+(* both frames' version; bump on any change to their bytes *)
+let version = 3
+
+(* An entry stores [Digest.string key] (16 bytes, length-prefixed); a
+   different digest means the entry was written for another identity. *)
+let put_key w key = Bin.str w (Digest.string key)
+
+let check_key r key =
+  if not (String.equal (Bin.rstr r) (Digest.string key)) then
+    Bin.fail
+      (Fmt.str
+         "stale cache entry: key digest mismatch (expected the MD5 of %S) — \
+          program or cost model changed since it was written"
+         key)
+
+(* ---------------------------- run entries -------------------------- *)
 
 (* A profile line whose fields are all integers in canonical rendering
    is stored as a varint row; anything else (and any line whose
@@ -152,7 +171,7 @@ let pack_line l =
 
 let encode ~key p =
   let w = Bin.frame ~magic ~version in
-  Bin.str w key;
+  put_key w key;
   Bin.int w p.iter1;
   Bin.int w p.iter2;
   Bin.int w p.compile;
@@ -187,13 +206,7 @@ let encode ~key p =
 
 let decode ~file ~key contents =
   Bin.check_frame ~magic ~version ~what:"cache" ~file contents (fun r ->
-      let stored = Bin.rstr r in
-      if stored <> key then
-        Bin.fail
-          (Fmt.str
-             "stale cache entry: key mismatch (expected %S, found %S) — \
-              program or cost model changed since it was written"
-             key stored);
+      check_key r key;
       let iter1 = Bin.rint r in
       let iter2 = Bin.rint r in
       let compile = Bin.rint r in
@@ -226,3 +239,18 @@ let decode ~file ~key contents =
         ppaths;
         pedges;
       })
+
+(* -------------------------- series entries ------------------------- *)
+
+let encode_series ~key totals =
+  let w = Bin.frame ~magic:series_magic ~version in
+  put_key w key;
+  Bin.int w (List.length totals);
+  List.iter (Bin.int w) totals;
+  Bin.contents_with_digest w
+
+let decode_series ~file ~key contents =
+  Bin.check_frame ~magic:series_magic ~version ~what:"series cache" ~file
+    contents (fun r ->
+      check_key r key;
+      List.init (Bin.rcount r) (fun _ -> Bin.rint r))

@@ -1,13 +1,21 @@
 (** The run cache's wire format, and the binary frame both on-disk
     stores share.
 
-    A run-cache entry is one [PEPRUN] frame: magic, version byte, the
-    composite identity key, the measurement and the four profile tables
-    as varints, then an MD5 trailer.  A damaged entry fails the digest
-    check, a stale one fails the key comparison, and anything else — an
-    unknown version, another format's bytes — fails the frame checks;
-    always as a structured {!Dcg.parse_error}, never a silent miss or a
-    crash.
+    The run cache holds two kinds of entry, both at format version 3:
+    - a run entry is one [PEPRUN] frame: magic, version byte, the
+      identity key's MD5, the measurement and the four profile tables as
+      varints, then an MD5 trailer;
+    - an adaptive series entry is one [PEPSER] frame: magic, version
+      byte, the identity key's MD5, the per-trial totals as varints,
+      then an MD5 trailer.
+
+    An entry embeds the 16-byte MD5 of its identity key rather than the
+    key text (about 140 bytes, mostly two hex digests).  A damaged entry
+    fails the digest check, a stale one fails the key-digest comparison
+    (reported as [stale cache entry], naming the expected key), and
+    anything else — an unknown version, the other kind's frame, another
+    format's bytes — fails the frame checks; always as a structured
+    {!Dcg.parse_error}, never a silent miss or a crash.
 
     The {!Bin} submodule holds the binary primitives and the frame
     checks, so the fleet's profile segments ({!Fleet_store}) share one
@@ -80,13 +88,23 @@ module Bin : sig
     ('a, Dcg.parse_error) result
 end
 
-(** Full file bytes for a payload under its identity [key].  Profile
-    lines whose fields are all integers are packed as varint rows;
-    anything else falls back to length-prefixed strings, so
+(** Full file bytes of a run entry for a payload under its identity
+    [key].  Profile lines whose fields are all integers are packed as
+    varint rows; anything else falls back to length-prefixed strings, so
     {!decode}∘[encode] is the identity on arbitrary payloads. *)
 val encode : key:string -> payload -> string
 
-(** Decode full file bytes, verifying frame, digest, shape and [key];
-    [file] only labels diagnostics. *)
+(** Decode a run entry's bytes, verifying frame, digest, shape and
+    [key]; [file] only labels diagnostics. *)
 val decode :
   file:string -> key:string -> string -> (payload, Dcg.parse_error) result
+
+(** Full file bytes of an adaptive series entry: the per-trial totals
+    under their identity [key]. *)
+val encode_series : key:string -> int list -> string
+
+(** Decode a series entry's bytes, verifying frame, digest and [key];
+    [file] only labels diagnostics.  A run entry is rejected as foreign
+    here, as a series entry is by {!decode}. *)
+val decode_series :
+  file:string -> key:string -> string -> (int list, Dcg.parse_error) result

@@ -465,12 +465,9 @@ let fig11 ?(trials = 15) caches =
   let rows =
     List.map
       (fun c ->
-        let env = Exp_cache.env c in
         let totals profiling =
-          List.init trials (fun trial ->
-              float_of_int
-                (Exp_harness.adaptive_total ~config:(cfg_with c profiling)
-                   ~trial env))
+          List.map float_of_int
+            (Exp_cache.adaptive c (cfg_with c profiling) ~trials)
         in
         let base = Exp_report.median (totals Exp_harness.Base) in
         let pep = Exp_report.median (totals Exp_harness.pep_default) in
@@ -838,10 +835,11 @@ let ids = List.map fst registry
 let by_id id = List.assoc id registry
 
 (* The cacheable configurations a figure consults, enumerated so a job
-   pool can compute them up front.  Work that is not cache-mediated —
-   fig11's adaptive trials, the combined truth replays of
-   tab-inline/tab-unroll, the direct drivers of tab-hardware /
-   tab-header / tab-onetime-paths — is not representable here and still
+   pool can compute them up front.  fig11's adaptive series are cached
+   ([Exp_cache.adaptive]) but not enumerated here: the figure computes
+   or recalls them when it is built.  Work that is not cache-mediated —
+   the combined truth replays of tab-inline/tab-unroll, the direct
+   drivers of tab-hardware / tab-header / tab-onetime-paths — still
    runs when the figure is built. *)
 let prefetch_configs c id =
   let cw p = cfg_with c p in

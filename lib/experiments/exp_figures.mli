@@ -64,10 +64,12 @@ val ids : string list
 val by_id : string -> Exp_cache.t list -> figure
 
 (** The cacheable configurations figure [id] consults, enumerated so a
-    job pool ({!Exp_pool}) can compute them up front.  Work that is not
-    cache-mediated (fig11's adaptive trials, combined truth replays,
-    direct comparator drivers) still runs when the figure is built.
-    Unknown ids yield []. *)
+    job pool ({!Exp_pool}) can compute them up front.  fig11's adaptive
+    series are cached too ({!Exp_cache.adaptive}) but are not listed:
+    the figure computes or recalls them serially when it is built.  Work
+    that is not cache-mediated (combined truth replays, direct
+    comparator drivers) still runs when the figure is built.  Unknown
+    ids yield []. *)
 val prefetch_configs : Exp_cache.t -> string -> Exp_harness.config list
 
 (** Second-stage configurations derivable only from first-stage results

@@ -1,16 +1,18 @@
-(* On-disk storage for experiment run payloads.
+(* On-disk storage for experiment run payloads and adaptive series.
 
-   One file per (workload, size, seed, configuration) run, named by the
-   MD5 of that identity so a cache directory can be shared across
+   One file per (workload, size, seed, configuration) run, and one per
+   (workload, size, seed, configuration, trials) adaptive series, named
+   by the MD5 of that identity so a cache directory can be shared across
    sweeps.  The bytes inside are one [Exp_codec] frame.
 
    The composite key embeds digests of the compiled program and the
-   cost model (see Exp_cache), so a stale entry — same file name,
-   different program — fails the key comparison; a damaged entry fails
-   the digest or shape checks; an entry in any other format or version
-   fails the frame checks.  Either way the caller gets a structured
-   [Dcg.parse_error] and recomputes; a load never crashes and never
-   returns a partially-filled payload. *)
+   cost model (see Exp_cache), and an entry embeds the key's MD5, so a
+   stale entry — same file name, different program — fails the
+   key-digest comparison; a damaged entry fails the digest or shape
+   checks; an entry in any other format or version fails the frame
+   checks.  Either way the caller gets a structured [Dcg.parse_error]
+   and recomputes; a load never crashes and never returns a
+   partially-filled payload. *)
 
 type payload = Exp_codec.payload = {
   iter1 : int;
@@ -108,9 +110,15 @@ let write_file ~file contents =
 
 let save ~file ~key p = write_file ~file (Exp_codec.encode ~key p)
 
-let load ~file ~key =
+let save_series ~file ~key totals =
+  write_file ~file (Exp_codec.encode_series ~key totals)
+
+let load_with decode ~file ~key =
   if not (Sys.file_exists file) then Ok None
   else
     match read_file file with
     | Error _ as e -> e
-    | Ok contents -> Result.map Option.some (Exp_codec.decode ~file ~key contents)
+    | Ok contents -> Result.map Option.some (decode ~file ~key contents)
+
+let load = load_with Exp_codec.decode
+let load_series = load_with Exp_codec.decode_series

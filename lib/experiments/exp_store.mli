@@ -1,13 +1,15 @@
-(** On-disk storage for experiment run payloads.
+(** On-disk storage for experiment run payloads and adaptive series.
 
-    One file per (workload, size, seed, configuration) run, keyed by a
-    composite identity that embeds digests of the compiled program and
-    cost model (built by {!Exp_cache}).  The bytes inside are one
-    {!Exp_codec} frame.  Loading validates magic, version, content
-    digest, identity key and record shape before returning anything;
-    every failure — an entry in any other format included — is a
-    structured {!Dcg.parse_error}, so callers recompute with a
-    diagnostic instead of trusting or crashing on a bad entry. *)
+    One file per (workload, size, seed, configuration) run, and one per
+    (workload, size, seed, configuration, trials) adaptive series, keyed
+    by a composite identity that embeds digests of the compiled program
+    and cost model (built by {!Exp_cache}).  The bytes inside are one
+    {!Exp_codec} frame, which embeds the identity key's MD5.  Loading
+    validates magic, version, content digest, key digest and record
+    shape before returning anything; every failure — an entry in any
+    other format included — is a structured {!Dcg.parse_error}, so
+    callers recompute with a diagnostic instead of trusting or crashing
+    on a bad entry. *)
 
 (** Re-export of {!Exp_codec.payload}: everything needed to rebuild an
     {!Exp_harness.run} without executing the application. *)
@@ -23,8 +25,8 @@ type payload = Exp_codec.payload = {
   pedges : string list;
 }
 
-(** [filename ~dir file_key] is the store path for a run identity:
-    [dir/<md5 hex of file_key>.run]. *)
+(** [filename ~dir file_key] is the store path for a run or series
+    identity: [dir/<md5 hex of file_key>.run]. *)
 val filename : dir:string -> string -> string
 
 (** Create [dir] (and parents) if missing.  [Error] carries a
@@ -58,3 +60,12 @@ val save : file:string -> key:string -> payload -> (unit, Dcg.parse_error) resul
     foreign (other format or version) entries. *)
 val load :
   file:string -> key:string -> (payload option, Dcg.parse_error) result
+
+(** {!save} for an adaptive series: the per-trial totals. *)
+val save_series :
+  file:string -> key:string -> int list -> (unit, Dcg.parse_error) result
+
+(** {!load} for an adaptive series; a run entry at [file] is an [Error]
+    (foreign entry). *)
+val load_series :
+  file:string -> key:string -> (int list option, Dcg.parse_error) result

@@ -412,7 +412,26 @@ let test_store_corrupt_quarantine () =
       check cb "store corruption accounted" true
         ((Fault_injector.counts inj).Fault_injector.store_corrupt > 0)
   | None -> Alcotest.fail "faulted run carries no injector");
-  check_meas "identical either way" r1.Exp_harness.meas r2.Exp_harness.meas
+  check_meas "identical either way" r1.Exp_harness.meas r2.Exp_harness.meas;
+  (* an adaptive series follows the same rule: persisted, then its load
+     quarantined and the totals recomputed *)
+  let trials = 2 in
+  let s1 = Exp_cache.adaptive cache1 config ~trials in
+  check cb "series persisted" true
+    (match Exp_cache.adaptive_slot cache1 config ~trials with
+    | Some (f, _) -> Sys.file_exists f
+    | None -> false);
+  let s2 = Exp_cache.adaptive cache2 config ~trials in
+  check ci "series quarantined, recomputed" 2
+    (Exp_cache.stats cache2).Exp_cache.executed;
+  check ci "still no disk hit" 0 (Exp_cache.stats cache2).Exp_cache.disk_hits;
+  check ci "both quarantines diagnosed" 2
+    (List.length
+       (List.filter
+          (fun (d : Dcg.parse_error) ->
+            has_substring ~sub:"quarantined" d.Dcg.reason)
+          (Exp_cache.diagnostics cache2)));
+  check (Alcotest.list ci) "identical totals either way" s1 s2
 
 let test_perturbing_plans_not_persisted () =
   let dir = fresh_dir () in
@@ -420,7 +439,10 @@ let test_perturbing_plans_not_persisted () =
   let cache = Exp_cache.create ~config ~cache_dir:dir (Lazy.force env) in
   check cb "no store slot for a perturbing plan" true
     (Option.is_none (Exp_cache.store_file cache config));
+  check cb "no series slot for a perturbing plan" true
+    (Option.is_none (Exp_cache.adaptive_slot cache config ~trials:2));
   let _ = Exp_cache.run cache config in
+  let _ = Exp_cache.adaptive cache config ~trials:2 in
   check cb "nothing written" true
     (Sys.readdir dir = [||] || not (Sys.file_exists dir))
 

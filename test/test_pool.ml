@@ -7,13 +7,15 @@
      every cached run's measurement;
    - robustness: truncated, bit-flipped, wrong-version, stale-keyed and
      legacy-text store entries are recomputed with a structured
-     diagnostic, never trusted and never crashed on; a digest-valid
-     tamper is caught by the re-lint;
+     diagnostic, never trusted and never crashed on, for adaptive series
+     entries as for runs; a digest-valid tamper is caught by the
+     re-lint;
    - the memoization contract: a config runs exactly once per cache,
-     disk hits included;
-   - config_key injectivity over randomized configurations, the codec's
-     round trip and its rejection of damaged or foreign frames, and the
-     store's save/load round-trip (QCheck). *)
+     disk hits included, and an adaptive series is computed once;
+   - config_key injectivity over randomized configurations, the run and
+     series codecs' round trips and their rejection of damaged or
+     foreign frames (each other's included), and the store's save/load
+     round-trip (QCheck). *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -110,24 +112,28 @@ let test_pool_differential () =
             (Exp_cache.diagnostics c))
         caches)
     variants;
-  (* cold sweep executed everything, warm recalled everything: zero
-     simulator executions on a warm cache *)
+  (* cold sweep executed everything — every run and fig11's two
+     adaptive series — and warm recalled exactly that: zero simulator
+     executions on a warm cache *)
   let cold = fst (List.assoc "cold disk cache jobs=4" variants) in
   let warm = fst (List.assoc "warm disk cache jobs=4" variants) in
   List.iter
     (fun c ->
       let s = Exp_cache.stats c in
-      check cb "cold: executed some" true (s.Exp_cache.executed > 0);
+      check ci "cold: every run plus fig11's two series executed"
+        (List.length (Exp_cache.all_runs c) + 2)
+        s.Exp_cache.executed;
       check ci "cold: no disk hits" 0 s.Exp_cache.disk_hits;
       check ci "cold: no store errors" 0 s.Exp_cache.store_errors)
     cold;
-  List.iter
-    (fun c ->
-      let s = Exp_cache.stats c in
+  List.iter2
+    (fun c w ->
+      let s = Exp_cache.stats w in
       check ci "warm: zero executions" 0 s.Exp_cache.executed;
-      check cb "warm: disk hits" true (s.Exp_cache.disk_hits > 0);
+      check ci "warm: disk hits = cold executions"
+        (Exp_cache.stats c).Exp_cache.executed s.Exp_cache.disk_hits;
       check ci "warm: no store errors" 0 s.Exp_cache.store_errors)
-    warm
+    cold warm
 
 let test_suite_envs_deterministic () =
   let envs jobs = Exp_pool.suite_envs ~scale:0.05 ~jobs ~seed:7 () in
@@ -152,6 +158,41 @@ let rob_config =
           zero = `Hottest;
           numbering = `Smart;
         };
+  }
+
+(* The two kinds of store entry, behind one interface so each
+   robustness case runs on both: [value] runs or recalls the entry
+   through a cache and renders the result; [what] names the entry's
+   format in diagnostics. *)
+type entry = {
+  what : string;
+  slot : Exp_cache.t -> string * string;
+  value : Exp_cache.t -> string;
+}
+
+let series_trials = 3
+
+let run_entry =
+  {
+    what = "cache";
+    slot = (fun c -> Option.get (Exp_cache.store_slot c rob_config));
+    value =
+      (fun c ->
+        let m = (Exp_cache.run c rob_config).Exp_harness.meas in
+        Printf.sprintf "%d %d %d %d" m.iter1 m.iter2 m.compile m.checksum);
+  }
+
+let series_entry =
+  {
+    what = "series cache";
+    slot =
+      (fun c ->
+        Option.get (Exp_cache.adaptive_slot c rob_config ~trials:series_trials));
+    value =
+      (fun c ->
+        String.concat " "
+          (List.map string_of_int
+             (Exp_cache.adaptive c rob_config ~trials:series_trials)));
   }
 
 (* run once against a fresh store, returning the run, its entry file
@@ -183,38 +224,44 @@ let diag_mentions substring caches_diags =
       go 0)
     caches_diags
 
-(* corrupt the entry, rerun on a fresh cache: the run must be recomputed
-   (identical measurement), with a diagnostic mentioning [expect] *)
-let recompute_after ~expect corrupt =
-  let dir = fresh_dir () in
-  let orig, file, key = populate dir in
-  corrupt file key;
-  let cache = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
-  let r = Exp_cache.run cache rob_config in
-  check_meas ("recomputed after " ^ expect) orig.Exp_harness.meas
-    r.Exp_harness.meas;
-  let s = Exp_cache.stats cache in
-  check ci "recomputed, not loaded" 1 s.Exp_cache.executed;
-  check ci "no disk hit" 0 s.Exp_cache.disk_hits;
-  check ci "one store error" 1 s.Exp_cache.store_errors;
-  check cb
-    (Printf.sprintf "diagnostic mentions %S" expect)
-    true
-    (diag_mentions expect (Exp_cache.diagnostics cache));
-  (* the recompute overwrote the bad entry: a third cache warm-loads *)
-  let again = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
-  let r' = Exp_cache.run again rob_config in
-  check_meas "rewritten entry loads" orig.Exp_harness.meas r'.Exp_harness.meas;
-  check ci "rewritten entry is a disk hit" 1
-    (Exp_cache.stats again).Exp_cache.disk_hits
+(* corrupt the entry, rerun on a fresh cache: the run or series must be
+   recomputed (identical result), with a diagnostic mentioning
+   [expect e] *)
+let recompute_after ?(entries = [ run_entry; series_entry ]) ~expect corrupt =
+  let env = Lazy.force rob_env in
+  List.iter
+    (fun e ->
+      let dir = fresh_dir () in
+      let first = Exp_cache.create ~cache_dir:dir env in
+      let orig = e.value first in
+      let file, key = e.slot first in
+      check cb (e.what ^ ": entry persisted") true (Sys.file_exists file);
+      corrupt file key;
+      let expect = expect e in
+      let cache = Exp_cache.create ~cache_dir:dir env in
+      check cs (e.what ^ ": recomputed after " ^ expect) orig (e.value cache);
+      let s = Exp_cache.stats cache in
+      check ci (e.what ^ ": recomputed, not loaded") 1 s.Exp_cache.executed;
+      check ci (e.what ^ ": no disk hit") 0 s.Exp_cache.disk_hits;
+      check ci (e.what ^ ": one store error") 1 s.Exp_cache.store_errors;
+      check cb
+        (Printf.sprintf "%s: diagnostic mentions %S" e.what expect)
+        true
+        (diag_mentions expect (Exp_cache.diagnostics cache));
+      (* the recompute overwrote the bad entry: a third cache warm-loads *)
+      let again = Exp_cache.create ~cache_dir:dir env in
+      check cs (e.what ^ ": rewritten entry loads") orig (e.value again);
+      check ci (e.what ^ ": rewritten entry is a disk hit") 1
+        (Exp_cache.stats again).Exp_cache.disk_hits)
+    entries
 
 let test_store_truncated () =
-  recompute_after ~expect:"truncated" (fun file _key ->
+  recompute_after ~expect:(fun _ -> "truncated") (fun file _key ->
       (* cut the binary entry off before its digest trailer can fit *)
       write_all file (String.sub (read_all file) 0 20))
 
 let test_store_bit_flip () =
-  recompute_after ~expect:"digest mismatch" (fun file _key ->
+  recompute_after ~expect:(fun _ -> "digest mismatch") (fun file _key ->
       let b = Bytes.of_string (read_all file) in
       let j = Bytes.length b / 2 in
       Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor 1));
@@ -224,7 +271,9 @@ let test_store_bit_flip () =
    even on digest-consistent files — here the real entry re-framed with
    version byte 99 and a recomputed, valid trailer *)
 let test_store_wrong_version () =
-  recompute_after ~expect:"unsupported cache version" (fun file _key ->
+  recompute_after
+    ~expect:(fun e -> "unsupported " ^ e.what ^ " version")
+    (fun file _key ->
       let bytes = read_all file in
       let body =
         Bytes.of_string (String.sub bytes 0 (String.length bytes - 16))
@@ -237,33 +286,37 @@ let test_store_wrong_version () =
    before the digest, so the diagnostic names the version — not a silent
    miss or a misparse *)
 let test_store_future_binary_version () =
-  recompute_after ~expect:"unsupported cache version" (fun file _key ->
+  recompute_after ~entries:[ run_entry ]
+    ~expect:(fun _ -> "unsupported cache version")
+    (fun file _key ->
       write_all file ("PEPRUN" ^ String.make 1 (Char.chr 99) ^ "future bytes"))
 
 (* same workload name, size and seed — so the same store file — but a
    different program: the composite key catches the stale entry *)
 let test_store_stale_program () =
-  let dir = fresh_dir () in
-  let _orig, file, _key = populate dir in
   let w = Suite.find "compress" in
   let w' = { w with Workload.build = (Suite.find "db").Workload.build } in
   let env' = Exp_harness.make_env ~seed:33 ~size:20 w' in
-  let cache' = Exp_cache.create ~cache_dir:dir env' in
-  check cs "same store file"
-    file
-    (Option.get (Exp_cache.store_file cache' rob_config));
-  let r' = Exp_cache.run cache' rob_config in
-  let s = Exp_cache.stats cache' in
-  check ci "stale entry recomputed" 1 s.Exp_cache.executed;
-  check ci "stale entry not loaded" 0 s.Exp_cache.disk_hits;
-  check cb "stale diagnostic" true
-    (diag_mentions "stale cache entry" (Exp_cache.diagnostics cache'));
-  (* the overwrite serves the new program's runs from then on *)
-  let again = Exp_cache.create ~cache_dir:dir env' in
-  let r'' = Exp_cache.run again rob_config in
-  check_meas "overwritten entry loads" r'.Exp_harness.meas r''.Exp_harness.meas;
-  check ci "overwritten entry is a disk hit" 1
-    (Exp_cache.stats again).Exp_cache.disk_hits
+  List.iter
+    (fun e ->
+      let dir = fresh_dir () in
+      let first = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
+      ignore (e.value first);
+      let file, _key = e.slot first in
+      let cache' = Exp_cache.create ~cache_dir:dir env' in
+      check cs (e.what ^ ": same store file") file (fst (e.slot cache'));
+      let v' = e.value cache' in
+      let s = Exp_cache.stats cache' in
+      check ci (e.what ^ ": stale entry recomputed") 1 s.Exp_cache.executed;
+      check ci (e.what ^ ": stale entry not loaded") 0 s.Exp_cache.disk_hits;
+      check cb (e.what ^ ": stale diagnostic") true
+        (diag_mentions "stale cache entry" (Exp_cache.diagnostics cache'));
+      (* the overwrite serves the new program's runs from then on *)
+      let again = Exp_cache.create ~cache_dir:dir env' in
+      check cs (e.what ^ ": overwritten entry loads") v' (e.value again);
+      check ci (e.what ^ ": overwritten entry is a disk hit") 1
+        (Exp_cache.stats again).Exp_cache.disk_hits)
+    [ run_entry; series_entry ]
 
 (* a tamper that keeps the digest valid (counts inflated, trailer
    recomputed) passes the store's checks — and must then be caught by
@@ -311,7 +364,9 @@ let test_store_lint_catches_valid_digest_tamper () =
    format, is one more unreadable entry: a counted miss with a
    diagnostic, then a recompute that rewrites it in the binary format *)
 let test_store_legacy_text_is_a_miss () =
-  recompute_after ~expect:"not a pepsim cache entry" (fun file key ->
+  recompute_after ~entries:[ run_entry ]
+    ~expect:(fun _ -> "not a pepsim cache entry")
+    (fun file key ->
       let body =
         [ "pepsim-run-cache v2"; "key store-v2|" ^ key; "meas 1 2 3 4";
           "nsamples 0"; "pep.paths 0"; "pep.edges 0"; "ppaths 0"; "pedges 0" ]
@@ -344,6 +399,49 @@ let test_all_runs_records_once () =
   (* disk-loaded checks are re-derived, not parroted from the file *)
   check cb "rebuilt run lints clean" false
     (Pep_check.has_errors rb.Exp_harness.checks)
+
+(* an adaptive series is computed once, recalled from disk by the next
+   cache, and from memory on a repeat lookup; another trial count is
+   another series *)
+let test_adaptive_series () =
+  let dir = fresh_dir () in
+  let env = Lazy.force rob_env in
+  let trials = series_trials in
+  let expected =
+    List.init trials (fun trial ->
+        Exp_harness.adaptive_total ~config:rob_config ~trial env)
+  in
+  let stats c =
+    let s = Exp_cache.stats c in
+    (s.Exp_cache.executed, s.Exp_cache.disk_hits, s.Exp_cache.memory_hits)
+  in
+  let cil = Alcotest.(list int) and triple = Alcotest.(triple int int int) in
+  let a = Exp_cache.create ~cache_dir:dir env in
+  check cil "cold totals" expected (Exp_cache.adaptive a rob_config ~trials);
+  check triple "cold: executed once" (1, 0, 0) (stats a);
+  let b = Exp_cache.create ~cache_dir:dir env in
+  check cil "recalled totals" expected (Exp_cache.adaptive b rob_config ~trials);
+  check triple "warm: one disk hit, no execution" (0, 1, 0) (stats b);
+  check cil "repeat totals" expected (Exp_cache.adaptive b rob_config ~trials);
+  check triple "repeat: a memory hit" (0, 1, 1) (stats b);
+  check cil "two trials are their own series"
+    (List.filteri (fun i _ -> i < 2) expected)
+    (Exp_cache.adaptive b rob_config ~trials:2);
+  check triple "shorter series executed" (1, 1, 1) (stats b);
+  check ci "no store errors" 0
+    (List.length (Exp_cache.diagnostics a @ Exp_cache.diagnostics b));
+  (* a digest-valid entry under the right key but with the wrong number
+     of totals is rejected and recomputed, never trusted *)
+  let file, key = Option.get (Exp_cache.adaptive_slot b rob_config ~trials) in
+  (match Exp_store.save_series ~file ~key [ 1; 2 ] with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "forged save failed: %s" e.Dcg.reason);
+  let c = Exp_cache.create ~cache_dir:dir env in
+  check cil "forged entry recomputed" expected
+    (Exp_cache.adaptive c rob_config ~trials);
+  check triple "forged entry: executed" (1, 0, 0) (stats c);
+  check cb "forged entry rejected" true
+    (diag_mentions "cache entry rejected" (Exp_cache.diagnostics c))
 
 (* ------------------- QCheck properties ------------------- *)
 
@@ -579,24 +677,45 @@ let segment_bytes =
      | Ok () -> read_all (Fleet_store.filename ~dir s)
      | Error e -> failwith e.Dcg.reason)
 
-(* the codec in memory: encode∘decode is the identity on arbitrary
-   payloads, and a damaged or foreign frame — flipped bit anywhere
-   (body, digest trailer, magic, version byte), cut short, extended, or
-   a fleet segment — is rejected, never misparsed *)
+(* the codecs in memory: encode∘decode is the identity on arbitrary
+   payloads and series, and a damaged or foreign frame — flipped bit
+   anywhere (body, digest trailer, magic, version byte), cut short,
+   extended, a fleet segment, or the other kind of cache entry — is
+   rejected, never misparsed *)
 let prop_codec_binary =
   QCheck.Test.make ~count:200 ~name:"binary codec round trip and tamper"
     (QCheck.make
-       QCheck.Gen.(triple gen_payload gen_flat_string (int_range 0 100000)))
-    (fun (p, key, i) ->
+       QCheck.Gen.(
+         quad gen_payload
+           (list_size (int_range 0 20) int)
+           gen_flat_string (int_range 0 100000)))
+    (fun (p, totals, key, i) ->
       let key = "k|" ^ key in
       let enc = Exp_codec.encode ~key p in
+      let ser = Exp_codec.encode_series ~key totals in
       (match Exp_codec.decode ~file:"mem" ~key enc with
       | Ok p' when p' = p -> ()
       | Ok _ -> QCheck.Test.fail_report "payload changed through binary codec"
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e.Dcg.reason);
+      (match Exp_codec.decode_series ~file:"mem" ~key ser with
+      | Ok t when t = totals -> ()
+      | Ok _ -> QCheck.Test.fail_report "totals changed through series codec"
+      | Error e ->
+          QCheck.Test.fail_reportf "series decode failed: %s" e.Dcg.reason);
       rejects_all ~file:"mem"
         (Exp_codec.decode ~file:"mem" ~key)
         (damaged_frames ~foreign:(Lazy.force segment_bytes) i enc);
+      rejects_all ~file:"mem"
+        (Exp_codec.decode_series ~file:"mem" ~key)
+        (damaged_frames ~foreign:enc i ser);
+      (* each kind's valid frame, fed to the other kind's decoder, is
+         named as a foreign entry *)
+      let named_foreign what = function
+        | Error e when diag_mentions "not a pepsim" [ e ] -> ()
+        | _ -> QCheck.Test.fail_reportf "%s frame not named foreign" what
+      in
+      named_foreign "series" (Exp_codec.decode ~file:"mem" ~key ser);
+      named_foreign "run" (Exp_codec.decode_series ~file:"mem" ~key enc);
       true)
 
 let rt_dir = lazy (fresh_dir ())
@@ -641,6 +760,7 @@ let suite =
       test_store_legacy_text_is_a_miss;
     Alcotest.test_case "all_runs records each run once" `Slow
       test_all_runs_records_once;
+    Alcotest.test_case "adaptive series" `Slow test_adaptive_series;
     QCheck_alcotest.to_alcotest prop_config_key_injective;
     QCheck_alcotest.to_alcotest prop_codec_binary;
     QCheck_alcotest.to_alcotest prop_store_round_trip;
