@@ -71,14 +71,16 @@ module Bin = struct
     r.p <- r.p + 1;
     b
 
+  (* top level, with [r] passed along: a local loop would allocate a
+     closure per varint (no flambda) *)
+  let rec rvarint r shift acc =
+    if shift > 56 then raise (Malformed "varint too long");
+    let b = rbyte r in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else rvarint r (shift + 7) acc
+
   let rint r =
-    let rec go shift acc =
-      if shift > 56 then raise (Malformed "varint too long");
-      let b = rbyte r in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    let u = go 0 0 in
+    let u = rvarint r 0 0 in
     (u lsr 1) lxor ~-(u land 1)
 
   let rcount r =
@@ -116,7 +118,7 @@ module Bin = struct
     else if
       not
         (String.equal
-           (Digest.string (String.sub s 0 (n - 16)))
+           (Digest.substring s 0 (n - 16))
            (String.sub s (n - 16) 16))
     then error "corrupt %s entry (content digest mismatch)" what
     else

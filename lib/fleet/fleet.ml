@@ -21,7 +21,9 @@ module Drift = struct
 
   let key = function
     | No_drift -> "steady"
-    | Phase_shift { at_window; phase } -> Fmt.str "shift@%d=%d" at_window phase
+    | Phase_shift { at_window; phase } ->
+        String.concat ""
+          [ "shift@"; string_of_int at_window; "="; string_of_int phase ]
 end
 
 module Cohort = struct
@@ -37,9 +39,15 @@ module Cohort = struct
     drift : Drift.t;
   }
 
+  (* built by concatenation, not [Fmt.str]: segment loads render one
+     key per file, and [select] one per segment it checks *)
   let key c =
-    Fmt.str "cohort=%s|workload=%s|size=%d|seed=%d|cfg=%s|drift=%s" c.name
-      c.workload c.size c.seed c.config_key (Drift.key c.drift)
+    String.concat ""
+      [
+        "cohort="; c.name; "|workload="; c.workload;
+        "|size="; string_of_int c.size; "|seed="; string_of_int c.seed;
+        "|cfg="; c.config_key; "|drift="; Drift.key c.drift;
+      ]
 
   let equal a b = key a = key b
 end
@@ -71,5 +79,6 @@ module Window = struct
     }
 
   let contains t index = t.lo <= index && index <= t.hi
-  let key t = Fmt.str "win=%d-%d" t.lo t.hi
+  let key t =
+    String.concat "" [ "win="; string_of_int t.lo; "-"; string_of_int t.hi ]
 end

@@ -21,23 +21,31 @@ let in_range filter (s : Fleet_store.segment) =
 (* Merged segments supersede the raws they were folded from: a raw
    whose window falls inside a same-cohort merged segment is shadowed
    (compaction normally deletes it, but [--keep-raw] stores and
-   mid-compaction crashes keep both). *)
+   mid-compaction crashes keep both).  Same-cohort means equal
+   [Fleet.Cohort.key]s, so the merged windows are indexed by key, built
+   on the first raw checked: one key per picked segment, not per pair. *)
 let select segments filter =
   let picked = List.filter (in_range filter) segments in
   let merged =
-    List.filter (fun (s : Fleet_store.segment) -> s.Fleet_store.origin < 0)
-      picked
+    lazy
+      (let tbl = Hashtbl.create 16 in
+       List.iter
+         (fun (m : Fleet_store.segment) ->
+           if m.Fleet_store.origin < 0 then
+             Hashtbl.add tbl
+               (Fleet.Cohort.key m.Fleet_store.cohort)
+               m.Fleet_store.window)
+         picked;
+       tbl)
   in
   let shadowed (s : Fleet_store.segment) =
     s.Fleet_store.origin >= 0
     && List.exists
-         (fun (m : Fleet_store.segment) ->
-           Fleet.Cohort.equal m.Fleet_store.cohort s.Fleet_store.cohort
-           && m.Fleet_store.window.Fleet.Window.lo
-              <= s.Fleet_store.window.Fleet.Window.lo
-           && s.Fleet_store.window.Fleet.Window.hi
-              <= m.Fleet_store.window.Fleet.Window.hi)
-         merged
+         (fun (w : Fleet.Window.t) ->
+           w.Fleet.Window.lo <= s.Fleet_store.window.Fleet.Window.lo
+           && s.Fleet_store.window.Fleet.Window.hi <= w.Fleet.Window.hi)
+         (Hashtbl.find_all (Lazy.force merged)
+            (Fleet.Cohort.key s.Fleet_store.cohort))
   in
   List.filter (fun s -> not (shadowed s)) picked
 
@@ -142,44 +150,70 @@ let top ?(decay = 0.75) ~n kind segments =
         max acc s.Fleet_store.window.Fleet.Window.hi)
       0 segments
   in
+  (* label -> running score.  Rows add into their label's cell in row
+     order, as if each rendered its own label; the label is rendered
+     once per distinct row identity (method name and id, or caller and
+     callee names), and identities that render alike share one cell. *)
   let scores = Hashtbl.create 256 in
-  let bump label x =
-    Hashtbl.replace scores label
-      (x +. Option.value ~default:0. (Hashtbl.find_opt scores label))
+  let cell label =
+    match Hashtbl.find_opt scores label with
+    | Some c -> c
+    | None ->
+        let c = ref 0. in
+        Hashtbl.add scores label c;
+        c
   in
-  List.iter
-    (fun (s : Fleet_store.segment) ->
-      let m i =
-        if i >= 0 && i < Array.length s.Fleet_store.methods then
-          s.Fleet_store.methods.(i)
-        else Fmt.str "m#%d" i
+  let bumper render =
+    let cells = Hashtbl.create 256 in
+    fun row x ->
+      let c =
+        match Hashtbl.find_opt cells row with
+        | Some c -> c
+        | None ->
+            let c = cell (render row) in
+            Hashtbl.add cells row c;
+            c
       in
-      let w =
-        decay ** float_of_int (latest - s.Fleet_store.window.Fleet.Window.hi)
-      in
-      match kind with
-      | `Paths ->
+      c := x +. !c
+  in
+  (* [f s m w] per segment: [m] names a method index, [w] is the
+     window's decay weight *)
+  let each f =
+    List.iter
+      (fun (s : Fleet_store.segment) ->
+        let m i =
+          if i >= 0 && i < Array.length s.Fleet_store.methods then
+            s.Fleet_store.methods.(i)
+          else Fmt.str "m#%d" i
+        in
+        f s m
+          (decay
+          ** float_of_int (latest - s.Fleet_store.window.Fleet.Window.hi)))
+      segments
+  in
+  (match kind with
+  | `Paths ->
+      let bump = bumper (fun (m, pid) -> Fmt.str "%s/path#%d" m pid) in
+      each (fun s m w ->
           List.iter
-            (fun (mi, pid, c) ->
-              bump (Fmt.str "%s/path#%d" (m mi) pid) (w *. float_of_int c))
-            s.Fleet_store.paths
-      | `Edges ->
+            (fun (mi, pid, c) -> bump (m mi, pid) (w *. float_of_int c))
+            s.Fleet_store.paths)
+  | `Edges ->
+      let bump = bumper (fun (m, br) -> Fmt.str "%s/br#%d" m br) in
+      each (fun s m w ->
           List.iter
             (fun (mi, br, tk, nt) ->
-              bump
-                (Fmt.str "%s/br#%d" (m mi) br)
-                (w *. float_of_int (tk + nt)))
-            s.Fleet_store.edges
-      | `Dcg ->
+              bump (m mi, br) (w *. float_of_int (tk + nt)))
+            s.Fleet_store.edges)
+  | `Dcg ->
+      let bump = bumper (fun (c, e) -> Fmt.str "%s->%s" c e) in
+      each (fun s m w ->
           List.iter
             (fun (caller, callee, wt) ->
               let c = if caller < 0 then "<root>" else m caller in
-              bump
-                (Fmt.str "%s->%s" c (m callee))
-                (w *. float_of_int wt))
-            s.Fleet_store.dcg)
-    segments;
-  let all = Hashtbl.fold (fun l s acc -> (l, s) :: acc) scores [] in
+              bump (c, m callee) (w *. float_of_int wt))
+            s.Fleet_store.dcg));
+  let all = Hashtbl.fold (fun l s acc -> (l, !s) :: acc) scores [] in
   let ordered =
     List.sort
       (fun (l1, s1) (l2, s2) ->

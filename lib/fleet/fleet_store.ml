@@ -29,11 +29,16 @@ type segment = {
 let magic = "PEPSEG"
 let version = 1
 
-let segment_key s =
-  Fmt.str "%s|%s|origin=%d"
-    (Fleet.Cohort.key s.cohort)
-    (Fleet.Window.key s.window)
-    s.origin
+(* [cohort_key] is [Fleet.Cohort.key s.cohort], for callers that
+   already rendered it *)
+let keyed ~cohort_key s =
+  String.concat ""
+    [
+      cohort_key; "|"; Fleet.Window.key s.window; "|origin=";
+      string_of_int s.origin;
+    ]
+
+let segment_key s = keyed ~cohort_key:(Fleet.Cohort.key s.cohort) s
 
 let filename ~dir s =
   Filename.concat dir (Digest.to_hex (Digest.string (segment_key s)) ^ ".seg")
@@ -90,7 +95,10 @@ let encode s =
 
 (* ------------------------------ decode ----------------------------- *)
 
-let decode ~file contents =
+(* A decoded segment with its identity order key (cohort key, lo, hi,
+   origin), the cohort key being the one rendered for the identity
+   self-check. *)
+let decode_keyed ~file contents =
   Bin.check_frame ~magic ~version ~what:"segment" ~file contents (fun r ->
       let stored_key = Bin.rstr r in
       let name = Bin.rstr r in
@@ -153,11 +161,15 @@ let decode ~file contents =
       in
       (* self-check: the stored identity must match the decoded fields
          (catches a segment renamed or spliced across stores) *)
-      if segment_key s <> stored_key then
+      let cohort_key = Fleet.Cohort.key s.cohort in
+      let key = keyed ~cohort_key s in
+      if key <> stored_key then
         Bin.fail
           (Fmt.str "segment identity mismatch (stored %S, decoded %S)"
-             stored_key (segment_key s));
-      s)
+             stored_key key);
+      ((cohort_key, lo, hi, origin), s))
+
+let decode ~file contents = Result.map snd (decode_keyed ~file contents)
 
 (* ----------------------- journal & recovery ------------------------ *)
 
@@ -339,15 +351,12 @@ let save ?inject ~dir s =
             | Ok () -> append_journal ~dir ("C " ^ base)))
   end
 
-let compare_segments a b =
-  compare
-    (Fleet.Cohort.key a.cohort, a.window.Fleet.Window.lo,
-     a.window.Fleet.Window.hi, a.origin)
-    (Fleet.Cohort.key b.cohort, b.window.Fleet.Window.lo,
-     b.window.Fleet.Window.hi, b.origin)
-
-(* Every [*.seg] in [dir], decoded, sorted by identity; unreadable or
-   corrupt files are collected as diagnostics, never trusted. *)
+(* Every [*.seg] in [dir], decoded, sorted by identity on the key
+   [decode_keyed] built once per segment; unreadable or corrupt files
+   are collected as diagnostics, never trusted.  The stable sort runs
+   over the segments in reverse file-name order, so equal identities
+   (one segment copied under two names) come back with the later name
+   first. *)
 let load_all ~dir =
   match Sys.readdir dir with
   | exception Sys_error m -> ([], [ err dir ("unreadable store: " ^ m) ])
@@ -364,12 +373,13 @@ let load_all ~dir =
             match Exp_store.read_file file with
             | Error e -> (segs, e :: errs)
             | Ok contents -> (
-                match decode ~file contents with
-                | Ok s -> (s :: segs, errs)
+                match decode_keyed ~file contents with
+                | Ok entry -> (entry :: segs, errs)
                 | Error e -> (segs, e :: errs)))
           ([], []) files
       in
-      (List.sort compare_segments segs, List.rev errs)
+      ( List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) segs),
+        List.rev errs )
 
 (* ------------------------------ merge ------------------------------ *)
 

@@ -88,8 +88,11 @@ val load_degraded : dir:string -> (string * int * string) list
     every failure is an [Error] naming [file]. *)
 val decode : file:string -> string -> (segment, Dcg.parse_error) result
 
-(** Every [*.seg] in [dir], sorted by identity key; unreadable,
-    corrupt or future-versioned files come back as diagnostics. *)
+(** Every [*.seg] in [dir], sorted by identity: cohort key, then window
+    [lo], [hi] and [origin] (not by {!segment_key}'s text, which puts
+    window 10 before window 2); equal identities (one segment under two
+    file names) come back later file name first.  Unreadable, corrupt
+    or future-versioned files come back as diagnostics. *)
 val load_all : dir:string -> segment list * Dcg.parse_error list
 
 (** Fold same-cohort segments into one ([origin = -1]): windows

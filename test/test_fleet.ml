@@ -13,7 +13,13 @@
      retain drops the oldest windows;
    - triage golden: on the seeded drifting cohort the diff flags a new
      hot path in worker_b, the dispatch edge-flow shift and leaf's
-     caller change; the steady control reports nothing. *)
+     caller change; the steady control reports nothing;
+   - store reads against references kept here: the identity keys equal
+     their [Fmt.str] formats, [load_all] returns (cohort key, lo, hi,
+     origin) order with ties in reverse file-name order, [select]
+     matches the pairwise shadow check and [top] the per-row label
+     rendering (same labels, order and float bits); overlong varints
+     and out-of-range counts are diagnosed. *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -203,6 +209,25 @@ let test_segment_junk_rejected () =
   check ci "no segment" 0 (List.length segs);
   check ci "diagnostic" 1 (List.length diags)
 
+(* Digest-valid frames whose first field is malformed: the reader's
+   bounds are diagnosed, never believed. *)
+let test_segment_bounds_diagnosed () =
+  let frame body =
+    let b = "PEPSEG\001" ^ body in
+    b ^ Digest.string b
+  in
+  List.iter
+    (fun (body, reason) ->
+      match Fleet_store.decode ~file:"f.seg" (frame body) with
+      | Ok _ -> Alcotest.failf "accepted: %s" reason
+      | Error e -> check Alcotest.string reason reason e.Dcg.reason)
+    [
+      (String.make 10 '\xff', "truncated segment entry (varint too long)");
+      ("\xc8\x01", "truncated segment entry (count out of range)");
+      ("\x01", "truncated segment entry (count out of range)");
+      ("\x80", "truncated segment entry (unexpected end of input)");
+    ]
+
 let gen_segment =
   let open QCheck in
   (* segment fields must be newline-free (the store refuses them) *)
@@ -273,6 +298,143 @@ let prop_segment_codec =
             (Test_pool.damaged_frames ~foreign i bytes);
           true)
 
+(* ------------------- identity keys & load order ------------------- *)
+
+(* The key functions' reference formats: the library builds the same
+   bytes by concatenation. *)
+let fmt_drift_key = function
+  | Fleet.Drift.No_drift -> "steady"
+  | Fleet.Drift.Phase_shift { at_window; phase } ->
+      Fmt.str "shift@%d=%d" at_window phase
+
+let fmt_cohort_key (c : Fleet.Cohort.t) =
+  Fmt.str "cohort=%s|workload=%s|size=%d|seed=%d|cfg=%s|drift=%s"
+    c.Fleet.Cohort.name c.Fleet.Cohort.workload c.Fleet.Cohort.size
+    c.Fleet.Cohort.seed c.Fleet.Cohort.config_key
+    (fmt_drift_key c.Fleet.Cohort.drift)
+
+let fmt_window_key (w : Fleet.Window.t) =
+  Fmt.str "win=%d-%d" w.Fleet.Window.lo w.Fleet.Window.hi
+
+let fmt_segment_key (s : Fleet_store.segment) =
+  Fmt.str "%s|%s|origin=%d"
+    (fmt_cohort_key s.Fleet_store.cohort)
+    (fmt_window_key s.Fleet_store.window)
+    s.Fleet_store.origin
+
+let prop_key_formats =
+  let open QCheck.Gen in
+  let chars =
+    [| 'a'; 'Z'; '0'; '%'; '|'; '@'; '='; '-'; ' '; '\xc3'; '\xa9'; '\xff' |]
+  in
+  let field =
+    string_size ~gen:(map (Array.get chars) (int_bound (Array.length chars - 1)))
+      (int_bound 6)
+  in
+  let num = oneof [ small_signed_int; int; oneofl [ min_int; max_int; -1; 0 ] ] in
+  let drift =
+    oneof
+      [
+        return Fleet.Drift.No_drift;
+        map2
+          (fun at_window phase -> Fleet.Drift.Phase_shift { at_window; phase })
+          num num;
+      ]
+  in
+  let cohort =
+    map3
+      (fun (name, workload, config_key) (size, seed) drift ->
+        { Fleet.Cohort.name; workload; size; seed; config_key; drift })
+      (triple field field field) (pair num num) drift
+  in
+  let case = pair cohort (triple num num num) in
+  QCheck.Test.make ~count:300 ~name:"key functions equal their Fmt.str formats"
+    (QCheck.make
+       ~print:(fun (c, (lo, hi, origin)) ->
+         Fmt.str "%S win=%d-%d origin=%d" (fmt_cohort_key c) lo hi origin)
+       case)
+    (fun (cohort, (lo, hi, origin)) ->
+      let window = { Fleet.Window.lo; hi; start_cycle = 0; end_cycle = 1 } in
+      let s = { (seg ~cohort_name:"" ~window:0 ~origin []) with cohort; window } in
+      String.equal (Fleet.Drift.key cohort.Fleet.Cohort.drift)
+        (fmt_drift_key cohort.Fleet.Cohort.drift)
+      && String.equal (Fleet.Cohort.key cohort) (fmt_cohort_key cohort)
+      && String.equal (Fleet.Window.key window) (fmt_window_key window)
+      && String.equal (Fleet_store.segment_key s) (fmt_segment_key s))
+
+(* Reference order for [load_all]: rendered cohort keys compared
+   pairwise, then window bounds and origin, stable over the segments in
+   reverse file-name order. *)
+let compare_rendered (a : Fleet_store.segment) (b : Fleet_store.segment) =
+  let k (s : Fleet_store.segment) =
+    ( fmt_cohort_key s.Fleet_store.cohort,
+      s.Fleet_store.window.Fleet.Window.lo,
+      s.Fleet_store.window.Fleet.Window.hi,
+      s.Fleet_store.origin )
+  in
+  compare (k a) (k b)
+
+let test_load_order () =
+  let dir = fresh_dir () in
+  ignore (Fleet_store.open_ dir);
+  let mk name window origin samples =
+    { (seg ~cohort_name:name ~window ~origin [ (0, 1, 1) ]) with
+      Fleet_store.samples }
+  in
+  let save ~dir s =
+    match Fleet_store.save ~dir s with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "save: %a" Dcg.pp_parse_error e
+  in
+  let segs =
+    List.concat_map
+      (fun name ->
+        List.concat_map
+          (fun window -> List.map (fun o -> mk name window o 1) [ 1; -1; 0 ])
+          [ 10; 2 ])
+      [ "b"; "a" ]
+  in
+  List.iter (save ~dir) segs;
+  (* (a, window 2, origin 0) once more under a second file name, which
+     sorts after every md5 name; its sample count tells the copies apart *)
+  let twin = mk "a" 2 0 99 in
+  let other = fresh_dir () in
+  ignore (Fleet_store.open_ other);
+  save ~dir:other twin;
+  write_all (Filename.concat dir "zz-copy.seg")
+    (read_all (Fleet_store.filename ~dir:other twin));
+  let tuple_order =
+    List.stable_sort compare_rendered segs |> List.map Fleet_store.segment_key
+  in
+  check cb "key text order differs from tuple order" false
+    (List.sort compare (List.map Fleet_store.segment_key segs) = tuple_order);
+  let loaded = segments_of dir in
+  let row (s : Fleet_store.segment) =
+    Fmt.str "%s/%d/%d/%d" s.Fleet_store.cohort.Fleet.Cohort.name
+      s.Fleet_store.window.Fleet.Window.lo s.Fleet_store.origin
+      s.Fleet_store.samples
+  in
+  check csl "(cohort key, lo, hi, origin) order, later name first on ties"
+    [
+      "a/2/-1/1"; "a/2/0/99"; "a/2/0/1"; "a/2/1/1"; "a/10/-1/1"; "a/10/0/1";
+      "a/10/1/1"; "b/2/-1/1"; "b/2/0/1"; "b/2/1/1"; "b/10/-1/1"; "b/10/0/1";
+      "b/10/1/1";
+    ]
+    (List.map row loaded);
+  let by_name =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".seg")
+    |> List.sort compare |> List.rev
+    |> List.map (fun f ->
+           let file = Filename.concat dir f in
+           match Fleet_store.decode ~file (read_all file) with
+           | Ok s -> s
+           | Error e -> Alcotest.failf "decode: %a" Dcg.pp_parse_error e)
+  in
+  check csl "the pairwise rendered-key order"
+    (List.map row (List.stable_sort compare_rendered by_name))
+    (List.map row loaded)
+
 (* --------------------- merge / compact / retain ------------------- *)
 
 let test_merge_sums () =
@@ -322,12 +484,177 @@ let test_compact_and_retain () =
   | [ s ] -> check ci "newest kept" 1 s.Fleet_store.window.Fleet.Window.lo
   | l -> Alcotest.failf "expected 1 segment, got %d" (List.length l)
 
+(* Reference [select]: every raw checked against every picked merged
+   segment with [Fleet.Cohort.equal]. *)
+let select_pairwise segments (f : Fleet_query.filter) =
+  let in_range (s : Fleet_store.segment) =
+    let w = s.Fleet_store.window in
+    (match f.Fleet_query.lo with Some lo -> w.Fleet.Window.hi >= lo | None -> true)
+    && (match f.Fleet_query.hi with Some hi -> w.Fleet.Window.lo <= hi | None -> true)
+    &&
+    match f.Fleet_query.cohort with
+    | Some name -> String.equal s.Fleet_store.cohort.Fleet.Cohort.name name
+    | None -> true
+  in
+  let picked = List.filter in_range segments in
+  let merged =
+    List.filter (fun (s : Fleet_store.segment) -> s.Fleet_store.origin < 0) picked
+  in
+  let shadowed (s : Fleet_store.segment) =
+    s.Fleet_store.origin >= 0
+    && List.exists
+         (fun (m : Fleet_store.segment) ->
+           Fleet.Cohort.equal m.Fleet_store.cohort s.Fleet_store.cohort
+           && m.Fleet_store.window.Fleet.Window.lo
+              <= s.Fleet_store.window.Fleet.Window.lo
+           && s.Fleet_store.window.Fleet.Window.hi
+              <= m.Fleet_store.window.Fleet.Window.hi)
+         merged
+  in
+  List.filter (fun s -> not (shadowed s)) picked
+
+(* Cohorts for [select]: the last two differ as records but render one
+   key (the name/workload boundary moved), so they shadow each other. *)
+let select_cohorts =
+  let c name workload drift =
+    { Fleet.Cohort.name; workload; size = 10; seed = 7; config_key = "cfg"; drift }
+  in
+  [|
+    c "a" "w" Fleet.Drift.No_drift;
+    c "b" "w" Fleet.Drift.No_drift;
+    c "a" "w" (Fleet.Drift.Phase_shift { at_window = 1; phase = 2 });
+    c "x|workload=y" "z" Fleet.Drift.No_drift;
+    c "x" "y|workload=z" Fleet.Drift.No_drift;
+  |]
+
+let prop_select_pairwise =
+  let open QCheck.Gen in
+  let segment =
+    map3
+      (fun ci (lo, width) origin ->
+        {
+          (seg ~cohort_name:"" ~window:0 ~origin []) with
+          Fleet_store.cohort = select_cohorts.(ci);
+          window =
+            { Fleet.Window.lo; hi = lo + width; start_cycle = 0; end_cycle = 1 };
+        })
+      (int_bound (Array.length select_cohorts - 1))
+      (pair (int_bound 6) (int_bound 3))
+      (int_range (-1) 1)
+  in
+  let filter =
+    map3
+      (fun cohort lo hi -> { Fleet_query.cohort; lo; hi })
+      (opt (oneofl [ "a"; "b"; "x"; "x|workload=y"; "none" ]))
+      (opt (int_bound 8))
+      (opt (int_bound 8))
+  in
+  QCheck.Test.make ~count:500 ~name:"select = the pairwise shadow definition"
+    (QCheck.make
+       (pair (list_size (int_bound 24) segment) filter))
+    (fun (segs, f) -> Fleet_query.select segs f = select_pairwise segs f)
+
 let test_select_prefers_merged () =
   let raw = seg ~cohort_name:"c" ~window:0 ~origin:0 [ (0, 1, 1) ] in
   let merged = { (Fleet_store.merge [ raw ]) with Fleet_store.instances = 2 } in
   let picked = Fleet_query.select [ raw; merged ] Fleet_query.any in
   check ci "raw shadowed" 1 (List.length picked);
   check ci "merged picked" (-1) (List.hd picked).Fleet_store.origin
+
+(* ---------------------------- hotspots ----------------------------- *)
+
+(* Reference [top]: a label rendered for every row, scores added into a
+   label-keyed table. *)
+let top_per_row ?(decay = 0.75) ~n kind segments =
+  let latest =
+    List.fold_left
+      (fun acc (s : Fleet_store.segment) ->
+        max acc s.Fleet_store.window.Fleet.Window.hi)
+      0 segments
+  in
+  let scores = Hashtbl.create 256 in
+  let bump label x =
+    Hashtbl.replace scores label
+      (x +. Option.value ~default:0. (Hashtbl.find_opt scores label))
+  in
+  List.iter
+    (fun (s : Fleet_store.segment) ->
+      let m i =
+        if i >= 0 && i < Array.length s.Fleet_store.methods then
+          s.Fleet_store.methods.(i)
+        else Fmt.str "m#%d" i
+      in
+      let w =
+        decay ** float_of_int (latest - s.Fleet_store.window.Fleet.Window.hi)
+      in
+      match kind with
+      | `Paths ->
+          List.iter
+            (fun (mi, pid, c) ->
+              bump (Fmt.str "%s/path#%d" (m mi) pid) (w *. float_of_int c))
+            s.Fleet_store.paths
+      | `Edges ->
+          List.iter
+            (fun (mi, br, tk, nt) ->
+              bump (Fmt.str "%s/br#%d" (m mi) br) (w *. float_of_int (tk + nt)))
+            s.Fleet_store.edges
+      | `Dcg ->
+          List.iter
+            (fun (caller, callee, wt) ->
+              let c = if caller < 0 then "<root>" else m caller in
+              bump (Fmt.str "%s->%s" c (m callee)) (w *. float_of_int wt))
+            s.Fleet_store.dcg)
+    segments;
+  Hashtbl.fold (fun l s acc -> (l, s) :: acc) scores []
+  |> List.sort (fun (l1, s1) (l2, s2) ->
+         match compare s2 s1 with 0 -> compare l1 l2 | c -> c)
+  |> List.filteri (fun i _ -> i < n)
+
+(* Method names that collide once rendered: ("a->b", "c") and
+   ("a", "b->c") both label "a->b->c"; "<root>" is also the root
+   caller's label, and "m#7" an out-of-range index's. *)
+let top_methods = [| "a"; "b->c"; "a->b"; "c"; "<root>"; "m#7"; "d" |]
+
+let prop_top_reference =
+  let open QCheck.Gen in
+  let idx = int_range (-2) 7 and small = int_bound 3 and count = int_bound 50 in
+  let segment =
+    map3
+      (fun (window, methods) (paths, edges) dcg ->
+        {
+          (seg ~cohort_name:"t" ~window ~origin:(-1) []) with
+          Fleet_store.methods = Array.of_list methods;
+          paths;
+          edges;
+          dcg;
+        })
+      (pair (int_bound 8) (list_size (int_bound 6) (oneofa top_methods)))
+      (pair
+         (list_size (int_bound 12) (triple idx small count))
+         (list_size (int_bound 12) (quad idx small count count)))
+      (list_size (int_bound 12) (triple idx idx count))
+  in
+  (* always present: the two DCG rows that share the label "a->b->c" *)
+  let colliding =
+    {
+      (seg ~cohort_name:"t" ~window:3 ~origin:(-1) []) with
+      Fleet_store.methods = [| "a"; "b->c"; "a->b"; "c" |];
+      dcg = [ (0, 1, 5); (2, 3, 7); (-1, 0, 2) ];
+    }
+  in
+  let case =
+    quad (list_size (int_bound 6) segment) (int_bound 40)
+      (oneofl [ 0.75; 0.5; 1.0; 0.9 ])
+      (oneofl [ `Paths; `Edges; `Dcg ])
+  in
+  let bits rows = List.map (fun (l, s) -> (l, Int64.bits_of_float s)) rows in
+  QCheck.Test.make ~count:500
+    ~name:"top = per-row label rendering (labels, order, float bits)"
+    (QCheck.make case)
+    (fun (segs, n, decay, kind) ->
+      let segs = colliding :: segs in
+      bits (Fleet_query.top ~decay ~n kind segs)
+      = bits (top_per_row ~decay ~n kind segs))
 
 (* --------------------- fault tolerance & healing ------------------ *)
 
@@ -650,4 +977,11 @@ let suite =
       test_watch_degraded_annotation;
     Alcotest.test_case "watch rule grammar round-trips" `Quick
       test_watch_rule_grammar;
+    Alcotest.test_case "varint and count bounds are diagnosed" `Quick
+      test_segment_bounds_diagnosed;
+    qcheck prop_key_formats;
+    Alcotest.test_case "load_all sorts by (cohort key, lo, hi, origin)" `Quick
+      test_load_order;
+    qcheck prop_select_pairwise;
+    qcheck prop_top_reference;
   ]
