@@ -11,6 +11,7 @@ type t = {
   base_config : Exp_harness.config;
   runs : (string, Exp_harness.run) Hashtbl.t;
   series : (string, int list) Hashtbl.t;  (* adaptive totals, by series key *)
+  values : (string, float list) Hashtbl.t;  (* derived values, by values key *)
   mutable perfect_edge_table : Edge_profile.table option;
   cache_dir : string option;
   identity : string;
@@ -54,6 +55,7 @@ let create ?(config = Exp_harness.default) ?cache_dir env =
     base_config = config;
     runs = Hashtbl.create 16;
     series = Hashtbl.create 4;
+    values = Hashtbl.create 1;
     perfect_edge_table = None;
     cache_dir;
     identity;
@@ -114,7 +116,8 @@ let persistable (config : Exp_harness.config) =
 (* Measurements are bit-identical with and without a telemetry sink (a
    tested invariant), so the persisted identity strips it: traced and
    untraced sweeps share disk entries.  [suffix] extends both the file
-   key and the identity key (an adaptive series' trial count). *)
+   key and the identity key (a derived entry's tag: an adaptive series'
+   trial count, or the comparators). *)
 let file_and_key ?(suffix = "") t config =
   match t.cache_dir with
   | Some dir when persistable config ->
@@ -135,6 +138,8 @@ let series_suffix trials = Fmt.str "|adaptive=%d" trials
 
 let adaptive_slot t config ~trials =
   file_and_key ~suffix:(series_suffix trials) t config
+
+let values_slot t config ~tag = file_and_key ~suffix:tag t config
 
 let payload_of_run (r : Exp_harness.run) =
   {
@@ -168,22 +173,27 @@ type outcome = {
   o_diags : Dcg.parse_error list;
 }
 
-let diag file reason = { Dcg.file = Some file; line = 0; text = ""; reason }
+let diag ?file reason = { Dcg.file; line = 0; text = ""; reason }
 
 (* Load-or-execute through one store slot: a valid entry is [accept]ed
    (its value and [true]), anything else runs [execute] and overwrites
    the slot, with a diagnostic saying why the entry was not used.
-   Reads only immutable cache state, so it is safe on worker domains;
-   the only side effect is an atomic store write. *)
+   [execute] also returns the reasons its value must not be persisted
+   (a failed verification): each becomes a diagnostic, and the slot is
+   left as it was.  Reads only immutable cache state, so it is safe on
+   worker domains; the only side effect is an atomic store write. *)
 let through_store ~faults ~slot ~load ~save ~accept ~execute =
   let fresh diags =
-    let v = execute () in
-    match slot with
-    | None -> (v, false, diags)
-    | Some (file, key) -> (
+    let v, refusals = execute () in
+    match (slot, refusals) with
+    | Some (file, key), [] -> (
         match save ~file ~key v with
         | Ok () -> (v, false, diags)
         | Error e -> (v, false, diags @ [ e ]))
+    | None, [] -> (v, false, diags)
+    | _, _ :: _ ->
+        let file = Option.map fst slot in
+        (v, false, diags @ List.map (fun r -> diag ?file r) refusals)
   in
   match slot with
   | None -> fresh []
@@ -200,7 +210,7 @@ let through_store ~faults ~slot ~load ~save ~accept ~execute =
                 ~reason:"fault plan corrupted this cache entry";
               fresh
                 [
-                  diag file "cache entry quarantined by fault plan; recomputed";
+                  diag ~file "cache entry quarantined by fault plan; recomputed";
                 ]
           | Some _ | None -> (
               match accept stored with
@@ -208,7 +218,7 @@ let through_store ~faults ~slot ~load ~save ~accept ~execute =
               | Error reason ->
                   (* shape passed the digest but not the configuration:
                      recompute and overwrite, reporting why *)
-                  fresh [ diag file ("cache entry rejected: " ^ reason) ]))
+                  fresh [ diag ~file ("cache entry rejected: " ^ reason) ]))
       | Error e -> fresh [ e ])
 
 (* The worker half of a run: everything except touching the memo table
@@ -221,7 +231,7 @@ let compute t config =
     through_store ~faults ~slot:(file_and_key t config) ~load:Exp_store.load
       ~save:(fun ~file ~key r -> Exp_store.save ~file ~key (payload_of_run r))
       ~accept:(Exp_harness.rebuild ?faults t.env config)
-      ~execute:(fun () -> Exp_harness.replay ?faults t.env config)
+      ~execute:(fun () -> (Exp_harness.replay ?faults t.env config, []))
   in
   { o_run; o_from_disk; o_diags }
 
@@ -261,30 +271,60 @@ let run t config =
   | Some r -> memory_hit t r
   | None -> install t config (compute t config)
 
-(* Each trial is a deterministic function of env, config and trial
-   index, so a whole series is memoized and persisted as one entry. *)
-let adaptive t config ~trials =
-  let key = Exp_harness.config_key config ^ series_suffix trials in
-  match Hashtbl.find_opt t.series key with
-  | Some totals -> memory_hit t totals
+(* A derived entry: a value computed from the benchmark rather than
+   read off one replay's run, memoized in [memo] under the
+   configuration key plus [tag] and persisted under the identity key
+   plus [tag], by the rules runs follow.  Computed serially on the
+   calling domain. *)
+let derived t memo config ~tag ~load ~save ~accept ~execute =
+  let key = Exp_harness.config_key config ^ tag in
+  match Hashtbl.find_opt memo key with
+  | Some v -> memory_hit t v
   | None ->
-      let totals, from_disk, diags =
+      let v, from_disk, diags =
         through_store
           ~faults:(Exp_harness.injector_of config)
-          ~slot:(adaptive_slot t config ~trials)
-          ~load:Exp_store.load_series ~save:Exp_store.save_series
-          ~accept:(fun totals ->
-            if List.length totals = trials then Ok totals
-            else
-              Error
-                (Fmt.str "%d totals for %d trials" (List.length totals) trials))
-          ~execute:(fun () ->
-            List.init trials (fun trial ->
-                Exp_harness.adaptive_total ~config ~trial t.env))
+          ~slot:(values_slot t config ~tag) ~load ~save ~accept ~execute
       in
-      Hashtbl.replace t.series key totals;
+      Hashtbl.replace memo key v;
       account t ~from_disk diags;
-      totals
+      v
+
+let count_is ~what n xs =
+  if List.length xs = n then Ok xs
+  else Error (Fmt.str "%d %s, want %d" (List.length xs) what n)
+
+(* Each trial is a deterministic function of env, config and trial
+   index, so a whole series is one derived entry. *)
+let adaptive t config ~trials =
+  derived t t.series config ~tag:(series_suffix trials)
+    ~load:Exp_store.load_series ~save:Exp_store.save_series
+    ~accept:(count_is ~what:"totals" trials)
+    ~execute:(fun () ->
+      ( List.init trials (fun trial ->
+            Exp_harness.adaptive_total ~config ~trial t.env),
+        [] ))
+
+(* A replay's checks are not persisted with the values it produced, so
+   a failed verification is reported now and keeps the values off disk:
+   recalled on every later run, they would hide it. *)
+let values t config ~tag ~arity compute =
+  let bench = t.env.Exp_harness.workload.Workload.name in
+  derived t t.values config ~tag ~load:Exp_store.load_values
+    ~save:Exp_store.save_values ~accept:(count_is ~what:"values" arity)
+    ~execute:(fun () ->
+      let vs, checks = compute () in
+      ( vs,
+        List.filter_map
+          (fun (what, (d : Pep_check.diagnostic)) ->
+            match d.Pep_check.severity with
+            | Pep_check.Error ->
+                Some
+                  (Fmt.str "%s: %s replay failed verification: %a; values \
+                            not persisted"
+                     bench what Pep_check.pp_diagnostic d)
+            | Pep_check.Warning | Pep_check.Info -> None)
+          checks ))
 
 let with_profiling t profiling = { t.base_config with Exp_harness.profiling }
 let base t = run t (with_profiling t Exp_harness.Base)

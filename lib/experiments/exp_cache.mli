@@ -1,34 +1,43 @@
-(** Memoized experiment runs and adaptive series, with an optional
+(** Memoized experiment runs and derived values, with an optional
     persistent on-disk layer.
 
     Several figures share configurations (the PEP(64,17) replay run feeds
     Fig. 6 overhead, Fig. 8 path accuracy and Fig. 9 edge accuracy); the
     cache executes each distinct configuration once per benchmark,
     memoizing by {!Exp_harness.config_key} — every configuration field
-    is part of the key, so distinct configurations never alias.  Fig.
-    11's adaptive trials are memoized the same way, one entry per
-    (configuration, trial count) series ({!adaptive}).
+    is part of the key, so distinct configurations never alias.
 
-    With [cache_dir], completed runs and series are additionally
-    persisted through {!Exp_store} under a composite identity (workload,
-    size, seed, digests of the compiled program and cost model, and the
-    configuration key; a series adds [|adaptive=<trials>]).  An entry
-    embeds that key's MD5 (format v3).  Runs are recalled on later
-    sweeps by {!Exp_harness.rebuild} — zero application execution — and
-    series by reading their totals back.  Stale, damaged or
-    foreign-format entries (an entry written by an older store format,
-    or a run entry where a series was expected, included) surface as
-    {!diagnostics} and are recomputed and overwritten, never trusted or
-    crashed on.  An unusable [cache_dir] (unwritable, or a path
-    component that is not a directory) is reported the same way, once,
-    at {!create} — runs still execute, they just are not persisted.
+    A {e derived} entry is a value computed from the benchmark rather
+    than read off one replay's run, memoized under the configuration key
+    plus a tag: Fig. 11's adaptive trials, one entry per (configuration,
+    trial count) series ({!adaptive}, tag [|adaptive=<trials>]), and
+    any list of floats ({!values}) — the comparator figures keep all of
+    a benchmark's comparator values in one such entry (tag
+    [|comparators]).  Derived entries are computed serially, on the
+    calling domain, when a figure first asks; they are not job-pool
+    tasks.
+
+    With [cache_dir], completed runs and derived entries are
+    additionally persisted through {!Exp_store} under a composite
+    identity (workload, size, seed, digests of the compiled program and
+    cost model, and the configuration key, plus the tag of a derived
+    entry).  An entry embeds that key's MD5 (format v3).  Runs are
+    recalled on later sweeps by {!Exp_harness.rebuild} — zero
+    application execution — and derived entries by reading their
+    numbers back.  Stale, damaged or foreign-format entries (an entry
+    written by an older store format, or another kind of entry where a
+    series or values were expected, included) surface as {!diagnostics}
+    and are recomputed and overwritten, never trusted or crashed on.  An
+    unusable [cache_dir] (unwritable, or a path component that is not a
+    directory) is reported the same way, once, at {!create} — runs still
+    execute, they just are not persisted.
 
     Fault plans: a configuration whose plan
     {!Fault_plan.perturbs_execution} is never persisted (a rebuild's
     precompile order would re-order the live run's fault-decision
     stream); a [corrupt=P] plan additionally makes loads of persisted
     entries observe deliberate corruption with probability [P] — the
-    entry is quarantined with a diagnostic and the run or series
+    entry is quarantined with a diagnostic and the run or derived value
     recomputed, exercising exactly the real digest-mismatch path. *)
 
 type t
@@ -70,31 +79,57 @@ type outcome
 val compute : t -> Exp_harness.config -> outcome
 val install : t -> Exp_harness.config -> outcome -> Exp_harness.run
 
-(** {2 Adaptive series} *)
+(** {2 Derived entries} *)
 
 (** [adaptive t config ~trials] is
     [List.init trials (fun trial -> Exp_harness.adaptive_total ~config
     ~trial (env t))]: the per-trial totals of the adaptive methodology
     (paper Fig. 11), computed once per (configuration, [trials]) and
-    persisted as one entry under the same rules as a run. *)
+    persisted as one series entry under the same rules as a run. *)
 val adaptive : t -> Exp_harness.config -> trials:int -> int list
 
 (** Like {!store_slot}, for the series {!adaptive} persists. *)
 val adaptive_slot :
   t -> Exp_harness.config -> trials:int -> (string * string) option
 
+(** [values t config ~tag ~arity compute] is the [arity] floats
+    [compute ()] returns, computed once per (configuration, [tag]) and
+    persisted as one values entry (every float's exact bits) under the
+    same rules as a run; a recalled entry with another count is
+    rejected and recomputed.  [compute] also returns the verification
+    diagnostics of the replays behind the values, each paired with the
+    name of what it verified (e.g. ["tab-hardware"]).  Any [Error] among
+    them becomes a {!diagnostics} entry naming the benchmark, that name
+    and the pass, and keeps the values off disk: the checks are not
+    stored with the values, so a recalled entry would hide them.  The
+    values are returned either way. *)
+val values :
+  t ->
+  Exp_harness.config ->
+  tag:string ->
+  arity:int ->
+  (unit -> float list * (string * Pep_check.diagnostic) list) ->
+  float list
+
+(** Like {!store_slot}, for the entry {!values} persists under [tag]. *)
+val values_slot :
+  t -> Exp_harness.config -> tag:string -> (string * string) option
+
 (** {2 Accounting}
 
-    A series counts like a run: computed, recalled from disk, or
+    A derived entry counts like a run: computed, recalled from disk, or
     recalled from memory. *)
 
 type stats = {
   memory_hits : int;  (** recalled from the in-process memo table *)
   disk_hits : int;  (** rebuilt from a persisted entry, no execution *)
   executed : int;
-      (** actually simulated: one per run replayed, and one per adaptive
-          series computed (all its trials) *)
-  store_errors : int;  (** stale/corrupt/unwritable entries (see {!diagnostics}) *)
+      (** actually simulated: one per run replayed, and one per derived
+          entry computed (all of a series' trials, all of a values
+          entry's replays) *)
+  store_errors : int;
+      (** one per {!diagnostics} entry: stale, corrupt or unwritable
+          entries, and values kept off disk by a failed verification *)
   migrated : int;
       (** always 0: the store has one format, so nothing is migrated
           (kept for source compatibility; an entry in an older format
@@ -104,8 +139,10 @@ type stats = {
 val stats : t -> stats
 
 (** Structured reports for every store entry that had to be recomputed
-    (stale key, corrupt content, unreadable file) or could not be
-    written; oldest first.  Same shape as [Advice.of_lines] errors. *)
+    (stale key, corrupt content, unreadable file), could not be written,
+    or was not written because a replay behind it failed verification
+    (see {!values}); oldest first.  Same shape as [Advice.of_lines]
+    errors. *)
 val diagnostics : t -> Dcg.parse_error list
 
 (** The accounting of a suite's caches: one

@@ -3,9 +3,10 @@
 
    A run entry is one PEPRUN frame (varint-packed profile rows, raw MD5
    trailer); an adaptive series entry is one PEPSER frame (the per-trial
-   totals).  Both embed the 16-byte MD5 of the composite identity key,
-   not the key text, so a damaged entry fails the digest check, a stale
-   one fails the key-digest comparison, and a foreign or
+   totals); a values entry is one PEPVAL frame (derived floats as their
+   IEEE bits).  All three embed the 16-byte MD5 of the composite
+   identity key, not the key text, so a damaged entry fails the digest
+   check, a stale one fails the key-digest comparison, and a foreign or
    future-versioned one fails the frame checks — always a structured
    [Dcg.parse_error], never a silent miss or a crash. *)
 
@@ -51,6 +52,10 @@ module Bin = struct
     int w (String.length s);
     Buffer.add_string w s
 
+  (* the IEEE bits, little-endian: every float (NaN payloads, -0.0,
+     subnormals) survives bit for bit *)
+  let float w v = Buffer.add_int64_le w (Int64.bits_of_float v)
+
   let contents_with_digest w =
     let body = Buffer.contents w in
     body ^ Digest.string body
@@ -94,6 +99,12 @@ module Bin = struct
     r.p <- r.p + len;
     s
 
+  let rfloat r =
+    if r.limit - r.p < 8 then raise (Malformed "unexpected end of input");
+    let v = Int64.float_of_bits (String.get_int64_le r.s r.p) in
+    r.p <- r.p + 8;
+    v
+
   let check_frame ~magic ~version ~what ~file s body =
     let error fmt =
       Fmt.kstr
@@ -134,8 +145,9 @@ end
 
 let magic = "PEPRUN"
 let series_magic = "PEPSER"
+let values_magic = "PEPVAL"
 
-(* both frames' version; bump on any change to their bytes *)
+(* every frame's version; bump on any change to their bytes *)
 let version = 3
 
 (* An entry stores [Digest.string key] (16 bytes, length-prefixed); a
@@ -242,17 +254,27 @@ let decode ~file ~key contents =
         pedges;
       })
 
-(* -------------------------- series entries ------------------------- *)
+(* ----------------------- series and values entries ------------------ *)
 
-let encode_series ~key totals =
-  let w = Bin.frame ~magic:series_magic ~version in
+(* A list frame: the key digest, a count, then each element. *)
+let encode_list ~magic put ~key xs =
+  let w = Bin.frame ~magic ~version in
   put_key w key;
-  Bin.int w (List.length totals);
-  List.iter (Bin.int w) totals;
+  Bin.int w (List.length xs);
+  List.iter (put w) xs;
   Bin.contents_with_digest w
 
-let decode_series ~file ~key contents =
-  Bin.check_frame ~magic:series_magic ~version ~what:"series cache" ~file
-    contents (fun r ->
+let decode_list ~magic ~what get ~file ~key contents =
+  Bin.check_frame ~magic ~version ~what ~file contents (fun r ->
       check_key r key;
-      List.init (Bin.rcount r) (fun _ -> Bin.rint r))
+      List.init (Bin.rcount r) (fun _ -> get r))
+
+let encode_series = encode_list ~magic:series_magic Bin.int
+
+let decode_series =
+  decode_list ~magic:series_magic ~what:"series cache" Bin.rint
+
+let encode_values = encode_list ~magic:values_magic Bin.float
+
+let decode_values =
+  decode_list ~magic:values_magic ~what:"values cache" Bin.rfloat

@@ -1,19 +1,23 @@
 (** The run cache's wire format, and the binary frame both on-disk
     stores share.
 
-    The run cache holds two kinds of entry, both at format version 3:
+    The run cache holds three kinds of entry, all at format version 3:
     - a run entry is one [PEPRUN] frame: magic, version byte, the
       identity key's MD5, the measurement and the four profile tables as
       varints, then an MD5 trailer;
     - an adaptive series entry is one [PEPSER] frame: magic, version
       byte, the identity key's MD5, the per-trial totals as varints,
-      then an MD5 trailer.
+      then an MD5 trailer;
+    - a values entry is one [PEPVAL] frame: magic, version byte, the
+      identity key's MD5, a count, each value's 64 IEEE bits
+      (little-endian), then an MD5 trailer — a benchmark's comparator
+      values, for instance, in 105 bytes.
 
     An entry embeds the 16-byte MD5 of its identity key rather than the
     key text (about 140 bytes, mostly two hex digests).  A damaged entry
     fails the digest check, a stale one fails the key-digest comparison
     (reported as [stale cache entry], naming the expected key), and
-    anything else — an unknown version, the other kind's frame, another
+    anything else — an unknown version, another kind's frame, another
     format's bytes — fails the frame checks; always as a structured
     {!Dcg.parse_error}, never a silent miss or a crash.
 
@@ -51,6 +55,10 @@ module Bin : sig
   val int : writer -> int -> unit
   val str : writer -> string -> unit
 
+  (** A float as its 64 IEEE bits, little-endian: NaN payloads, [-0.0]
+      and subnormals survive bit for bit. *)
+  val float : writer -> float -> unit
+
   (** The accumulated bytes plus a 16-byte raw MD5 digest of them. *)
   val contents_with_digest : writer -> string
 
@@ -60,6 +68,7 @@ module Bin : sig
   val rbyte : reader -> int
   val rint : reader -> int
   val rstr : reader -> string
+  val rfloat : reader -> float
 
   (** An element count: a non-negative varint no larger than the bytes
       left (every element takes at least one), so a forged count cannot
@@ -104,7 +113,18 @@ val decode :
 val encode_series : key:string -> int list -> string
 
 (** Decode a series entry's bytes, verifying frame, digest and [key];
-    [file] only labels diagnostics.  A run entry is rejected as foreign
-    here, as a series entry is by {!decode}. *)
+    [file] only labels diagnostics.  Any other kind of entry is rejected
+    as foreign here, as a series entry is by {!decode} and
+    {!decode_values}. *)
 val decode_series :
   file:string -> key:string -> string -> (int list, Dcg.parse_error) result
+
+(** Full file bytes of a values entry: derived floats under their
+    identity [key], each kept as its exact bits. *)
+val encode_values : key:string -> float list -> string
+
+(** Decode a values entry's bytes, verifying frame, digest and [key];
+    [file] only labels diagnostics.  Any other kind of entry is rejected
+    as foreign. *)
+val decode_values :
+  file:string -> key:string -> string -> (float list, Dcg.parse_error) result

@@ -89,15 +89,23 @@ let fig7 caches =
     paper = "1.6% avg, 4.6% max (higher than execution-only overhead)";
   }
 
-let path_accuracy c (pep_run : Exp_harness.run) =
-  let perfect = Option.get (Exp_cache.perfect_path c).Exp_harness.ppaths in
-  let pep = Option.get pep_run.Exp_harness.pep in
+(* Wall accuracy (%) of an estimated path table against a path
+   profiler's table. *)
+let wall_accuracy (actual : Profiler.path_profiler) estimated =
   let n_branches =
-    Profiler.n_branches_resolver perfect.Profiler.plans perfect.Profiler.table
+    Profiler.n_branches_resolver actual.Profiler.plans actual.Profiler.table
   in
   100.
-  *. Accuracy.wall_path_accuracy ~n_branches ~actual:perfect.Profiler.table
-       ~estimated:pep.Pep.paths ()
+  *. Accuracy.wall_path_accuracy ~n_branches ~actual:actual.Profiler.table
+       ~estimated ()
+
+(* The same, against the cached perfect path profile. *)
+let accuracy_vs_perfect c estimated =
+  wall_accuracy (Option.get (Exp_cache.perfect_path c).Exp_harness.ppaths)
+    estimated
+
+let path_accuracy c (pep_run : Exp_harness.run) =
+  accuracy_vs_perfect c (Option.get pep_run.Exp_harness.pep).Pep.paths
 
 let fig8 caches =
   let rows =
@@ -487,39 +495,162 @@ let fig11 ?(trials = 15) caches =
     paper = "1.3% avg, 3.2% max: costs outweigh benefits on predictable programs";
   }
 
+(* ------------------------- comparator values ------------------------ *)
+
+let hw_sizes = [ 256; 2048; 16384 ]
+
+(* What the four comparator figures take from replays of their own,
+   which no cacheable run can stand in for. *)
+type comparators = {
+  hardware : float list;  (** tab-hardware: accuracy per [hw_sizes] *)
+  onetime_paths : float;  (** tab-onetime-paths: one-time accuracy *)
+  inline_acc : float;  (** tab-inline: PEP accuracy over inlined code *)
+  inline_sites : float;  (** tab-inline: call sites inlined *)
+  unroll_acc : float;  (** tab-unroll: PEP accuracy over unrolled code *)
+  unroll_loops : float;  (** tab-unroll: loops unrolled *)
+}
+
+let comparators_tag = "|comparators"
+
+let to_values r =
+  r.hardware
+  @ [ r.onetime_paths; r.inline_acc; r.inline_sites ]
+  @ [ r.unroll_acc; r.unroll_loops ]
+
+let of_values vs =
+  let n = List.length hw_sizes in
+  match List.filteri (fun i _ -> i >= n) vs with
+  | [ onetime_paths; inline_acc; inline_sites; unroll_acc; unroll_loops ] ->
+      {
+        hardware = List.filteri (fun i _ -> i < n) vs;
+        onetime_paths;
+        inline_acc;
+        inline_sites;
+        unroll_acc;
+        unroll_loops;
+      }
+  | _ -> invalid_arg "Exp_figures.of_values: wrong number of values"
+
+(* The four comparator replays of one benchmark, with their drivers'
+   verification diagnostics. *)
+let compute_comparators c () =
+  let env = Exp_cache.env c and config = Exp_cache.config c in
+  (* the hardware and one-time replays run the one-time-profiled code
+     untransformed, without the configuration's fault plan or deep
+     verification *)
+  let plain =
+    {
+      config with
+      Exp_harness.profiling = Exp_harness.Base;
+      opt_profile = Driver.From_baseline;
+      inline = false;
+      unroll = false;
+      deep = false;
+      faults = Fault_plan.empty;
+    }
+  in
+  (* one hook layer feeds every table size, so all sizes see one
+     replay's path ends *)
+  let hw_driver, hw =
+    Exp_harness.observe ~name:"hardware" env plain (fun st ->
+        let hw =
+          Hw_profiler.create ~table_sizes:hw_sizes
+            ~number:(Exp_harness.advice_number env)
+            st
+        in
+        Exp_harness.mask_plans env (Hw_profiler.plans hw);
+        (Hw_profiler.hooks hw, hw))
+  in
+  let hardware =
+    List.map (accuracy_vs_perfect c) (Hw_profiler.to_path_profiles hw)
+  in
+  (* structural-path-profiling style: instrument only the start of
+     execution, then drop the instrumentation *)
+  let cutoff = (Exp_cache.base c).Exp_harness.meas.iter2 * 15 / 100 in
+  let table =
+    Path_profile.create_table ~n_methods:(Program.n_methods env.program)
+  in
+  let onetime_driver, () =
+    Exp_harness.observe ~name:"onetime-paths" env plain (fun st ->
+        let plans =
+          Profile_hooks.make_plans ~mode:Dag.Loop_header
+            ~number:(Exp_harness.advice_number env)
+            st
+        in
+        Exp_harness.mask_plans env plans;
+        let on_path_end (st : Machine.t) (frame : Interp.frame) ~path_id =
+          if st.cycles < cutoff then
+            Path_profile.incr table.(frame.Interp.fmeth) path_id
+        in
+        (Profile_hooks.path_hooks ~plans ~count_cost:`Hash ~on_path_end (), ()))
+  in
+  (* PEP(64,17) and a perfect path profiler over the same transformed
+     code, so the two profiles share numbering *)
+  let truth transforms =
+    let driver, truth =
+      Exp_harness.observe ~precompile:true ~name:"truth" env
+        { transforms with Exp_harness.profiling = Exp_harness.pep_default }
+        (fun st ->
+          let p =
+            Profiler.perfect_path ~number:(Exp_harness.advice_number env) st
+          in
+          Exp_harness.mask_plans env p.Profiler.plans;
+          (p.Profiler.hooks, p))
+    in
+    (driver, wall_accuracy truth (Option.get (Driver.pep driver)).Pep.paths)
+  in
+  let inline_driver, inline_acc =
+    truth { config with Exp_harness.inline = true }
+  in
+  let unroll_driver, unroll_acc =
+    truth { config with Exp_harness.inline = false; unroll = true }
+  in
+  let checks what d = List.map (fun diag -> (what, diag)) (Driver.checks d) in
+  ( to_values
+      {
+        hardware;
+        onetime_paths = accuracy_vs_perfect c table;
+        inline_acc;
+        inline_sites = float_of_int (Driver.inlined_sites inline_driver);
+        unroll_acc;
+        unroll_loops = float_of_int (Driver.unrolled_loops unroll_driver);
+      },
+    checks "tab-hardware" hw_driver
+    @ checks "tab-onetime-paths" onetime_driver
+    @ checks "tab-inline" inline_driver
+    @ checks "tab-unroll" unroll_driver )
+
+(* One run-cache entry per benchmark holds every comparator value, so
+   a warm sweep runs none of their replays.  The price: whichever
+   comparator figure is built first computes the values of all four. *)
+let comparators c =
+  of_values
+    (Exp_cache.values c (Exp_cache.config c) ~tag:comparators_tag
+       ~arity:(List.length hw_sizes + 5)
+       (compute_comparators c))
+
+let comparators_slot c =
+  Exp_cache.values_slot c (Exp_cache.config c) ~tag:comparators_tag
+
 let tab_inline caches =
   let rows =
     List.map
       (fun c ->
-        let env = Exp_cache.env c in
         let base = Exp_cache.base c in
         (* clean run measuring inlined execution, no profiling *)
         let inline_run =
           Exp_cache.run c
             { (cfg_with c Exp_harness.Base) with Exp_harness.inline = true }
         in
-        (* combined run: PEP and a perfect profiler over the inlined code *)
-        let driver, pep, truth =
-          Exp_harness.replay_transformed_with_truth
-            ~config:{ (Exp_cache.config c) with Exp_harness.inline = true }
-            env
-        in
-        let n_branches =
-          Profiler.n_branches_resolver truth.Profiler.plans truth.Profiler.table
-        in
-        let acc =
-          100.
-          *. Accuracy.wall_path_accuracy ~n_branches ~actual:truth.Profiler.table
-               ~estimated:pep.Pep.paths ()
-        in
+        let cmp = comparators c in
         ( bench_name c,
           [
             Exp_report.overhead ~base:base.Exp_harness.meas.iter2
               inline_run.Exp_harness.meas.iter2;
             Exp_report.overhead ~base:base.Exp_harness.meas.iter1
               inline_run.Exp_harness.meas.iter1;
-            acc;
-            float_of_int (Driver.inlined_sites driver);
+            cmp.inline_acc;
+            cmp.inline_sites;
           ] ))
       caches
   in
@@ -582,17 +713,6 @@ let tab_edgetruth caches =
        (96% -> 94%): code without yieldpoints is invisible to PEP";
   }
 
-(* Wall accuracy of an arbitrary estimated table against the cached
-   perfect path profile. *)
-let accuracy_vs_perfect c estimated =
-  let perfect = Option.get (Exp_cache.perfect_path c).Exp_harness.ppaths in
-  let n_branches =
-    Profiler.n_branches_resolver perfect.Profiler.plans perfect.Profiler.table
-  in
-  100.
-  *. Accuracy.wall_path_accuracy ~n_branches ~actual:perfect.Profiler.table
-       ~estimated ()
-
 let tab_showdown caches =
   let rows =
     List.map
@@ -603,10 +723,7 @@ let tab_showdown caches =
             (Exp_cache.perfect_edges_of_paths c)
         in
         let from_edges = accuracy_vs_perfect c estimated in
-        let pep_run = Exp_cache.pep c ~samples:64 ~stride:17 in
-        let pep_acc =
-          accuracy_vs_perfect c (Option.get pep_run.Exp_harness.pep).Pep.paths
-        in
+        let pep_acc = path_accuracy c (Exp_cache.pep c ~samples:64 ~stride:17) in
         (bench_name c, [ from_edges; pep_acc ]))
       caches
   in
@@ -629,46 +746,9 @@ let tab_showdown caches =
        what path-based optimization needs";
   }
 
-let hw_sizes = [ 256; 2048; 16384 ]
-
 let tab_hardware caches =
   let rows =
-    List.map
-      (fun c ->
-        let env = Exp_cache.env c in
-        let accs =
-          List.map
-            (fun table_size ->
-              let st = Machine.create ~seed:env.seed env.program in
-              let hw =
-                Hw_profiler.create ~table_size
-                  ~number:(Exp_harness.advice_number env)
-                  st
-              in
-              Exp_harness.mask_plans env (Hw_profiler.plans hw);
-              let opts =
-                {
-                  Driver.mode = Replay env.advice;
-                  opt_profile = Driver.From_baseline;
-                  pep = None;
-                  inline = false;
-                  unroll = false;
-                  verify = true;
-                  deep_verify = false;
-                  engine = (Exp_cache.config c).Exp_harness.engine;
-                  tiers = (Exp_cache.config c).Exp_harness.tiers;
-                  telemetry = (Exp_cache.config c).Exp_harness.telemetry;
-                  faults = None;
-                }
-              in
-              let d = Driver.create ~extra_hooks:(Hw_profiler.hooks hw) opts st in
-              ignore (Driver.run d);
-              ignore (Driver.run d);
-              accuracy_vs_perfect c (Hw_profiler.to_path_profile hw))
-            hw_sizes
-        in
-        (bench_name c, accs))
-      caches
+    List.map (fun c -> (bench_name c, (comparators c).hardware)) caches
   in
   let nth_col i = List.map (fun (_, vs) -> List.nth vs i) rows in
   {
@@ -688,52 +768,9 @@ let tab_onetime_paths caches =
   let rows =
     List.map
       (fun c ->
-        let env = Exp_cache.env c in
-        let base = Exp_cache.base c in
-        (* structural-path-profiling style: instrument only the start of
-           execution, then drop the instrumentation *)
-        let cutoff = base.Exp_harness.meas.iter2 * 15 / 100 in
-        let st = Machine.create ~seed:env.seed env.program in
-        let plans =
-          Profile_hooks.make_plans ~mode:Dag.Loop_header
-            ~number:(Exp_harness.advice_number env)
-            st
-        in
-        Exp_harness.mask_plans env plans;
-        let table =
-          Path_profile.create_table ~n_methods:(Program.n_methods env.program)
-        in
-        let on_path_end (st : Machine.t) (frame : Interp.frame) ~path_id =
-          if st.cycles < cutoff then
-            Path_profile.incr table.(frame.Interp.fmeth) path_id
-        in
-        let hooks =
-          Profile_hooks.path_hooks ~plans ~count_cost:`Hash ~on_path_end ()
-        in
-        let opts =
-          {
-            Driver.mode = Replay env.advice;
-            opt_profile = Driver.From_baseline;
-            pep = None;
-            inline = false;
-            unroll = false;
-            verify = true;
-            deep_verify = false;
-            engine = (Exp_cache.config c).Exp_harness.engine;
-            tiers = (Exp_cache.config c).Exp_harness.tiers;
-            telemetry = (Exp_cache.config c).Exp_harness.telemetry;
-            faults = None;
-          }
-        in
-        let d = Driver.create ~extra_hooks:hooks opts st in
-        ignore (Driver.run d);
-        ignore (Driver.run d);
-        let onetime = accuracy_vs_perfect c table in
+        let onetime = (comparators c).onetime_paths in
         let pep_run = Exp_cache.pep c ~samples:64 ~stride:17 in
-        let pep_acc =
-          accuracy_vs_perfect c (Option.get pep_run.Exp_harness.pep).Pep.paths
-        in
-        (bench_name c, [ onetime; pep_acc ]))
+        (bench_name c, [ onetime; path_accuracy c pep_run ]))
       caches
   in
   let nth_col i = List.map (fun (_, vs) -> List.nth vs i) rows in
@@ -759,36 +796,18 @@ let tab_unroll caches =
   let rows =
     List.map
       (fun c ->
-        let env = Exp_cache.env c in
         let base = Exp_cache.base c in
         let unrolled_run =
           Exp_cache.run c
             { (cfg_with c Exp_harness.Base) with Exp_harness.unroll = true }
         in
-        let driver, pep, truth =
-          Exp_harness.replay_transformed_with_truth
-            ~config:
-              {
-                (Exp_cache.config c) with
-                Exp_harness.inline = false;
-                unroll = true;
-              }
-            env
-        in
-        let n_branches =
-          Profiler.n_branches_resolver truth.Profiler.plans truth.Profiler.table
-        in
-        let acc =
-          100.
-          *. Accuracy.wall_path_accuracy ~n_branches ~actual:truth.Profiler.table
-               ~estimated:pep.Pep.paths ()
-        in
+        let cmp = comparators c in
         ( bench_name c,
           [
             Exp_report.overhead ~base:base.Exp_harness.meas.iter2
               unrolled_run.Exp_harness.meas.iter2;
-            acc;
-            float_of_int (Driver.unrolled_loops driver);
+            cmp.unroll_acc;
+            cmp.unroll_loops;
           ] ))
       caches
   in
@@ -834,13 +853,14 @@ let registry : (string * (Exp_cache.t list -> figure)) list =
 let ids = List.map fst registry
 let by_id id = List.assoc id registry
 
-(* The cacheable configurations a figure consults, enumerated so a job
-   pool can compute them up front.  fig11's adaptive series are cached
-   ([Exp_cache.adaptive]) but not enumerated here: the figure computes
-   or recalls them when it is built.  Work that is not cache-mediated —
-   the combined truth replays of tab-inline/tab-unroll, the direct
-   drivers of tab-hardware / tab-header / tab-onetime-paths — still
-   runs when the figure is built. *)
+(* The cacheable runs a figure consults, enumerated so a job pool can
+   compute them up front.  A comparator figure lists, besides its own
+   columns' runs, the base and perfect-path runs its comparator entry
+   is computed from.  Derived entries are not listed: fig11's adaptive
+   series and the comparator entry are computed or recalled serially
+   when their figure is built.  No figure runs anything else: a warm
+   sweep simulates nothing (tab-header's static path counts number
+   plans without executing). *)
 let prefetch_configs c id =
   let cw p = cfg_with c p in
   let pep (s, t) =
@@ -887,10 +907,12 @@ let prefetch_configs c id =
   | "tab-header" -> [ base; instr; cw Exp_harness.Instr_back_edge ]
   | "tab-onetime" -> [ perfect_path ]
   | "tab-edgetruth" -> [ pep (64, 17); perfect_path; perfect_edge ]
-  | "tab-inline" -> [ base; { base with Exp_harness.inline = true } ]
-  | "tab-unroll" -> [ base; { base with Exp_harness.unroll = true } ]
+  | "tab-inline" ->
+      [ base; { base with Exp_harness.inline = true }; perfect_path ]
+  | "tab-unroll" ->
+      [ base; { base with Exp_harness.unroll = true }; perfect_path ]
   | "tab-showdown" -> [ perfect_path; pep (64, 17) ]
-  | "tab-hardware" -> [ perfect_path ]
+  | "tab-hardware" -> [ base; perfect_path ]
   | "tab-onetime-paths" -> [ base; perfect_path; pep (64, 17) ]
   | _ -> []
 

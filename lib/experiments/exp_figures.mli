@@ -50,12 +50,23 @@ val tab_unroll : Exp_cache.t list -> figure
 val tab_showdown : Exp_cache.t list -> figure
 
 (** Comparator (§2.4, ref [28]): a hardware hot-path table of varying
-    size, zero runtime cost, accuracy limited by capacity. *)
+    size, no counting cost, accuracy limited by capacity; one replay
+    feeds every size. *)
 val tab_hardware : Exp_cache.t list -> figure
 
 (** Comparator (§2.1, ref [30]): path instrumentation active only during
     initial execution, then dropped. *)
 val tab_onetime_paths : Exp_cache.t list -> figure
+
+(** The run-cache slot (file and identity key) of a benchmark's
+    comparator entry, [None] when it is not persisted.  The entry holds
+    every value tab-hardware, tab-onetime-paths, tab-inline and
+    tab-unroll take from replays of their own — the hardware table
+    accuracies, the one-time accuracy, and each truth replay's accuracy
+    and transform count — under the cache configuration's identity key
+    plus [|comparators] ({!Exp_cache.values}).  Whichever of those
+    figures is built first computes all of them. *)
+val comparators_slot : Exp_cache.t -> (string * string) option
 
 (** All experiment ids, in report order. *)
 val ids : string list
@@ -63,13 +74,16 @@ val ids : string list
 (** @raise Not_found for unknown ids. *)
 val by_id : string -> Exp_cache.t list -> figure
 
-(** The cacheable configurations figure [id] consults, enumerated so a
-    job pool ({!Exp_pool}) can compute them up front.  fig11's adaptive
-    series are cached too ({!Exp_cache.adaptive}) but are not listed:
-    the figure computes or recalls them serially when it is built.  Work
-    that is not cache-mediated (combined truth replays, direct
-    comparator drivers) still runs when the figure is built.  Unknown
-    ids yield []. *)
+(** The cacheable runs figure [id] consults, enumerated so a job pool
+    ({!Exp_pool}) can compute them up front; a comparator figure also
+    lists the base and perfect-path runs its comparator entry is
+    computed from.  Derived entries are cached too but are not listed:
+    fig11's adaptive series ({!Exp_cache.adaptive}) and the comparator
+    entry ({!comparators_slot}) are computed or recalled serially when
+    their figure is built.  Nothing else executes when a figure is
+    built, so a warm sweep simulates nothing (tab-header's static path
+    counts number plans without running a driver).  Unknown ids
+    yield []. *)
 val prefetch_configs : Exp_cache.t -> string -> Exp_harness.config list
 
 (** Second-stage configurations derivable only from first-stage results

@@ -259,6 +259,37 @@ let quarantine_inputs env config faults =
           { env with advice = { env.advice with Advice.dcg = fresh.Advice.dcg } }
       end
 
+(* The replay-mode driver of [config] over [st].  Every replay — the
+   cacheable configurations and the comparator replays alike — builds
+   its driver here, so all of them share one set of options: the
+   advice, [config]'s opt profile, transforms, verification (always
+   on), engine and telemetry.  [config.profiling] turns PEP on
+   ([Pep_profiled]) or leaves it off; the other profilers ride along as
+   [extra_hooks]. *)
+let replay_driver ?extra_hooks ~faults env config st =
+  let pep =
+    match config.profiling with
+    | Pep_profiled { sampling; zero; numbering } ->
+        Some { Driver.sampling; zero; numbering }
+    | Base | Perfect_path | Perfect_edge | Classic_blpp | Instr_back_edge ->
+        None
+  in
+  Driver.create ?extra_hooks
+    {
+      Driver.mode = Replay env.advice;
+      opt_profile = config.opt_profile;
+      pep;
+      inline = config.inline;
+      unroll = config.unroll;
+      verify = true;
+      deep_verify = config.deep;
+      engine = config.engine;
+      tiers = config.tiers;
+      telemetry = config.telemetry;
+      faults;
+    }
+    st
+
 (* Build the machine, profilers, hooks and driver for [config] —
    everything a replay does before the first application iteration.
    Shared between [replay] (which then executes) and [rebuild] (which
@@ -267,22 +298,18 @@ let quarantine_inputs env config faults =
    be bit-identical to executed ones. *)
 let setup_replay ~faults env config =
   let st = Machine.create ~seed:env.seed env.program in
-  let pep_opts, extra =
+  let extra =
     match config.profiling with
-    | Base -> (None, None)
-    | Pep_profiled { sampling; zero; numbering } ->
-        (Some { Driver.sampling; zero; numbering }, None)
+    | Base | Pep_profiled _ -> None
     | Perfect_path ->
         let p = Profiler.perfect_path ~number:(advice_number env) st in
         mask_plans env p.Profiler.plans;
-        (None, Some (`Path p))
-    | Perfect_edge ->
-        let p = Profiler.perfect_edge st in
-        (None, Some (`Edge p))
+        Some (`Path p)
+    | Perfect_edge -> Some (`Edge (Profiler.perfect_edge st))
     | Classic_blpp ->
         let p = Profiler.classic_blpp ~number:(advice_number env) st in
         mask_plans env p.Profiler.plans;
-        (None, Some (`Path p))
+        Some (`Path p)
     | Instr_back_edge ->
         let plans =
           Profile_hooks.make_plans ~mode:Dag.Back_edge
@@ -294,7 +321,7 @@ let setup_replay ~faults env config =
             ~on_path_end:(fun _ _ ~path_id:_ -> ())
             ()
         in
-        (None, Some (`Hooks hooks))
+        Some (`Hooks hooks)
   in
   let extra_hooks =
     match extra with
@@ -303,23 +330,7 @@ let setup_replay ~faults env config =
     | Some (`Edge (p : Profiler.edge_profiler)) -> Some p.ehooks
     | Some (`Hooks h) -> Some h
   in
-  let opts =
-    {
-      Driver.mode = Replay env.advice;
-      opt_profile = config.opt_profile;
-      pep = pep_opts;
-      inline = config.inline;
-      unroll = config.unroll;
-      verify = true;
-      deep_verify = config.deep;
-      engine = config.engine;
-      tiers = config.tiers;
-      telemetry = config.telemetry;
-      faults;
-    }
-  in
-  let driver = Driver.create ?extra_hooks opts st in
-  (extra, driver)
+  (extra, replay_driver ?extra_hooks ~faults env config st)
 
 let run_of_driver ~meas ~extra ~faults driver =
   {
@@ -425,46 +436,31 @@ let rebuild ?faults env config (p : Exp_store.payload) =
       Ok { r with checks = lint_run ~expected_samples:p.Exp_store.n_samples r }
   | exception Bad reason -> Error reason
 
-(* Replay with body transformations enabled, PEP(64,17) and a perfect
-   path profiler observing the same (transformed) code: the profiler must
-   be built after the driver has compiled the methods, or it would
-   instrument the original bodies. *)
-let replay_transformed_with_truth ?(config = { default with inline = true })
-    env =
-  let st = Machine.create ~seed:env.seed env.program in
+(* A replay with one more profiler watching both iterations: [config]'s
+   replay driver, its fault plan included, plus the hooks [observer]
+   builds over the machine.  With [precompile] every method is compiled
+   first, so the observer instruments the bodies the optimizer
+   transformed rather than the original ones. *)
+let observe ?(precompile = false) ~name env config observer =
   begin_run config
-    (Fmt.str "truth %s %s" env.workload.Workload.name (config_key config));
-  let opts =
-    {
-      Driver.mode = Replay env.advice;
-      opt_profile = config.opt_profile;
-      pep =
-        (* the profiling field is ignored: this methodology fixes
-           PEP(64,17) so the truth profiler and PEP stay comparable *)
-        Some
-          {
-            Driver.sampling = Sampling.pep ~samples:64 ~stride:17;
-            zero = `Hottest;
-            numbering = `Smart;
-          };
-      inline = config.inline;
-      unroll = config.unroll;
-      verify = true;
-      deep_verify = config.deep;
-      engine = config.engine;
-      tiers = config.tiers;
-      telemetry = config.telemetry;
-      faults = injector_of config;
-    }
+    (Fmt.str "%s %s %s" name env.workload.Workload.name (config_key config));
+  let faults = injector_of config in
+  let st = Machine.create ~seed:env.seed env.program in
+  let driver, v =
+    if precompile then begin
+      let driver = replay_driver ~faults env config st in
+      Driver.precompile driver;
+      let hooks, v = observer st in
+      Driver.add_hooks driver hooks;
+      (driver, v)
+    end
+    else
+      let hooks, v = observer st in
+      (replay_driver ~extra_hooks:hooks ~faults env config st, v)
   in
-  let driver = Driver.create opts st in
-  Driver.precompile driver;
-  let truth = Profiler.perfect_path ~number:(advice_number env) st in
-  mask_plans env truth.Profiler.plans;
-  Driver.add_hooks driver truth.Profiler.hooks;
   ignore (Driver.run driver);
   ignore (Driver.run driver);
-  (driver, Option.get (Driver.pep driver), truth)
+  (driver, v)
 
 let adaptive_total ?(config = default) ~trial env =
   (* The adaptive system needs enough timer ticks for promotion decisions

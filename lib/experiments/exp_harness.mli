@@ -157,13 +157,27 @@ val replay : ?faults:Fault_injector.t -> env -> config -> run
 val rebuild :
   ?faults:Fault_injector.t -> env -> config -> Exp_store.payload -> (run, string) result
 
-(** Replay with body transformations (default config: inlining only),
-    PEP(64,17), and a perfect path profiler over the same transformed
-    code (built after {!Driver.precompile}); the two profiles share
-    numbering and are directly comparable.  [config.profiling] is
-    ignored — the methodology fixes PEP(64,17). *)
-val replay_transformed_with_truth :
-  ?config:config -> env -> Driver.t * Pep.t * Profiler.path_profiler
+(** [observe ~name env config observer] is a replay of [config] with
+    one more profiler watching: [observer machine] builds the profiler
+    over the replay's fresh machine and returns its hooks and whatever
+    the caller reads afterwards; both iterations then run, and the
+    driver comes back with it (its {!Driver.checks}, transform counts
+    and PEP state).  The driver is {!replay}'s — same options, same
+    fault plan, PEP on when [config.profiling] is [Pep_profiled] — but
+    the run is not linted, measured or cached.  With [~precompile:true]
+    every method is compiled before [observer] runs, so the profiler
+    instruments the transformed bodies (a truth profiler over inlined
+    or unrolled code); otherwise its hooks are composed when the driver
+    is created.  [name] labels the telemetry run.  This is how the
+    comparator figures run their hardware, one-time and truth
+    replays. *)
+val observe :
+  ?precompile:bool ->
+  name:string ->
+  env ->
+  config ->
+  (Machine.t -> Interp.hooks * 'a) ->
+  Driver.t * 'a
 
 (** Smart numbering keyed to the advice's one-time profile — the
     numbering every replay configuration shares, so path ids from

@@ -49,7 +49,8 @@ val suite_envs :
 (** Run every cacheable configuration the given figure ids need, on
     every cache: first the {!Exp_figures.prefetch_configs} sets, then
     the {!Exp_figures.derived_configs} second stage.  After this,
-    building those figures recalls runs from memory (or re-executes
-    only their non-cacheable parts). *)
+    building those figures recalls runs from memory and computes or
+    recalls only their derived entries (fig11's series, the comparator
+    entry), serially. *)
 val prefetch :
   ?jobs:int -> ?telemetry:Telemetry.t -> Exp_cache.t list -> string list -> unit

@@ -1,9 +1,11 @@
-(* On-disk storage for experiment run payloads and adaptive series.
+(* On-disk storage for experiment run payloads, adaptive series and
+   derived values.
 
-   One file per (workload, size, seed, configuration) run, and one per
-   (workload, size, seed, configuration, trials) adaptive series, named
-   by the MD5 of that identity so a cache directory can be shared across
-   sweeps.  The bytes inside are one [Exp_codec] frame.
+   One file per (workload, size, seed, configuration) run, one per
+   (workload, size, seed, configuration, trials) adaptive series, and
+   one per (workload, size, seed, configuration, tag) set of derived
+   values, named by the MD5 of that identity so a cache directory can be
+   shared across sweeps.  The bytes inside are one [Exp_codec] frame.
 
    The composite key embeds digests of the compiled program and the
    cost model (see Exp_cache), and an entry embeds the key's MD5, so a
@@ -113,6 +115,9 @@ let save ~file ~key p = write_file ~file (Exp_codec.encode ~key p)
 let save_series ~file ~key totals =
   write_file ~file (Exp_codec.encode_series ~key totals)
 
+let save_values ~file ~key values =
+  write_file ~file (Exp_codec.encode_values ~key values)
+
 let load_with decode ~file ~key =
   if not (Sys.file_exists file) then Ok None
   else
@@ -122,3 +127,4 @@ let load_with decode ~file ~key =
 
 let load = load_with Exp_codec.decode
 let load_series = load_with Exp_codec.decode_series
+let load_values = load_with Exp_codec.decode_values

@@ -1,9 +1,11 @@
-(** On-disk storage for experiment run payloads and adaptive series.
+(** On-disk storage for experiment run payloads, adaptive series and
+    derived values.
 
-    One file per (workload, size, seed, configuration) run, and one per
-    (workload, size, seed, configuration, trials) adaptive series, keyed
-    by a composite identity that embeds digests of the compiled program
-    and cost model (built by {!Exp_cache}).  The bytes inside are one
+    One file per (workload, size, seed, configuration) run, one per
+    (workload, size, seed, configuration, trials) adaptive series, and
+    one per (workload, size, seed, configuration, tag) set of derived
+    values, keyed by a composite identity that embeds digests of the
+    compiled program and cost model (built by {!Exp_cache}).  The bytes inside are one
     {!Exp_codec} frame, which embeds the identity key's MD5.  Loading
     validates magic, version, content digest, key digest and record
     shape before returning anything; every failure — an entry in any
@@ -25,8 +27,8 @@ type payload = Exp_codec.payload = {
   pedges : string list;
 }
 
-(** [filename ~dir file_key] is the store path for a run or series
-    identity: [dir/<md5 hex of file_key>.run]. *)
+(** [filename ~dir file_key] is the store path for a run, series or
+    values identity: [dir/<md5 hex of file_key>.run]. *)
 val filename : dir:string -> string -> string
 
 (** Create [dir] (and parents) if missing.  [Error] carries a
@@ -65,7 +67,16 @@ val load :
 val save_series :
   file:string -> key:string -> int list -> (unit, Dcg.parse_error) result
 
-(** {!load} for an adaptive series; a run entry at [file] is an [Error]
-    (foreign entry). *)
+(** {!load} for an adaptive series; any other kind of entry at [file]
+    is an [Error] (foreign entry). *)
 val load_series :
   file:string -> key:string -> (int list option, Dcg.parse_error) result
+
+(** {!save} for derived values (e.g. a benchmark's comparator values). *)
+val save_values :
+  file:string -> key:string -> float list -> (unit, Dcg.parse_error) result
+
+(** {!load} for derived values; any other kind of entry at [file] is an
+    [Error] (foreign entry). *)
+val load_values :
+  file:string -> key:string -> (float list option, Dcg.parse_error) result

@@ -172,16 +172,16 @@ let test_hw_profiler_counts () =
   (* hardware table big enough to hold everything exactly *)
   let st = Machine.create ~seed:6 program in
   let hw =
-    Hw_profiler.create ~table_size:65536
+    Hw_profiler.create ~table_sizes:[ 65536 ]
       ~number:(fun _ dag -> Numbering.ball_larus dag)
       st
   in
   ignore (Interp.run (Interp.compose (Tick.hooks ()) (Hw_profiler.hooks hw)) st);
-  let seen, evictions = Hw_profiler.stats hw in
+  let seen, evictions = List.hd (Hw_profiler.stats hw) in
   check ci "sees every path end" (Path_profile.table_total perfect.Profiler.table) seen;
   check cb "few collisions at this size" true (evictions < seen / 100);
   (* with no aliasing pressure, hot-path counts match ground truth *)
-  let snap = Hw_profiler.to_path_profile hw in
+  let snap = List.hd (Hw_profiler.to_path_profiles hw) in
   Array.iteri
     (fun m prof ->
       Path_profile.iter
@@ -202,7 +202,7 @@ let test_hw_small_table_degrades () =
     ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.hooks) st0);
     let st = Machine.create ~seed:6 program in
     let hw =
-      Hw_profiler.create ~table_size
+      Hw_profiler.create ~table_sizes:[ table_size ]
         ~number:(fun _ dag -> Numbering.ball_larus dag)
         st
     in
@@ -211,11 +211,47 @@ let test_hw_small_table_degrades () =
       Profiler.n_branches_resolver perfect.Profiler.plans perfect.Profiler.table
     in
     Accuracy.wall_path_accuracy ~n_branches ~actual:perfect.Profiler.table
-      ~estimated:(Hw_profiler.to_path_profile hw) ()
+      ~estimated:(List.hd (Hw_profiler.to_path_profiles hw)) ()
   in
   let small = accuracy 64 and big = accuracy 16384 in
   check cb "bigger table at least as accurate" true (big +. 0.02 >= small);
   check cb "big table accurate" true (big > 0.9)
+
+(* One hook layer feeding three tables is three single-table replays in
+   one: the same tables, the same path ends and evictions per table,
+   and the same machine cycles — the layer charges its path register,
+   not its tables, so sharing it changes nothing the program sees. *)
+let test_hw_shared_replay () =
+  let sizes = [ 256; 2048; 16384 ] in
+  let replay (name, size) table_sizes =
+    let program = Workload.program ~size (Suite.find name) in
+    let st = Machine.create ~seed:6 program in
+    let hw =
+      Hw_profiler.create ~table_sizes
+        ~number:(fun _ dag -> Numbering.ball_larus dag)
+        st
+    in
+    ignore (Interp.run (Interp.compose (Tick.hooks ()) (Hw_profiler.hooks hw)) st);
+    ( List.map Path_profile.to_lines (Hw_profiler.to_path_profiles hw),
+      Hw_profiler.stats hw,
+      st.Machine.cycles )
+  in
+  List.iter
+    (fun ((name, _) as w) ->
+      let tables, stats, cycles = replay w sizes in
+      List.iteri
+        (fun i size ->
+          let tables1, stats1, cycles1 = replay w [ size ] in
+          let what = Printf.sprintf "%s, %d slots" name size in
+          check (Alcotest.list Alcotest.string) (what ^ ": same table")
+            (List.hd tables1) (List.nth tables i);
+          check (Alcotest.pair ci ci) (what ^ ": same seen/evictions")
+            (List.hd stats1) (List.nth stats i);
+          check ci (what ^ ": same machine cycles") cycles1 cycles)
+        sizes;
+      if name = "jython" then
+        check cb "jython evicts at 256 slots" true (snd (List.hd stats) > 0))
+    [ ("compress", 4); ("jython", 20) ]
 
 let suite =
   [
@@ -227,4 +263,5 @@ let suite =
     Alcotest.test_case "estimate finds hot paths" `Quick test_estimate_finds_true_hot_paths;
     Alcotest.test_case "hw table counts" `Quick test_hw_profiler_counts;
     Alcotest.test_case "hw small table degrades" `Quick test_hw_small_table_degrades;
+    Alcotest.test_case "hw tables share one replay" `Quick test_hw_shared_replay;
   ]

@@ -431,7 +431,42 @@ let test_store_corrupt_quarantine () =
           (fun (d : Dcg.parse_error) ->
             has_substring ~sub:"quarantined" d.Dcg.reason)
           (Exp_cache.diagnostics cache2)));
-  check (Alcotest.list ci) "identical totals either way" s1 s2
+  check (Alcotest.list ci) "identical totals either way" s1 s2;
+  (* and so does the comparator entry: its runs ensured first, building
+     a comparator figure quarantines the entry and recomputes it *)
+  let comparator_ids = [ "tab-hardware"; "tab-inline" ] in
+  let rows c =
+    List.map
+      (fun id ->
+        List.map
+          (fun (_, vs) -> List.map Int64.bits_of_float vs)
+          (Exp_figures.by_id id [ c ]).Exp_figures.rows)
+      comparator_ids
+  in
+  Exp_pool.prefetch [ cache1 ] comparator_ids;
+  let r1 = rows cache1 in
+  check cb "comparator entry persisted" true
+    (match Exp_figures.comparators_slot cache1 with
+    | Some (f, _) -> Sys.file_exists f
+    | None -> false);
+  Exp_pool.prefetch [ cache2 ] comparator_ids;
+  let before = Exp_cache.stats cache2 in
+  let quarantined () =
+    List.length
+      (List.filter
+         (fun (d : Dcg.parse_error) ->
+           has_substring ~sub:"quarantined" d.Dcg.reason)
+         (Exp_cache.diagnostics cache2))
+  in
+  let q0 = quarantined () in
+  let r2 = rows cache2 in
+  let after = Exp_cache.stats cache2 in
+  check ci "comparator entry quarantined, recomputed" 1
+    (after.Exp_cache.executed - before.Exp_cache.executed);
+  check ci "comparator entry not a disk hit" 0
+    (after.Exp_cache.disk_hits - before.Exp_cache.disk_hits);
+  check ci "comparator quarantine diagnosed" (q0 + 1) (quarantined ());
+  check cb "identical comparator rows either way" true (r1 = r2)
 
 let test_perturbing_plans_not_persisted () =
   let dir = fresh_dir () in
@@ -441,8 +476,11 @@ let test_perturbing_plans_not_persisted () =
     (Option.is_none (Exp_cache.store_file cache config));
   check cb "no series slot for a perturbing plan" true
     (Option.is_none (Exp_cache.adaptive_slot cache config ~trials:2));
+  check cb "no comparator slot for a perturbing plan" true
+    (Option.is_none (Exp_figures.comparators_slot cache));
   let _ = Exp_cache.run cache config in
   let _ = Exp_cache.adaptive cache config ~trials:2 in
+  let _ = Exp_figures.tab_hardware [ cache ] in
   check cb "nothing written" true
     (Sys.readdir dir = [||] || not (Sys.file_exists dir))
 

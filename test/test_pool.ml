@@ -5,17 +5,18 @@
      cold on-disk cache, warm on-disk cache) is bit-identical — float
      bits, not tolerances — to the serial on-demand build, and so is
      every cached run's measurement;
-   - robustness: truncated, bit-flipped, wrong-version, stale-keyed and
-     legacy-text store entries are recomputed with a structured
-     diagnostic, never trusted and never crashed on, for adaptive series
-     entries as for runs; a digest-valid tamper is caught by the
-     re-lint;
+   - robustness: truncated, bit-flipped, wrong-version, stale-keyed,
+     foreign-kind and legacy-text store entries are recomputed with a
+     structured diagnostic, never trusted and never crashed on, for
+     adaptive series and comparator entries as for runs; a digest-valid
+     tamper is caught by the re-lint;
    - the memoization contract: a config runs exactly once per cache,
-     disk hits included, and an adaptive series is computed once;
-   - config_key injectivity over randomized configurations, the run and
-     series codecs' round trips and their rejection of damaged or
-     foreign frames (each other's included), and the store's save/load
-     round-trip (QCheck). *)
+     disk hits included, an adaptive series is computed once, and
+     values from a replay that failed verification are never persisted;
+   - config_key injectivity over randomized configurations, the run,
+     series and values codecs' round trips (every float bit included)
+     and their rejection of damaged or foreign frames (each other's
+     included), and the store's save/load round-trip (QCheck). *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -91,12 +92,14 @@ let test_pool_differential () =
   let v4 = sweep ~prefetch:true ~jobs:4 () in
   let vcold = sweep ~cache_dir:dir ~prefetch:true ~jobs:4 () in
   let vwarm = sweep ~cache_dir:dir ~prefetch:true ~jobs:4 () in
+  let vwarm1 = sweep ~cache_dir:dir ~prefetch:true ~jobs:1 () in
   let variants =
     [
       ("prefetch jobs=1", v1);
       ("prefetch jobs=4", v4);
       ("cold disk cache jobs=4", vcold);
       ("warm disk cache jobs=4", vwarm);
+      ("warm disk cache jobs=1", vwarm1);
     ]
   in
   List.iter
@@ -112,28 +115,37 @@ let test_pool_differential () =
             (Exp_cache.diagnostics c))
         caches)
     variants;
-  (* cold sweep executed everything — every run and fig11's two
-     adaptive series — and warm recalled exactly that: zero simulator
-     executions on a warm cache *)
+  (* cold sweep executed everything — every run, fig11's two adaptive
+     series and the benchmark's one comparator entry — and warm recalled
+     exactly that: zero simulator executions on a warm cache, at either
+     job count *)
   let cold = fst (List.assoc "cold disk cache jobs=4" variants) in
-  let warm = fst (List.assoc "warm disk cache jobs=4" variants) in
   List.iter
     (fun c ->
       let s = Exp_cache.stats c in
-      check ci "cold: every run plus fig11's two series executed"
-        (List.length (Exp_cache.all_runs c) + 2)
+      check ci
+        "cold: every run, fig11's two series and the comparator entry \
+         executed"
+        (List.length (Exp_cache.all_runs c) + 3)
         s.Exp_cache.executed;
       check ci "cold: no disk hits" 0 s.Exp_cache.disk_hits;
-      check ci "cold: no store errors" 0 s.Exp_cache.store_errors)
+      check ci "cold: no store errors" 0 s.Exp_cache.store_errors;
+      check cb "cold: the comparator entry is on disk" true
+        (Sys.file_exists (fst (Option.get (Exp_figures.comparators_slot c)))))
     cold;
-  List.iter2
-    (fun c w ->
-      let s = Exp_cache.stats w in
-      check ci "warm: zero executions" 0 s.Exp_cache.executed;
-      check ci "warm: disk hits = cold executions"
-        (Exp_cache.stats c).Exp_cache.executed s.Exp_cache.disk_hits;
-      check ci "warm: no store errors" 0 s.Exp_cache.store_errors)
-    cold warm
+  List.iter
+    (fun variant ->
+      List.iter2
+        (fun c w ->
+          let s = Exp_cache.stats w in
+          check ci (variant ^ ": zero executions") 0 s.Exp_cache.executed;
+          check ci
+            (variant ^ ": disk hits = cold executions")
+            (Exp_cache.stats c).Exp_cache.executed s.Exp_cache.disk_hits;
+          check ci (variant ^ ": no store errors") 0 s.Exp_cache.store_errors)
+        cold
+        (fst (List.assoc variant variants)))
+    [ "warm disk cache jobs=4"; "warm disk cache jobs=1" ]
 
 let test_suite_envs_deterministic () =
   let envs jobs = Exp_pool.suite_envs ~scale:0.05 ~jobs ~seed:7 () in
@@ -160,15 +172,29 @@ let rob_config =
         };
   }
 
-(* The two kinds of store entry, behind one interface so each
-   robustness case runs on both: [value] runs or recalls the entry
-   through a cache and renders the result; [what] names the entry's
-   format in diagnostics. *)
+(* The three kinds of store entry, behind one interface so each
+   robustness case runs on all of them: [value] runs or recalls the
+   entry through a cache and renders the result, after [runs] has
+   ensured the cached runs it reads; [what] names the entry's format in
+   diagnostics. *)
 type entry = {
   what : string;
   slot : Exp_cache.t -> string * string;
+  runs : Exp_cache.t -> unit;
   value : Exp_cache.t -> string;
 }
+
+(* [e.value] on [c] and what it cost on its own: (executed, disk hits,
+   store errors) counted during [e.value], after [e.runs] *)
+let measured e c =
+  e.runs c;
+  let s0 = Exp_cache.stats c in
+  let v = e.value c in
+  let s = Exp_cache.stats c in
+  ( v,
+    ( s.Exp_cache.executed - s0.Exp_cache.executed,
+      s.Exp_cache.disk_hits - s0.Exp_cache.disk_hits,
+      s.Exp_cache.store_errors - s0.Exp_cache.store_errors ) )
 
 let series_trials = 3
 
@@ -176,6 +202,7 @@ let run_entry =
   {
     what = "cache";
     slot = (fun c -> Option.get (Exp_cache.store_slot c rob_config));
+    runs = ignore;
     value =
       (fun c ->
         let m = (Exp_cache.run c rob_config).Exp_harness.meas in
@@ -188,12 +215,35 @@ let series_entry =
     slot =
       (fun c ->
         Option.get (Exp_cache.adaptive_slot c rob_config ~trials:series_trials));
+    runs = ignore;
     value =
       (fun c ->
         String.concat " "
           (List.map string_of_int
              (Exp_cache.adaptive c rob_config ~trials:series_trials)));
   }
+
+let comparator_figures =
+  [ "tab-hardware"; "tab-onetime-paths"; "tab-inline"; "tab-unroll" ]
+
+(* the four comparator figures' rows, every value as its bits *)
+let comparators_entry =
+  {
+    what = "values cache";
+    slot = (fun c -> Option.get (Exp_figures.comparators_slot c));
+    runs = (fun c -> Exp_pool.prefetch [ c ] comparator_figures);
+    value =
+      (fun c ->
+        String.concat "; "
+          (List.map
+             (fun id ->
+               let _, rows, _ = figure_repr (Exp_figures.by_id id [ c ]) in
+               String.concat " "
+                 (List.concat_map (fun (_, bits) -> List.map Int64.to_string bits) rows))
+             comparator_figures));
+  }
+
+let all_entries = [ run_entry; series_entry; comparators_entry ]
 
 (* run once against a fresh store, returning the run, its entry file
    and its composite identity key *)
@@ -224,35 +274,35 @@ let diag_mentions substring caches_diags =
       go 0)
     caches_diags
 
-(* corrupt the entry, rerun on a fresh cache: the run or series must be
+(* corrupt the entry, rerun on a fresh cache: the entry must be
    recomputed (identical result), with a diagnostic mentioning
    [expect e] *)
-let recompute_after ?(entries = [ run_entry; series_entry ]) ~expect corrupt =
+let recompute_after ?(entries = all_entries) ~expect corrupt =
   let env = Lazy.force rob_env in
   List.iter
     (fun e ->
       let dir = fresh_dir () in
       let first = Exp_cache.create ~cache_dir:dir env in
-      let orig = e.value first in
+      let orig, _ = measured e first in
       let file, key = e.slot first in
       check cb (e.what ^ ": entry persisted") true (Sys.file_exists file);
       corrupt file key;
       let expect = expect e in
       let cache = Exp_cache.create ~cache_dir:dir env in
-      check cs (e.what ^ ": recomputed after " ^ expect) orig (e.value cache);
-      let s = Exp_cache.stats cache in
-      check ci (e.what ^ ": recomputed, not loaded") 1 s.Exp_cache.executed;
-      check ci (e.what ^ ": no disk hit") 0 s.Exp_cache.disk_hits;
-      check ci (e.what ^ ": one store error") 1 s.Exp_cache.store_errors;
+      let v, (executed, disk_hits, store_errors) = measured e cache in
+      check cs (e.what ^ ": recomputed after " ^ expect) orig v;
+      check ci (e.what ^ ": recomputed, not loaded") 1 executed;
+      check ci (e.what ^ ": no disk hit") 0 disk_hits;
+      check ci (e.what ^ ": one store error") 1 store_errors;
       check cb
         (Printf.sprintf "%s: diagnostic mentions %S" e.what expect)
         true
         (diag_mentions expect (Exp_cache.diagnostics cache));
       (* the recompute overwrote the bad entry: a third cache warm-loads *)
       let again = Exp_cache.create ~cache_dir:dir env in
-      check cs (e.what ^ ": rewritten entry loads") orig (e.value again);
-      check ci (e.what ^ ": rewritten entry is a disk hit") 1
-        (Exp_cache.stats again).Exp_cache.disk_hits)
+      let v, (_, disk_hits, _) = measured e again in
+      check cs (e.what ^ ": rewritten entry loads") orig v;
+      check ci (e.what ^ ": rewritten entry is a disk hit") 1 disk_hits)
     entries
 
 let test_store_truncated () =
@@ -301,22 +351,28 @@ let test_store_stale_program () =
     (fun e ->
       let dir = fresh_dir () in
       let first = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
-      ignore (e.value first);
+      ignore (measured e first);
       let file, _key = e.slot first in
       let cache' = Exp_cache.create ~cache_dir:dir env' in
       check cs (e.what ^ ": same store file") file (fst (e.slot cache'));
-      let v' = e.value cache' in
-      let s = Exp_cache.stats cache' in
-      check ci (e.what ^ ": stale entry recomputed") 1 s.Exp_cache.executed;
-      check ci (e.what ^ ": stale entry not loaded") 0 s.Exp_cache.disk_hits;
+      (* the new program's runs are stale too: ensure them first, so
+         only the entry under test is counted *)
+      e.runs cache';
+      let diags_before = List.length (Exp_cache.diagnostics cache') in
+      let v', (executed, disk_hits, _) = measured e cache' in
+      check ci (e.what ^ ": stale entry recomputed") 1 executed;
+      check ci (e.what ^ ": stale entry not loaded") 0 disk_hits;
       check cb (e.what ^ ": stale diagnostic") true
-        (diag_mentions "stale cache entry" (Exp_cache.diagnostics cache'));
+        (diag_mentions "stale cache entry"
+           (List.filteri
+              (fun i _ -> i >= diags_before)
+              (Exp_cache.diagnostics cache')));
       (* the overwrite serves the new program's runs from then on *)
       let again = Exp_cache.create ~cache_dir:dir env' in
-      check cs (e.what ^ ": overwritten entry loads") v' (e.value again);
-      check ci (e.what ^ ": overwritten entry is a disk hit") 1
-        (Exp_cache.stats again).Exp_cache.disk_hits)
-    [ run_entry; series_entry ]
+      let v, (_, disk_hits, _) = measured e again in
+      check cs (e.what ^ ": overwritten entry loads") v' v;
+      check ci (e.what ^ ": overwritten entry is a disk hit") 1 disk_hits)
+    all_entries
 
 (* a tamper that keeps the digest valid (counts inflated, trailer
    recomputed) passes the store's checks — and must then be caught by
@@ -373,6 +429,33 @@ let test_store_legacy_text_is_a_miss () =
       in
       let digest = Digest.to_hex (Digest.string (String.concat "\n" body)) in
       write_lines file (body @ [ "digest " ^ digest ]))
+
+(* a valid frame of another kind in an entry's slot — a run or series
+   frame where the comparator values belong, a values frame where a
+   series or a run belongs — is a counted miss naming the format it
+   expected, then recomputed and rewritten *)
+let test_store_foreign_kind () =
+  let payload =
+    {
+      Exp_store.iter1 = 1;
+      iter2 = 2;
+      compile = 3;
+      checksum = 4;
+      n_samples = 0;
+      pep_paths = [];
+      pep_edges = [];
+      ppaths = [];
+      pedges = [];
+    }
+  in
+  let foreign encode file key = write_all file (encode key) in
+  let expect e = "not a pepsim " ^ e.what ^ " entry" in
+  recompute_after ~entries:[ comparators_entry ] ~expect
+    (foreign (fun key -> Exp_codec.encode ~key payload));
+  recompute_after ~entries:[ comparators_entry ] ~expect
+    (foreign (fun key -> Exp_codec.encode_series ~key [ 1; 2; 3 ]));
+  recompute_after ~entries:[ run_entry; series_entry ] ~expect
+    (foreign (fun key -> Exp_codec.encode_values ~key [ 1.; 2.; 3. ]))
 
 (* ------------------- memoization contract ------------------- *)
 
@@ -442,6 +525,71 @@ let test_adaptive_series () =
   check triple "forged entry: executed" (1, 0, 0) (stats c);
   check cb "forged entry rejected" true
     (diag_mentions "cache entry rejected" (Exp_cache.diagnostics c))
+
+(* values whose replay failed verification are reported and never
+   persisted, so the next cache computes them again; warnings neither
+   block nor surface *)
+let test_values_failed_verification () =
+  let dir = fresh_dir () in
+  let env = Lazy.force rob_env in
+  let config = Exp_harness.default and tag = "|synthetic" in
+  let diagnostic severity =
+    {
+      Pep_check.severity;
+      pass = "transval@inline";
+      loc = Pep_check.Method_loc "main";
+      message = "synthetic miscompile";
+    }
+  in
+  let calls = ref 0 in
+  let compute checks () =
+    incr calls;
+    ([ 1.5; -0. ], checks)
+  in
+  let failing =
+    compute
+      [
+        ("tab-inline", diagnostic Pep_check.Error);
+        ("tab-hardware", diagnostic Pep_check.Warning);
+      ]
+  in
+  let values c f = Exp_cache.values c config ~tag ~arity:2 f in
+  let bits = List.map Int64.bits_of_float in
+  let cbits = Alcotest.(list int64) in
+  let a = Exp_cache.create ~cache_dir:dir env in
+  check cbits "values returned" (bits [ 1.5; -0. ]) (bits (values a failing));
+  let file, _ = Option.get (Exp_cache.values_slot a config ~tag) in
+  check cb "no entry written" false (Sys.file_exists file);
+  let s = Exp_cache.stats a in
+  check ci "computed" 1 s.Exp_cache.executed;
+  check ci "one diagnostic" 1 s.Exp_cache.store_errors;
+  let d = List.hd (Exp_cache.diagnostics a) in
+  List.iter
+    (fun part ->
+      check cb (Printf.sprintf "diagnostic names %S" part) true
+        (diag_mentions part [ d ]))
+    [ "compress"; "tab-inline"; "transval@inline"; "not persisted" ];
+  check cb "the warning is not reported" false
+    (diag_mentions "tab-hardware" [ d ]);
+  (* memoized in memory all the same *)
+  ignore (values a failing);
+  check ci "memory hit" 1 (Exp_cache.stats a).Exp_cache.memory_hits;
+  (* a fresh cache finds nothing on disk and computes again *)
+  let b = Exp_cache.create ~cache_dir:dir env in
+  ignore (values b failing);
+  check ci "fresh cache recomputes" 1 (Exp_cache.stats b).Exp_cache.executed;
+  check ci "no disk hit" 0 (Exp_cache.stats b).Exp_cache.disk_hits;
+  check ci "compute ran twice" 2 !calls;
+  (* clean values (warnings only) persist and are recalled bit for bit *)
+  let clean = compute [ ("tab-hardware", diagnostic Pep_check.Warning) ] in
+  let c = Exp_cache.create ~cache_dir:dir env in
+  ignore (values c clean);
+  check cb "clean entry written" true (Sys.file_exists file);
+  check ci "no diagnostics" 0 (List.length (Exp_cache.diagnostics c));
+  let d' = Exp_cache.create ~cache_dir:dir env in
+  check cbits "recalled bits" (bits [ 1.5; -0. ]) (bits (values d' clean));
+  check ci "recalled from disk" 1 (Exp_cache.stats d').Exp_cache.disk_hits;
+  check ci "compute ran three times" 3 !calls
 
 (* ------------------- QCheck properties ------------------- *)
 
@@ -718,6 +866,62 @@ let prop_codec_binary =
       named_foreign "run" (Exp_codec.decode_series ~file:"mem" ~key enc);
       true)
 
+(* floats by their bits, special values well represented *)
+let gen_float_bits =
+  QCheck.Gen.(
+    oneof
+      [
+        map Int64.float_of_bits ui64;
+        oneofl
+          [
+            nan;
+            Int64.float_of_bits 0x7ff0_0000_0000_0001L (* signalling NaN *);
+            Int64.float_of_bits 0xfff8_dead_beef_0001L (* negative, payload *);
+            -0.;
+            0.;
+            infinity;
+            neg_infinity;
+            Int64.float_of_bits 1L (* smallest subnormal *);
+            Int64.float_of_bits 0x000f_ffff_ffff_ffffL (* largest subnormal *);
+            -.Float.min_float;
+            Float.max_float;
+          ];
+      ])
+
+(* the values codec keeps every float's exact bits, rejects damaged
+   frames, and names each other kind of entry as foreign both ways *)
+let prop_codec_values =
+  QCheck.Test.make ~count:200 ~name:"values codec keeps float bits"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (list_size (int_range 0 12) gen_float_bits) gen_flat_string
+           (int_range 0 100000)))
+    (fun (values, key, i) ->
+      let key = "k|" ^ key in
+      let enc = Exp_codec.encode_values ~key values in
+      let bits = List.map Int64.bits_of_float in
+      (match Exp_codec.decode_values ~file:"mem" ~key enc with
+      | Ok vs when bits vs = bits values -> ()
+      | Ok _ -> QCheck.Test.fail_report "float bits changed through values codec"
+      | Error e ->
+          QCheck.Test.fail_reportf "values decode failed: %s" e.Dcg.reason);
+      let series = Exp_codec.encode_series ~key [ 1; 2 ] in
+      rejects_all ~file:"mem"
+        (Exp_codec.decode_values ~file:"mem" ~key)
+        (damaged_frames ~foreign:series i enc);
+      (match Exp_codec.decode_values ~file:"mem" ~key:(key ^ "'") enc with
+      | Error e when diag_mentions "stale cache entry" [ e ] -> ()
+      | _ -> QCheck.Test.fail_report "values under another key not stale");
+      let named_foreign what = function
+        | Error e when diag_mentions "not a pepsim" [ e ] -> ()
+        | _ -> QCheck.Test.fail_reportf "%s frame not named foreign" what
+      in
+      named_foreign "values as series" (Exp_codec.decode_series ~file:"mem" ~key enc);
+      named_foreign "values as run" (Exp_codec.decode ~file:"mem" ~key enc);
+      named_foreign "series as values"
+        (Exp_codec.decode_values ~file:"mem" ~key series);
+      true)
+
 let rt_dir = lazy (fresh_dir ())
 
 let prop_store_round_trip =
@@ -758,10 +962,15 @@ let suite =
       test_store_lint_catches_valid_digest_tamper;
     Alcotest.test_case "legacy text entry is a miss" `Slow
       test_store_legacy_text_is_a_miss;
+    Alcotest.test_case "another kind's entry is a miss" `Slow
+      test_store_foreign_kind;
     Alcotest.test_case "all_runs records each run once" `Slow
       test_all_runs_records_once;
     Alcotest.test_case "adaptive series" `Slow test_adaptive_series;
+    Alcotest.test_case "values failing verification are not persisted" `Slow
+      test_values_failed_verification;
     QCheck_alcotest.to_alcotest prop_config_key_injective;
     QCheck_alcotest.to_alcotest prop_codec_binary;
+    QCheck_alcotest.to_alcotest prop_codec_values;
     QCheck_alcotest.to_alcotest prop_store_round_trip;
   ]
