@@ -440,7 +440,114 @@ let engine_speedups setups =
       (s.etag, min_ratio dts 0 1, min_ratio dts 0 2, median_ratio dts 0 1))
     setups
 
-let write_engine_json ~seed ~wall ~json_out ~speedups rows =
+(* Suite rows: Base and PEP(64,17) replays of every workload at scale
+   0.05, the work the figure sweep executes, in three variants over the
+   same precompiled bodies: the oracle as the driver runs it, the flat
+   engine as the driver runs it (hooked), and the driver's flat engine
+   with its hooks removed (bare: same translations' fusion masks, no
+   observer).  One timed call is one application iteration; minima are
+   taken over interleaved rounds, as for the micro speedups. *)
+let suite_scale = 0.05
+
+type suite_row = {
+  workload : string;
+  config : string;  (* "base" or "pep" *)
+  blocks : float;  (* executed blocks per iteration *)
+  oracle_s : float;  (* minimum seconds per iteration, per variant *)
+  hooked_s : float;
+  bare_s : float;
+}
+
+let suite_configs =
+  [
+    ("base", None);
+    ( "pep",
+      Some
+        {
+          Driver.sampling = Sampling.pep ~samples:64 ~stride:17;
+          zero = `Hottest;
+          numbering = `Smart;
+        } );
+  ]
+
+let precompiled ~engine (env : Exp_harness.env) pep =
+  let st = Machine.create ~seed:env.seed env.program in
+  let d =
+    Driver.create
+      {
+        Driver.default_options with
+        Driver.mode = Driver.Replay env.advice;
+        pep;
+        engine;
+      }
+      st
+  in
+  Driver.precompile d;
+  d
+
+(* Every transfer and every invocation enters one block, and the oracle
+   calls [on_edge] on every edge. *)
+let blocks_per_iteration env pep =
+  let d = precompiled ~engine:`Oracle env pep in
+  let n = ref 0 in
+  Driver.add_hooks d
+    {
+      Interp.no_hooks with
+      on_entry = Some (fun _ _ -> incr n);
+      on_edge = Some (fun _ _ ~src:_ ~idx:_ ~dst:_ -> incr n);
+    };
+  let iters = 3 in
+  for _ = 1 to iters do
+    ignore (Driver.run d)
+  done;
+  float_of_int !n /. float_of_int iters
+
+let suite_rows ~seed =
+  List.concat_map
+    (fun (env : Exp_harness.env) ->
+      List.map
+        (fun (config, pep) ->
+          let oracle = precompiled ~engine:`Oracle env pep in
+          let hooked = precompiled ~engine:`Threaded env pep in
+          let bare = Driver.engine (precompiled ~engine:`Threaded env pep) in
+          Codegen.set_hooks bare Interp.no_hooks;
+          let fns =
+            [|
+              (fun () -> snd (Driver.run oracle));
+              (fun () -> snd (Driver.run hooked));
+              (fun () -> Codegen.run bare);
+            |]
+          in
+          Gc.compact ();
+          let dts = time_group 96 fns in
+          let best j =
+            Array.fold_left
+              (fun acc (row : float array) -> Float.min acc row.(j))
+              infinity dts
+          in
+          {
+            workload = env.workload.Workload.name;
+            config;
+            blocks = blocks_per_iteration env pep;
+            oracle_s = best 0;
+            hooked_s = best 1;
+            bare_s = best 2;
+          })
+        suite_configs)
+    (Exp_harness.suite_envs ~scale:suite_scale ~seed ())
+
+(* Suite-wide ratio of two variants: total minimum time over every
+   workload of [config], so heavier workloads weigh more, as in the
+   sweep. *)
+let suite_ratio rows config num den =
+  let sum f =
+    List.fold_left
+      (fun acc r -> if r.config = config then acc +. f r else acc)
+      0. rows
+  in
+  sum num /. sum den
+
+let write_engine_json ~seed ~wall ~json_out ~speedups ~suite rows =
   let tier = Codegen.tier_name Codegen.default_tiers in
   let pick f tag =
     match List.find_opt (fun (t, _, _, _) -> t = tag) speedups with
@@ -465,6 +572,29 @@ let write_engine_json ~seed ~wall ~json_out ~speedups rows =
     "  \"speedup_median\": { \"call_heavy\": %.2f, \"branch_heavy\": %.2f },\n"
     (speedup_median "call-heavy")
     (speedup_median "branch-heavy");
+  let ns r s = s *. 1e9 /. r.blocks in
+  Printf.fprintf oc "  \"suite\": {\n    \"scale\": %.2f,\n" suite_scale;
+  Printf.fprintf oc "    \"ratio\": {\n";
+  List.iteri
+    (fun j (config, _) ->
+      Printf.fprintf oc
+        "      \"%s\": { \"hooked_vs_bare\": %.3f, \"oracle_vs_hooked\": %.3f,          \"oracle_vs_bare\": %.3f }%s\n"
+        config
+        (suite_ratio suite config (fun r -> r.hooked_s) (fun r -> r.bare_s))
+        (suite_ratio suite config (fun r -> r.oracle_s) (fun r -> r.hooked_s))
+        (suite_ratio suite config (fun r -> r.oracle_s) (fun r -> r.bare_s))
+        (if j = List.length suite_configs - 1 then "" else ","))
+    suite_configs;
+  Printf.fprintf oc "    },\n    \"rows\": [\n";
+  List.iteri
+    (fun j r ->
+      Printf.fprintf oc
+        "      { \"workload\": \"%s\", \"config\": \"%s\", \"blocks\": %.0f,          \"oracle_ns_per_block\": %.2f, \"hooked_ns_per_block\": %.2f,          \"bare_ns_per_block\": %.2f }%s\n"
+        r.workload r.config r.blocks (ns r r.oracle_s) (ns r r.hooked_s)
+        (ns r r.bare_s)
+        (if j = List.length suite - 1 then "" else ","))
+    suite;
+  Printf.fprintf oc "    ]\n  },\n";
   Printf.fprintf oc "  \"results\": [\n";
   let rows = List.sort compare rows in
   List.iteri
@@ -478,8 +608,11 @@ let write_engine_json ~seed ~wall ~json_out ~speedups rows =
   close_out oc;
   Printf.printf
     "\n[engine: %s is %.2fx (call-heavy) / %.2fx (branch-heavy) vs oracle; \
-     %s written]\n%!"
-    tier (speedup "call-heavy") (speedup "branch-heavy") json_out
+     suite hooked/bare %.2f (Base) / %.2f (PEP); %s written]\n%!"
+    tier (speedup "call-heavy") (speedup "branch-heavy")
+    (suite_ratio suite "base" (fun r -> r.hooked_s) (fun r -> r.bare_s))
+    (suite_ratio suite "pep" (fun r -> r.hooked_s) (fun r -> r.bare_s))
+    json_out
 
 let run_micro ~seed ~json_out () =
   let t0 = Unix.gettimeofday () in
@@ -533,9 +666,10 @@ let run_micro ~seed ~json_out () =
       Printf.printf "%-40s %12.1f ns/run   r²=%.4f\n" name estimate r2)
     (List.sort compare rows);
   let speedups = engine_speedups setups in
+  let suite = suite_rows ~seed in
   write_engine_json ~seed
     ~wall:(Unix.gettimeofday () -. t0)
-    ~json_out ~speedups rows
+    ~json_out ~speedups ~suite rows
 
 let () =
   let ids, scale, seed, jobs, cache_dir, micro_only, json_out = parse_args () in

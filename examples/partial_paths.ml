@@ -20,8 +20,10 @@ let () =
   let perfect = Profiler.perfect_edge st0 in
   ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.ehooks) st0);
 
-  (* partial-path sampler: plans provide the always-on register updates;
-     on_register hands us the live value at every yieldpoint *)
+  (* partial-path sampler: plans provide the always-on register updates,
+     kept in the frame's path register; every yieldpoint reads the live
+     value before any path-end processing, the "pass r to the yieldpoint
+     handler" of §4.3 *)
   let st = Machine.create ~seed program in
   let plans =
     Profile_hooks.make_plans ~mode:Dag.Loop_header
@@ -58,10 +60,46 @@ let () =
           | exception Invalid_argument _ -> incr unusable)
     end
   in
+  (* the plan's register updates, each charged like PEP's *)
+  let update (st : Machine.t) (frame : Interp.frame) ~add ~reset =
+    let r_update = st.cost.Cost_model.r_update in
+    if add <> 0 then begin
+      frame.r <- frame.r + add;
+      Machine.add_cycles st r_update
+    end;
+    if reset >= 0 then begin
+      frame.r <- reset;
+      Machine.add_cycles st r_update
+    end
+  in
   let hooks =
-    Profile_hooks.path_hooks ~on_register ~plans ~count_cost:`None
-      ~on_path_end:(fun _ _ ~path_id:_ -> ())
-      ()
+    {
+      Interp.no_hooks with
+      on_entry =
+        Some
+          (fun st (frame : Interp.frame) ->
+            if Option.is_some plans.(frame.fmeth) then
+              update st frame ~add:0 ~reset:0);
+      on_edge =
+        Some
+          (fun st (frame : Interp.frame) ~src ~idx ~dst:_ ->
+            match plans.(frame.fmeth) with
+            | Some plan -> (
+                match plan.Instrument.edge_steps.(src).(idx) with
+                | Some { add; reset; _ } -> update st frame ~add ~reset
+                | None -> ())
+            | None -> ());
+      on_yieldpoint =
+        Some
+          (fun st (frame : Interp.frame) blk ->
+            match plans.(frame.fmeth) with
+            | Some plan -> (
+                on_register st frame blk ~r:frame.r;
+                match plan.Instrument.path_end.(blk) with
+                | Some { badd; breset } -> update st frame ~add:badd ~reset:breset
+                | None -> ())
+            | None -> ());
+    }
   in
   ignore (Interp.run hooks st);
 

@@ -30,7 +30,7 @@ let make_plans ~mode ~number st =
    perfect profiler can instrument the same run without clobbering each
    other's register (a real system would allocate distinct registers or
    stack slots per instrumentation). *)
-let path_hooks ?on_register ~(plans : plans) ~count_cost ~on_path_end () =
+let path_hooks ~(plans : plans) ~count_cost ~on_path_end () =
   let regs = ref (Array.make 1024 0) in
   let slot (st : Machine.t) =
     let depth = st.depth in
@@ -55,42 +55,39 @@ let path_hooks ?on_register ~(plans : plans) ~count_cost ~on_path_end () =
         !regs.(slot st) <- 0;
         Machine.add_cycles st st.Machine.cost.Cost_model.r_update
   in
+  (* a frame compiled before its method was replaced by a smaller body
+     can deliver block ids beyond the new plan; no step acts there *)
+  let step meth ~src ~idx =
+    match plans.(meth) with
+    | Some plan when src < Array.length plan.Instrument.edge_steps ->
+        plan.Instrument.edge_steps.(src).(idx)
+    | Some _ | None -> None
+  in
+  let edge_site meth ~src ~idx = Option.is_some (step meth ~src ~idx) in
   let on_edge st (frame : Interp.frame) ~src ~idx ~dst:_ =
-    match plans.(frame.fmeth) with
+    match step frame.fmeth ~src ~idx with
     | None -> ()
-    (* a frame compiled before its method was replaced by a smaller body
-       can deliver block ids beyond the new plan; ignore such events *)
-    | Some plan when src >= Array.length plan.Instrument.edge_steps -> ()
-    | Some plan -> (
-        match plan.Instrument.edge_steps.(src).(idx) with
-        | None -> ()
-        | Some { add; count; reset } ->
-            let cost = st.Machine.cost in
-            let d = slot st in
-            if add <> 0 then begin
-              !regs.(d) <- !regs.(d) + add;
-              Machine.add_cycles st cost.Cost_model.r_update
-            end;
-            if count then begin
-              charge_count st;
-              on_path_end st frame ~path_id:!regs.(d)
-            end;
-            if reset >= 0 then begin
-              !regs.(d) <- reset;
-              Machine.add_cycles st cost.Cost_model.r_update
-            end)
+    | Some { add; count; reset } ->
+        let cost = st.Machine.cost in
+        let d = slot st in
+        if add <> 0 then begin
+          !regs.(d) <- !regs.(d) + add;
+          Machine.add_cycles st cost.Cost_model.r_update
+        end;
+        if count then begin
+          charge_count st;
+          on_path_end st frame ~path_id:!regs.(d)
+        end;
+        if reset >= 0 then begin
+          !regs.(d) <- reset;
+          Machine.add_cycles st cost.Cost_model.r_update
+        end
   in
   let on_yieldpoint st (frame : Interp.frame) blk =
     match plans.(frame.fmeth) with
     | None -> ()
     | Some plan when blk >= Array.length plan.Instrument.path_end -> ()
     | Some plan -> (
-        (* the yieldpoint passes the current register to the handler
-           (paper §4.3) even when the block is not a path end — partial
-           samples use it (§3.2) *)
-        (match on_register with
-        | Some f -> f st frame blk ~r:!regs.(slot st)
-        | None -> ());
         match plan.Instrument.path_end.(blk) with
         | None -> ()
         | Some { badd; breset } ->
@@ -108,9 +105,10 @@ let path_hooks ?on_register ~(plans : plans) ~count_cost ~on_path_end () =
             end)
   in
   {
-    Interp.on_entry = Some on_entry;
-    on_exit = None;
+    Interp.no_hooks with
+    on_entry = Some on_entry;
     on_edge = Some on_edge;
+    edge_site = Some edge_site;
     on_yieldpoint = Some on_yieldpoint;
   }
 
@@ -124,8 +122,15 @@ let edge_count_hooks ?(charge = true) st ~(table : Edge_profile.table) =
             | Cfg.Return | Cfg.Jump _ -> -1))
       st.Machine.methods
   in
+  (* the table describes the bodies that existed at creation: a body
+     recompiled later (inlining, unrolling) can deliver block ids beyond
+     it, and no counter acts there *)
+  let branch meth src =
+    let row = branch_of.(meth) in
+    if src < Array.length row then row.(src) else -1
+  in
   let on_edge st (frame : Interp.frame) ~src ~idx ~dst:_ =
-    let br = branch_of.(frame.fmeth).(src) in
+    let br = branch frame.fmeth src in
     if br >= 0 then begin
       Edge_profile.incr table.(frame.fmeth) br ~taken:(idx = 0);
       if charge then
@@ -133,8 +138,7 @@ let edge_count_hooks ?(charge = true) st ~(table : Edge_profile.table) =
     end
   in
   {
-    Interp.on_entry = None;
-    on_exit = None;
+    Interp.no_hooks with
     on_edge = Some on_edge;
-    on_yieldpoint = None;
+    edge_site = Some (fun meth ~src ~idx:_ -> branch meth src >= 0);
   }

@@ -50,14 +50,12 @@ val make_plans :
     [`Array] for classic BLPP's array-indexed counter, [`None] for PEP,
     which charges sampling costs itself in [on_path_end].
 
-    [on_register] is invoked at {e every} yieldpoint of a planned method
-    with the live path-register value, before any path-end processing —
-    the "pass r to the yieldpoint handler" of paper §4.3.  Mid-path
-    values identify the partially taken path
-    ({!Reconstruct.partial_dag_path}, paper §3.2). *)
+    The layer's [edge_site] is the edges whose plan has a step (the
+    plan read at translation time, so [plans] may only change together
+    with a generation bump of the method, as the driver does).  Every
+    yieldpoint of a planned method is a potential path end, so the
+    layer observes all yieldpoints. *)
 val path_hooks :
-  ?on_register:
-    (Machine.t -> Interp.frame -> Cfg.block_id -> r:int -> unit) ->
   plans:plans ->
   count_cost:[ `Hash | `Array | `None ] ->
   on_path_end:(Machine.t -> Interp.frame -> path_id:int -> unit) ->
@@ -67,6 +65,9 @@ val path_hooks :
 (** Hooks of baseline-style edge instrumentation: bump the taken or
     not-taken counter of every executed conditional branch, charging
     [edge_count] cycles each ([charge] false turns the cost off, e.g.
-    when modelling hardware-collected profiles). *)
+    when modelling hardware-collected profiles).  The branch table is
+    read from the bodies the machine holds at creation; block ids beyond
+    it (a body recompiled later by inlining or unrolling) count nothing.
+    [edge_site] is the table's branch edges. *)
 val edge_count_hooks :
   ?charge:bool -> Machine.t -> table:Edge_profile.table -> Interp.hooks

@@ -12,13 +12,29 @@
 
    The interpreter ([Interp]) is the semantic oracle: the flat code
    performs exactly the oracle's virtual-cycle reads and writes, in the
-   same order.  Block costs and layout penalties are read through the
-   captured compiled form at execution time — not folded as constants —
-   because [Machine.set_speed] and [Layout.apply] mutate the compiled
-   form a frame may currently be executing, and the oracle observes
-   those mutations mid-invocation.  Fusion can only merge work within
-   one block, and cycles are charged per block, so fused code charges,
-   observes and produces exactly what unfused code does. *)
+   same order.  Layout penalties are read through the captured
+   [edge_extra] rows at execution time, because [Layout.apply] mutates
+   them in place.  Fusion can only merge work within one block, and
+   cycles are charged per block, so fused code charges, observes and
+   produces exactly what unfused code does.
+
+   Hooks are sparse.  When it translates a compiled form, the engine
+   marks each transfer plain or observed under the current hooks: an
+   edge is observed where some layer's [on_edge] acts
+   ([Interp.hooks.edge_site]), and a transfer into a yieldpoint when a
+   layer has [on_yieldpoint].  Plain transfers, hooked run or bare, take
+   one fast path: cycles stay in a register, the destination's cost is
+   the one baked at translation, and the poll and timer flag are
+   handled inline ([on_tick] runs only when the tick is due).  Observed
+   transfers take the hooked path, which charges through the compiled
+   form and consults the closures in the oracle's order.  Both the
+   baked costs and the marks are exact only while the frame's compiled
+   form is current: [Machine.set_speed] and [Machine.recompile] bump
+   the generation, and a layer's sites change only together with such a
+   bump.  Only a hook can bump it mid-run, so after every hook and every
+   hooked call a frame checks its form, and a frame whose form changed
+   under it finishes on a copy whose every transfer is observed
+   ([current]). *)
 
 (* Opcodes.  All constructors are nullary, so the code array is an
    immediate-int array and dispatch compiles to a jump table.  [ARM]
@@ -119,16 +135,17 @@ type env = {
 
 (* A method body translated to flat code.  Transfer slots pack the edge
    descriptor into one word in [fb]: bit 0 = destination has a
-   yieldpoint, bit 1 = successor index (0 taken / 1 not-taken), bits
-   2..21 = source block, bits 22.. = destination block; [fa] holds the
-   destination's first slot and [frows] the source's captured
+   yieldpoint, bit 1 = successor index (0 taken / 1 not-taken), bit 2 =
+   observed (take the hooked path), bit 3 = some layer's [on_edge] acts
+   here, bits 4..23 = source block, bits 24.. = destination block; [fa]
+   holds the destination's first slot and [frows] the source's captured
    [edge_extra] row (mutated in place by [Layout.apply], so reads see
    the current penalties, as the oracle does).  [fcost] bakes the
    destination block's cost per transfer slot: [Machine.set_speed] is
-   the only mutator of [block_cost] and always bumps [gen], which
-   invalidates this translation at the next body fetch — so baked
-   costs are exact in bare mode, where no hook can recompile
-   mid-run.  Hooked paths read [block_cost] through [fcm] instead. *)
+   the only mutator of [block_cost] and always bumps [gen], so baked
+   costs are exact while [bgen = fcm.gen].  The fast path relies on
+   that; the hooked path reads [block_cost] through [fcm], since a
+   frame whose form went stale finishes there. *)
 type flat = {
   bgen : int;  (* Machine.cmeth.gen this code was translated from *)
   self : int;  (* dense method index, the fparent of callee frames *)
@@ -185,6 +202,15 @@ and ic = {
   mutable miss_streak : int;  (* misses at the current tier *)
   mutable stable : int;  (* consecutive same-generation megamorphic hits *)
 }
+
+let observed = 4
+let acts = 8
+let src_of w = (w lsr 4) land 0xFFFFF
+let dst_of w = w lsr 24
+
+(* [bgen] of a stale frame's copy: every transfer observed, never
+   cached, never current *)
+let stale_gen = -1
 
 type tiers = { fuse : bool }
 
@@ -260,8 +286,14 @@ let fresh_env () =
   { locals = Array.make 8 0; stack = Array.make 8 0; frame = dummy_frame }
 
 let is_no_hooks = function
-  | { Interp.on_entry = None; on_exit = None; on_edge = None; on_yieldpoint = None }
-    ->
+  | {
+      Interp.on_entry = None;
+      on_exit = None;
+      on_edge = None;
+      edge_site = _;
+      on_tick = None;
+      on_yieldpoint = None;
+    } ->
       true
   | _ -> false
 
@@ -302,10 +334,11 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
   }
 
 let set_hooks eng hooks =
-  (* hooks are consulted dynamically on dispatch, so nothing cached
-     needs invalidation *)
   eng.hooks <- hooks;
-  eng.hooked_mode <- not (is_no_hooks hooks)
+  eng.hooked_mode <- not (is_no_hooks hooks);
+  (* translations mark their transfers under the hooks they were made
+     with; their inline caches go with them *)
+  Array.fill eng.bodies 0 (Array.length eng.bodies) None
 
 let hooks eng = eng.hooks
 let tiers eng = eng.tiers
@@ -443,6 +476,27 @@ let store_at body i =
 let inc_at body i =
   match body.(i) with Instr.Inc (l, k) -> (l, k) | _ -> assert false
 
+let is_transfer = function
+  | JMP | BR | ARM | CMPBR_EQ | CMPBR_NE | CMPBR_LT | CMPBR_LE | CMPBR_GT
+  | CMPBR_GE ->
+      true
+  | _ -> false
+
+(* The copy a frame finishes on once its compiled form changed under it
+   (a hook ran [set_speed] or [recompile] on its method): every transfer
+   takes the hooked path and consults [on_edge], as under the oracle. *)
+let demote fl =
+  let fb = Array.copy fl.fb in
+  Array.iteri
+    (fun pc op -> if is_transfer op then fb.(pc) <- fb.(pc) lor observed lor acts)
+    fl.fcode;
+  { fl with bgen = stale_gen; fb }
+
+(* Called after anything that may have run a hook: the frame's flat code
+   if its form is still current, else its demoted copy. *)
+let current fl =
+  if fl.bgen = fl.fcm.Machine.gen || fl.bgen = stale_gen then fl else demote fl
+
 let count_hit eng =
   match eng.stats with Some s -> Metrics.incr s.ic_hits | None -> ()
 
@@ -508,6 +562,14 @@ and translate eng (cm : Machine.cmeth) midx : flat =
   let ic_acc = ref [] in
   let n_ics = ref 0 in
   let pc = ref 0 in
+  let hooks = eng.hooks in
+  let yp_hooked = Option.is_some hooks.Interp.on_yieldpoint in
+  let edge_acts ~src ~idx =
+    match (hooks.Interp.on_edge, hooks.Interp.edge_site) with
+    | None, _ -> false
+    | Some _, None -> true
+    | Some _, Some site -> site midx ~src ~idx
+  in
   let push op ~ax ~bx =
     code.(!pc) <- op;
     opa.(!pc) <- ax;
@@ -517,9 +579,15 @@ and translate eng (cm : Machine.cmeth) midx : flat =
   (* a transfer slot: [fa] patched to the destination's first slot once
      every block's position is known *)
   let push_transfer op ~src ~idx dst =
-    let yp = if cm.Machine.yieldpoint.(dst) then 1 else 0 in
+    let yp = cm.Machine.yieldpoint.(dst) in
+    let on_edge = edge_acts ~src ~idx in
+    let mark =
+      (if yp then 1 else 0)
+      lor (if on_edge || (yp && yp_hooked) then observed else 0)
+      lor if on_edge then acts else 0
+    in
     code.(!pc) <- op;
-    opb.(!pc) <- yp lor (idx lsl 1) lor (src lsl 2) lor (dst lsl 22);
+    opb.(!pc) <- mark lor (idx lsl 1) lor (src lsl 4) lor (dst lsl 24);
     rows.(!pc) <- cm.Machine.edge_extra.(src);
     tslots := !pc :: !tslots;
     incr pc
@@ -658,7 +726,7 @@ and translate eng (cm : Machine.cmeth) midx : flat =
   let cost = Array.make len 0 in
   List.iter
     (fun s ->
-      let dst = opb.(s) lsr 22 in
+      let dst = dst_of opb.(s) in
       opa.(s) <- block_pc.(dst);
       cost.(s) <- cm.Machine.block_cost.(dst))
     !tslots;
@@ -789,9 +857,20 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
       end;
       bd
 
+(* The oracle's yieldpoint sequence once the poll is charged and
+   flushed: raise the timer flag when the tick is due, run [on_tick] if
+   the flag is set, then [on_yieldpoint]. *)
+and poll_hooks eng st frame c blk =
+  if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
+  (if st.Machine.yield_flag then
+     match eng.hooks.Interp.on_tick with Some f -> f st frame | None -> ());
+  match eng.hooks.Interp.on_yieldpoint with
+  | Some g -> g st frame blk
+  | None -> ()
+
 (* Enter a translated body: charge the entry block like the oracle's
-   [enter_block] (cost, then poll and tick flag if the entry carries a
-   yieldpoint, then the yieldpoint hook), and start the dispatch loop. *)
+   [enter_block] (cost, then poll and the yieldpoint hooks if the entry
+   carries a yieldpoint), and start the dispatch loop. *)
 and run_flat eng bd env =
   let st = eng.st in
   let c =
@@ -801,14 +880,15 @@ and run_flat eng bd env =
   if bd.entry_yp then begin
     let c = c + eng.poll in
     st.Machine.cycles <- c;
-    if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
-    match eng.hooks.Interp.on_yieldpoint with
-    | Some g -> g st env.frame bd.entry_block
-    | None -> ()
+    poll_hooks eng st env.frame c bd.entry_block;
+    exec eng (current bd) env.stack env.locals env.frame st.Machine.cycles
+      st.Machine.depth bd.entry_pc 0
   end
-  else st.Machine.cycles <- c;
-  exec eng bd env.stack env.locals env.frame st.Machine.cycles
-    st.Machine.depth bd.entry_pc 0
+  else begin
+    st.Machine.cycles <- c;
+    exec eng bd env.stack env.locals env.frame c st.Machine.depth bd.entry_pc
+      0
+  end
 
 (* Take the transfer stored in [slot]: charge the edge's layout
    penalty and the destination block's cost (mirroring the oracle's
@@ -816,70 +896,77 @@ and run_flat eng bd env =
    continue at the destination's first slot.
 
    [cyc] is the live cycle counter, threaded through [exec] as a
-   parameter so bare-mode dispatch never round-trips it through
-   [st.Machine.cycles]; it is flushed at returns, at calls, and before
-   any hook runs (hooks observe and may mutate [st.Machine.cycles], so
-   hooked paths store first and reload after). *)
+   parameter so dispatch never round-trips it through
+   [st.Machine.cycles]; it is flushed at returns, at hooked calls, and
+   before any hook runs (hooks observe and may mutate
+   [st.Machine.cycles], so hooked paths store first and reload after).
+
+   A plain transfer has no observer between the edge charge and the
+   block charge, so both merge into one add of the baked cost; one test
+   of the observed and yieldpoint bits picks out the commonest case, a
+   plain transfer into a block without a yieldpoint.  A plain poll
+   raises the flag exactly when the tick is due: the flag is set
+   only by a poll that finds [cycles >= next_tick] and cleared only by
+   [Machine.rearm_timer], which moves [next_tick] past the current
+   cycle, and cycles never decrease — so at a poll the flag is set iff
+   the tick is due, and [on_tick] runs then, as in the oracle. *)
 and transfer eng fl stack locals frame cyc depth slot sp =
   let w = Array.unsafe_get fl.fb slot in
-  let row = Array.unsafe_get fl.frows slot in
-  if not eng.hooked_mode then
-    (* bare mode: no observer anywhere, so the edge charge and the
-       block charge merge into one add on the register-resident
-       counter and no hook is ever consulted; the block cost is the
-       baked [fcost] (gen-validated, see [flat]) *)
-    let c =
-      cyc
-      + Array.unsafe_get row ((w lsr 1) land 1)
-      + Array.unsafe_get fl.fcost slot
-    in
-    if w land 1 = 0 then
-      exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
-    else begin
-      let st = eng.st in
-      let c = c + eng.poll in
-      if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
-      exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
-    end
-  else begin
-    let st = eng.st in
-    let dst = w lsr 22 in
-    (match eng.hooks.Interp.on_edge with
-    | None ->
-        (* no observer between the edge charge and the block charge, so
-           both merge into one add *)
-        let c =
-          cyc
-          + Array.unsafe_get row ((w lsr 1) land 1)
-          + Array.unsafe_get fl.fcm.Machine.block_cost dst
-        in
-        if w land 1 = 0 then st.Machine.cycles <- c
-        else begin
-          let c = c + eng.poll in
-          st.Machine.cycles <- c;
-          if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
-          match eng.hooks.Interp.on_yieldpoint with
-          | Some g -> g st frame dst
-          | None -> ()
-        end
-    | Some f ->
-        let idx = (w lsr 1) land 1 in
-        st.Machine.cycles <- cyc + row.(idx);
-        f st frame ~src:((w lsr 2) land 0xFFFFF) ~idx ~dst;
-        let c = st.Machine.cycles + fl.fcm.Machine.block_cost.(dst) in
-        if w land 1 = 0 then st.Machine.cycles <- c
-        else begin
-          let c = c + eng.poll in
-          st.Machine.cycles <- c;
-          if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
-          match eng.hooks.Interp.on_yieldpoint with
-          | Some g -> g st frame dst
-          | None -> ()
-        end);
-    exec eng fl stack locals frame st.Machine.cycles depth
+  if w land (observed lor 1) = 0 then
+    exec eng fl stack locals frame
+      (cyc
+      + Array.unsafe_get (Array.unsafe_get fl.frows slot) ((w lsr 1) land 1)
+      + Array.unsafe_get fl.fcost slot)
+      depth
       (Array.unsafe_get fl.fa slot)
       sp
+  else if w land observed = 0 then begin
+    let st = eng.st in
+    let c =
+      cyc
+      + Array.unsafe_get (Array.unsafe_get fl.frows slot) ((w lsr 1) land 1)
+      + Array.unsafe_get fl.fcost slot
+      + eng.poll
+    in
+    if c < st.Machine.next_tick then
+      exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
+    else begin
+      st.Machine.yield_flag <- true;
+      match eng.hooks.Interp.on_tick with
+      | None ->
+          exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
+      | Some f ->
+          st.Machine.cycles <- c;
+          f st frame;
+          exec eng (current fl) stack locals frame st.Machine.cycles depth
+            (Array.unsafe_get fl.fa slot)
+            sp
+    end
   end
+  else observed_transfer eng fl stack locals frame cyc depth slot sp
+
+(* The hooked path: the oracle's sequence with every charge flushed
+   before the hook that may observe it. *)
+and observed_transfer eng fl stack locals frame cyc depth slot sp =
+  let st = eng.st in
+  let w = Array.unsafe_get fl.fb slot in
+  let idx = (w lsr 1) land 1 in
+  let dst = dst_of w in
+  st.Machine.cycles <- cyc + (Array.unsafe_get fl.frows slot).(idx);
+  (if w land acts <> 0 then
+     match eng.hooks.Interp.on_edge with
+     | Some f -> f st frame ~src:(src_of w) ~idx ~dst
+     | None -> ());
+  let c = st.Machine.cycles + fl.fcm.Machine.block_cost.(dst) in
+  st.Machine.cycles <- c;
+  if w land 1 <> 0 then begin
+    let c = c + eng.poll in
+    st.Machine.cycles <- c;
+    poll_hooks eng st frame c dst
+  end;
+  exec eng (current fl) stack locals frame st.Machine.cycles depth
+    (Array.unsafe_get fl.fa slot)
+    sp
 
 (* The dispatch loop.  [sp] points at the next free stack slot, and
    [cyc] is the live cycle counter; both live in parameters
@@ -1140,7 +1227,9 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
         | None -> ());
         st.Machine.depth <- depth;
         Array.unsafe_set stack sp v;
-        exec eng fl stack locals frame st.Machine.cycles depth (pc + 1) (sp + 1)
+        (* the callee's hooks may have recompiled this frame's method *)
+        exec eng (current fl) stack locals frame st.Machine.cycles depth
+          (pc + 1) (sp + 1)
       end
   | RET ->
       eng.st.Machine.cycles <- cyc;

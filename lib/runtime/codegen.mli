@@ -24,14 +24,26 @@
     Steady-state calls never consult the method table and allocate
     nothing in bare (hook-free) execution.
 
+    {b Sparse hooks.}  A translation marks each block transfer plain or
+    observed under the engine's hooks: observed where some layer's
+    [on_edge] acts (its [Interp.hooks.edge_site]), and into a yieldpoint
+    when a layer has [on_yieldpoint].  Plain transfers take one fast
+    path in hooked and bare runs alike, with the destination's cost
+    baked and the poll inline; the timer's [on_tick] runs only at a
+    poll that finds the tick due.  Observed transfers consult the
+    closures.  Calls always consult [on_entry]/[on_exit] when hooks are
+    present.  A frame whose compiled form changes under it (a hook runs
+    {!Machine.set_speed} or {!Machine.recompile} on its method)
+    finishes with every transfer observed, so layers whose sites change
+    with a generation bump see exactly what the oracle shows them.
+
     Semantics are bit-identical to the oracle: same virtual cycle
-    counts, same yieldpoint firings, same hook event order, same
-    results.  Hooks are consulted dynamically (absent hooks cost one
-    predictable test), so {!set_hooks} invalidates nothing.  Block
-    costs and layout penalties are read through the captured compiled
-    form at execution time, so in-place mutation by
-    {!Machine.set_speed}, [Layout.apply] and {!Machine.clear_edge_extra}
-    affects even frames currently executing, exactly as in the oracle. *)
+    counts, same yieldpoint firings, same hook event order (minus
+    [on_edge] calls where no layer acts, which the site contract makes
+    inert), same results.  Layout penalties are read through the
+    captured compiled form at execution time, so in-place mutation by
+    [Layout.apply] and {!Machine.clear_edge_extra} affects even frames
+    currently executing, exactly as in the oracle. *)
 
 type t
 
@@ -62,9 +74,9 @@ val tier_name : tiers -> string
 val create :
   ?telemetry:Telemetry.t -> ?tiers:tiers -> ?hooks:Interp.hooks -> Machine.t -> t
 
-(** Replace the engine's hooks.  Hooks are consulted dynamically, so no
-    translated code is invalidated.  Must not be called while the
-    engine is executing. *)
+(** Replace the engine's hooks.  Drops every translation (and with them
+    their inline caches): each marked its transfers under the old hooks.
+    Must not be called while the engine is executing. *)
 val set_hooks : t -> Interp.hooks -> unit
 
 val hooks : t -> Interp.hooks

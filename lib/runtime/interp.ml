@@ -4,10 +4,20 @@ type hooks = {
   on_entry : (Machine.t -> frame -> unit) option;
   on_exit : (Machine.t -> frame -> unit) option;
   on_edge : (Machine.t -> frame -> src:int -> idx:int -> dst:int -> unit) option;
+  edge_site : (int -> src:int -> idx:int -> bool) option;
+  on_tick : (Machine.t -> frame -> unit) option;
   on_yieldpoint : (Machine.t -> frame -> Cfg.block_id -> unit) option;
 }
 
-let no_hooks = { on_entry = None; on_exit = None; on_edge = None; on_yieldpoint = None }
+let no_hooks =
+  {
+    on_entry = None;
+    on_exit = None;
+    on_edge = None;
+    edge_site = None;
+    on_tick = None;
+    on_yieldpoint = None;
+  }
 
 let compose_opt a b =
   match (a, b) with
@@ -36,11 +46,24 @@ let compose_opt_yp a b =
           f st frame blk;
           g st frame blk)
 
+(* A layer without [on_edge] acts nowhere, whatever its [edge_site]
+   says; [None] on a layer with [on_edge] means every edge. *)
+let compose_site a b =
+  match (a.on_edge, b.on_edge) with
+  | None, _ -> b.edge_site
+  | _, None -> a.edge_site
+  | Some _, Some _ -> (
+      match (a.edge_site, b.edge_site) with
+      | None, _ | _, None -> None
+      | Some p, Some q -> Some (fun m ~src ~idx -> p m ~src ~idx || q m ~src ~idx))
+
 let compose a b =
   {
     on_entry = compose_opt a.on_entry b.on_entry;
     on_exit = compose_opt a.on_exit b.on_exit;
     on_edge = compose_opt_edge a.on_edge b.on_edge;
+    edge_site = compose_site a b;
+    on_tick = compose_opt a.on_tick b.on_tick;
     on_yieldpoint = compose_opt_yp a.on_yieldpoint b.on_yieldpoint;
   }
 
@@ -75,9 +98,13 @@ let rec exec_method hooks (st : Machine.t) ~parent midx (src : int array) pos
     if cm.yieldpoint.(b) then begin
       st.cycles <- st.cycles + st.cost.Cost_model.yieldpoint_poll;
       if st.cycles >= st.next_tick then st.yield_flag <- true;
+      (if st.yield_flag then
+         match hooks.on_tick with Some f -> f st frame | None -> ());
       match hooks.on_yieldpoint with Some f -> f st frame b | None -> ()
     end
   in
+  (* the oracle ignores [edge_site]: calling [on_edge] everywhere is what
+     lets the differential suite check every layer's site declaration *)
   let take_edge ~src ~idx ~dst =
     st.cycles <- st.cycles + cm.edge_extra.(src).(idx);
     match hooks.on_edge with

@@ -140,6 +140,9 @@ let recompile t i ?(no_yieldpoint = [||]) meth =
   Array.iteri
     (fun b suppress -> if suppress then cm.yieldpoint.(b) <- false)
     no_yieldpoint;
+  (* frames still running the superseded form must see it as changed:
+     the hook layers' sites now describe the new body *)
+  t.methods.(i).gen <- next_gen ();
   t.methods.(i) <- cm
 
 let set_speed t i ~percent =

@@ -22,7 +22,8 @@ type cmeth = {
   mutable gen : int;
       (** compiled-form generation stamp, unique across all compiled
           forms of a machine's lifetime.  Bumped by {!recompile}
-          (a fresh form) and {!set_speed} (code-quality change), so
+          (a fresh form, and the superseded one marked stale) and
+          {!set_speed} (code-quality change), so
           execution engines can validate cached generated code and
           call-site inline caches with one integer compare. *)
   mutable speed_percent : int;
@@ -73,7 +74,9 @@ val set_speed : t -> int -> percent:int -> unit
     (per new-method block id — loop headers copied from uninterruptible
     inlinees carry no yieldpoint, paper §4.3).  Frames already executing
     the old body keep running it, like activations of replaced code in a
-    real VM; new invocations use the new body. *)
+    real VM; new invocations use the new body.  The superseded form's
+    generation stamp is bumped too, so an engine sees that such frames
+    run code whose hook sites may have changed under them. *)
 val recompile : t -> int -> ?no_yieldpoint:bool array -> Method.t -> unit
 
 (** Zero all layout penalties of a method. *)

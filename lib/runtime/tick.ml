@@ -1,18 +1,11 @@
 let hooks ?on_tick () =
-  let on_yieldpoint (st : Machine.t) (frame : Interp.frame) _blk =
-    if st.yield_flag then begin
-      Machine.add_cycles st st.cost.Cost_model.tick_handler;
-      st.tick_pending <- true;
-      (match on_tick with Some f -> f st frame | None -> ());
-      Machine.rearm_timer st
-    end
+  let tick (st : Machine.t) (frame : Interp.frame) =
+    Machine.add_cycles st st.cost.Cost_model.tick_handler;
+    st.tick_pending <- true;
+    (match on_tick with Some f -> f st frame | None -> ());
+    Machine.rearm_timer st
   in
-  {
-    Interp.on_entry = None;
-    on_exit = None;
-    on_edge = None;
-    on_yieldpoint = Some on_yieldpoint;
-  }
+  { Interp.no_hooks with on_tick = Some tick }
 
 type method_samples = int array
 

@@ -168,6 +168,11 @@ let charge_compile d cycles =
    terminator. *)
 let method_units (m : Method.t) = Method.size m + Array.length m.blocks
 
+(* Both compilers call [Machine.set_speed] before they touch
+   [baseline_active] or the PEP plans: those are hook sites, and a
+   layer's sites may change only together with a generation bump of the
+   method (see [Interp]), which makes the engine re-mark the method's
+   transfers. *)
 let compile_baseline d midx =
   let cm = Machine.cmeth d.st midx in
   let cost = d.st.Machine.cost in
@@ -570,6 +575,10 @@ let create ?extra_hooks opts st =
             | Cfg.Return | Cfg.Jump _ -> -1))
       st.Machine.methods
   in
+  (* Baseline code counts its branch edges.  [baseline_active] is part
+     of the site, so it changes only right after a [set_speed] of the
+     method ([compile_baseline], [do_compile_opt]); baseline bodies are
+     never transformed, so [branch_of] describes them. *)
   let baseline_edge =
     {
       Interp.no_hooks with
@@ -584,6 +593,10 @@ let create ?extra_hooks opts st =
                 Machine.add_cycles st st.Machine.cost.Cost_model.edge_count
               end
             end);
+      edge_site =
+        Some
+          (fun meth ~src ~idx:_ ->
+            d.baseline_active.(meth) && branch_of.(meth).(src) >= 0);
     }
   in
   let hooks = Interp.compose tick_hooks lazy_compile in
@@ -598,9 +611,11 @@ let create ?extra_hooks opts st =
     | Some h -> Interp.compose hooks h
     | None -> hooks
   in
-  (* The yieldpoint-poll counter rides along as one more hook.  The
-     driver always runs hooked (tick + lazy compile at minimum), so
-     composing it never flips the engine's bare/hooked selection. *)
+  (* The yieldpoint-poll counter rides along as one more hook.  An
+     [on_yieldpoint] layer makes every transfer into a yieldpoint an
+     observed one, so only telemetry-enabled runs pay for it; without
+     it a Base run observes nothing but the tick (inline at the poll)
+     and the baseline counter's edges. *)
   let hooks =
     match d.tstats with
     | Some s ->
@@ -658,6 +673,9 @@ let checks d = List.rev d.checks
 let add_hooks d h =
   d.hooks <- Interp.compose d.hooks h;
   Codegen.set_hooks d.eng d.hooks
+
+let hooks d = d.hooks
+let engine d = d.eng
 
 let precompile d =
   Program.iter_methods (fun midx _ -> ensure_compiled d midx) d.st.Machine.program

@@ -179,5 +179,18 @@ val inlined_sites : t -> int
 val unrolled_loops : t -> int
 
 (** Compose more hooks after the driver's own (for hooks that must be
-    built after {!precompile}). *)
+    built after {!precompile}).  The engine drops its translations,
+    which mark their transfers under the hooks they were made with. *)
 val add_hooks : t -> Interp.hooks -> unit
+
+(** The composed hooks the driver runs with: its own (tick, lazy
+    compilation, baseline edge counter, PEP, telemetry) and every layer
+    added since.  [Interp.run (hooks d) (machine d)] is one oracle
+    {!run} without the telemetry span. *)
+val hooks : t -> Interp.hooks
+
+(** The flat engine the driver runs on, with its translations, fusion
+    hot masks and inline caches; [Codegen.set_hooks (engine d)
+    Interp.no_hooks] turns it into a bare engine over the same compiled
+    bodies (the engine benchmark's third variant). *)
+val engine : t -> Codegen.t

@@ -146,10 +146,10 @@ let reference_hooks mode st (plans : Profile_hooks.plans) =
     end
   in
   ( {
-      Interp.on_entry = Some on_entry;
+      Interp.no_hooks with
+      on_entry = Some on_entry;
       on_exit = Some on_exit;
       on_edge = Some on_edge;
-      on_yieldpoint = None;
     },
     rs.table )
 

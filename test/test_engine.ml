@@ -1,7 +1,8 @@
 (* Differential testing of the closure-threaded engine (Codegen) against
    the interpreter oracle (Interp), plus the engine-specific contracts:
    inline-cache invalidation on recompile/set_speed, hook specialization,
-   and steady-state allocation behaviour. *)
+   every hook producer's edge-site declaration, and steady-state
+   allocation behaviour. *)
 
 open Ast
 
@@ -23,12 +24,22 @@ let pep_profiling =
 let with_engine engine config = { config with Exp_harness.engine }
 let cfg profiling = { Exp_harness.default with Exp_harness.profiling }
 
+let transformed config = { config with Exp_harness.inline = true; unroll = true }
+
+(* Every hook producer a replay can attach: the driver's own layers
+   (tick, lazy compile, baseline counter, PEP) and each profiler.  The
+   oracle calls [on_edge] on every edge while the flat engine consults
+   it only where a layer declares a site, so agreement here checks each
+   producer's [edge_site]. *)
 let configs =
   [
     ("Base", cfg Exp_harness.Base);
     ("Pep_profiled", cfg pep_profiling);
     ("Perfect_path", cfg Exp_harness.Perfect_path);
+    ("Perfect_edge", cfg Exp_harness.Perfect_edge);
+    ("Perfect_edge+inline+unroll", transformed (cfg Exp_harness.Perfect_edge));
     ("Classic_blpp", cfg Exp_harness.Classic_blpp);
+    ("Instr_back_edge", cfg Exp_harness.Instr_back_edge);
   ]
 
 let meas_pp ppf (m : Exp_harness.measurement) =
@@ -48,6 +59,9 @@ let observables (r : Exp_harness.run) =
     | None -> [])
     @ (match r.ppaths with
       | Some p -> Path_profile.to_lines p.Profiler.table
+      | None -> [])
+    @ (match r.pedges with
+      | Some p -> Edge_profile.to_lines p.Profiler.etable
       | None -> [])
     @ Edge_profile.to_lines (Driver.baseline_profile r.driver)
   in
@@ -132,6 +146,94 @@ let test_transform_differential () =
       check csl (name ^ " transformed profiles") op tp)
     [ "db"; "pmd" ]
 
+(* A failed optimizing compile is retried from the tick hook once its
+   backoff expires, so under inline+unroll the retry recompiles a method
+   into a larger body while frames of it may be live: those frames must
+   finish on the hooked path, and the new body's sites must be the ones
+   its layers act on. *)
+let test_faulted_transform_differential () =
+  let retried = ref 0 in
+  List.iter
+    (fun name ->
+      let w = Suite.find name in
+      let size = max 4 (min 25 w.Workload.default_size) in
+      let env = Exp_harness.make_env ~size ~seed:7 w in
+      List.iter
+        (fun fseed ->
+          let faults =
+            Fault_plan.parse_exn (Fmt.str "seed=%d,compile-fail=0.5" fseed)
+          in
+          let faulted engine : Exp_harness.config =
+            { (transformed (cfg pep_profiling)) with faults; engine }
+          in
+          let oracle = Exp_harness.replay env (faulted `Oracle) in
+          let threaded = Exp_harness.replay env (faulted `Threaded) in
+          let label = Fmt.str "%s faulted seed=%d" name fseed in
+          let om, op = observables oracle and tm, tp = observables threaded in
+          check meas (label ^ " measurement") om tm;
+          check csl (label ^ " profiles") op tp;
+          match threaded.Exp_harness.faults with
+          | Some inj ->
+              let c = Fault_injector.counts inj in
+              if c.Fault_injector.backoffs > 0 && Driver.inlined_sites threaded.driver > 0
+              then incr retried
+          | None -> ())
+        [ 1; 2; 3 ])
+    [ "jess"; "db"; "pmd" ];
+  check cb "some compile retried under inline+unroll" true (!retried > 0)
+
+(* Exp_drift's collection instance: a replay with PEP whose masked
+   perfect path profiler (the ground truth) is attached by
+   [Driver.add_hooks] after [Driver.precompile], then driven through
+   windows with the phase global changing between them. *)
+let test_drift_truth_differential () =
+  let w = Option.get (Phased.find "drift") in
+  let size = 20 in
+  let env = Exp_harness.make_env ~size ~seed:3 w in
+  let collect engine =
+    let st = Machine.create ~seed:4 env.program in
+    let driver =
+      Driver.create
+        {
+          Driver.default_options with
+          Driver.mode = Driver.Replay env.advice;
+          pep =
+            Some
+              {
+                Driver.sampling = Sampling.pep ~samples:64 ~stride:17;
+                zero = `Hottest;
+                numbering = `Smart;
+              };
+          verify = false;
+          engine;
+        }
+        st
+    in
+    Driver.precompile driver;
+    let truth =
+      Profiler.perfect_path ~number:(Exp_harness.advice_number env) st
+    in
+    Exp_harness.mask_plans env truth.Profiler.plans;
+    Driver.add_hooks driver truth.Profiler.hooks;
+    let windows =
+      List.map
+        (fun phase ->
+          if Array.length st.Machine.globals > Phased.phase_global then
+            st.Machine.globals.(Phased.phase_global) <- phase;
+          fst (Driver.run driver))
+        [ 0; 0; 1; 2; 1 ]
+    in
+    let pep = Option.get (Driver.pep driver) in
+    ( windows,
+      Path_profile.to_lines truth.Profiler.table
+      @ Path_profile.to_lines pep.Pep.paths
+      @ Edge_profile.to_lines pep.Pep.edges )
+  in
+  let ow, op = collect `Oracle and tw, tp = collect `Threaded in
+  check Alcotest.(list int) "window cycles" ow tw;
+  check csl "truth and PEP profiles" op tp;
+  check cb "truth collected" true (op <> [])
+
 (* --------------------- engine-specific contracts --------------------- *)
 
 let tiny_defs body_ret =
@@ -205,7 +307,8 @@ let test_hook_parity () =
   let p = tiny_program () in
   let trace_hooks trace =
     {
-      Interp.on_entry =
+      Interp.no_hooks with
+      on_entry =
         Some
           (fun _ (f : Interp.frame) ->
             trace := (`E, f.Interp.fmeth, 0, 0) :: !trace);
@@ -254,6 +357,179 @@ let test_hook_switch () =
   let r3 = Codegen.run eng in
   check ci "same result bare again" r1 r3;
   check ci "bare run fires no hooks" fired !edges
+
+(* A layer whose sites widen when its tick hook recompiles the running
+   method: main's frame keeps executing the superseded body, whose
+   transfers were translated as plain.  [Machine.recompile] marks that
+   form stale, so the frame finishes on the hooked path and the layer
+   sees every edge the oracle shows it; without the mark the frame would
+   run its loop unobserved to the end.  [set_speed] takes the same
+   route. *)
+let widening_program () =
+  Compile.program ~name:"widen" ~main:"main"
+    [
+      mdef "main" ~params:[]
+        [
+          set "s" (i 0);
+          for_ "k" (i 0) (i 2000)
+            [
+              if_ (eq (band (v "k") (i 3)) (i 0))
+                [ set "s" (add (v "s") (v "k")) ]
+                [ set "s" (bxor (v "s") (i 5)) ];
+            ];
+          ret (v "s");
+        ];
+    ]
+
+let widening_run ~engine ~change =
+  let p = widening_program () in
+  let st = Machine.create ~tick_offset:400 ~seed:3 p in
+  let main = Machine.index st "main" in
+  let widened = ref false and counted = ref 0 in
+  let layer =
+    {
+      Interp.no_hooks with
+      on_edge =
+        Some
+          (fun st (frame : Interp.frame) ~src:_ ~idx:_ ~dst:_ ->
+            if !widened && frame.Interp.fmeth = main then begin
+              incr counted;
+              Machine.add_cycles st 3
+            end);
+      edge_site = Some (fun meth ~src:_ ~idx:_ -> !widened && meth = main);
+    }
+  in
+  let tick =
+    Tick.hooks
+      ~on_tick:(fun st _ ->
+        if not !widened then begin
+          (match change with
+          | `Recompile ->
+              Machine.recompile st main (Program.method_of_index p main)
+          | `Set_speed -> Machine.set_speed st main ~percent:300);
+          widened := true
+        end)
+      ()
+  in
+  let hooks = Interp.compose tick layer in
+  let r =
+    match engine with
+    | `Oracle -> Interp.run hooks st
+    | `Threaded -> Codegen.run (Codegen.create ~hooks st)
+  in
+  (r, st.Machine.cycles, !counted)
+
+let test_sites_widen_under_running_frame () =
+  List.iter
+    (fun (label, change) ->
+      let r_o, c_o, n_o = widening_run ~engine:`Oracle ~change in
+      let r_t, c_t, n_t = widening_run ~engine:`Threaded ~change in
+      check ci (label ^ " result") r_o r_t;
+      check ci (label ^ " edges seen") n_o n_t;
+      check ci (label ^ " cycles") c_o c_t;
+      check cb (label ^ " the widened layer saw main's loop") true (n_o > 1000))
+    [ ("recompile", `Recompile); ("set_speed", `Set_speed) ]
+
+(* Soundness of every site declaration: wherever a layer's [edge_site]
+   is false, calling its [on_edge] changes neither the cycles nor its
+   tables.  Each profiler layer is audited on its own; the driver's own
+   layers (baseline counter, PEP) are audited through the composed
+   hooks, at the edges where no layer declares a site.  The runs go
+   through the oracle, which calls [on_edge] everywhere. *)
+let audit ~fingerprint ~checked ~broken (h : Interp.hooks) =
+  match (h.Interp.on_edge, h.Interp.edge_site) with
+  | Some f, Some site ->
+      {
+        h with
+        on_edge =
+          Some
+            (fun st (frame : Interp.frame) ~src ~idx ~dst ->
+              if site frame.Interp.fmeth ~src ~idx then f st frame ~src ~idx ~dst
+              else begin
+                let c = st.Machine.cycles and fp = fingerprint () in
+                f st frame ~src ~idx ~dst;
+                incr checked;
+                if st.Machine.cycles <> c || fingerprint () <> fp then incr broken
+              end);
+      }
+  | _ -> Alcotest.fail "layer declares no edge sites"
+
+let prop_sites_sound =
+  let producers =
+    [|
+      "perfect-path"; "perfect-edge"; "classic-blpp"; "back-edge"; "hardware";
+    |]
+  in
+  QCheck.Test.make ~count:12 ~name:"edge_site false => on_edge inert"
+    QCheck.(
+      quad (int_bound (List.length Suite.names - 1))
+        (int_bound (Array.length producers - 1))
+        bool (int_bound 1000))
+    (fun (wi, pi, transform, seed) ->
+      let w = Suite.find (List.nth Suite.names wi) in
+      let size = max 4 (min 12 w.Workload.default_size) in
+      let env = Exp_harness.make_env ~size ~seed w in
+      let st = Machine.create ~seed env.program in
+      let number = Exp_harness.advice_number env in
+      let path_layer (p : Profiler.path_profiler) =
+        Exp_harness.mask_plans env p.Profiler.plans;
+        (p.Profiler.hooks, fun () -> Path_profile.table_total p.Profiler.table)
+      in
+      let layer, table_total =
+        match producers.(pi) with
+        | "perfect-path" -> path_layer (Profiler.perfect_path ~number st)
+        | "classic-blpp" -> path_layer (Profiler.classic_blpp ~number st)
+        | "perfect-edge" ->
+            let p = Profiler.perfect_edge st in
+            (p.Profiler.ehooks, fun () -> Edge_profile.table_total p.Profiler.etable)
+        | "back-edge" ->
+            let plans = Profile_hooks.make_plans ~mode:Dag.Back_edge ~number st in
+            let ends = ref 0 in
+            ( Profile_hooks.path_hooks ~plans ~count_cost:`Array
+                ~on_path_end:(fun _ _ ~path_id:_ -> incr ends)
+                (),
+              fun () -> !ends )
+        | _ ->
+            let hw = Hw_profiler.create ~table_sizes:[ 4; 16 ] ~number st in
+            let seen () =
+              List.fold_left
+                (fun acc t -> acc + Path_profile.table_total t)
+                0 (Hw_profiler.to_path_profiles hw)
+            in
+            (Hw_profiler.hooks hw, seen)
+      in
+      let checked = ref 0 and broken = ref 0 in
+      let layer = audit ~fingerprint:table_total ~checked ~broken layer in
+      let driver =
+        Driver.create ~extra_hooks:layer
+          {
+            Driver.default_options with
+            Driver.mode = Driver.Replay env.advice;
+            pep =
+              Some
+                {
+                  Driver.sampling = Sampling.pep ~samples:64 ~stride:17;
+                  zero = `Hottest;
+                  numbering = `Smart;
+                };
+            inline = transform;
+            unroll = transform;
+            engine = `Oracle;
+          }
+          st
+      in
+      let own () =
+        let pep = Option.get (Driver.pep driver) in
+        Edge_profile.table_total (Driver.baseline_profile driver)
+        + Path_profile.table_total pep.Pep.paths
+        + Edge_profile.table_total pep.Pep.edges
+        + table_total ()
+      in
+      let hooks = audit ~fingerprint:own ~checked ~broken (Driver.hooks driver) in
+      for _ = 1 to 2 do
+        ignore (Interp.run hooks st)
+      done;
+      !checked > 0 && !broken = 0)
 
 (* ------------------------- PIC tier ladder ------------------------- *)
 
@@ -462,6 +738,13 @@ let suite =
         test_adaptive_differential;
       Alcotest.test_case "differential: inline+unroll" `Quick
         test_transform_differential;
+      Alcotest.test_case "differential: faulted inline+unroll" `Quick
+        test_faulted_transform_differential;
+      Alcotest.test_case "differential: drift truth via add_hooks" `Quick
+        test_drift_truth_differential;
+      Alcotest.test_case "sites widen under a running frame" `Quick
+        test_sites_widen_under_running_frame;
+      QCheck_alcotest.to_alcotest prop_sites_sound;
       Alcotest.test_case "engine matches oracle (tiny)" `Quick
         test_engine_matches_oracle;
       Alcotest.test_case "set_speed invalidates inline caches" `Quick
