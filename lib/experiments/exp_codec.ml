@@ -88,6 +88,34 @@ module Bin = struct
     let u = rvarint r 0 0 in
     (u lsr 1) lxor ~-(u land 1)
 
+  (* [n] [rvarint]s without their values, in one loop over the bytes:
+     a byte with the high bit clear ends a varint, and the failures are
+     [rvarint]'s, in its order (a tenth byte is "too long" before it is
+     "unexpected") *)
+  let skip_varints r n =
+    let p = ref r.p and left = ref n and run = ref 0 in
+    while !left > 0 do
+      if !run > 8 then raise (Malformed "varint too long");
+      if !p >= r.limit then raise (Malformed "unexpected end of input");
+      if Char.code r.s.[!p] < 0x80 then begin
+        decr left;
+        run := 0
+      end
+      else incr run;
+      incr p
+    done;
+    r.p <- !p
+
+  let rints_later r n =
+    let start = r.p in
+    skip_varints r n;
+    fun () ->
+      let r = { r with p = start } and a = Array.make n 0 in
+      for i = 0 to n - 1 do
+        a.(i) <- rint r
+      done;
+      a
+
   let rcount r =
     let k = rint r in
     if k < 0 || k > r.limit - r.p then raise (Malformed "count out of range");

@@ -75,6 +75,12 @@ module Bin : sig
       drive a huge allocation. *)
   val rcount : reader -> int
 
+  (** [rints_later r n] checks the next [n] varints now, failing as [n]
+      {!rint}s would, and moves past them without decoding them.  The
+      returned function decodes them on each call, into a fresh array;
+      it cannot fail, since the bytes it reads were checked. *)
+  val rints_later : reader -> int -> unit -> int array
+
   (** Reject the frame being read, with [reason] as the diagnostic; for
       use inside {!check_frame}'s [body]. *)
   val fail : string -> 'a

@@ -82,12 +82,51 @@ let prepare_dir dir =
 
 (* --------------------------- raw file I/O -------------------------- *)
 
+(* Whole files are read with [Unix] into one string of the file's size,
+   not through an [In_channel]: a channel carries a 64 kB buffer that
+   is freed only when the GC finalises it, and a fleet query reads
+   every segment file, so channels would leave a query's worth of dead
+   buffers to set the read phase's peak RSS.  Diagnostics keep
+   [Sys_error]'s wording. *)
+let rec fill fd b off =
+  if off = Bytes.length b then off
+  else
+    match Unix.read fd b off (Bytes.length b - off) with
+    | 0 -> off
+    | k -> fill fd b (off + k)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill fd b off
+
+let read_fd fd =
+  let b = Bytes.create (Unix.fstat fd).Unix.st_size in
+  let got = fill fd b 0 in
+  if got < Bytes.length b then Bytes.sub_string b 0 got
+  else
+    (* read on to the end, should the file have grown since [fstat] *)
+    let rest = Buffer.create 0 and chunk = Bytes.create 256 in
+    let rec more () =
+      match fill fd chunk 0 with
+      | 0 -> ()
+      | k ->
+          Buffer.add_subbytes rest chunk 0 k;
+          more ()
+    in
+    more ();
+    if Buffer.length rest = 0 then Bytes.unsafe_to_string b
+    else Bytes.unsafe_to_string b ^ Buffer.contents rest
+
 let read_file file =
-  try
-    Ok
-      (In_channel.with_open_bin file (fun ic ->
-           In_channel.input_all ic))
-  with Sys_error m -> Error (err file ("unreadable: " ^ m))
+  let unreadable m = Error (err file ("unreadable: " ^ m)) in
+  match Unix.openfile file [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (e, _, _) ->
+      unreadable (file ^ ": " ^ Unix.error_message e)
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          match read_fd fd with
+          | s -> Ok s
+          | exception Unix.Unix_error (e, _, _) ->
+              unreadable (Unix.error_message e))
 
 (* Atomic byte-level write (temp file in the target directory, then
    rename), shared by the run cache and the fleet segment store. *)

@@ -142,31 +142,41 @@ let warmup_env spec =
 (* ------------------------ one instance's run ----------------------- *)
 
 (* Cursors over the cumulative tables, so each window snapshots its
-   delta.  All three tables are monotone in replay mode; [max 0] is
+   delta: the last cumulative row seen per key, in int-keyed row
+   tables.  All three tables are monotone in replay mode; [max 0] is
    belt and braces. *)
 type cursors = {
-  c_paths : (int * int, int) Hashtbl.t;
-  c_edges : (int * int, int * int) Hashtbl.t;
-  c_dcg : (int * int, int) Hashtbl.t;
+  c_paths : Fleet_rows.t;  (* stride 3: method, path id, count *)
+  c_edges : Fleet_rows.t;  (* stride 4: method, branch, taken, not-taken *)
+  c_dcg : Fleet_rows.t;  (* stride 3: caller, callee, weight *)
   mutable c_samples : int;
 }
 
-let delta3 tbl rows =
-  List.filter_map
+(* Each snapshot's rows, flat (stride 3 or 4), in the cumulative rows'
+   sorted order *)
+let delta3 cur rows =
+  let out = ref [] in
+  List.iter
     (fun (a, b, c) ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt tbl (a, b)) in
-      Hashtbl.replace tbl (a, b) c;
-      if c - prev > 0 then Some (a, b, c - prev) else None)
-    rows
+      let r = Fleet_rows.slot cur a b in
+      let prev = Fleet_rows.get cur r 2 in
+      Fleet_rows.set cur r 2 c;
+      if c - prev > 0 then out := (c - prev) :: b :: a :: !out)
+    rows;
+  Array.of_list (List.rev !out)
 
-let delta4 tbl rows =
-  List.filter_map
+let delta4 cur rows =
+  let out = ref [] in
+  List.iter
     (fun (a, b, c, d) ->
-      let pc, pd = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl (a, b)) in
-      Hashtbl.replace tbl (a, b) (c, d);
+      let r = Fleet_rows.slot cur a b in
+      let pc = Fleet_rows.get cur r 2 and pd = Fleet_rows.get cur r 3 in
+      Fleet_rows.set cur r 2 c;
+      Fleet_rows.set cur r 3 d;
       let dc = max 0 (c - pc) and dd = max 0 (d - pd) in
-      if dc > 0 || dd > 0 then Some (a, b, dc, dd) else None)
-    rows
+      if dc > 0 || dd > 0 then out := dd :: dc :: b :: a :: !out)
+    rows;
+  Array.of_list (List.rev !out)
 
 let cumulative_paths (pep : Pep.t) =
   let rows = ref [] in
@@ -235,9 +245,9 @@ let run_instance spec ~program ~advice ?faults instance =
     in
     let cursors =
       {
-        c_paths = Hashtbl.create 256;
-        c_edges = Hashtbl.create 256;
-        c_dcg = Hashtbl.create 64;
+        c_paths = Fleet_rows.create ~stride:3;
+        c_edges = Fleet_rows.create ~stride:4;
+        c_dcg = Fleet_rows.create ~stride:3;
         c_samples = 0;
       }
     in
@@ -273,9 +283,7 @@ let run_instance spec ~program ~advice ?faults instance =
               instances = 1;
               samples;
               methods;
-              paths;
-              edges;
-              dcg;
+              rows = Lazy.from_val { Fleet_store.paths; edges; dcg };
             }
           in
           windows (s :: acc) (w + 1)

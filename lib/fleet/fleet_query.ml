@@ -51,62 +51,82 @@ let select segments filter =
 
 (* ------------------------- aggregation ---------------------------- *)
 
+(* Method names interned to dense ids in order of first use. *)
+type names = { ids : (string, int) Hashtbl.t; mutable by_id : string array }
+
+let names () = { ids = Hashtbl.create 64; by_id = Array.make 16 "" }
+
+(* A method table's index -> the id of its name in [t], looked up the
+   first time the index is used; an index outside the table stands for
+   the name "m#<index>".  A name [t] lacks is interned when [fresh],
+   else maps to -1. *)
+let name_ids t methods ~fresh =
+  let find name =
+    match Hashtbl.find_opt t.ids name with
+    | Some j -> j
+    | None when fresh ->
+        let j = Hashtbl.length t.ids in
+        if j = Array.length t.by_id then
+          t.by_id <- Array.append t.by_id (Array.make j "");
+        t.by_id.(j) <- name;
+        Hashtbl.add t.ids name j;
+        j
+    | None -> -1
+  in
+  let memo = Array.make (Array.length methods) (-2) in
+  fun i ->
+    if i >= 0 && i < Array.length memo then
+      match memo.(i) with
+      | -2 ->
+          let j = find methods.(i) in
+          memo.(i) <- j;
+          j
+      | j -> j
+    else find (Fmt.str "m#%d" i)
+
 (* One aggregated view over a segment list, rows keyed by method NAME
    (segments may carry different dense index tables). *)
 type view = {
   methods : string array;
-  paths : (int * int * int) list;  (* method idx, path id, count *)
-  edges : (int * int * int * int) list;
-  dcg : (int * int * int) list;  (* caller idx (-1 root), callee idx *)
+  paths : int array;  (* stride 3: method idx, path id, count *)
+  edges : int array;  (* stride 4: method idx, branch, taken, not-taken *)
+  dcg : int array;  (* stride 3: caller idx (-1 root), callee idx, weight *)
   samples : int;
   segments : int;
   span : Fleet.Window.t option;
 }
 
+(* Rows are summed per (method id, second field) in int-keyed tables;
+   the view's method table lists names in order of first appearance in
+   row order (paths, edges, then DCG rows, callee before caller). *)
 let view segments =
-  let names = Hashtbl.create 64 in
-  let order = ref [] in
-  let intern name =
-    match Hashtbl.find_opt names name with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length names in
-        Hashtbl.add names name i;
-        order := name :: !order;
-        i
-  in
-  let paths = Hashtbl.create 256 in
-  let edges = Hashtbl.create 256 in
-  let dcg = Hashtbl.create 64 in
+  let names = names () in
+  let paths = Fleet_rows.create ~stride:3 in
+  let edges = Fleet_rows.create ~stride:4 in
+  let dcg = Fleet_rows.create ~stride:3 in
   let samples = ref 0 in
   let span = ref None in
   List.iter
     (fun (s : Fleet_store.segment) ->
-      let m i =
-        if i >= 0 && i < Array.length s.Fleet_store.methods then
-          intern s.Fleet_store.methods.(i)
-        else intern (Fmt.str "m#%d" i)
-      in
-      List.iter
-        (fun (mi, pid, c) ->
-          let k = (m mi, pid) in
-          Hashtbl.replace paths k
-            (c + Option.value ~default:0 (Hashtbl.find_opt paths k)))
-        s.Fleet_store.paths;
-      List.iter
-        (fun (mi, br, tk, nt) ->
-          let k = (m mi, br) in
-          let ptk, pnt =
-            Option.value ~default:(0, 0) (Hashtbl.find_opt edges k)
-          in
-          Hashtbl.replace edges k (ptk + tk, pnt + nt))
-        s.Fleet_store.edges;
-      List.iter
-        (fun (caller, callee, w) ->
-          let k = ((if caller < 0 then -1 else m caller), m callee) in
-          Hashtbl.replace dcg k
-            (w + Option.value ~default:0 (Hashtbl.find_opt dcg k)))
-        s.Fleet_store.dcg;
+      let m = name_ids names s.Fleet_store.methods ~fresh:true in
+      let rows = Fleet_store.rows s in
+      let p = rows.Fleet_store.paths in
+      for k = 0 to (Array.length p / 3) - 1 do
+        let o = 3 * k in
+        Fleet_rows.sum paths (m p.(o)) p.(o + 1) p o
+      done;
+      let e = rows.Fleet_store.edges in
+      for k = 0 to (Array.length e / 4) - 1 do
+        let o = 4 * k in
+        Fleet_rows.sum edges (m e.(o)) e.(o + 1) e o
+      done;
+      let d = rows.Fleet_store.dcg in
+      for k = 0 to (Array.length d / 3) - 1 do
+        let o = 3 * k in
+        let callee = m d.(o + 1) in
+        let caller = if d.(o) < 0 then -1 else m d.(o) in
+        Fleet_rows.sum dcg caller callee d o
+      done;
       samples := !samples + s.Fleet_store.samples;
       span :=
         Some
@@ -115,18 +135,10 @@ let view segments =
           | Some w -> Fleet.Window.span w s.Fleet_store.window))
     segments;
   {
-    methods = Array.of_list (List.rev !order);
-    paths =
-      List.sort compare
-        (Hashtbl.fold (fun (mi, p) c acc -> (mi, p, c) :: acc) paths []);
-    edges =
-      List.sort compare
-        (Hashtbl.fold
-           (fun (mi, b) (tk, nt) acc -> (mi, b, tk, nt) :: acc)
-           edges []);
-    dcg =
-      List.sort compare
-        (Hashtbl.fold (fun (c, e) w acc -> (c, e, w) :: acc) dcg []);
+    methods = Array.sub names.by_id 0 (Hashtbl.length names.ids);
+    paths = Fleet_rows.sorted paths;
+    edges = Fleet_rows.sorted edges;
+    dcg = Fleet_rows.sorted dcg;
     samples = !samples;
     segments = List.length segments;
     span = !span;
@@ -152,8 +164,9 @@ let top ?(decay = 0.75) ~n kind segments =
   in
   (* label -> running score.  Rows add into their label's cell in row
      order, as if each rendered its own label; the label is rendered
-     once per distinct row identity (method name and id, or caller and
-     callee names), and identities that render alike share one cell. *)
+     once per distinct row identity (method name id and id, or caller
+     and callee name ids, -1 for the root), and identities that render
+     alike share one cell. *)
   let scores = Hashtbl.create 256 in
   let cell label =
     match Hashtbl.find_opt scores label with
@@ -163,56 +176,57 @@ let top ?(decay = 0.75) ~n kind segments =
         Hashtbl.add scores label c;
         c
   in
-  let bumper render =
-    let cells = Hashtbl.create 256 in
-    fun row x ->
-      let c =
-        match Hashtbl.find_opt cells row with
-        | Some c -> c
-        | None ->
-            let c = cell (render row) in
-            Hashtbl.add cells row c;
-            c
+  let names = names () in
+  let name i = if i < 0 then "<root>" else names.by_id.(i) in
+  let render =
+    match kind with
+    | `Paths -> fun a b -> String.concat "" [ name a; "/path#"; string_of_int b ]
+    | `Edges -> fun a b -> String.concat "" [ name a; "/br#"; string_of_int b ]
+    | `Dcg -> fun a b -> String.concat "" [ name a; "->"; name b ]
+  in
+  (* row identity -> its label's cell, numbered as [keys] numbers it *)
+  let keys = Fleet_rows.create ~stride:2 in
+  let cells = ref (Array.make 64 (ref 0.)) in
+  let bump a b x =
+    let fresh = Fleet_rows.length keys in
+    let r = Fleet_rows.slot keys a b in
+    if r = fresh then begin
+      if r = Array.length !cells then
+        cells := Array.append !cells (Array.make r (ref 0.));
+      !cells.(r) <- cell (render a b)
+    end;
+    let c = !cells.(r) in
+    c := x +. !c
+  in
+  List.iter
+    (fun (s : Fleet_store.segment) ->
+      let m = name_ids names s.Fleet_store.methods ~fresh:true in
+      let w =
+        decay ** float_of_int (latest - s.Fleet_store.window.Fleet.Window.hi)
       in
-      c := x +. !c
-  in
-  (* [f s m w] per segment: [m] names a method index, [w] is the
-     window's decay weight *)
-  let each f =
-    List.iter
-      (fun (s : Fleet_store.segment) ->
-        let m i =
-          if i >= 0 && i < Array.length s.Fleet_store.methods then
-            s.Fleet_store.methods.(i)
-          else Fmt.str "m#%d" i
-        in
-        f s m
-          (decay
-          ** float_of_int (latest - s.Fleet_store.window.Fleet.Window.hi)))
-      segments
-  in
-  (match kind with
-  | `Paths ->
-      let bump = bumper (fun (m, pid) -> Fmt.str "%s/path#%d" m pid) in
-      each (fun s m w ->
-          List.iter
-            (fun (mi, pid, c) -> bump (m mi, pid) (w *. float_of_int c))
-            s.Fleet_store.paths)
-  | `Edges ->
-      let bump = bumper (fun (m, br) -> Fmt.str "%s/br#%d" m br) in
-      each (fun s m w ->
-          List.iter
-            (fun (mi, br, tk, nt) ->
-              bump (m mi, br) (w *. float_of_int (tk + nt)))
-            s.Fleet_store.edges)
-  | `Dcg ->
-      let bump = bumper (fun (c, e) -> Fmt.str "%s->%s" c e) in
-      each (fun s m w ->
-          List.iter
-            (fun (caller, callee, wt) ->
-              let c = if caller < 0 then "<root>" else m caller in
-              bump (c, m callee) (w *. float_of_int wt))
-            s.Fleet_store.dcg));
+      let rows = Fleet_store.rows s in
+      match kind with
+      | `Paths ->
+          let p = rows.Fleet_store.paths in
+          for k = 0 to (Array.length p / 3) - 1 do
+            let o = 3 * k in
+            bump (m p.(o)) p.(o + 1) (w *. float_of_int p.(o + 2))
+          done
+      | `Edges ->
+          let e = rows.Fleet_store.edges in
+          for k = 0 to (Array.length e / 4) - 1 do
+            let o = 4 * k in
+            bump (m e.(o)) e.(o + 1)
+              (w *. float_of_int (e.(o + 2) + e.(o + 3)))
+          done
+      | `Dcg ->
+          let d = rows.Fleet_store.dcg in
+          for k = 0 to (Array.length d / 3) - 1 do
+            let o = 3 * k in
+            let caller = if d.(o) < 0 then -1 else m d.(o) in
+            bump caller (m d.(o + 1)) (w *. float_of_int d.(o + 2))
+          done)
+    segments;
   let all = Hashtbl.fold (fun l s acc -> (l, !s) :: acc) scores [] in
   let ordered =
     List.sort
@@ -226,31 +240,39 @@ let top ?(decay = 0.75) ~n kind segments =
 
 (* Rebuild profile tables from a view and hand them to the shared
    exporter, so fleet flamegraphs use the exact frame vocabulary of
-   [pepsim top]. *)
+   [pepsim top].  A call graph holds sampled edges only, so DCG rows
+   whose summed weight is not positive are left out of it (and so of
+   every kind's hot chains and of the [`Dcg] stacks); [top] still
+   counts them. *)
 let folded kind v =
   let n_methods = Array.length v.methods in
+  let known mi = mi >= 0 && mi < n_methods in
   let dcg = Dcg.create () in
-  List.iter
-    (fun (caller, callee, w) ->
-      ignore (Dcg.parse_line dcg (Fmt.str "%d %d %d" caller callee w)))
-    v.dcg;
+  let d = v.dcg in
+  for k = 0 to (Array.length d / 3) - 1 do
+    let o = 3 * k in
+    if d.(o + 2) > 0 then Dcg.add dcg ~caller:d.(o) ~callee:d.(o + 1) d.(o + 2)
+  done;
   let name = name_of v in
   match kind with
   | `Paths ->
       let t = Path_profile.create_table ~n_methods in
-      List.iter
-        (fun (mi, pid, c) -> if mi < n_methods then Path_profile.add t.(mi) pid c)
-        v.paths;
+      let p = v.paths in
+      for k = 0 to (Array.length p / 3) - 1 do
+        let o = 3 * k in
+        if known p.(o) then Path_profile.add t.(p.(o)) p.(o + 1) p.(o + 2)
+      done;
       Profile_export.paths_of ~name dcg t
   | `Edges ->
       let t = Edge_profile.create_table ~n_methods in
-      List.iter
-        (fun (mi, br, tk, nt) ->
-          if mi < n_methods then begin
-            Edge_profile.add t.(mi) br ~taken:true tk;
-            Edge_profile.add t.(mi) br ~taken:false nt
-          end)
-        v.edges;
+      let e = v.edges in
+      for k = 0 to (Array.length e / 4) - 1 do
+        let o = 4 * k in
+        if known e.(o) then begin
+          Edge_profile.add t.(e.(o)) e.(o + 1) ~taken:true e.(o + 2);
+          Edge_profile.add t.(e.(o)) e.(o + 1) ~taken:false e.(o + 3)
+        end
+      done;
       Profile_export.edges_of ~name dcg t
   | `Dcg -> Profile_export.dcg_of ~name dcg
 
@@ -290,81 +312,123 @@ let render_finding = function
   | Caller_change { callee; from_caller; to_caller } ->
       Fmt.str "caller-change %s: %s -> %s" callee from_caller to_caller
 
-(* Rule-based triage of current vs baseline.  All joins are by method
-   name; findings come back sorted by their rendering, so golden tests
-   and the CLI agree byte-for-byte. *)
-let diff ?(thresholds = default_thresholds) ~baseline ~current () =
+(* Per-callee dominant caller (weight ties break toward the lexically
+   smaller caller, so the pick is deterministic) and total weight, by
+   method name. *)
+let dominant v =
+  let best = Hashtbl.create 16 in
+  let total = Hashtbl.create 16 in
+  let d = v.dcg in
+  for k = 0 to (Array.length d / 3) - 1 do
+    let o = 3 * k in
+    let w = d.(o + 2) in
+    let callee = name_of v d.(o + 1) in
+    let caller = if d.(o) < 0 then "<root>" else name_of v d.(o) in
+    Hashtbl.replace total callee
+      (w + Option.value ~default:0 (Hashtbl.find_opt total callee));
+    match Hashtbl.find_opt best callee with
+    | Some (bc, bw) when w > bw || (w = bw && caller < bc) ->
+        Hashtbl.replace best callee (caller, w)
+    | Some _ -> ()
+    | None -> Hashtbl.add best callee (caller, w)
+  done;
+  (best, total)
+
+(* The baseline side of triage, indexed once: its path and edge rows
+   keyed by (method name id, path id or branch), the names' ids, and
+   its callees' dominant callers. *)
+type indexed = {
+  base_names : names;
+  base_paths : Fleet_rows.t;  (* stride 2: the key only *)
+  base_edges : Fleet_rows.t;  (* stride 4: taken, not-taken *)
+  base_dom : (string, string * int) Hashtbl.t;
+  base_tot : (string, int) Hashtbl.t;
+}
+
+let index baseline =
+  let base_names = names () in
+  let id = name_ids base_names baseline.methods ~fresh:true in
+  let base_paths = Fleet_rows.create ~stride:2 in
+  let p = baseline.paths in
+  for k = 0 to (Array.length p / 3) - 1 do
+    ignore (Fleet_rows.slot base_paths (id p.(3 * k)) p.((3 * k) + 1))
+  done;
+  (* a key's last row wins *)
+  let base_edges = Fleet_rows.create ~stride:4 in
+  let e = baseline.edges in
+  for k = 0 to (Array.length e / 4) - 1 do
+    let o = 4 * k in
+    let r = Fleet_rows.slot base_edges (id e.(o)) e.(o + 1) in
+    Fleet_rows.set base_edges r 2 e.(o + 2);
+    Fleet_rows.set base_edges r 3 e.(o + 3)
+  done;
+  let base_dom, base_tot = dominant baseline in
+  { base_names; base_paths; base_edges; base_dom; base_tot }
+
+(* Rule-based triage of current vs an indexed baseline.  All joins are
+   by method name; findings come back sorted by their rendering, so
+   golden tests and the CLI agree byte-for-byte. *)
+let diff_indexed ?(thresholds = default_thresholds) ix ~current =
   let findings = ref [] in
   let emit f = findings := f :: !findings in
+  let id = name_ids ix.base_names current.methods ~fresh:false in
   (* new hot paths: present now with a non-trivial share of all path
      executions, never recorded in the baseline *)
-  let base_paths = Hashtbl.create 256 in
-  List.iter
-    (fun (mi, pid, c) ->
-      Hashtbl.replace base_paths (name_of baseline mi, pid) c)
-    baseline.paths;
-  let cur_total =
-    List.fold_left (fun acc (_, _, c) -> acc + c) 0 current.paths
-  in
+  let p = current.paths in
+  let cur_total = ref 0 in
+  for k = 0 to (Array.length p / 3) - 1 do
+    cur_total := !cur_total + p.((3 * k) + 2)
+  done;
+  let cur_total = !cur_total in
   if cur_total > 0 then
-    List.iter
-      (fun (mi, pid, c) ->
-        let meth = name_of current mi in
-        let share = float_of_int c /. float_of_int cur_total in
-        if
-          share >= thresholds.new_share
-          && not (Hashtbl.mem base_paths (meth, pid))
-        then emit (New_hot_path { meth; path_id = pid; share }))
-      current.paths;
+    for k = 0 to (Array.length p / 3) - 1 do
+      let o = 3 * k in
+      let share = float_of_int p.(o + 2) /. float_of_int cur_total in
+      if
+        share >= thresholds.new_share
+        &&
+        let j = id p.(o) in
+        j < 0 || Fleet_rows.find ix.base_paths j p.(o + 1) < 0
+      then
+        emit
+          (New_hot_path
+             { meth = name_of current p.(o); path_id = p.(o + 1); share })
+    done;
   (* edge-flow shifts: the same branch, enough traffic on both sides,
      taken-bias moved by at least [edge_shift] *)
-  let base_edges = Hashtbl.create 256 in
-  List.iter
-    (fun (mi, br, tk, nt) ->
-      Hashtbl.replace base_edges (name_of baseline mi, br) (tk, nt))
-    baseline.edges;
-  List.iter
-    (fun (mi, br, tk, nt) ->
-      let meth = name_of current mi in
-      match Hashtbl.find_opt base_edges (meth, br) with
-      | Some (btk, bnt)
-        when btk + bnt >= thresholds.min_edge
-             && tk + nt >= thresholds.min_edge ->
-          let from_bias =
-            float_of_int btk /. float_of_int (btk + bnt)
-          in
-          let to_bias = float_of_int tk /. float_of_int (tk + nt) in
-          if Float.abs (to_bias -. from_bias) >= thresholds.edge_shift then
-            emit (Edge_shift { meth; branch = br; from_bias; to_bias })
-      | _ -> ())
-    current.edges;
+  let e = current.edges in
+  for k = 0 to (Array.length e / 4) - 1 do
+    let o = 4 * k in
+    let tk = e.(o + 2) and nt = e.(o + 3) in
+    let j = id e.(o) in
+    let r = if j < 0 then -1 else Fleet_rows.find ix.base_edges j e.(o + 1) in
+    if r >= 0 then begin
+      let btk = Fleet_rows.get ix.base_edges r 2
+      and bnt = Fleet_rows.get ix.base_edges r 3 in
+      if btk + bnt >= thresholds.min_edge && tk + nt >= thresholds.min_edge
+      then begin
+        let from_bias = float_of_int btk /. float_of_int (btk + bnt) in
+        let to_bias = float_of_int tk /. float_of_int (tk + nt) in
+        if Float.abs (to_bias -. from_bias) >= thresholds.edge_shift then
+          emit
+            (Edge_shift
+               {
+                 meth = name_of current e.(o);
+                 branch = e.(o + 1);
+                 from_bias;
+                 to_bias;
+               })
+      end
+    end
+  done;
   (* caller changes: a callee sampled on both sides whose dominant
-     caller moved (weight ties break toward the lexically smaller
-     caller, so the pick is deterministic) *)
-  let dominant v =
-    let best = Hashtbl.create 16 in
-    let total = Hashtbl.create 16 in
-    List.iter
-      (fun (caller, callee, w) ->
-        let callee = name_of v callee in
-        let caller = if caller < 0 then "<root>" else name_of v caller in
-        Hashtbl.replace total callee
-          (w + Option.value ~default:0 (Hashtbl.find_opt total callee));
-        match Hashtbl.find_opt best callee with
-        | Some (bc, bw) when w > bw || (w = bw && caller < bc) ->
-            Hashtbl.replace best callee (caller, w)
-        | Some _ -> ()
-        | None -> Hashtbl.add best callee (caller, w))
-      v.dcg;
-    (best, total)
-  in
-  let base_dom, base_tot = dominant baseline in
+     caller moved *)
   let cur_dom, cur_tot = dominant current in
   Hashtbl.iter
     (fun callee (to_caller, _) ->
-      match Hashtbl.find_opt base_dom callee with
+      match Hashtbl.find_opt ix.base_dom callee with
       | Some (from_caller, _)
-        when Option.value ~default:0 (Hashtbl.find_opt base_tot callee)
+        when Option.value ~default:0 (Hashtbl.find_opt ix.base_tot callee)
              >= thresholds.min_dcg
              && Option.value ~default:0 (Hashtbl.find_opt cur_tot callee)
                 >= thresholds.min_dcg
@@ -372,6 +436,10 @@ let diff ?(thresholds = default_thresholds) ~baseline ~current () =
           emit (Caller_change { callee; from_caller; to_caller })
       | _ -> ())
     cur_dom;
-  List.sort_uniq
-    (fun a b -> compare (render_finding a) (render_finding b))
-    !findings
+  (* sorted by rendering, each finding rendered once *)
+  List.map (fun f -> (render_finding f, f)) !findings
+  |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map snd
+
+let diff ?thresholds ~baseline ~current () =
+  diff_indexed ?thresholds (index baseline) ~current

@@ -18,19 +18,27 @@ val select : Fleet_store.segment list -> filter -> Fleet_store.segment list
 
 (** Aggregated profile over a segment list, rows re-keyed through a
     unified method-name table (segments may disagree on dense
-    indexes). *)
+    indexes).  Rows are flat int arrays as in {!Fleet_store.rows}, one
+    row per distinct key (first two ints), in ascending key order. *)
 type view = {
   methods : string array;
-  paths : (int * int * int) list;  (** method idx, path id, count *)
-  edges : (int * int * int * int) list;
-      (** method idx, branch, taken, not-taken *)
-  dcg : (int * int * int) list;  (** caller idx (-1 root), callee, weight *)
+      (** names in order of first appearance in row order: each
+          segment's path rows, then edge rows, then DCG rows (callee
+          before caller) *)
+  paths : int array;  (** stride 3: method idx, path id, count *)
+  edges : int array;
+      (** stride 4: method idx, branch, taken, not-taken *)
+  dcg : int array;  (** stride 3: caller idx (-1 root), callee, weight *)
   samples : int;
   segments : int;
   span : Fleet.Window.t option;
 }
 
+(** Decodes each segment's rows ({!Fleet_store.rows}) and sums them;
+    method index [i] outside a segment's table stands for the name
+    ["m#i"], and every negative DCG caller for the root. *)
 val view : Fleet_store.segment list -> view
+
 val name_of : view -> int -> string
 
 type kind = Profile_export.kind
@@ -48,7 +56,12 @@ val top :
   (string * float) list
 
 (** Folded stacks over a view, in [pepsim top]'s exact frame
-    vocabulary ({!Profile_export.paths_of} and friends). *)
+    vocabulary ({!Profile_export.paths_of} and friends).  Only DCG rows
+    with a positive weight enter the call graph the stacks are built
+    on: a row whose summed weight is zero or negative is left out of
+    the hot chains and of the [`Dcg] stacks, though {!top} counts it.
+    Path and edge rows of a method index outside [methods] are left
+    out. *)
 val folded : kind -> view -> Folded.t
 
 (** Triage thresholds. *)
@@ -80,8 +93,19 @@ type finding =
 
 val render_finding : finding -> string
 
-(** Rule-based triage of [current] against [baseline]; joins are by
-    method name, findings sorted by rendering. *)
+(** A baseline view indexed for triage: its path and edge rows and
+    its callees' dominant callers, keyed by method name.  Index a
+    baseline once to diff many current views against it. *)
+type indexed
+
+val index : view -> indexed
+
+(** Rule-based triage of [current] against an indexed baseline; joins
+    are by method name, findings sorted by rendering. *)
+val diff_indexed :
+  ?thresholds:thresholds -> indexed -> current:view -> finding list
+
+(** [diff_indexed] against [index baseline]. *)
 val diff :
   ?thresholds:thresholds ->
   baseline:view ->

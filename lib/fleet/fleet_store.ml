@@ -8,11 +8,23 @@
    edges, DCG — plus the method-name table of the program that
    produced them, so queries never rebuild a program or machine.
 
+   Reading a file checks all of it: frame, digest, header, identity
+   self-check and the structure of the three row sections (counts in
+   range, varints well formed, nothing trailing).  The rows themselves
+   are decoded only when a query first asks for them, into flat int
+   arrays; until then a segment holds its file's bytes.
+
    Lifecycle: the collector writes one raw segment per (instance,
    window); [compact] folds the raws of each (cohort, window) into one
    merged segment (origin = -1) and deletes them; [retain] trims the
    oldest windows.  Everything is deterministic: file names are MD5s
    of the segment's identity key, loads come back sorted by key. *)
+
+type rows = {
+  paths : int array;  (* stride 3: method, path id, count *)
+  edges : int array;  (* stride 4: method, branch, taken, not-taken *)
+  dcg : int array;  (* stride 3: caller (-1 = root), callee, weight *)
+}
 
 type segment = {
   cohort : Fleet.Cohort.t;
@@ -21,10 +33,10 @@ type segment = {
   instances : int;
   samples : int;
   methods : string array;
-  paths : (int * int * int) list;  (* method, path id, count *)
-  edges : (int * int * int * int) list;  (* method, branch, taken, not-taken *)
-  dcg : (int * int * int) list;  (* caller (-1 = root), callee, weight *)
+  rows : rows Lazy.t;
 }
+
+let rows s = Lazy.force s.rows
 
 let magic = "PEPSEG"
 let version = 1
@@ -72,25 +84,14 @@ let encode s =
   Bin.int w s.samples;
   Bin.int w (Array.length s.methods);
   Array.iter (Bin.str w) s.methods;
-  let rows3 rows =
-    Bin.int w (List.length rows);
-    List.iter
-      (fun (a, b, c) ->
-        Bin.int w a;
-        Bin.int w b;
-        Bin.int w c)
-      rows
+  let r = rows s in
+  let section ~stride a =
+    Bin.int w (Array.length a / stride);
+    Array.iter (Bin.int w) a
   in
-  rows3 s.paths;
-  Bin.int w (List.length s.edges);
-  List.iter
-    (fun (a, b, c, d) ->
-      Bin.int w a;
-      Bin.int w b;
-      Bin.int w c;
-      Bin.int w d)
-    s.edges;
-  rows3 s.dcg;
+  section ~stride:3 r.paths;
+  section ~stride:4 r.edges;
+  section ~stride:3 r.dcg;
   Bin.contents_with_digest w
 
 (* ------------------------------ decode ----------------------------- *)
@@ -123,28 +124,11 @@ let decode_keyed ~file contents =
       let instances = Bin.rint r in
       let samples = Bin.rint r in
       let methods = Array.init (Bin.rcount r) (fun _ -> Bin.rstr r) in
-      let paths =
-        List.init (Bin.rcount r) (fun _ ->
-            let a = Bin.rint r in
-            let b = Bin.rint r in
-            let c = Bin.rint r in
-            (a, b, c))
-      in
-      let edges =
-        List.init (Bin.rcount r) (fun _ ->
-            let a = Bin.rint r in
-            let b = Bin.rint r in
-            let c = Bin.rint r in
-            let d = Bin.rint r in
-            (a, b, c, d))
-      in
-      let dcg =
-        List.init (Bin.rcount r) (fun _ ->
-            let a = Bin.rint r in
-            let b = Bin.rint r in
-            let c = Bin.rint r in
-            (a, b, c))
-      in
+      (* the row sections are checked now and decoded on first use *)
+      let section ~stride = Bin.rints_later r (stride * Bin.rcount r) in
+      let paths = section ~stride:3 in
+      let edges = section ~stride:4 in
+      let dcg = section ~stride:3 in
       let s =
         {
           cohort =
@@ -154,9 +138,7 @@ let decode_keyed ~file contents =
           instances;
           samples;
           methods;
-          paths;
-          edges;
-          dcg;
+          rows = lazy { paths = paths (); edges = edges (); dcg = dcg () };
         }
       in
       (* self-check: the stored identity must match the decoded fields
@@ -302,6 +284,8 @@ let load_degraded ~dir =
 
 let save ?inject ~dir s =
   let flat a = not (String.contains a '\n' || String.contains a '\r') in
+  let r = rows s in
+  let whole ~stride a = Array.length a mod stride = 0 in
   if
     not
       (Array.for_all flat s.methods
@@ -309,6 +293,12 @@ let save ?inject ~dir s =
   then
     Error
       (err (filename ~dir s) "refusing to save: segment field contains a newline")
+  else if
+    not (whole ~stride:3 r.paths && whole ~stride:4 r.edges && whole ~stride:3 r.dcg)
+  then
+    Error
+      (err (filename ~dir s)
+         "refusing to save: a row array's length is not a multiple of its stride")
   else begin
     let file = filename ~dir s in
     let base = Filename.basename file in
@@ -383,26 +373,18 @@ let load_all ~dir =
 
 (* ------------------------------ merge ------------------------------ *)
 
-let sum_rows3 rows =
-  let tbl = Hashtbl.create 64 in
+(* Rows summed per key (their first two ints), in ascending key order:
+   the order merged segments store them in *)
+let sum_rows ~stride arrays =
+  let t = Fleet_rows.create ~stride in
   List.iter
-    (fun (a, b, c) ->
-      let k = (a, b) in
-      Hashtbl.replace tbl k (c + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    rows;
-  Hashtbl.fold (fun (a, b) c acc -> (a, b, c) :: acc) tbl []
-  |> List.sort compare
-
-let sum_rows4 rows =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (a, b, c, d) ->
-      let k = (a, b) in
-      let c0, d0 = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl k) in
-      Hashtbl.replace tbl k (c + c0, d + d0))
-    rows;
-  Hashtbl.fold (fun (a, b) (c, d) acc -> (a, b, c, d) :: acc) tbl []
-  |> List.sort compare
+    (fun a ->
+      for k = 0 to (Array.length a / stride) - 1 do
+        let o = k * stride in
+        Fleet_rows.sum t a.(o) a.(o + 1) a o
+      done)
+    arrays;
+  Fleet_rows.sorted t
 
 (* Fold same-cohort segments into one: windows spanned, instance
    counts summed for distinct origins (raws) or taken as the fleet
@@ -439,9 +421,14 @@ let merge = function
         instances;
         samples = List.fold_left (fun acc s -> acc + s.samples) 0 segs;
         methods;
-        paths = sum_rows3 (List.concat_map (fun s -> s.paths) segs);
-        edges = sum_rows4 (List.concat_map (fun s -> s.edges) segs);
-        dcg = sum_rows3 (List.concat_map (fun s -> s.dcg) segs);
+        rows =
+          (let rows = List.map rows segs in
+           Lazy.from_val
+             {
+               paths = sum_rows ~stride:3 (List.map (fun r -> r.paths) rows);
+               edges = sum_rows ~stride:4 (List.map (fun r -> r.edges) rows);
+               dcg = sum_rows ~stride:3 (List.map (fun r -> r.dcg) rows);
+             });
       }
 
 (* Fold every (cohort, window)'s raw segments into one merged segment

@@ -6,12 +6,34 @@
     each carrying per-window {e deltas} of the path / edge / DCG tables
     plus the method-name table — queries never rebuild a program.
 
+    Reading a segment ({!decode}, {!load_all}) checks the whole file
+    before the segment is returned: magic, version, MD5 digest, the
+    header, the identity self-check, and the structure of all three
+    row sections (each count in range, every varint well formed, no
+    trailing bytes).  The header and method table are decoded then;
+    the rows are decoded when first asked for ({!rows}), into flat int
+    arrays: path and DCG rows 3 ints each, edge rows 4, back to back
+    in the file's order.  A loaded segment holds its file's bytes until
+    then, and decoding them cannot fail.  The decoded rows are memoised
+    in a [Lazy.t], so force them only on the domain that loaded the
+    segment: OCaml 5 raises when two domains force one lazy value at
+    once.
+
     Lifecycle: the collector saves one raw segment per (instance,
     window); {!compact} folds each (cohort, window)'s raws into one
     merged segment ([origin = -1]) and deletes them; {!retain} trims
     the oldest windows.  File names are MD5s of the identity key;
     {!load_all} returns segments sorted by identity, so every store
     scan is deterministic. *)
+
+(** A segment's profile rows, flat: row [k] of a stride-[s] array is
+    its ints [k*s .. k*s + s - 1].  Rows are sorted by their first two
+    ints in merged segments and in the collector's raw ones. *)
+type rows = {
+  paths : int array;  (** stride 3: method, path id, count *)
+  edges : int array;  (** stride 4: method, branch, taken, not-taken *)
+  dcg : int array;  (** stride 3: caller (-1 = root), callee, weight *)
+}
 
 type segment = {
   cohort : Fleet.Cohort.t;
@@ -20,11 +42,12 @@ type segment = {
   instances : int;  (** instances contributing to the rows *)
   samples : int;  (** PEP samples taken in the window *)
   methods : string array;  (** dense method index → name *)
-  paths : (int * int * int) list;  (** method, path id, count *)
-  edges : (int * int * int * int) list;
-      (** method, branch, taken, not-taken *)
-  dcg : (int * int * int) list;  (** caller (-1 = root), callee, weight *)
+  rows : rows Lazy.t;
+      (** decoded on first {!rows}; build one with [Lazy.from_val] *)
 }
+
+(** The segment's rows, decoded on the first call (see above). *)
+val rows : segment -> rows
 
 (** Canonical identity: cohort key + window key + origin. *)
 val segment_key : segment -> string
@@ -50,11 +73,13 @@ val no_recovery : recovery
 val open_ : string -> (recovery, Dcg.parse_error) result
 
 (** Journaled, digest-protected write under the segment's identity
-    name: intent record, atomic tmp + rename, commit record.  A run
-    killed at any byte offset leaves either no file, a torn file the
-    next {!open_} removes, or the complete segment — never a silently
-    short one.  [inject] deterministically damages the write for chaos
-    runs: [`Torn draw] leaves a strict prefix under the final name
+    name (refused when a field holds a newline or a row array's length
+    is not a multiple of its stride): intent record, atomic tmp +
+    rename, commit record.  A run killed at any byte offset leaves
+    either no file, a torn file the next {!open_} removes, or the
+    complete segment — never a silently short one.  [inject]
+    deterministically damages the write for chaos runs: [`Torn draw]
+    leaves a strict prefix under the final name
     with no commit record (the simulated kill), [`Flip draw] completes
     the write with one byte flipped (silent corruption only the digest
     check can see). *)
@@ -83,15 +108,17 @@ val note_degraded :
     [(cohort name, window index, reason)]. *)
 val load_degraded : dir:string -> (string * int * string) list
 
-(** Decode one segment's bytes: magic, version, digest, shape and
-    identity self-check all validated before anything is returned;
-    every failure is an [Error] naming [file]. *)
+(** Decode one segment's bytes: magic, version, digest, shape (the
+    row sections included) and identity self-check all validated before
+    anything is returned; every failure is an [Error] naming [file].
+    The rows are decoded later, by {!rows}. *)
 val decode : file:string -> string -> (segment, Dcg.parse_error) result
 
 (** Every [*.seg] in [dir], sorted by identity: cohort key, then window
     [lo], [hi] and [origin] (not by {!segment_key}'s text, which puts
     window 10 before window 2); equal identities (one segment under two
-    file names) come back later file name first.  Unreadable, corrupt
+    file names) come back later file name first.  Every file is read
+    and checked as {!decode} checks it; unreadable, corrupt, malformed
     or future-versioned files come back as diagnostics. *)
 val load_all : dir:string -> segment list * Dcg.parse_error list
 

@@ -262,12 +262,14 @@ let run ?thresholds ?(baseline_windows = 1) ~rules ~degraded segments =
       in
       let baseline_hi = lo + max 1 baseline_windows - 1 in
       if baseline_hi < hi then begin
+        (* indexed once, diffed against every later window *)
         let baseline =
-          Fleet_query.view
-            (Fleet_query.select mine
-               { Fleet_query.cohort = Some cohort;
-                 lo = Some lo;
-                 hi = Some baseline_hi })
+          Fleet_query.index
+            (Fleet_query.view
+               (Fleet_query.select mine
+                  { Fleet_query.cohort = Some cohort;
+                    lo = Some lo;
+                    hi = Some baseline_hi }))
         in
         for w = baseline_hi + 1 to hi do
           incr windows_evaluated;
@@ -280,7 +282,7 @@ let run ?thresholds ?(baseline_windows = 1) ~rules ~degraded segments =
           in
           let findings =
             if current.Fleet_query.segments = 0 then []
-            else Fleet_query.diff ?thresholds ~baseline ~current ()
+            else Fleet_query.diff_indexed ?thresholds baseline ~current
           in
           List.iter
             (fun rule ->

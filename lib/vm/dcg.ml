@@ -7,6 +7,11 @@ let record t ~caller ~callee =
   | Some r -> incr r
   | None -> Hashtbl.replace t (caller, callee) (ref 1)
 
+let add t ~caller ~callee w =
+  match Hashtbl.find_opt t (caller, callee) with
+  | Some r -> r := !r + w
+  | None -> Hashtbl.replace t (caller, callee) (ref w)
+
 let weight t ~caller ~callee =
   match Hashtbl.find_opt t (caller, callee) with Some r -> !r | None -> 0
 

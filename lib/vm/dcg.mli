@@ -14,6 +14,9 @@ val create : unit -> t
     callee is the root invocation. *)
 val record : t -> caller:int -> callee:int -> unit
 
+(** [add t ~caller ~callee w] adds [w] samples at once. *)
+val add : t -> caller:int -> callee:int -> int -> unit
+
 val weight : t -> caller:int -> callee:int -> int
 
 (** Total samples accumulated for calls from [caller] to [callee]...

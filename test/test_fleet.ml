@@ -19,7 +19,17 @@
      origin) order with ties in reverse file-name order, [select]
      matches the pairwise shadow check and [top] the per-row label
      rendering (same labels, order and float bits); overlong varints
-     and out-of-range counts are diagnosed. *)
+     and out-of-range counts are diagnosed, in the header and in each
+     row section;
+   - deferred rows against the list decoder: on valid segments and on
+     re-digested damage to their row sections, [decode] and [load_all]
+     give its verdict and diagnostic, and accepted rows decode, without
+     raising, to its rows in order;
+   - array-backed views and triage against the per-row references:
+     [view] (method order, rows, samples, segments, span) and [diff],
+     once per call and through one [index] reused for many views;
+     [folded] leaves DCG rows whose summed weight is not positive out
+     of its call graph while [top] counts them. *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -61,6 +71,30 @@ let segments_of dir =
   let segs, diags = Fleet_store.load_all ~dir in
   List.iter (fun e -> Alcotest.failf "load_all: %a" Dcg.pp_parse_error e) diags;
   segs
+
+(* Rows as tuple lists (the tests' notation) and as the store's flat
+   arrays. *)
+let flat3 rows = Array.of_list (List.concat_map (fun (a, b, c) -> [ a; b; c ]) rows)
+
+let flat4 rows =
+  Array.of_list (List.concat_map (fun (a, b, c, d) -> [ a; b; c; d ]) rows)
+
+let rows3 a = List.init (Array.length a / 3) (fun k -> (a.(3 * k), a.((3 * k) + 1), a.((3 * k) + 2)))
+
+let rows4 a =
+  List.init (Array.length a / 4) (fun k ->
+      (a.(4 * k), a.((4 * k) + 1), a.((4 * k) + 2), a.((4 * k) + 3)))
+
+let lazy_rows ?(paths = []) ?(edges = []) ?(dcg = []) () =
+  Lazy.from_val
+    { Fleet_store.paths = flat3 paths; edges = flat4 edges; dcg = flat3 dcg }
+
+(* Everything a segment holds, its rows decoded: comparable with [=]. *)
+let seg_repr (s : Fleet_store.segment) =
+  let r = Fleet_store.rows s in
+  ( (s.Fleet_store.cohort, s.Fleet_store.window, s.Fleet_store.origin),
+    (s.Fleet_store.instances, s.Fleet_store.samples, s.Fleet_store.methods),
+    (rows3 r.Fleet_store.paths, rows4 r.Fleet_store.edges, rows3 r.Fleet_store.dcg) )
 
 (* ------------------- determinism & warm skip ---------------------- *)
 
@@ -168,9 +202,11 @@ let seg ~cohort_name ~window ~origin rows =
     instances = 1;
     samples = List.length rows;
     methods = [| "alpha"; "beta" |];
-    paths = rows;
-    edges = List.map (fun (a, b, c) -> (a, b, c, c + 1)) rows;
-    dcg = (if rows = [] then [] else [ (-1, 0, 5); (0, 1, 3) ]);
+    rows =
+      lazy_rows ~paths:rows
+        ~edges:(List.map (fun (a, b, c) -> (a, b, c, c + 1)) rows)
+        ~dcg:(if rows = [] then [] else [ (-1, 0, 5); (0, 1, 3) ])
+        ();
   }
 
 let test_segment_roundtrip () =
@@ -182,9 +218,21 @@ let test_segment_roundtrip () =
   (match Fleet_store.save ~dir s with
   | Ok () -> ()
   | Error e -> Alcotest.failf "save: %a" Dcg.pp_parse_error e);
-  match segments_of dir with
-  | [ s' ] -> check cb "roundtrip equal" true (s = s')
-  | l -> Alcotest.failf "expected 1 segment, got %d" (List.length l)
+  (match segments_of dir with
+  | [ s' ] -> check cb "roundtrip equal" true (seg_repr s = seg_repr s')
+  | l -> Alcotest.failf "expected 1 segment, got %d" (List.length l));
+  (* a row array cut short of its stride is refused, not written *)
+  let ragged =
+    { s with
+      Fleet_store.rows =
+        Lazy.from_val { (Fleet_store.rows s) with Fleet_store.edges = [| 0; 1; 2 |] } }
+  in
+  match Fleet_store.save ~dir ragged with
+  | Ok () -> Alcotest.fail "a ragged edge array was saved"
+  | Error e ->
+      check Alcotest.string "refusal"
+        "refusing to save: a row array's length is not a multiple of its stride"
+        e.Dcg.reason
 
 let test_segment_tamper_rejected () =
   let dir = fresh_dir () in
@@ -209,24 +257,286 @@ let test_segment_junk_rejected () =
   check ci "no segment" 0 (List.length segs);
   check ci "diagnostic" 1 (List.length diags)
 
-(* Digest-valid frames whose first field is malformed: the reader's
-   bounds are diagnosed, never believed. *)
+(* ------------------ reference decoder (tuple lists) ----------------- *)
+
+module Bin = Exp_codec.Bin
+
+let no_rows = Lazy.from_val { Fleet_store.paths = [||]; edges = [||]; dcg = [||] }
+
+(* Reference decoder: the whole frame read in one pass, every row
+   decoded into tuple lists before the identity self-check.  Returns
+   the header as a segment without rows, and the rows. *)
+let reference_decode ~file contents =
+  Bin.check_frame ~magic:"PEPSEG" ~version:1 ~what:"segment" ~file contents
+    (fun r ->
+      let stored_key = Bin.rstr r in
+      let name = Bin.rstr r in
+      let workload = Bin.rstr r in
+      let size = Bin.rint r in
+      let seed = Bin.rint r in
+      let config_key = Bin.rstr r in
+      let drift =
+        match Bin.rbyte r with
+        | 0 -> Fleet.Drift.No_drift
+        | 1 ->
+            let at_window = Bin.rint r in
+            let phase = Bin.rint r in
+            Fleet.Drift.Phase_shift { at_window; phase }
+        | t -> Bin.fail (Fmt.str "unknown drift tag %d" t)
+      in
+      let lo = Bin.rint r in
+      let hi = Bin.rint r in
+      let start_cycle = Bin.rint r in
+      let end_cycle = Bin.rint r in
+      let origin = Bin.rint r in
+      let instances = Bin.rint r in
+      let samples = Bin.rint r in
+      let methods = Array.init (Bin.rcount r) (fun _ -> Bin.rstr r) in
+      let paths =
+        List.init (Bin.rcount r) (fun _ ->
+            let a = Bin.rint r in
+            let b = Bin.rint r in
+            let c = Bin.rint r in
+            (a, b, c))
+      in
+      let edges =
+        List.init (Bin.rcount r) (fun _ ->
+            let a = Bin.rint r in
+            let b = Bin.rint r in
+            let c = Bin.rint r in
+            let d = Bin.rint r in
+            (a, b, c, d))
+      in
+      let dcg =
+        List.init (Bin.rcount r) (fun _ ->
+            let a = Bin.rint r in
+            let b = Bin.rint r in
+            let c = Bin.rint r in
+            (a, b, c))
+      in
+      let s =
+        {
+          Fleet_store.cohort =
+            { Fleet.Cohort.name; workload; size; seed; config_key; drift };
+          window = { Fleet.Window.lo; hi; start_cycle; end_cycle };
+          origin;
+          instances;
+          samples;
+          methods;
+          rows = no_rows;
+        }
+      in
+      let key = Fleet_store.segment_key s in
+      if key <> stored_key then
+        Bin.fail
+          (Fmt.str "segment identity mismatch (stored %S, decoded %S)"
+             stored_key key);
+      (s, (paths, edges, dcg)))
+
+(* The body of [s]'s frame up to its row sections: [s] saved without
+   rows ends its body in three zero counts. *)
+let body_before_rows (s : Fleet_store.segment) =
+  let dir = fresh_dir () in
+  ignore (Fleet_store.open_ dir);
+  let bare = { s with Fleet_store.rows = no_rows } in
+  (match Fleet_store.save ~dir bare with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save: %a" Dcg.pp_parse_error e);
+  let bytes = read_all (Fleet_store.filename ~dir bare) in
+  String.sub bytes 0 (String.length bytes - 16 - 3)
+
+let reframe body = body ^ Digest.string body
+
+(* [decode] and [load_all] on [bytes] against the reference: the same
+   verdict and diagnostic, the same header, and for an accepted frame
+   rows that decode (without raising) to the reference rows in order.
+   [None] when they agree, else what differs. *)
+let decoder_disagreement bytes =
+  let file = "f.seg" in
+  let want = reference_decode ~file bytes in
+  let reason = function
+    | Ok _ -> "accepted"
+    | Error (e : Dcg.parse_error) -> e.Dcg.reason
+  in
+  let check what (got : (Fleet_store.segment, Dcg.parse_error) result) =
+    match (got, want) with
+    | Ok s, Ok (ref_s, (paths, edges, dcg)) -> (
+        let header (s : Fleet_store.segment) =
+          seg_repr { s with Fleet_store.rows = no_rows }
+        in
+        if header s <> header ref_s then Some (what ^ ": header differs")
+        else
+          match Fleet_store.rows s with
+          | r ->
+              if
+                rows3 r.Fleet_store.paths = paths
+                && rows4 r.Fleet_store.edges = edges
+                && rows3 r.Fleet_store.dcg = dcg
+              then None
+              else Some (what ^ ": rows differ")
+          | exception exn ->
+              Some (Fmt.str "%s: decoding rows raised %s" what (Printexc.to_string exn)))
+    | Error e, Error e' when e.Dcg.reason = e'.Dcg.reason -> None
+    | _ -> Some (Fmt.str "%s: %s, reference: %s" what (reason got) (reason want))
+  in
+  match check "decode" (Fleet_store.decode ~file bytes) with
+  | Some _ as m -> m
+  | None -> (
+      let dir = fresh_dir () in
+      ignore (Fleet_store.open_ dir);
+      write_all (Filename.concat dir file) bytes;
+      match Fleet_store.load_all ~dir with
+      | [ s ], [] -> check "load_all" (Ok s)
+      | [], [ e ] -> check "load_all" (Error e)
+      | segs, diags ->
+          Some
+            (Fmt.str "load_all: %d segments, %d diagnostics" (List.length segs)
+               (List.length diags)))
+
+(* Digest-valid frames malformed in their first field or inside one of
+   the three row sections: the reader's bounds are diagnosed, never
+   believed, by [decode] and [load_all] alike. *)
 let test_segment_bounds_diagnosed () =
   let frame body =
     let b = "PEPSEG\001" ^ body in
     b ^ Digest.string b
   in
+  let before_rows = body_before_rows (seg ~cohort_name:"b" ~window:0 ~origin:0 []) in
   List.iter
-    (fun (body, reason) ->
-      match Fleet_store.decode ~file:"f.seg" (frame body) with
+    (fun (bytes, reason) ->
+      (match Fleet_store.decode ~file:"f.seg" bytes with
       | Ok _ -> Alcotest.failf "accepted: %s" reason
-      | Error e -> check Alcotest.string reason reason e.Dcg.reason)
+      | Error e -> check Alcotest.string reason reason e.Dcg.reason);
+      match decoder_disagreement bytes with
+      | Some m -> Alcotest.failf "%s: %s" reason m
+      | None -> ())
     [
-      (String.make 10 '\xff', "truncated segment entry (varint too long)");
-      ("\xc8\x01", "truncated segment entry (count out of range)");
-      ("\x01", "truncated segment entry (count out of range)");
-      ("\x80", "truncated segment entry (unexpected end of input)");
+      (frame (String.make 10 '\xff'), "truncated segment entry (varint too long)");
+      (frame "\xc8\x01", "truncated segment entry (count out of range)");
+      (frame "\x01", "truncated segment entry (count out of range)");
+      (frame "\x80", "truncated segment entry (unexpected end of input)");
+      (* paths: a count of 100 rows with fewer bytes left *)
+      ( reframe (before_rows ^ "\xc8\x01\x00\x00"),
+        "truncated segment entry (count out of range)" );
+      (* edges: one row whose first varint runs past nine bytes *)
+      ( reframe (before_rows ^ "\x00\x02" ^ String.make 10 '\xff'),
+        "truncated segment entry (varint too long)" );
+      (* dcg: one row cut inside its last varint *)
+      ( reframe (before_rows ^ "\x00\x00\x02\x02\x04\x80"),
+        "truncated segment entry (unexpected end of input)" );
+      (* a byte after the last section *)
+      (reframe (before_rows ^ "\x00\x00\x00\x07"), "trailing garbage in segment entry");
     ]
+
+(* zigzag LEB128, as the store writes an int *)
+let varint n =
+  let b = Buffer.create 10 in
+  let rec put u =
+    if u land lnot 0x7f = 0 then Buffer.add_char b (Char.chr u)
+    else begin
+      Buffer.add_char b (Char.chr ((u land 0x7f) lor 0x80));
+      put (u lsr 7)
+    end
+  in
+  put ((n lsl 1) lxor (n asr (Sys.int_size - 1)));
+  Buffer.contents b
+
+(* Row-section damage, each re-digested so only the row reader can
+   object: a section's count inflated, the bytes cut, ten continuation
+   bytes inserted, a byte's continuation bit set, a byte dropped, bytes
+   appended. *)
+type row_damage =
+  | Intact
+  | Inflate of int * int  (** section, extra rows claimed *)
+  | Cut of int
+  | Overlong of int
+  | Unterminated of int
+  | Drop of int
+  | Append of string
+
+let row_bytes (paths, edges, dcg) damage =
+  let flat3 = List.concat_map (fun (a, b, c) -> [ a; b; c ]) in
+  let sections =
+    [
+      (List.length paths, flat3 paths);
+      (List.length edges, List.concat_map (fun (a, b, c, d) -> [ a; b; c; d ]) edges);
+      (List.length dcg, flat3 dcg);
+    ]
+  in
+  let bytes =
+    String.concat ""
+      (List.mapi
+         (fun i (count, ints) ->
+           let count =
+             match damage with Inflate (j, extra) when j = i -> count + extra | _ -> count
+           in
+           varint count ^ String.concat "" (List.map varint ints))
+         sections)
+  in
+  let n = String.length bytes in
+  match damage with
+  | Intact | Inflate _ -> bytes
+  | Cut p -> String.sub bytes 0 (p mod n)
+  | Overlong p ->
+      let p = p mod (n + 1) in
+      String.sub bytes 0 p ^ String.make 10 '\x80' ^ String.sub bytes p (n - p)
+  | Unterminated p ->
+      let b = Bytes.of_string bytes in
+      Bytes.set b (p mod n) (Char.chr (Char.code bytes.[p mod n] lor 0x80));
+      Bytes.to_string b
+  | Drop p ->
+      let p = p mod n in
+      String.sub bytes 0 p ^ String.sub bytes (p + 1) (n - p - 1)
+  | Append tail -> bytes ^ tail
+
+let prop_decoder_reference =
+  let open QCheck.Gen in
+  let num = oneof [ small_nat; small_signed_int; int ] in
+  let rows =
+    triple
+      (list_size (int_bound 8) (triple num num num))
+      (list_size (int_bound 8) (quad num num num num))
+      (list_size (int_bound 8) (triple num num num))
+  in
+  let damage =
+    oneof
+      [
+        return Intact;
+        map2 (fun i e -> Inflate (i, e)) (int_bound 2)
+          (oneofl [ 1; 2; 3; 7; 1000; 1 lsl 40 ]);
+        map (fun p -> Cut p) nat;
+        map (fun p -> Overlong p) nat;
+        map (fun p -> Unterminated p) nat;
+        map (fun p -> Drop p) nat;
+        map (fun t -> Append t) (string_size ~gen:char (int_range 1 6));
+      ]
+  in
+  let methods = list_size (int_bound 4) (oneofl [ "main"; "a"; "b|c"; "" ]) in
+  let print (_, (p, e, d), dmg) =
+    Fmt.str "%d/%d/%d rows, %s" (List.length p) (List.length e) (List.length d)
+      (match dmg with
+      | Intact -> "intact"
+      | Inflate (i, e) -> Fmt.str "section %d count +%d" i e
+      | Cut p -> Fmt.str "cut at %d" p
+      | Overlong p -> Fmt.str "overlong at %d" p
+      | Unterminated p -> Fmt.str "continuation bit at %d" p
+      | Drop p -> Fmt.str "byte %d dropped" p
+      | Append t -> Fmt.str "%S appended" t)
+  in
+  QCheck.Test.make ~count:300
+    ~name:"decode and load_all = the list decoder (verdict, reason, rows)"
+    (QCheck.make ~print (triple methods rows damage))
+    (fun (methods, rows, damage) ->
+      let s =
+        {
+          (seg ~cohort_name:"d" ~window:1 ~origin:0 []) with
+          Fleet_store.methods = Array.of_list methods;
+        }
+      in
+      let bytes = reframe (body_before_rows s ^ row_bytes rows damage) in
+      match decoder_disagreement bytes with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
 
 let gen_segment =
   let open QCheck in
@@ -264,9 +574,10 @@ let prop_segment_codec =
           instances = 1;
           samples = List.length rows3;
           methods = Array.of_list methods;
-          paths = rows3;
-          edges = rows4;
-          dcg = List.map (fun (a, b, c) -> (a - 1, b, c)) rows3;
+          rows =
+            lazy_rows ~paths:rows3 ~edges:rows4
+              ~dcg:(List.map (fun (a, b, c) -> (a - 1, b, c)) rows3)
+              ();
         }
       in
       match Fleet_store.save ~dir s with
@@ -277,7 +588,9 @@ let prop_segment_codec =
           (match Fleet_store.decode ~file bytes with
           | Error e ->
               QCheck.Test.fail_reportf "decode: %a" Dcg.pp_parse_error e
-          | Ok s' -> if s <> s' then QCheck.Test.fail_report "roundtrip mismatch");
+          | Ok s' ->
+              if seg_repr s <> seg_repr s' then
+                QCheck.Test.fail_report "roundtrip mismatch");
           (* damaged copies, and the same rows as a valid run-cache entry *)
           let foreign =
             Exp_codec.encode ~key:(Fleet_store.segment_key s)
@@ -445,9 +758,10 @@ let test_merge_sums () =
   check ci "instances summed" 2 m.Fleet_store.instances;
   check ci "window lo" 0 m.Fleet_store.window.Fleet.Window.lo;
   check ci "window hi" 1 m.Fleet_store.window.Fleet.Window.hi;
-  check cb "paths summed" true
-    (List.mem (0, 1, 15) m.Fleet_store.paths
-     && List.mem (1, 2, 2) m.Fleet_store.paths);
+  check
+    Alcotest.(list (triple int int int))
+    "paths summed, in key order" [ (0, 1, 15); (1, 2, 2) ]
+    (rows3 (Fleet_store.rows m).Fleet_store.paths);
   check cb "mixed cohorts rejected" true
     (try
        ignore (Fleet_store.merge [ a; seg ~cohort_name:"x" ~window:0 ~origin:0 [] ]);
@@ -587,23 +901,24 @@ let top_per_row ?(decay = 0.75) ~n kind segments =
       let w =
         decay ** float_of_int (latest - s.Fleet_store.window.Fleet.Window.hi)
       in
+      let rows = Fleet_store.rows s in
       match kind with
       | `Paths ->
           List.iter
             (fun (mi, pid, c) ->
               bump (Fmt.str "%s/path#%d" (m mi) pid) (w *. float_of_int c))
-            s.Fleet_store.paths
+            (rows3 rows.Fleet_store.paths)
       | `Edges ->
           List.iter
             (fun (mi, br, tk, nt) ->
               bump (Fmt.str "%s/br#%d" (m mi) br) (w *. float_of_int (tk + nt)))
-            s.Fleet_store.edges
+            (rows4 rows.Fleet_store.edges)
       | `Dcg ->
           List.iter
             (fun (caller, callee, wt) ->
               let c = if caller < 0 then "<root>" else m caller in
               bump (Fmt.str "%s->%s" c (m callee)) (w *. float_of_int wt))
-            s.Fleet_store.dcg)
+            (rows3 rows.Fleet_store.dcg))
     segments;
   Hashtbl.fold (fun l s acc -> (l, s) :: acc) scores []
   |> List.sort (fun (l1, s1) (l2, s2) ->
@@ -624,9 +939,7 @@ let prop_top_reference =
         {
           (seg ~cohort_name:"t" ~window ~origin:(-1) []) with
           Fleet_store.methods = Array.of_list methods;
-          paths;
-          edges;
-          dcg;
+          rows = lazy_rows ~paths ~edges ~dcg ();
         })
       (pair (int_bound 8) (list_size (int_bound 6) (oneofa top_methods)))
       (pair
@@ -639,7 +952,7 @@ let prop_top_reference =
     {
       (seg ~cohort_name:"t" ~window:3 ~origin:(-1) []) with
       Fleet_store.methods = [| "a"; "b->c"; "a->b"; "c" |];
-      dcg = [ (0, 1, 5); (2, 3, 7); (-1, 0, 2) ];
+      rows = lazy_rows ~dcg:[ (0, 1, 5); (2, 3, 7); (-1, 0, 2) ] ();
     }
   in
   let case =
@@ -655,6 +968,259 @@ let prop_top_reference =
       let segs = colliding :: segs in
       bits (Fleet_query.top ~decay ~n kind segs)
       = bits (top_per_row ~decay ~n kind segs))
+
+(* ------------------------ views and triage ------------------------ *)
+
+(* Reference [view]: each row's method name interned as the row is
+   read (a DCG row's callee before its caller, as the tuple below
+   evaluates), rows summed in tuple-keyed tables, sorted as tuples. *)
+type ref_view = {
+  r_methods : string array;
+  r_paths : (int * int * int) list;
+  r_edges : (int * int * int * int) list;
+  r_dcg : (int * int * int) list;
+  r_samples : int;
+  r_segments : int;
+  r_span : Fleet.Window.t option;
+}
+
+let view_per_row segments =
+  let names = Hashtbl.create 64 in
+  let order = ref [] in
+  let intern name =
+    match Hashtbl.find_opt names name with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length names in
+        Hashtbl.add names name i;
+        order := name :: !order;
+        i
+  in
+  let paths = Hashtbl.create 256 in
+  let edges = Hashtbl.create 256 in
+  let dcg = Hashtbl.create 64 in
+  let samples = ref 0 in
+  let span = ref None in
+  List.iter
+    (fun (s : Fleet_store.segment) ->
+      let m i =
+        if i >= 0 && i < Array.length s.Fleet_store.methods then
+          intern s.Fleet_store.methods.(i)
+        else intern (Fmt.str "m#%d" i)
+      in
+      let rows = Fleet_store.rows s in
+      List.iter
+        (fun (mi, pid, c) ->
+          let k = (m mi, pid) in
+          Hashtbl.replace paths k
+            (c + Option.value ~default:0 (Hashtbl.find_opt paths k)))
+        (rows3 rows.Fleet_store.paths);
+      List.iter
+        (fun (mi, br, tk, nt) ->
+          let k = (m mi, br) in
+          let ptk, pnt =
+            Option.value ~default:(0, 0) (Hashtbl.find_opt edges k)
+          in
+          Hashtbl.replace edges k (ptk + tk, pnt + nt))
+        (rows4 rows.Fleet_store.edges);
+      List.iter
+        (fun (caller, callee, w) ->
+          let k = ((if caller < 0 then -1 else m caller), m callee) in
+          Hashtbl.replace dcg k
+            (w + Option.value ~default:0 (Hashtbl.find_opt dcg k)))
+        (rows3 rows.Fleet_store.dcg);
+      samples := !samples + s.Fleet_store.samples;
+      span :=
+        Some
+          (match !span with
+          | None -> s.Fleet_store.window
+          | Some w -> Fleet.Window.span w s.Fleet_store.window))
+    segments;
+  {
+    r_methods = Array.of_list (List.rev !order);
+    r_paths =
+      List.sort compare
+        (Hashtbl.fold (fun (mi, p) c acc -> (mi, p, c) :: acc) paths []);
+    r_edges =
+      List.sort compare
+        (Hashtbl.fold
+           (fun (mi, b) (tk, nt) acc -> (mi, b, tk, nt) :: acc)
+           edges []);
+    r_dcg =
+      List.sort compare
+        (Hashtbl.fold (fun (c, e) w acc -> (c, e, w) :: acc) dcg []);
+    r_samples = !samples;
+    r_segments = List.length segments;
+    r_span = !span;
+  }
+
+let ref_name_of v i =
+  if i >= 0 && i < Array.length v.r_methods then v.r_methods.(i)
+  else Fmt.str "m#%d" i
+
+(* Reference triage: name-keyed tables rebuilt for every diff. *)
+let diff_per_row (th : Fleet_query.thresholds) ~baseline ~current =
+  let findings = ref [] in
+  let emit f = findings := f :: !findings in
+  let base_paths = Hashtbl.create 256 in
+  List.iter
+    (fun (mi, pid, c) -> Hashtbl.replace base_paths (ref_name_of baseline mi, pid) c)
+    baseline.r_paths;
+  let cur_total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 current.r_paths in
+  if cur_total > 0 then
+    List.iter
+      (fun (mi, pid, c) ->
+        let meth = ref_name_of current mi in
+        let share = float_of_int c /. float_of_int cur_total in
+        if share >= th.Fleet_query.new_share && not (Hashtbl.mem base_paths (meth, pid))
+        then emit (Fleet_query.New_hot_path { meth; path_id = pid; share }))
+      current.r_paths;
+  let base_edges = Hashtbl.create 256 in
+  List.iter
+    (fun (mi, br, tk, nt) ->
+      Hashtbl.replace base_edges (ref_name_of baseline mi, br) (tk, nt))
+    baseline.r_edges;
+  List.iter
+    (fun (mi, br, tk, nt) ->
+      let meth = ref_name_of current mi in
+      match Hashtbl.find_opt base_edges (meth, br) with
+      | Some (btk, bnt)
+        when btk + bnt >= th.Fleet_query.min_edge && tk + nt >= th.Fleet_query.min_edge ->
+          let from_bias = float_of_int btk /. float_of_int (btk + bnt) in
+          let to_bias = float_of_int tk /. float_of_int (tk + nt) in
+          if Float.abs (to_bias -. from_bias) >= th.Fleet_query.edge_shift then
+            emit (Fleet_query.Edge_shift { meth; branch = br; from_bias; to_bias })
+      | _ -> ())
+    current.r_edges;
+  let dominant v =
+    let best = Hashtbl.create 16 in
+    let total = Hashtbl.create 16 in
+    List.iter
+      (fun (caller, callee, w) ->
+        let callee = ref_name_of v callee in
+        let caller = if caller < 0 then "<root>" else ref_name_of v caller in
+        Hashtbl.replace total callee
+          (w + Option.value ~default:0 (Hashtbl.find_opt total callee));
+        match Hashtbl.find_opt best callee with
+        | Some (bc, bw) when w > bw || (w = bw && caller < bc) ->
+            Hashtbl.replace best callee (caller, w)
+        | Some _ -> ()
+        | None -> Hashtbl.add best callee (caller, w))
+      v.r_dcg;
+    (best, total)
+  in
+  let base_dom, base_tot = dominant baseline in
+  let cur_dom, cur_tot = dominant current in
+  Hashtbl.iter
+    (fun callee (to_caller, _) ->
+      match Hashtbl.find_opt base_dom callee with
+      | Some (from_caller, _)
+        when Option.value ~default:0 (Hashtbl.find_opt base_tot callee)
+             >= th.Fleet_query.min_dcg
+             && Option.value ~default:0 (Hashtbl.find_opt cur_tot callee)
+                >= th.Fleet_query.min_dcg
+             && not (String.equal from_caller to_caller) ->
+          emit (Fleet_query.Caller_change { callee; from_caller; to_caller })
+      | _ -> ())
+    cur_dom;
+  List.sort_uniq compare (List.map Fleet_query.render_finding !findings)
+
+(* Method tables that disagree: duplicate names, the placeholder names
+   "m#7" and "m#-1" that out-of-range indexes render to, and a name
+   only some segments carry. *)
+let view_methods = [| "main"; "leaf"; "main"; "m#7"; "work"; "m#-1"; "leaf"; "x" |]
+
+let gen_view_segments =
+  let open QCheck.Gen in
+  let idx = int_range (-2) 8 and small = int_bound 3 and count = int_range (-5) 40 in
+  let segment =
+    map3
+      (fun (window, methods, samples) (paths, edges) dcg ->
+        {
+          (seg ~cohort_name:"v" ~window ~origin:(-1) []) with
+          Fleet_store.methods = Array.of_list methods;
+          samples;
+          rows = lazy_rows ~paths ~edges ~dcg ();
+        })
+      (triple (int_bound 6) (list_size (int_bound 7) (oneofa view_methods)) (int_bound 99))
+      (pair
+         (list_size (int_bound 10) (triple idx small count))
+         (list_size (int_bound 10) (quad idx small (int_bound 40) (int_bound 40))))
+      (list_size (int_bound 10) (triple idx idx count))
+  in
+  list_size (int_bound 5) segment
+
+let prop_view_reference =
+  QCheck.Test.make ~count:500
+    ~name:"view = per-row interning (methods, rows, samples, span)"
+    (QCheck.make gen_view_segments)
+    (fun segs ->
+      let v = Fleet_query.view segs and r = view_per_row segs in
+      v.Fleet_query.methods = r.r_methods
+      && rows3 v.Fleet_query.paths = r.r_paths
+      && rows4 v.Fleet_query.edges = r.r_edges
+      && rows3 v.Fleet_query.dcg = r.r_dcg
+      && v.Fleet_query.samples = r.r_samples
+      && v.Fleet_query.segments = r.r_segments
+      && v.Fleet_query.span = r.r_span)
+
+(* Low thresholds, so small random views produce findings of every
+   family. *)
+let loose =
+  { Fleet_query.new_share = 0.05; edge_shift = 0.2; min_edge = 4; min_dcg = 3 }
+
+let prop_diff_reference =
+  QCheck.Test.make ~count:300
+    ~name:"diff and one index over many views = per-diff name tables"
+    (QCheck.make QCheck.Gen.(pair gen_view_segments (list_size (int_bound 4) gen_view_segments)))
+    (fun (base, currents) ->
+      let rendered = List.map Fleet_query.render_finding in
+      let baseline = Fleet_query.view base in
+      let ix = Fleet_query.index baseline in
+      List.for_all
+        (fun cur ->
+          let current = Fleet_query.view cur in
+          let want =
+            diff_per_row loose ~baseline:(view_per_row base) ~current:(view_per_row cur)
+          in
+          rendered (Fleet_query.diff ~thresholds:loose ~baseline ~current ()) = want
+          && rendered (Fleet_query.diff_indexed ~thresholds:loose ix ~current) = want)
+        currents)
+
+(* DCG rows whose summed weight is not positive stay out of the call
+   graph [folded] builds on, and so out of its stacks; [top] counts
+   them. *)
+let test_folded_positive_dcg () =
+  let s window dcg =
+    {
+      (seg ~cohort_name:"f" ~window ~origin:(-1) []) with
+      Fleet_store.methods = [| "main"; "leaf"; "cold" |];
+      rows = lazy_rows ~paths:[ (1, 0, 4); (2, 5, 7) ] ~dcg ();
+    }
+  in
+  (* summed: root->main 3, main->leaf 6, main->cold 0, leaf->cold -1 *)
+  let segs =
+    [
+      s 0 [ (-1, 0, 3); (0, 1, 5); (0, 2, 2) ];
+      s 1 [ (0, 1, 1); (0, 2, -2); (1, 2, -1) ];
+    ]
+  in
+  let v = Fleet_query.view segs in
+  let name i = if i < 0 then "<root>" else Fleet_query.name_of v i in
+  check csl "the view keeps every summed row"
+    [ "<root>->main 3"; "leaf->cold -1"; "main->leaf 6"; "main->cold 0" ]
+    (List.map
+       (fun (c, e, w) -> Fmt.str "%s->%s %d" (name c) (name e) w)
+       (rows3 v.Fleet_query.dcg));
+  check csl "dcg stacks: positive rows only"
+    [ "<root>;main;leaf 6"; "<root>;main 3" ]
+    (Folded.to_lines (Fleet_query.folded `Dcg v));
+  check csl "hot chains follow positive rows only (cold has no caller)"
+    [ "<root>;cold;path#5 14"; "<root>;main;leaf;path#0 8" ]
+    (Folded.to_lines (Fleet_query.folded `Paths v));
+  check csl "top counts the non-positive rows"
+    [ "main->leaf"; "<root>->main"; "main->cold"; "leaf->cold" ]
+    (List.map fst (Fleet_query.top ~n:10 `Dcg segs))
 
 (* --------------------- fault tolerance & healing ------------------ *)
 
@@ -984,4 +1550,9 @@ let suite =
       test_load_order;
     qcheck prop_select_pairwise;
     qcheck prop_top_reference;
+    qcheck prop_decoder_reference;
+    qcheck prop_view_reference;
+    qcheck prop_diff_reference;
+    Alcotest.test_case "folded leaves non-positive DCG rows out" `Quick
+      test_folded_positive_dcg;
   ]

@@ -814,9 +814,9 @@ let segment_bytes =
          instances = 1;
          samples = 1;
          methods = [| "main" |];
-         paths = [ (0, 0, 1) ];
-         edges = [];
-         dcg = [];
+         rows =
+           Lazy.from_val
+             { Fleet_store.paths = [| 0; 0; 1 |]; edges = [||]; dcg = [||] };
        }
      in
      match
