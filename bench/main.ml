@@ -440,7 +440,8 @@ let engine_speedups setups =
       (s.etag, min_ratio dts 0 1, min_ratio dts 0 2, median_ratio dts 0 1))
     setups
 
-(* Suite rows: Base and PEP(64,17) replays of every workload at scale
+(* Suite rows: Base, PEP(64,17) and instrumentation-only (PEP's path
+   register kept, never sampled) replays of every workload at scale
    0.05, the work the figure sweep executes, in three variants over the
    same precompiled bodies: the oracle as the driver runs it, the flat
    engine as the driver runs it (hooked), and the driver's flat engine
@@ -451,7 +452,7 @@ let suite_scale = 0.05
 
 type suite_row = {
   workload : string;
-  config : string;  (* "base" or "pep" *)
+  config : string;  (* "base", "pep" or "instr" *)
   blocks : float;  (* executed blocks per iteration *)
   oracle_s : float;  (* minimum seconds per iteration, per variant *)
   hooked_s : float;
@@ -459,15 +460,11 @@ type suite_row = {
 }
 
 let suite_configs =
+  let pep sampling = Some { Driver.sampling; zero = `Hottest; numbering = `Smart } in
   [
     ("base", None);
-    ( "pep",
-      Some
-        {
-          Driver.sampling = Sampling.pep ~samples:64 ~stride:17;
-          zero = `Hottest;
-          numbering = `Smart;
-        } );
+    ("pep", pep (Sampling.pep ~samples:64 ~stride:17));
+    ("instr", pep Sampling.never);
   ]
 
 let precompiled ~engine (env : Exp_harness.env) pep =
@@ -608,10 +605,12 @@ let write_engine_json ~seed ~wall ~json_out ~speedups ~suite rows =
   close_out oc;
   Printf.printf
     "\n[engine: %s is %.2fx (call-heavy) / %.2fx (branch-heavy) vs oracle; \
-     suite hooked/bare %.2f (Base) / %.2f (PEP); %s written]\n%!"
+     suite hooked/bare %.2f (Base) / %.2f (PEP) / %.2f (instr-only); %s \
+     written]\n%!"
     tier (speedup "call-heavy") (speedup "branch-heavy")
     (suite_ratio suite "base" (fun r -> r.hooked_s) (fun r -> r.bare_s))
     (suite_ratio suite "pep" (fun r -> r.hooked_s) (fun r -> r.bare_s))
+    (suite_ratio suite "instr" (fun r -> r.hooked_s) (fun r -> r.bare_s))
     json_out
 
 let run_micro ~seed ~json_out () =

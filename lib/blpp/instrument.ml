@@ -1,5 +1,5 @@
-type edge_step = { add : int; count : bool; reset : int }
-type block_event = { badd : int; breset : int }
+type edge_step = Interp.edge_step = { add : int; count : bool; reset : int }
+type block_event = Interp.block_event = { badd : int; breset : int }
 
 type t = {
   numbering : Numbering.t;

@@ -14,13 +14,13 @@
       point; [r = v_restart];
     - at the exit block's yieldpoint: a path-end point. *)
 
-type edge_step = {
+type edge_step = Interp.edge_step = {
   add : int;  (** r += add (0 = absent) *)
   count : bool;  (** path-count point on this edge (classic BLPP back edge) *)
   reset : int;  (** r = reset after the count (-1 = absent) *)
 }
 
-type block_event = {
+type block_event = Interp.block_event = {
   badd : int;  (** r += badd before the path ends (0 = absent) *)
   breset : int;  (** r = breset to start the next path (-1 = absent) *)
 }

@@ -29,8 +29,10 @@ let make_plans ~mode ~number st =
    the machine's live call depth.  Layers therefore compose: PEP and a
    perfect profiler can instrument the same run without clobbering each
    other's register (a real system would allocate distinct registers or
-   stack slots per instrumentation). *)
-let path_hooks ~(plans : plans) ~count_cost ~on_path_end () =
+   stack slots per instrumentation).  The closures below are what the
+   oracle runs; [path] describes the same steps as data over the same
+   register, for an engine to lower. *)
+let path_hooks ?live ~(plans : plans) ~count_cost ~on_path_end () =
   let regs = ref (Array.make 1024 0) in
   let slot (st : Machine.t) =
     let depth = st.depth in
@@ -41,12 +43,11 @@ let path_hooks ~(plans : plans) ~count_cost ~on_path_end () =
     end;
     depth
   in
-  let charge_count st =
-    let cost = (st : Machine.t).cost in
+  let count_charge (cost : Cost_model.t) =
     match count_cost with
-    | `Hash -> Machine.add_cycles st cost.Cost_model.count_update
-    | `Array -> Machine.add_cycles st cost.Cost_model.count_array
-    | `None -> ()
+    | `Hash -> cost.Cost_model.count_update
+    | `Array -> cost.Cost_model.count_array
+    | `None -> 0
   in
   let on_entry st (frame : Interp.frame) =
     match plans.(frame.fmeth) with
@@ -63,46 +64,48 @@ let path_hooks ~(plans : plans) ~count_cost ~on_path_end () =
         plan.Instrument.edge_steps.(src).(idx)
     | Some _ | None -> None
   in
+  let block_event meth blk =
+    match plans.(meth) with
+    | Some plan when blk < Array.length plan.Instrument.path_end ->
+        plan.Instrument.path_end.(blk)
+    | Some _ | None -> None
+  in
   let edge_site meth ~src ~idx = Option.is_some (step meth ~src ~idx) in
+  let path_end st frame d ~badd ~breset =
+    let cost = st.Machine.cost in
+    if badd <> 0 then begin
+      !regs.(d) <- !regs.(d) + badd;
+      Machine.add_cycles st cost.Cost_model.r_update
+    end;
+    Machine.add_cycles st (count_charge cost);
+    on_path_end st frame ~path_id:!regs.(d);
+    if breset >= 0 then begin
+      !regs.(d) <- breset;
+      Machine.add_cycles st cost.Cost_model.r_update
+    end
+  in
   let on_edge st (frame : Interp.frame) ~src ~idx ~dst:_ =
     match step frame.fmeth ~src ~idx with
     | None -> ()
     | Some { add; count; reset } ->
-        let cost = st.Machine.cost in
         let d = slot st in
-        if add <> 0 then begin
-          !regs.(d) <- !regs.(d) + add;
-          Machine.add_cycles st cost.Cost_model.r_update
-        end;
-        if count then begin
-          charge_count st;
-          on_path_end st frame ~path_id:!regs.(d)
-        end;
-        if reset >= 0 then begin
-          !regs.(d) <- reset;
-          Machine.add_cycles st cost.Cost_model.r_update
+        if count then path_end st frame d ~badd:add ~breset:reset
+        else begin
+          let cost = st.Machine.cost in
+          if add <> 0 then begin
+            !regs.(d) <- !regs.(d) + add;
+            Machine.add_cycles st cost.Cost_model.r_update
+          end;
+          if reset >= 0 then begin
+            !regs.(d) <- reset;
+            Machine.add_cycles st cost.Cost_model.r_update
+          end
         end
   in
   let on_yieldpoint st (frame : Interp.frame) blk =
-    match plans.(frame.fmeth) with
+    match block_event frame.fmeth blk with
     | None -> ()
-    | Some plan when blk >= Array.length plan.Instrument.path_end -> ()
-    | Some plan -> (
-        match plan.Instrument.path_end.(blk) with
-        | None -> ()
-        | Some { badd; breset } ->
-            let cost = st.Machine.cost in
-            let d = slot st in
-            if badd <> 0 then begin
-              !regs.(d) <- !regs.(d) + badd;
-              Machine.add_cycles st cost.Cost_model.r_update
-            end;
-            charge_count st;
-            on_path_end st frame ~path_id:!regs.(d);
-            if breset >= 0 then begin
-              !regs.(d) <- breset;
-              Machine.add_cycles st cost.Cost_model.r_update
-            end)
+    | Some { badd; breset } -> path_end st frame (slot st) ~badd ~breset
   in
   {
     Interp.no_hooks with
@@ -110,6 +113,16 @@ let path_hooks ~(plans : plans) ~count_cost ~on_path_end () =
     on_edge = Some on_edge;
     edge_site = Some edge_site;
     on_yieldpoint = Some on_yieldpoint;
+    path =
+      Some
+        {
+          Interp.edge_step = step;
+          block_event;
+          reg = regs;
+          count_charge;
+          live;
+          on_path_end;
+        };
   }
 
 let edge_count_hooks ?(charge = true) st ~(table : Edge_profile.table) =

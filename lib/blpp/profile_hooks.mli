@@ -4,8 +4,9 @@
     machine: it maintains the frame's path register, charges the cost
     model for every executed instrumentation operation, and calls the
     caller's [on_path_end] at every path-end point with the completed
-    path number.  Both the perfect profilers ({!Profiler}) and PEP's
-    sampler build on this. *)
+    path number.  Every path layer builds on this: the perfect and
+    classic BLPP profilers ({!Profiler}), PEP's sampler, the hardware
+    path profiler and the back-edge instrumentation. *)
 
 type plans = Instrument.t option array
 
@@ -50,12 +51,20 @@ val make_plans :
     [`Array] for classic BLPP's array-indexed counter, [`None] for PEP,
     which charges sampling costs itself in [on_path_end].
 
-    The layer's [edge_site] is the edges whose plan has a step (the
-    plan read at translation time, so [plans] may only change together
-    with a generation bump of the method, as the driver does).  Every
-    yieldpoint of a planned method is a potential path end, so the
-    layer observes all yieldpoints. *)
+    The layer's closures are what the oracle runs.  Its [path] field
+    hands an engine the same plans, register and charges as data
+    ({!Interp.path_layer}).  With [live], [on_path_end] acts only while
+    [Machine.tick_pending] or [!live] holds, and must change nothing
+    otherwise; without it, it may act at every path end.  So {!Codegen}
+    runs the register updates inside its transfers and calls
+    [on_path_end] only at path ends where it can act; a yieldpoint
+    without a path end costs the layer nothing there.  The layer's
+    [edge_site] is the edges whose plan has a step.  Steps and sites
+    are read when a method is translated, so [plans] may only change
+    together with a generation bump of the method, as the driver
+    does. *)
 val path_hooks :
+  ?live:bool ref ->
   plans:plans ->
   count_cost:[ `Hash | `Array | `None ] ->
   on_path_end:(Machine.t -> Interp.frame -> path_id:int -> unit) ->

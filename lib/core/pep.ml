@@ -179,19 +179,26 @@ let create ?telemetry ?faults ?(eager = true)
       sample_instant st "drop" meth path_id
     end
   in
+  (* [live] mirrors [Sampling.active sampler], which changes only in
+     here: outside a burst and without a pending tick, [on_path_end]
+     does nothing, so an engine may skip the call *)
+  let live = ref false in
   let on_path_end (st : Machine.t) (frame : Interp.frame) ~path_id =
     if st.tick_pending then begin
       st.tick_pending <- false;
       Sampling.activate sampler
     end;
-    if Sampling.active sampler then
-      match Sampling.step sampler with
-      | `Skip ->
-          (match stats with Some s -> Metrics.incr s.skipped | None -> ());
-          Machine.add_cycles st st.cost.Cost_model.stride_step
-      | `Take -> take_sample st frame.fmeth path_id
+    (if Sampling.active sampler then
+       match Sampling.step sampler with
+       | `Skip ->
+           (match stats with Some s -> Metrics.incr s.skipped | None -> ());
+           Machine.add_cycles st st.cost.Cost_model.stride_step
+       | `Take -> take_sample st frame.fmeth path_id);
+    live := Sampling.active sampler
   in
-  let hooks = Profile_hooks.path_hooks ~plans ~count_cost:`None ~on_path_end () in
+  let hooks =
+    Profile_hooks.path_hooks ~live ~plans ~count_cost:`None ~on_path_end ()
+  in
   { hooks; paths; edges; plans; sampler }
 
 let n_samples t =

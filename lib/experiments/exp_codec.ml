@@ -106,13 +106,25 @@ module Bin = struct
     done;
     r.p <- !p
 
+  (* the bytes are [skip_varints]-checked, so decoding needs neither
+     [rbyte]'s end test nor [rvarint]'s length test *)
   let rints_later r n =
     let start = r.p in
     skip_varints r n;
+    let s = r.s in
     fun () ->
-      let r = { r with p = start } and a = Array.make n 0 in
+      let a = Array.make n 0 and p = ref start in
       for i = 0 to n - 1 do
-        a.(i) <- rint r
+        let u = ref 0 and shift = ref 0 and b = ref (Char.code s.[!p]) in
+        incr p;
+        while !b >= 0x80 do
+          u := !u lor ((!b land 0x7f) lsl !shift);
+          shift := !shift + 7;
+          b := Char.code s.[!p];
+          incr p
+        done;
+        let u = !u lor (!b lsl !shift) in
+        a.(i) <- (u lsr 1) lxor ~-(u land 1)
       done;
       a
 

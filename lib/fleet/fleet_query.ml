@@ -439,7 +439,6 @@ let diff_indexed ?(thresholds = default_thresholds) ix ~current =
   (* sorted by rendering, each finding rendered once *)
   List.map (fun f -> (render_finding f, f)) !findings
   |> List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map snd
 
 let diff ?thresholds ~baseline ~current () =
-  diff_indexed ?thresholds (index baseline) ~current
+  List.map snd (diff_indexed ?thresholds (index baseline) ~current)

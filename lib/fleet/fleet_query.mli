@@ -101,11 +101,12 @@ type indexed
 val index : view -> indexed
 
 (** Rule-based triage of [current] against an indexed baseline; joins
-    are by method name, findings sorted by rendering. *)
+    are by method name.  Each finding comes with its {!render_finding},
+    rendered once, and the list is sorted by it. *)
 val diff_indexed :
-  ?thresholds:thresholds -> indexed -> current:view -> finding list
+  ?thresholds:thresholds -> indexed -> current:view -> (string * finding) list
 
-(** [diff_indexed] against [index baseline]. *)
+(** The findings of [diff_indexed] against [index baseline]. *)
 val diff :
   ?thresholds:thresholds ->
   baseline:view ->

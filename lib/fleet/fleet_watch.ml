@@ -287,14 +287,12 @@ let run ?thresholds ?(baseline_windows = 1) ~rules ~degraded segments =
           List.iter
             (fun rule ->
               let matched =
-                List.filter (rule_matches rule ~cohort) findings
+                List.filter (fun (_, f) -> rule_matches rule ~cohort f) findings
               in
               considered := !considered + List.length matched;
               List.iter
-                (fun f ->
-                  let key =
-                    (rule.name, cohort, Fleet_query.render_finding f)
-                  in
+                (fun (text, f) ->
+                  let key = (rule.name, cohort, text) in
                   let st =
                     match Hashtbl.find_opt states key with
                     | Some st -> st
@@ -312,14 +310,15 @@ let run ?thresholds ?(baseline_windows = 1) ~rules ~degraded segments =
                   else if st.streak >= rule.persist then begin
                     st.fired <- true;
                     alerts :=
-                      {
-                        rule = rule.name;
-                        cohort;
-                        window = w;
-                        streak = st.streak;
-                        degraded = is_degraded ~cohort ~lo ~baseline_hi w;
-                        finding = f;
-                      }
+                      ( (w, cohort, rule.name, text),
+                        {
+                          rule = rule.name;
+                          cohort;
+                          window = w;
+                          streak = st.streak;
+                          degraded = is_degraded ~cohort ~lo ~baseline_hi w;
+                          finding = f;
+                        } )
                       :: !alerts
                   end)
                 matched)
@@ -340,13 +339,9 @@ let run ?thresholds ?(baseline_windows = 1) ~rules ~degraded segments =
       end)
     cohorts;
   {
+    (* sorted on (window, cohort, rule, rendering), each key built once *)
     alerts =
-      List.sort
-        (fun a b ->
-          compare
-            (a.window, a.cohort, a.rule, Fleet_query.render_finding a.finding)
-            (b.window, b.cohort, b.rule, Fleet_query.render_finding b.finding))
-        !alerts;
+      List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !alerts);
     considered = !considered;
     deduped = !deduped;
     flapped = !flapped;

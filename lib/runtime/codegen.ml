@@ -19,22 +19,29 @@
    produces exactly what unfused code does.
 
    Hooks are sparse.  When it translates a compiled form, the engine
-   marks each transfer plain or observed under the current hooks: an
-   edge is observed where some layer's [on_edge] acts
-   ([Interp.hooks.edge_site]), and a transfer into a yieldpoint when a
-   layer has [on_yieldpoint].  Plain transfers, hooked run or bare, take
-   one fast path: cycles stay in a register, the destination's cost is
-   the one baked at translation, and the poll and timer flag are
-   handled inline ([on_tick] runs only when the tick is due).  Observed
-   transfers take the hooked path, which charges through the compiled
-   form and consults the closures in the oracle's order.  Both the
-   baked costs and the marks are exact only while the frame's compiled
-   form is current: [Machine.set_speed] and [Machine.recompile] bump
-   the generation, and a layer's sites change only together with such a
-   bump.  Only a hook can bump it mid-run, so after every hook and every
-   hooked call a frame checks its form, and a frame whose form changed
-   under it finishes on a copy whose every transfer is observed
-   ([current]). *)
+   lists what each composed layer does at each transfer, in composition
+   order: a layer's [on_edge] where its [edge_site] says it acts, its
+   [on_yieldpoint] at every yieldpoint, and for a path layer
+   ([Interp.hooks.path]) the steps of its plan, lowered — register adds
+   and resets, and path ends that call [on_path_end] only where it can
+   act.  A transfer with no work, or whose only work is one path
+   layer's [r += add] and at most one path end at its yieldpoint, takes
+   the fast path in hooked and bare runs alike: cycles stay in a
+   register, the destination's cost (plus the add's [r_update]) is the
+   one baked at translation, the poll and timer flag are handled inline
+   ([on_tick] runs only when the tick is due), and the register update
+   is one store.  Any other transfer is observed: it charges through
+   the compiled form and runs its list, calling closures and lowered
+   steps in the oracle's order with every charge flushed before a call.
+   The baked costs, the marks and the lowered steps are exact only
+   while the frame's compiled form is current: [Machine.set_speed] and
+   [Machine.recompile] bump the generation, and a layer's sites and
+   plans change only together with such a bump.  Only a hook can bump
+   it mid-run, so after every hook and every hooked call a frame checks
+   its form, and a frame whose form changed under it runs the rest of
+   that hook point through the layers' closures and finishes on a copy
+   whose every transfer calls the composed closures ([current]); a
+   path layer's closures act on the register its lowered steps used. *)
 
 (* Opcodes.  All constructors are nullary, so the code array is an
    immediate-int array and dispatch compiles to a jump table.  [ARM]
@@ -133,19 +140,49 @@ type env = {
   mutable frame : Interp.frame;
 }
 
+(* One path layer's lowered work at a hook point ([Interp.path_layer]):
+   [r += add] (0 = none); for a path end, the count charge and
+   [on_path_end] where it can act; then [r = reset] (-1 = none).  [pre]
+   is every cycle charged before the path end (the add's [r_update] and
+   the count charge), [post] the reset's [r_update].  [reg], [live] and
+   [on_path_end] are the layer's. *)
+type step = {
+  li : int;  (* the layer's position in the composition *)
+  reg : int array ref;
+  live : bool ref option;
+  on_path_end : Machine.t -> Interp.frame -> path_id:int -> unit;
+  add : int;
+  ends : bool;
+  reset : int;
+  pre : int;
+  post : int;
+}
+
+(* One layer's work at a hook point of a translation, in composition
+   order: a layer's closure ([on_edge] or [on_yieldpoint]) with the
+   layer's position, or a path layer's lowered step. *)
+type 'f item = Call of int * 'f | Step of step
+
+type edge_fn = Machine.t -> Interp.frame -> src:int -> idx:int -> dst:int -> unit
+type yield_fn = Machine.t -> Interp.frame -> Cfg.block_id -> unit
+
 (* A method body translated to flat code.  Transfer slots pack the edge
    descriptor into one word in [fb]: bit 0 = destination has a
    yieldpoint, bit 1 = successor index (0 taken / 1 not-taken), bit 2 =
-   observed (take the hooked path), bit 3 = some layer's [on_edge] acts
-   here, bits 4..23 = source block, bits 24.. = destination block; [fa]
-   holds the destination's first slot and [frows] the source's captured
+   observed (take the hooked path), bit 3 = the edge's only work is one
+   path layer's [r += add] ([fstep]), bit 4 = the destination's
+   yieldpoint's only work is one path layer's path end ([yend]), bits
+   5..24 = source block, bits 25.. = destination block; [fa] holds the
+   destination's first slot and [frows] the source's captured
    [edge_extra] row (mutated in place by [Layout.apply], so reads see
    the current penalties, as the oracle does).  [fcost] bakes the
-   destination block's cost per transfer slot: [Machine.set_speed] is
-   the only mutator of [block_cost] and always bumps [gen], so baked
-   costs are exact while [bgen = fcm.gen].  The fast path relies on
-   that; the hooked path reads [block_cost] through [fcm], since a
-   frame whose form went stale finishes there. *)
+   destination block's cost per transfer slot, plus the [r_update] of a
+   bit-3 add: [Machine.set_speed] is the only mutator of [block_cost]
+   and always bumps [gen], so baked costs are exact while
+   [bgen = fcm.gen].  The fast path relies on that; the hooked path
+   reads [block_cost] through [fcm], since a frame whose form went
+   stale finishes there.  [fedge] (per slot) and [fyield] (per block)
+   are the items of an observed transfer's edge and of a yieldpoint. *)
 type flat = {
   bgen : int;  (* Machine.cmeth.gen this code was translated from *)
   self : int;  (* dense method index, the fparent of callee frames *)
@@ -175,6 +212,12 @@ type flat = {
   fb : int array;
   fcost : int array;  (* per transfer slot: destination block cost *)
   frows : int array array;
+  fstep : step array;  (* per transfer slot: the bit-3 add *)
+  fedge : edge_fn item array array;  (* per transfer slot, observed ones only *)
+  fyield : yield_fn item array array;  (* per block: its yieldpoint's items *)
+  yend : step array;  (* per block: the bit-4 path end *)
+  (* each of the four is [[||]] in a translation where it would hold
+     nothing *)
   fics : ic array;
   fwitness : Fusion.witness;  (* the fusion table compiled in *)
 }
@@ -204,9 +247,10 @@ and ic = {
 }
 
 let observed = 4
-let acts = 8
-let src_of w = (w lsr 4) land 0xFFFFF
-let dst_of w = w lsr 24
+let ladd = 8
+let lend = 16
+let src_of w = (w lsr 5) land 0xFFFFF
+let dst_of w = w lsr 25
 
 (* [bgen] of a stale frame's copy: every transfer observed, never
    cached, never current *)
@@ -246,6 +290,7 @@ type t = {
   prng : Prng.t;
   tiers : tiers;
   mutable hooks : Interp.hooks;
+  mutable layers : Interp.hooks array;  (* the hooks' single layers *)
   mutable hooked_mode : bool;
   bodies : flat option array;
   hot : bool array option array;  (* fusion hot masks, per method *)
@@ -256,6 +301,19 @@ type t = {
 
 let dummy_frame = { Interp.fmeth = -1; fparent = -1; r = 0 }
 let no_row = [| 0; 0 |]
+
+let no_step =
+  {
+    li = -1;
+    reg = ref [||];
+    live = None;
+    on_path_end = (fun _ _ ~path_id:_ -> ());
+    add = 0;
+    ends = false;
+    reset = -1;
+    pre = 0;
+    post = 0;
+  }
 
 let invalid_flat (st : Machine.t) =
   {
@@ -278,6 +336,10 @@ let invalid_flat (st : Machine.t) =
     fb = [||];
     fcost = [||];
     frows = [||];
+    fstep = [||];
+    fedge = [||];
+    fyield = [||];
+    yend = [||];
     fics = [||];
     fwitness = Fusion.empty_witness;
   }
@@ -293,6 +355,8 @@ let is_no_hooks = function
       edge_site = _;
       on_tick = None;
       on_yieldpoint = None;
+      path = None;
+      layers = _;
     } ->
       true
   | _ -> false
@@ -325,6 +389,7 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
     prng = st.Machine.prng;
     tiers;
     hooks;
+    layers = Array.of_list (Interp.layers hooks);
     hooked_mode = not (is_no_hooks hooks);
     bodies = Array.make n None;
     hot = Array.make n None;
@@ -335,9 +400,10 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
 
 let set_hooks eng hooks =
   eng.hooks <- hooks;
+  eng.layers <- Array.of_list (Interp.layers hooks);
   eng.hooked_mode <- not (is_no_hooks hooks);
-  (* translations mark their transfers under the hooks they were made
-     with; their inline caches go with them *)
+  (* translations lower their transfers' work under the hooks they were
+     made with; their inline caches go with them *)
   Array.fill eng.bodies 0 (Array.length eng.bodies) None
 
 let hooks eng = eng.hooks
@@ -484,11 +550,12 @@ let is_transfer = function
 
 (* The copy a frame finishes on once its compiled form changed under it
    (a hook ran [set_speed] or [recompile] on its method): every transfer
-   takes the hooked path and consults [on_edge], as under the oracle. *)
+   takes the hooked path and calls the composed closures, which read the
+   live plans, as under the oracle. *)
 let demote fl =
   let fb = Array.copy fl.fb in
   Array.iteri
-    (fun pc op -> if is_transfer op then fb.(pc) <- fb.(pc) lor observed lor acts)
+    (fun pc op -> if is_transfer op then fb.(pc) <- fb.(pc) lor observed)
     fl.fcode;
   { fl with bgen = stale_gen; fb }
 
@@ -496,6 +563,100 @@ let demote fl =
    if its form is still current, else its demoted copy. *)
 let current fl =
   if fl.bgen = fl.fcm.Machine.gen || fl.bgen = stale_gen then fl else demote fl
+
+(* The live form of a frame's translation is still the one it was
+   translated from, so its lowered steps and marks hold. *)
+let fresh fl = fl.bgen = fl.fcm.Machine.gen
+
+(* whether the step's [on_path_end] can act now ([Interp.path_layer]) *)
+let can_act st s =
+  match s.live with
+  | Some live -> st.Machine.tick_pending || !live
+  | None -> true
+
+(* A lowered step, charged in [st.cycles] as [Profile_hooks]' closures
+   charge it: [pre] lands before [on_path_end], [post] after. *)
+let run_step eng frame depth s =
+  let st = eng.st in
+  let reg = !(s.reg) in
+  let r = reg.(depth) + s.add in
+  reg.(depth) <- r;
+  st.Machine.cycles <- st.Machine.cycles + s.pre;
+  if s.ends && can_act st s then s.on_path_end st frame ~path_id:r;
+  if s.reset >= 0 then !(s.reg).(depth) <- s.reset;
+  st.Machine.cycles <- st.Machine.cycles + s.post
+
+(* A hook point's items in composition order.  Should one of them
+   change the frame's form (a closure or [on_path_end] bumped its
+   method's generation), the layers after it run as closures over the
+   live plans, which is what the oracle does. *)
+let edge_items eng fl frame depth items ~src ~idx ~dst =
+  let n = Array.length items and i = ref 0 in
+  while !i < n do
+    let li =
+      match Array.unsafe_get items !i with
+      | Call (li, f) ->
+          f eng.st frame ~src ~idx ~dst;
+          li
+      | Step s ->
+          run_step eng frame depth s;
+          s.li
+    in
+    if fresh fl then incr i
+    else begin
+      for k = li + 1 to Array.length eng.layers - 1 do
+        match eng.layers.(k).Interp.on_edge with
+        | Some f -> f eng.st frame ~src ~idx ~dst
+        | None -> ()
+      done;
+      i := n
+    end
+  done
+
+let yield_closures eng frame blk from =
+  for k = from to Array.length eng.layers - 1 do
+    match eng.layers.(k).Interp.on_yieldpoint with
+    | Some f -> f eng.st frame blk
+    | None -> ()
+  done
+
+let yield_items eng fl frame depth items blk =
+  let n = Array.length items and i = ref 0 in
+  while !i < n do
+    let li =
+      match Array.unsafe_get items !i with
+      | Call (li, f) ->
+          f eng.st frame blk;
+          li
+      | Step s ->
+          run_step eng frame depth s;
+          s.li
+    in
+    if fresh fl then incr i
+    else begin
+      yield_closures eng frame blk (li + 1);
+      i := n
+    end
+  done
+
+(* The oracle's yieldpoint once the poll is charged and flushed: raise
+   the timer flag when the tick is due, run [on_tick] if the flag is
+   set, then the block's yieldpoint items.  In a frame whose form is no
+   longer the one translated, the composed [on_yieldpoint] does that
+   work over the live plans. *)
+let yield_point eng fl frame depth c blk =
+  let st = eng.st in
+  if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
+  (if st.Machine.yield_flag then
+     match eng.hooks.Interp.on_tick with Some f -> f st frame | None -> ());
+  if fresh fl then begin
+    if blk < Array.length fl.fyield then
+      yield_items eng fl frame depth (Array.unsafe_get fl.fyield blk) blk
+  end
+  else
+    match eng.hooks.Interp.on_yieldpoint with
+    | Some g -> g st frame blk
+    | None -> ()
 
 let count_hit eng =
   match eng.stats with Some s -> Metrics.incr s.ic_hits | None -> ()
@@ -562,13 +723,64 @@ and translate eng (cm : Machine.cmeth) midx : flat =
   let ic_acc = ref [] in
   let n_ics = ref 0 in
   let pc = ref 0 in
-  let hooks = eng.hooks in
-  let yp_hooked = Option.is_some hooks.Interp.on_yieldpoint in
-  let edge_acts ~src ~idx =
-    match (hooks.Interp.on_edge, hooks.Interp.edge_site) with
-    | None, _ -> false
-    | Some _, None -> true
-    | Some _, Some site -> site midx ~src ~idx
+  (* the slots that carry a lowered add, and the observed slots' items;
+     few, so kept sparse until the code's length is known *)
+  let adds = ref [] and observed_items = ref [] in
+  (* what each layer does at each hook point, in composition order: a
+     path layer's plan becomes lowered steps, any other layer's closure
+     an item where it acts ([edge_site]; [on_yieldpoint] at every
+     yieldpoint) *)
+  let layers = eng.layers in
+  let cost = eng.st.Machine.cost in
+  let step li (pl : Interp.path_layer) ~add ~ends ~reset =
+    Step
+      {
+        li;
+        reg = pl.Interp.reg;
+        live = pl.Interp.live;
+        on_path_end = pl.Interp.on_path_end;
+        add;
+        ends;
+        reset;
+        pre =
+          (if add <> 0 then cost.Cost_model.r_update else 0)
+          + if ends then pl.Interp.count_charge cost else 0;
+        post = (if reset >= 0 then cost.Cost_model.r_update else 0);
+      }
+  in
+  let items_of f =
+    let acc = ref [] in
+    for li = Array.length layers - 1 downto 0 do
+      match f li layers.(li) with Some it -> acc := it :: !acc | None -> ()
+    done;
+    Array.of_list !acc
+  in
+  let edge_items ~src ~idx =
+    items_of (fun li (l : Interp.hooks) ->
+        match (l.Interp.path, l.Interp.on_edge, l.Interp.edge_site) with
+        | Some pl, _, _ -> (
+            match pl.Interp.edge_step midx ~src ~idx with
+            | Some { Interp.add; count; reset } ->
+                Some (step li pl ~add ~ends:count ~reset)
+            | None -> None)
+        | None, None, _ -> None
+        | None, Some f, None -> Some (Call (li, f))
+        | None, Some f, Some site ->
+            if site midx ~src ~idx then Some (Call (li, f)) else None)
+  in
+  let fyield =
+    Array.init nblocks (fun b ->
+        if not cm.Machine.yieldpoint.(b) then [||]
+        else
+          items_of (fun li (l : Interp.hooks) ->
+              match (l.Interp.path, l.Interp.on_yieldpoint) with
+              | Some pl, _ -> (
+                  match pl.Interp.block_event midx b with
+                  | Some { Interp.badd; breset } ->
+                      Some (step li pl ~add:badd ~ends:true ~reset:breset)
+                  | None -> None)
+              | None, Some f -> Some (Call (li, f))
+              | None, None -> None))
   in
   let push op ~ax ~bx =
     code.(!pc) <- op;
@@ -577,18 +789,29 @@ and translate eng (cm : Machine.cmeth) midx : flat =
     incr pc
   in
   (* a transfer slot: [fa] patched to the destination's first slot once
-     every block's position is known *)
+     every block's position is known.  A transfer whose only work is
+     one path layer's register add on the edge and one path layer's
+     path end at the destination stays on the fast path; any other
+     work marks it observed. *)
   let push_transfer op ~src ~idx dst =
     let yp = cm.Machine.yieldpoint.(dst) in
-    let on_edge = edge_acts ~src ~idx in
-    let mark =
-      (if yp then 1 else 0)
-      lor (if on_edge || (yp && yp_hooked) then observed else 0)
-      lor if on_edge then acts else 0
+    let e = edge_items ~src ~idx in
+    let fast_end =
+      match fyield.(dst) with [||] -> Some 0 | [| Step _ |] -> Some lend | _ -> None
+    in
+    let mark, add =
+      match (e, fast_end) with
+      | [||], Some m -> (m, no_step)
+      | [| Step ({ ends = false; reset = -1; _ } as s) |], Some m -> (ladd lor m, s)
+      | _ -> (observed, no_step)
     in
     code.(!pc) <- op;
-    opb.(!pc) <- mark lor (idx lsl 1) lor (src lsl 4) lor (dst lsl 24);
+    opb.(!pc) <-
+      mark lor (if yp then 1 else 0) lor (idx lsl 1) lor (src lsl 5) lor (dst lsl 25);
     rows.(!pc) <- cm.Machine.edge_extra.(src);
+    if add != no_step then adds := (!pc, add) :: !adds;
+    if mark = observed && Array.length e > 0 then
+      observed_items := (!pc, e) :: !observed_items;
     tslots := !pc :: !tslots;
     incr pc
   in
@@ -723,12 +946,32 @@ and translate eng (cm : Machine.cmeth) midx : flat =
   let opa = Array.sub opa 0 len in
   let opb = Array.sub opb 0 len in
   let rows = Array.sub rows 0 len in
-  let cost = Array.make len 0 in
+  (* a translation keeps these only where they hold something: a run's
+     translations live as long as its driver *)
+  let sparse n empty = function
+    | [] -> [||]
+    | l ->
+        let a = Array.make n empty in
+        List.iter (fun (i, x) -> a.(i) <- x) l;
+        a
+  in
+  let fstep = sparse len no_step !adds in
+  let fedge = sparse len [||] !observed_items in
+  let fyield = if Array.for_all (fun y -> y == [||]) fyield then [||] else fyield in
+  let yend =
+    sparse nblocks no_step
+      (List.filter_map
+         (fun b -> match fyield.(b) with [| Step s |] -> Some (b, s) | _ -> None)
+         (List.init (Array.length fyield) Fun.id))
+  in
+  let fcost = Array.make len 0 in
   List.iter
     (fun s ->
       let dst = dst_of opb.(s) in
       opa.(s) <- block_pc.(dst);
-      cost.(s) <- cm.Machine.block_cost.(dst))
+      fcost.(s) <-
+        (cm.Machine.block_cost.(dst)
+        + if Array.length fstep > 0 then fstep.(s).pre else 0))
     !tslots;
   let e2_pc, e_row, e2_cost, e2_yp =
     let eb = m.Method.entry in
@@ -758,8 +1001,12 @@ and translate eng (cm : Machine.cmeth) midx : flat =
     fcode = code;
     fa = opa;
     fb = opb;
-    fcost = cost;
+    fcost;
     frows = rows;
+    fstep;
+    fedge;
+    fyield;
+    yend;
     fics = Array.of_list (List.rev !ic_acc);
     fwitness = witness;
   }
@@ -857,20 +1104,9 @@ and lookup_ic eng ic (ccm : Machine.cmeth) =
       end;
       bd
 
-(* The oracle's yieldpoint sequence once the poll is charged and
-   flushed: raise the timer flag when the tick is due, run [on_tick] if
-   the flag is set, then [on_yieldpoint]. *)
-and poll_hooks eng st frame c blk =
-  if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
-  (if st.Machine.yield_flag then
-     match eng.hooks.Interp.on_tick with Some f -> f st frame | None -> ());
-  match eng.hooks.Interp.on_yieldpoint with
-  | Some g -> g st frame blk
-  | None -> ()
-
 (* Enter a translated body: charge the entry block like the oracle's
-   [enter_block] (cost, then poll and the yieldpoint hooks if the entry
-   carries a yieldpoint), and start the dispatch loop. *)
+   [enter_block] (cost, then the poll and the yieldpoint if the entry
+   carries one), and start the dispatch loop. *)
 and run_flat eng bd env =
   let st = eng.st in
   let c =
@@ -880,7 +1116,7 @@ and run_flat eng bd env =
   if bd.entry_yp then begin
     let c = c + eng.poll in
     st.Machine.cycles <- c;
-    poll_hooks eng st env.frame c bd.entry_block;
+    yield_point eng bd env.frame st.Machine.depth c bd.entry_block;
     exec eng (current bd) env.stack env.locals env.frame st.Machine.cycles
       st.Machine.depth bd.entry_pc 0
   end
@@ -901,18 +1137,14 @@ and run_flat eng bd env =
    before any hook runs (hooks observe and may mutate
    [st.Machine.cycles], so hooked paths store first and reload after).
 
-   A plain transfer has no observer between the edge charge and the
-   block charge, so both merge into one add of the baked cost; one test
-   of the observed and yieldpoint bits picks out the commonest case, a
-   plain transfer into a block without a yieldpoint.  A plain poll
-   raises the flag exactly when the tick is due: the flag is set
-   only by a poll that finds [cycles >= next_tick] and cleared only by
-   [Machine.rearm_timer], which moves [next_tick] past the current
-   cycle, and cycles never decrease — so at a poll the flag is set iff
-   the tick is due, and [on_tick] runs then, as in the oracle. *)
+   A transfer that is not observed has no observer between the edge
+   charge and the block charge, so both merge into one add of the baked
+   cost (which includes a lowered add's [r_update]); one test of the
+   observed, yieldpoint and add bits picks out the commonest case, a
+   plain transfer into a block without a yieldpoint. *)
 and transfer eng fl stack locals frame cyc depth slot sp =
   let w = Array.unsafe_get fl.fb slot in
-  if w land (observed lor 1) = 0 then
+  if w land (observed lor ladd lor 1) = 0 then
     exec eng fl stack locals frame
       (cyc
       + Array.unsafe_get (Array.unsafe_get fl.frows slot) ((w lsr 1) land 1)
@@ -920,7 +1152,7 @@ and transfer eng fl stack locals frame cyc depth slot sp =
       depth
       (Array.unsafe_get fl.fa slot)
       sp
-  else if w land observed = 0 then begin
+  else if w land (observed lor ladd lor lend) = 0 then begin
     let st = eng.st in
     let c =
       cyc
@@ -930,39 +1162,118 @@ and transfer eng fl stack locals frame cyc depth slot sp =
     in
     if c < st.Machine.next_tick then
       exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
-    else begin
-      st.Machine.yield_flag <- true;
-      match eng.hooks.Interp.on_tick with
-      | None ->
-          exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
-      | Some f ->
-          st.Machine.cycles <- c;
-          f st frame;
-          exec eng (current fl) stack locals frame st.Machine.cycles depth
-            (Array.unsafe_get fl.fa slot)
-            sp
-    end
+    else tick eng fl stack locals frame c depth slot sp w
   end
+  else if w land observed = 0 then
+    lowered_transfer eng fl stack locals frame cyc depth slot sp w
   else observed_transfer eng fl stack locals frame cyc depth slot sp
 
+(* A transfer whose work is lowered: one path layer's [r += add] on the
+   edge (its [r_update] baked into [fcost]), then, into a yieldpoint,
+   the poll and at most one path layer's path end. *)
+and lowered_transfer eng fl stack locals frame cyc depth slot sp w =
+  if w land ladd <> 0 then begin
+    let s = Array.unsafe_get fl.fstep slot in
+    let reg = !(s.reg) in
+    reg.(depth) <- reg.(depth) + s.add
+  end;
+  let c =
+    cyc
+    + Array.unsafe_get (Array.unsafe_get fl.frows slot) ((w lsr 1) land 1)
+    + Array.unsafe_get fl.fcost slot
+  in
+  if w land 1 = 0 then
+    exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
+  else
+    let c = c + eng.poll in
+    if c >= eng.st.Machine.next_tick then
+      tick eng fl stack locals frame c depth slot sp w
+    else if w land lend = 0 then
+      exec eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot) sp
+    else
+      path_end eng fl stack locals frame c depth (Array.unsafe_get fl.fa slot)
+        sp (dst_of w)
+
+(* A poll on the fast path that finds the tick due.  A plain poll
+   raises the flag exactly when the tick is due: the flag is set only
+   by a poll that finds [cycles >= next_tick] and cleared only by
+   [Machine.rearm_timer], which moves [next_tick] past the current
+   cycle, and cycles never decrease — so at a poll the flag is set iff
+   the tick is due, and [on_tick] runs then, as in the oracle.  Should
+   the tick change this frame's form, the destination's yieldpoint runs
+   every layer's closure. *)
+and tick eng fl stack locals frame c depth slot sp w =
+  let st = eng.st in
+  let pc = Array.unsafe_get fl.fa slot in
+  st.Machine.yield_flag <- true;
+  match eng.hooks.Interp.on_tick with
+  | None ->
+      if w land lend = 0 then exec eng fl stack locals frame c depth pc sp
+      else path_end eng fl stack locals frame c depth pc sp (dst_of w)
+  | Some f ->
+      st.Machine.cycles <- c;
+      f st frame;
+      if fresh fl then
+        if w land lend = 0 then
+          exec eng fl stack locals frame st.Machine.cycles depth pc sp
+        else
+          path_end eng fl stack locals frame st.Machine.cycles depth pc sp
+            (dst_of w)
+      else begin
+        (match eng.hooks.Interp.on_yieldpoint with
+        | Some g -> g st frame (dst_of w)
+        | None -> ());
+        exec eng (current fl) stack locals frame st.Machine.cycles depth pc sp
+      end
+
+(* One path layer's path end at block [blk]'s yieldpoint, lowered: the
+   register and every charge stay in registers unless [on_path_end] can
+   act, in which case it sees the cycles the oracle shows it. *)
+and path_end eng fl stack locals frame c depth pc sp blk =
+  let s = Array.unsafe_get fl.yend blk in
+  let reg = !(s.reg) in
+  let r = reg.(depth) + s.add in
+  let st = eng.st in
+  if not (can_act st s) then begin
+    reg.(depth) <- (if s.reset >= 0 then s.reset else r);
+    exec eng fl stack locals frame (c + s.pre + s.post) depth pc sp
+  end
+  else begin
+    reg.(depth) <- r;
+    st.Machine.cycles <- c + s.pre;
+    s.on_path_end st frame ~path_id:r;
+    if s.reset >= 0 then !(s.reg).(depth) <- s.reset;
+    st.Machine.cycles <- st.Machine.cycles + s.post;
+    if not (fresh fl) then yield_closures eng frame blk (s.li + 1);
+    exec eng (current fl) stack locals frame st.Machine.cycles depth pc sp
+  end
+
 (* The hooked path: the oracle's sequence with every charge flushed
-   before the hook that may observe it. *)
+   before the hook that may observe it.  A translation still current
+   runs its items; a frame whose form went stale calls the composed
+   closures. *)
 and observed_transfer eng fl stack locals frame cyc depth slot sp =
   let st = eng.st in
   let w = Array.unsafe_get fl.fb slot in
   let idx = (w lsr 1) land 1 in
   let dst = dst_of w in
   st.Machine.cycles <- cyc + (Array.unsafe_get fl.frows slot).(idx);
-  (if w land acts <> 0 then
+  let items =
+    if slot < Array.length fl.fedge then Array.unsafe_get fl.fedge slot
+    else [||]
+  in
+  (if not (fresh fl) then
      match eng.hooks.Interp.on_edge with
      | Some f -> f st frame ~src:(src_of w) ~idx ~dst
-     | None -> ());
+     | None -> ()
+   else if Array.length items > 0 then
+     edge_items eng fl frame depth items ~src:(src_of w) ~idx ~dst);
   let c = st.Machine.cycles + fl.fcm.Machine.block_cost.(dst) in
   st.Machine.cycles <- c;
   if w land 1 <> 0 then begin
     let c = c + eng.poll in
     st.Machine.cycles <- c;
-    poll_hooks eng st frame c dst
+    yield_point eng fl frame depth c dst
   end;
   exec eng (current fl) stack locals frame st.Machine.cycles depth
     (Array.unsafe_get fl.fa slot)

@@ -24,23 +24,32 @@
     Steady-state calls never consult the method table and allocate
     nothing in bare (hook-free) execution.
 
-    {b Sparse hooks.}  A translation marks each block transfer plain or
-    observed under the engine's hooks: observed where some layer's
-    [on_edge] acts (its [Interp.hooks.edge_site]), and into a yieldpoint
-    when a layer has [on_yieldpoint].  Plain transfers take one fast
-    path in hooked and bare runs alike, with the destination's cost
-    baked and the poll inline; the timer's [on_tick] runs only at a
-    poll that finds the tick due.  Observed transfers consult the
-    closures.  Calls always consult [on_entry]/[on_exit] when hooks are
-    present.  A frame whose compiled form changes under it (a hook runs
-    {!Machine.set_speed} or {!Machine.recompile} on its method)
-    finishes with every transfer observed, so layers whose sites change
-    with a generation bump see exactly what the oracle shows them.
+    {b Sparse hooks, lowered path layers.}  A translation lists, per
+    block transfer and in composition order, what each layer does there:
+    a layer's [on_edge] where its [Interp.hooks.edge_site] says it acts,
+    its [on_yieldpoint] at every yieldpoint, and a path layer's plan
+    ([Interp.hooks.path]) as flat operations on its path register.  A
+    transfer with nothing to do, or whose only work is one path layer's
+    [r += add] and at most one path end at the destination's yieldpoint,
+    takes one fast path in hooked and bare runs alike, with the
+    destination's cost and the add's [r_update] baked, the poll inline,
+    and [on_path_end] called only where the layer says it can act; the
+    timer's [on_tick] runs only at a poll that finds the tick due.  Any
+    other transfer is observed and runs its list in the oracle's order.
+    Calls always consult [on_entry]/[on_exit] when hooks are present.
+    A frame whose compiled form changes under it (a hook runs
+    {!Machine.set_speed} or {!Machine.recompile} on its method) runs
+    the rest of that hook point, and then every transfer, through the
+    layers' closures, which read the live plans and act on the same
+    registers, so layers whose sites or plans change with a generation
+    bump see exactly what the oracle shows them.
 
     Semantics are bit-identical to the oracle: same virtual cycle
     counts, same yieldpoint firings, same hook event order (minus
     [on_edge] calls where no layer acts, which the site contract makes
-    inert), same results.  Layout penalties are read through the
+    inert, and minus a path layer's [on_edge]/[on_yieldpoint] calls,
+    whose work runs lowered, and its [on_path_end] calls where it says
+    they cannot act), same results.  Layout penalties are read through the
     captured compiled form at execution time, so in-place mutation by
     [Layout.apply] and {!Machine.clear_edge_extra} affects even frames
     currently executing, exactly as in the oracle. *)
@@ -75,7 +84,8 @@ val create :
   ?telemetry:Telemetry.t -> ?tiers:tiers -> ?hooks:Interp.hooks -> Machine.t -> t
 
 (** Replace the engine's hooks.  Drops every translation (and with them
-    their inline caches): each marked its transfers under the old hooks.
+    their inline caches): each lowered its transfers' work under the old
+    hooks.
     Must not be called while the engine is executing. *)
 val set_hooks : t -> Interp.hooks -> unit
 

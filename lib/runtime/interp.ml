@@ -1,4 +1,15 @@
 type frame = { fmeth : int; fparent : int; mutable r : int }
+type edge_step = { add : int; count : bool; reset : int }
+type block_event = { badd : int; breset : int }
+
+type path_layer = {
+  edge_step : int -> src:int -> idx:int -> edge_step option;
+  block_event : int -> Cfg.block_id -> block_event option;
+  reg : int array ref;
+  count_charge : Cost_model.t -> int;
+  live : bool ref option;
+  on_path_end : Machine.t -> frame -> path_id:int -> unit;
+}
 
 type hooks = {
   on_entry : (Machine.t -> frame -> unit) option;
@@ -7,6 +18,8 @@ type hooks = {
   edge_site : (int -> src:int -> idx:int -> bool) option;
   on_tick : (Machine.t -> frame -> unit) option;
   on_yieldpoint : (Machine.t -> frame -> Cfg.block_id -> unit) option;
+  path : path_layer option;
+  layers : hooks list;
 }
 
 let no_hooks =
@@ -17,6 +30,8 @@ let no_hooks =
     edge_site = None;
     on_tick = None;
     on_yieldpoint = None;
+    path = None;
+    layers = [];
   }
 
 let compose_opt a b =
@@ -57,6 +72,17 @@ let compose_site a b =
       | None, _ | _, None -> None
       | Some p, Some q -> Some (fun m ~src ~idx -> p m ~src ~idx || q m ~src ~idx))
 
+let layers h =
+  match h.layers with
+  | _ :: _ as l -> l
+  | [] ->
+      if
+        Option.is_none h.on_entry && Option.is_none h.on_exit
+        && Option.is_none h.on_edge && Option.is_none h.on_tick
+        && Option.is_none h.on_yieldpoint && Option.is_none h.path
+      then []
+      else [ h ]
+
 let compose a b =
   {
     on_entry = compose_opt a.on_entry b.on_entry;
@@ -65,6 +91,8 @@ let compose a b =
     edge_site = compose_site a b;
     on_tick = compose_opt a.on_tick b.on_tick;
     on_yieldpoint = compose_opt_yp a.on_yieldpoint b.on_yieldpoint;
+    path = None;
+    layers = layers a @ layers b;
   }
 
 exception Runtime_error of string

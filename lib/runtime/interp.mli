@@ -31,12 +31,60 @@
     layer's own state.  A layer's set of acting edges may change only
     together with a generation bump of that method
     ({!Machine.set_speed}, {!Machine.recompile}): the driver calls
-    [set_speed] before it touches the state its sites read. *)
+    [set_speed] before it touches the state its sites read.
+
+    {b Lowered path layers.}  A path layer ([path = Some p], built by
+    [Profile_hooks.path_hooks]) also describes its [on_edge] and
+    [on_yieldpoint] work as data, and an engine may run that data in
+    place of the two closures: on an edge, [r += add] then, for a count
+    step, a path end, then [r = reset]; at a yieldpoint, a path end with
+    [badd] and [breset].  Every register operation charges
+    [Cost_model.r_update], and a path end is [r += badd] (charged),
+    [p.count_charge] cycles, [on_path_end] with the register, then
+    [r = breset] (charged) — so [on_path_end] sees [Machine.cycles] with
+    every charge of the layers before it and its own [badd] and count
+    charges, and none of its reset.  An engine may skip [on_path_end]
+    where [p.live] says it cannot act; the layer guarantees that the
+    call would then change nothing.  The register is [!(p.reg)],
+    indexed by the live call depth; the layer's [on_entry] (always a
+    closure) zeroes it and keeps it long enough.  The steps an engine
+    lowers are read when it translates a compiled form, so [edge_step]
+    and [block_event] may change only together with a generation bump
+    of the method, like a layer's sites.  A frame whose compiled form
+    changes under it (a hook bumped its generation) runs the rest of its
+    hook points through the closures, which read the live plans and act
+    on the same register; this oracle always calls the closures.  An
+    engine keeps every composed layer's order at every hook point
+    ([layers]). *)
 
 (** Per-invocation frame view exposed to hooks: the method index, the
     calling method's index (-1 for the root invocation), and the
     Ball-Larus path register. *)
 type frame = { fmeth : int; fparent : int; mutable r : int }
+
+(** A path layer's work on one edge: [r += add] (0 = absent), a path
+    end when [count], then [r = reset] (-1 = absent). *)
+type edge_step = { add : int; count : bool; reset : int }
+
+(** A path end at a block's yieldpoint: [r += badd] (0 = absent), the
+    path end, then [r = breset] (-1 = absent). *)
+type block_event = { badd : int; breset : int }
+
+(** A path layer's edge and yieldpoint work as data (see "Lowered path
+    layers" above). *)
+type path_layer = {
+  edge_step : int -> src:int -> idx:int -> edge_step option;
+      (** [edge_step meth ~src ~idx] under [meth]'s current plan *)
+  block_event : int -> Cfg.block_id -> block_event option;
+      (** the path end at a block's yieldpoint, if any *)
+  reg : int array ref;  (** the path register, per call depth *)
+  count_charge : Cost_model.t -> int;  (** cycles charged at every path end *)
+  live : bool ref option;
+      (** [Some l]: [on_path_end] acts only while [Machine.tick_pending]
+          or [!l] holds (PEP: a tick is pending or a sampling burst is
+          live); [None]: it may act at every path end *)
+  on_path_end : Machine.t -> frame -> path_id:int -> unit;
+}
 
 type hooks = {
   on_entry : (Machine.t -> frame -> unit) option;
@@ -51,6 +99,13 @@ type hooks = {
       (** at a yieldpoint whose poll finds the timer flag set, before
           [on_yieldpoint] *)
   on_yieldpoint : (Machine.t -> frame -> Cfg.block_id -> unit) option;
+  path : path_layer option;
+      (** on a path layer: its [on_edge] and [on_yieldpoint] work as data *)
+  layers : hooks list;
+      (** a composition's single layers in order, kept by {!compose};
+          [[]] on a single layer.  Replace a composition's closures only
+          through {!compose}, or an engine that reads [layers] misses
+          the change. *)
 }
 
 val no_hooks : hooks
@@ -58,6 +113,10 @@ val no_hooks : hooks
 (** [compose a b] runs [a]'s callback before [b]'s at every hook point;
     the composed [edge_site] is the union of the two layers' sites. *)
 val compose : hooks -> hooks -> hooks
+
+(** The single layers of [h] in composition order: [h.layers], [[h]]
+    for a single layer, [[]] for a layer without any hook. *)
+val layers : hooks -> hooks list
 
 exception Runtime_error of string
 

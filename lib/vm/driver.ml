@@ -612,10 +612,11 @@ let create ?extra_hooks opts st =
     | None -> hooks
   in
   (* The yieldpoint-poll counter rides along as one more hook.  An
-     [on_yieldpoint] layer makes every transfer into a yieldpoint an
+     [on_yieldpoint] closure makes every transfer into a yieldpoint an
      observed one, so only telemetry-enabled runs pay for it; without
-     it a Base run observes nothing but the tick (inline at the poll)
-     and the baseline counter's edges. *)
+     it a run observes nothing but the tick (inline at the poll) and the
+     baseline counter's edges, and runs PEP's register updates and path
+     ends lowered ([Interp.hooks.path]). *)
   let hooks =
     match d.tstats with
     | Some s ->

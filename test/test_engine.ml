@@ -234,6 +234,253 @@ let test_drift_truth_differential () =
   check csl "truth and PEP profiles" op tp;
   check cb "truth collected" true (op <> [])
 
+(* The fleet collector's configuration: an 8x timer, PEP(64,17) over
+   replay advice with [verify = false], and a phase drift mid-run.
+   Every window's cumulative path, edge and DCG rows, its cycles and
+   the sample count must agree, so every per-window delta does. *)
+let fleet_workload =
+  "gen:seed=3,methods=8,mega=8,depth=6,loops=3,diamonds=16,phases=4,tenants=4,burst=8,size=6"
+
+let test_fleet_collector_differential () =
+  let w =
+    match Suite.resolve fleet_workload with
+    | Ok w -> w
+    | Error m -> Alcotest.fail m
+  in
+  let program = Workload.program w in
+  let cost =
+    {
+      Cost_model.default with
+      Cost_model.tick_period = Cost_model.default.Cost_model.tick_period / 8;
+    }
+  in
+  let collect engine =
+    let st = Machine.create ~cost ~seed:42 program in
+    let warm =
+      Driver.create
+        {
+          Driver.default_options with
+          Driver.mode = Driver.Adaptive { thresholds = Driver.default_thresholds };
+          engine;
+        }
+        st
+    in
+    ignore (Driver.run warm);
+    ignore (Driver.run warm);
+    let st = Machine.create ~cost ~seed:7 program in
+    let driver =
+      Driver.create
+        {
+          Driver.default_options with
+          Driver.mode = Driver.Replay (Driver.advice warm);
+          pep =
+            Some
+              {
+                Driver.sampling = Sampling.pep ~samples:64 ~stride:17;
+                zero = `Hottest;
+                numbering = `Smart;
+              };
+          verify = false;
+          engine;
+        }
+        st
+    in
+    let pep = Option.get (Driver.pep driver) in
+    List.map
+      (fun phase ->
+        if Array.length st.Machine.globals > Phased.phase_global then
+          st.Machine.globals.(Phased.phase_global) <- phase;
+        let cycles, _ = Driver.run driver in
+        Fmt.str "cycles=%d samples=%d" cycles (Pep.n_samples pep)
+        :: Path_profile.to_lines pep.Pep.paths
+        @ Edge_profile.to_lines pep.Pep.edges
+        @ List.map
+            (fun (a, b, c) -> Fmt.str "dcg %d %d %d" a b c)
+            (List.sort compare (Dcg.edges (Driver.dcg driver))))
+      [ 0; 0; 0; 1; 1; 2 ]
+  in
+  let oracle = collect `Oracle and threaded = collect `Threaded in
+  List.iteri
+    (fun i (o, t) -> check csl (Fmt.str "window %d" i) o t)
+    (List.combine oracle threaded);
+  check cb "samples taken" true
+    (List.exists
+       (fun lines -> not (String.equal (List.hd lines) "cycles=0 samples=0"))
+       oracle)
+
+(* Two path layers in one run.  tab-inline's truth replay: PEP and a
+   perfect path profiler, added after [Driver.precompile], over inlined
+   code.  And the onetime-paths layer, whose [on_path_end] reads the
+   cycle counter: every path end's cycles must be the oracle's, so the
+   lowered charges land before the call exactly as the closures'. *)
+let test_two_path_layers_differential () =
+  List.iter
+    (fun name ->
+      let w = Suite.find name in
+      let size = max 4 (min 25 w.Workload.default_size) in
+      let env = Exp_harness.make_env ~size ~seed:7 w in
+      let truth engine =
+        let driver, p =
+          Exp_harness.observe ~precompile:true ~name:"truth" env
+            {
+              Exp_harness.default with
+              Exp_harness.profiling = Exp_harness.pep_default;
+              inline = true;
+              engine;
+            }
+            (fun st ->
+              let p =
+                Profiler.perfect_path ~number:(Exp_harness.advice_number env) st
+              in
+              Exp_harness.mask_plans env p.Profiler.plans;
+              (p.Profiler.hooks, p))
+        in
+        let pep = Option.get (Driver.pep driver) in
+        Fmt.str "cycles=%d" (Driver.machine driver).Machine.cycles
+        :: Path_profile.to_lines p.Profiler.table
+        @ Path_profile.to_lines pep.Pep.paths
+        @ Edge_profile.to_lines pep.Pep.edges
+      in
+      let onetime engine =
+        let seen = ref [] in
+        let _, () =
+          Exp_harness.observe ~name:"onetime-paths" env
+            { Exp_harness.default with Exp_harness.engine }
+            (fun st ->
+              let plans =
+                Profile_hooks.make_plans ~mode:Dag.Loop_header
+                  ~number:(Exp_harness.advice_number env)
+                  st
+              in
+              Exp_harness.mask_plans env plans;
+              let on_path_end (st : Machine.t) (frame : Interp.frame) ~path_id =
+                seen :=
+                  Fmt.str "%d/%d@%d" frame.Interp.fmeth path_id st.Machine.cycles
+                  :: !seen
+              in
+              (Profile_hooks.path_hooks ~plans ~count_cost:`Hash ~on_path_end (), ()))
+        in
+        List.rev !seen
+      in
+      let t_o = truth `Oracle in
+      check csl (name ^ " truth replay") t_o (truth `Threaded);
+      check cb (name ^ " truth collected") true (List.length t_o > 1);
+      let o = onetime `Oracle in
+      check csl (name ^ " onetime path ends and their cycles") o (onetime `Threaded);
+      check cb (name ^ " path ends seen") true (o <> []))
+    [ "db"; "jess" ]
+
+(* A tick promotes the running method mid-path: [main]'s frame is in
+   the middle of a loop iteration when [set_speed] bumps its generation,
+   so its lowered register updates stop and the closures carry on over
+   the same register; the path ids and the cycles at every path end must
+   be the oracle's.  [f] is promoted too, from inside a callee frame, so
+   the register is indexed per depth. *)
+let stale_path_program () =
+  Compile.program ~name:"stale" ~main:"main"
+    [
+      mdef "main" ~params:[]
+        [
+          set "s" (i 0);
+          for_ "k" (i 0) (i 3000)
+            [
+              if_ (eq (band (v "k") (i 3)) (i 0))
+                [ set "s" (add (v "s") (call "f" [ v "k"; v "s" ])) ]
+                [
+                  if_ (lt (band (v "k") (i 7)) (i 5))
+                    [ set "s" (bxor (v "s") (i 5)) ]
+                    [ set "s" (add (v "s") (i 3)) ];
+                ];
+            ];
+          ret (v "s");
+        ];
+      mdef "f" ~params:[ "a"; "b" ]
+        [
+          set "t" (i 0);
+          for_ "j" (i 0) (band (v "a") (i 7))
+            [
+              if_ (eq (band (v "j") (i 1)) (i 0))
+                [ set "t" (add (v "t") (v "j")) ]
+                [ set "t" (sub (v "t") (i 1)) ];
+            ];
+          ret (add (v "t") (v "b"));
+        ];
+    ]
+
+let stale_path_run engine =
+  let p = stale_path_program () in
+  let st = Machine.create ~tick_offset:900 ~seed:3 p in
+  let plans =
+    Profile_hooks.make_plans ~mode:Dag.Loop_header
+      ~number:(fun _ dag -> Numbering.ball_larus dag)
+      st
+  in
+  let ends = ref [] in
+  let layer =
+    Profile_hooks.path_hooks ~plans ~count_cost:`Hash
+      ~on_path_end:(fun st (frame : Interp.frame) ~path_id ->
+        ends :=
+          Fmt.str "%d/%d@%d" frame.Interp.fmeth path_id st.Machine.cycles
+          :: !ends)
+      ()
+  in
+  let ticks = ref 0 in
+  let tick =
+    Tick.hooks
+      ~on_tick:(fun st (frame : Interp.frame) ->
+        incr ticks;
+        if !ticks <= 6 then
+          Machine.set_speed st frame.Interp.fmeth ~percent:(100 + (10 * !ticks)))
+      ()
+  in
+  let hooks = Interp.compose tick layer in
+  let r =
+    match engine with
+    | `Oracle -> Interp.run hooks st
+    | `Threaded -> Codegen.run (Codegen.create ~hooks st)
+  in
+  (r, st.Machine.cycles, List.rev !ends)
+
+let test_stale_mid_path () =
+  let r_o, c_o, e_o = stale_path_run `Oracle in
+  let r_t, c_t, e_t = stale_path_run `Threaded in
+  check ci "result" r_o r_t;
+  check ci "cycles" c_o c_t;
+  check csl "path ends, ids and cycles" e_o e_t;
+  check cb "many path ends" true (List.length e_o > 3000)
+
+(* Generated workloads under every path-layer configuration the sweep
+   replays: PEP sampled and never sampled, classic BLPP (count edges)
+   and back-edge instrumentation. *)
+let prop_gen_path_layers =
+  let configs =
+    [|
+      ("PEP(64,17)", cfg pep_profiling);
+      ( "instr-only",
+        cfg
+          (Exp_harness.Pep_profiled
+             { sampling = Sampling.never; zero = `Hottest; numbering = `Smart }) );
+      ("classic-blpp", cfg Exp_harness.Classic_blpp);
+      ("back-edge", cfg Exp_harness.Instr_back_edge);
+    |]
+  in
+  QCheck.Test.make ~count:12 ~name:"gen: specs, path layers: oracle = flat"
+    QCheck.(pair (int_bound 100_000) (int_bound (Array.length configs - 1)))
+    (fun (seed, ci) ->
+      let spec = List.hd (Wgen.corpus ~n:1 ~seed ()) in
+      let w = Wgen.workload { spec with Wgen.size = min spec.Wgen.size 8 } in
+      let env = Exp_harness.make_env ~size:8 ~seed w in
+      let cname, config = configs.(ci) in
+      let om, op =
+        observables (Exp_harness.replay env (with_engine `Oracle config))
+      and tm, tp =
+        observables (Exp_harness.replay env (with_engine `Threaded config))
+      in
+      if om <> tm || op <> tp then
+        QCheck.Test.fail_reportf "%s under %s: oracle and flat engine differ"
+          (Wgen.print spec) cname;
+      true)
+
 (* --------------------- engine-specific contracts --------------------- *)
 
 let tiny_defs body_ret =
@@ -742,6 +989,13 @@ let suite =
         test_faulted_transform_differential;
       Alcotest.test_case "differential: drift truth via add_hooks" `Quick
         test_drift_truth_differential;
+      Alcotest.test_case "differential: fleet collector configuration" `Quick
+        test_fleet_collector_differential;
+      Alcotest.test_case "differential: two path layers in one run" `Quick
+        test_two_path_layers_differential;
+      Alcotest.test_case "path register shared across a stale frame" `Quick
+        test_stale_mid_path;
+      QCheck_alcotest.to_alcotest prop_gen_path_layers;
       Alcotest.test_case "sites widen under a running frame" `Quick
         test_sites_widen_under_running_frame;
       QCheck_alcotest.to_alcotest prop_sites_sound;

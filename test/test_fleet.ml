@@ -1183,8 +1183,10 @@ let prop_diff_reference =
           let want =
             diff_per_row loose ~baseline:(view_per_row base) ~current:(view_per_row cur)
           in
+          let indexed = Fleet_query.diff_indexed ~thresholds:loose ix ~current in
           rendered (Fleet_query.diff ~thresholds:loose ~baseline ~current ()) = want
-          && rendered (Fleet_query.diff_indexed ~thresholds:loose ix ~current) = want)
+          && List.map fst indexed = want
+          && rendered (List.map snd indexed) = want)
         currents)
 
 (* DCG rows whose summed weight is not positive stay out of the call
