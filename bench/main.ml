@@ -59,14 +59,7 @@ let run_figures ids scale seed jobs cache_dir =
   Printf.printf
     "PEP reproduction: %d benchmarks, scale %.2f, seed %d, jobs %d\n%!"
     (List.length Suite.names) scale seed jobs;
-  let caches =
-    List.map
-      (fun env -> Exp_cache.create ?cache_dir env)
-      (Exp_pool.suite_envs ~scale ~jobs ~seed ())
-  in
-  Exp_pool.prefetch ~jobs caches ids;
-  List.iter (fun id -> Exp_figures.print (Exp_figures.by_id id caches)) ids;
-  if cache_dir <> None then Exp_cache.print_report caches;
+  ignore (Exp_pool.figures ~jobs ?cache_dir ~scale ~seed ids);
   Printf.printf "\n[figures done in %.1fs]\n%!" (Unix.gettimeofday () -. t0)
 
 (* ------------------------- microbenchmarks ------------------------- *)
@@ -180,41 +173,7 @@ let micro_tests () =
    Machines are created once, outside the staged closures, so the
    measured cost is steady-state execution: the interpreter's dispatch
    loop vs flat threaded code with warm inline caches, with and without
-   profile-guided superinstruction fusion. *)
-
-(* Hot-block masks for the fusion planner, derived the same way the
-   driver derives them — from the VM's own PEP edge profile, collected
-   by a short PEP(64,17)-profiled run of the same program. *)
-let pep_hot_masks program =
-  let st = Machine.create ~seed:7 program in
-  let d =
-    Driver.create
-      {
-        Driver.default_options with
-        opt_profile = Driver.From_pep;
-        pep =
-          Some
-            {
-              Driver.sampling = Sampling.pep ~samples:64 ~stride:17;
-              zero = `Hottest;
-              numbering = `Smart;
-            };
-      }
-      st
-  in
-  ignore (Driver.run d);
-  ignore (Driver.run d);
-  let n_methods = Program.n_methods program in
-  let edges =
-    match Driver.pep d with
-    | Some p -> p.Pep.edges
-    | None -> Edge_profile.create_table ~n_methods
-  in
-  Array.init n_methods (fun midx ->
-      let cfg = To_cfg.cfg (Program.method_of_index program midx) in
-      let freqs = Freq_estimate.block_freqs cfg edges.(midx) in
-      let top = Array.fold_left Float.max 0.0 freqs in
-      Array.map (fun f -> f > 0.0 && f >= 0.02 *. top) freqs)
+   superinstruction fusion. *)
 
 (* The two gated engine micros.  call-heavy: ~1300 calls per run (a
    call every ~25 bytecode instructions) through recursive fib plus a
@@ -330,24 +289,20 @@ type engine_setup = {
   batches : int * int * int;
 }
 
-let nofuse_tiers = { Codegen.fuse = false }
-
 let engine_setups () =
   List.map
     (fun (etag, program, batches) ->
-      let masks = pep_hot_masks program in
-      let engine_with tiers =
+      let engine_with fuse =
         let st = Machine.create ~seed:7 program in
-        let eng = Codegen.create ~tiers st in
-        Array.iteri (fun midx hot -> Codegen.set_hot_blocks eng midx hot) masks;
+        let eng = Codegen.create ~fuse st in
         ignore (Codegen.run eng) (* translate up front; caches warm *);
         eng
       in
       {
         etag;
         oracle_st = Machine.create ~seed:7 program;
-        e_fused = engine_with Codegen.default_tiers;
-        e_nofuse = engine_with nofuse_tiers;
+        e_fused = engine_with true;
+        e_nofuse = engine_with false;
         batches;
       })
     [
@@ -364,16 +319,11 @@ let engine_tests setups =
           ~name:(Printf.sprintf "engine/oracle-%s" s.etag)
           (fun () -> ignore (Interp.run Interp.no_hooks s.oracle_st));
         one ~batch:bf
-          ~name:
-            (Printf.sprintf "engine/%s-%s"
-               (Codegen.tier_name Codegen.default_tiers)
-               s.etag)
+          ~name:(Printf.sprintf "engine/v2-flat-%s" s.etag)
           (fun () -> ignore (Codegen.run s.e_fused));
         (* fusion ablation: same flat engine, superinstructions off *)
         one ~batch:bn
-          ~name:
-            (Printf.sprintf "engine/%s-%s" (Codegen.tier_name nofuse_tiers)
-               s.etag)
+          ~name:(Printf.sprintf "engine/v2-flat-nofuse-%s" s.etag)
           (fun () -> ignore (Codegen.run s.e_nofuse));
       ])
     setups
@@ -545,7 +495,7 @@ let suite_ratio rows config num den =
   sum num /. sum den
 
 let write_engine_json ~seed ~wall ~json_out ~speedups ~suite rows =
-  let tier = Codegen.tier_name Codegen.default_tiers in
+  let tier = "v2-flat" in
   let pick f tag =
     match List.find_opt (fun (t, _, _, _) -> t = tag) speedups with
     | Some s -> f s

@@ -236,16 +236,7 @@ let experiments_cmd =
       Option.map (fun _ -> Telemetry.create ~tracing:true ()) trace_out
     in
     let config = { Exp_harness.default with Exp_harness.telemetry; faults } in
-    let caches =
-      List.map
-        (fun env -> Exp_cache.create ~config ?cache_dir env)
-        (Exp_pool.suite_envs ~scale ~jobs ~config ~seed ())
-    in
-    Exp_pool.prefetch ~jobs ?telemetry caches ids;
-    List.iter
-      (fun id -> Exp_figures.print (Exp_figures.by_id id caches))
-      ids;
-    if cache_dir <> None then Exp_cache.print_report caches;
+    let caches = Exp_pool.figures ~jobs ~config ?cache_dir ~scale ~seed ids in
     (match (trace_out, telemetry) with
     | Some path, Some tel ->
         let trace = Option.get (Telemetry.trace tel) in
@@ -727,8 +718,8 @@ let check_cmd =
                (fun (d : Pep_check.diagnostic) -> d.severity = Pep_check.Warning)
                diags)
         in
-        (* deep runs audit one worst-case fusion table per method; the
-           count lets CI assert the pass actually covered the target *)
+        (* deep runs audit the fusion table the engine compiles for each
+           method; the count lets CI assert the pass covered the target *)
         let n_fusion =
           List.length
             (List.filter

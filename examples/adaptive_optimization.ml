@@ -57,7 +57,6 @@ let () =
       verify = true;
       deep_verify = false;
       engine = `Threaded;
-      tiers = Codegen.default_tiers;
       telemetry = None;
       faults = None;
     }

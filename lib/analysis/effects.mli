@@ -10,7 +10,7 @@
     {!Interp} runs.
 
     The block-level summary is the safety precondition for
-    profile-selected superinstruction fusion (ROADMAP: Engine v2): a
+    superinstruction fusion (ROADMAP: Engine v2): a
     fused sequence must not contain a call (it needs its own frame), and
     motion across a yieldpoint additionally requires the moved suffix to
     be {!observable}-free, or a sampler could observe a state the

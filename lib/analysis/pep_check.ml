@@ -1194,9 +1194,9 @@ let sequence_stack_delta (blk : Method.block) (e : Fusion.entry) =
 (* Validate a fusion table against the body it claims to fuse.  Every
    invariant the engine's compiler relies on is re-derived here from
    first principles rather than trusted from the planner: entries in
-   bounds, ordered and disjoint; only hot blocks; only blocks whose
-   effect summary ({!Effects.block_summary} — an independent derivation
-   of the no-call precondition) admits fusion; each entry's pattern,
+   bounds, ordered and disjoint; only blocks whose effect summary
+   ({!Effects.block_summary} — an independent derivation of the
+   no-call precondition) admits fusion; each entry's pattern,
    length and terminator flag re-derivable from the bytecode by
    {!Fusion.match_at}; stack neutrality of the replacement; and the
    whole table reproducible by a deterministic re-plan. *)
@@ -1204,92 +1204,76 @@ let validate_fusion ~(witness : Fusion.witness) (m : Method.t) =
   let ctx = new_ctx "fusion" in
   let name = m.Method.name in
   let nblocks = Array.length m.Method.blocks in
-  if Array.length witness.Fusion.fhot <> nblocks then begin
-    if witness.Fusion.fentries <> [] then
-      report ctx Error (Method_loc name)
-        "fusion table has %d entries but its hot mask covers %d of %d blocks \
-         (stale mask must plan all-cold)"
-        (List.length witness.Fusion.fentries)
-        (Array.length witness.Fusion.fhot)
-        nblocks
-  end
-  else begin
-    let last = ref (-1, -1) in
-    List.iter
-      (fun (e : Fusion.entry) ->
-        let b = e.Fusion.fblock in
-        if b < 0 || b >= nblocks then
-          report ctx Error (Method_loc name) "fusion entry in missing block %d" b
+  let last = ref (-1, -1) in
+  List.iter
+    (fun (e : Fusion.entry) ->
+      let b = e.Fusion.fblock in
+      if b < 0 || b >= nblocks then
+        report ctx Error (Method_loc name) "fusion entry in missing block %d" b
+      else begin
+        let blk = m.Method.blocks.(b) in
+        let n = Array.length blk.Method.body in
+        let loc = Block_loc (name, b) in
+        if (b, e.Fusion.fstart) <= !last then
+          report ctx Error loc
+            "fusion entries out of order or overlapping at (%d, %d)" b
+            e.Fusion.fstart;
+        last := (b, e.Fusion.fstart + e.Fusion.flen - 1);
+        if e.Fusion.flen < 1 || e.Fusion.flen > 3 then
+          report ctx Error loc "fused length %d outside pairs/triples"
+            e.Fusion.flen;
+        if e.Fusion.fstart < 0 || e.Fusion.fstart + e.Fusion.flen > n then
+          report ctx Error loc "fused range [%d, %d) outside body of %d"
+            e.Fusion.fstart
+            (e.Fusion.fstart + e.Fusion.flen)
+            n
         else begin
-          let blk = m.Method.blocks.(b) in
-          let n = Array.length blk.Method.body in
-          let loc = Block_loc (name, b) in
-          if (b, e.Fusion.fstart) <= !last then
+          if not (Effects.fusable (Effects.block_summary blk)) then
             report ctx Error loc
-              "fusion entries out of order or overlapping at (%d, %d)" b
-              e.Fusion.fstart;
-          last := (b, e.Fusion.fstart + e.Fusion.flen - 1);
-          if e.Fusion.flen < 1 || e.Fusion.flen > 3 then
-            report ctx Error loc "fused length %d outside pairs/triples"
-              e.Fusion.flen;
-          if e.Fusion.fstart < 0 || e.Fusion.fstart + e.Fusion.flen > n then
-            report ctx Error loc "fused range [%d, %d) outside body of %d"
-              e.Fusion.fstart
-              (e.Fusion.fstart + e.Fusion.flen)
-              n
-          else begin
-            if not witness.Fusion.fhot.(b) then
-              report ctx Error loc "fused block is not marked hot";
-            if not (Effects.fusable (Effects.block_summary blk)) then
-              report ctx Error loc
-                "block effect %a forbids fusion (contains a call)" Effects.pp
-                (Effects.block_summary blk);
-            if e.Fusion.fterm && e.Fusion.fstart + e.Fusion.flen <> n then
-              report ctx Error loc
-                "terminator-folding entry does not end the block";
-            (match Fusion.match_at blk e.Fusion.fstart with
-            | Some (p, len, term)
-              when p = e.Fusion.fpattern && len = e.Fusion.flen
-                   && term = e.Fusion.fterm ->
-                ()
-            | Some (p, len, term) ->
-                report ctx Error
-                  (Instr_loc (name, b, e.Fusion.fstart))
-                  "pattern mismatch: table says %s/%d%s, bytecode derives %s/%d%s"
-                  (Fusion.pattern_name e.Fusion.fpattern)
-                  e.Fusion.flen
-                  (if e.Fusion.fterm then "+term" else "")
-                  (Fusion.pattern_name p) len
-                  (if term then "+term" else "")
-            | None ->
-                report ctx Error
-                  (Instr_loc (name, b, e.Fusion.fstart))
-                  "no catalog pattern matches at the claimed position");
-            let derived = sequence_stack_delta blk e in
-            if Fusion.stack_delta e.Fusion.fpattern <> derived then
-              report ctx Error loc
-                "stack effect mismatch: superinstruction %s nets %d, the \
-                 sequence it replaces nets %d"
+              "block effect %a forbids fusion (contains a call)" Effects.pp
+              (Effects.block_summary blk);
+          if e.Fusion.fterm && e.Fusion.fstart + e.Fusion.flen <> n then
+            report ctx Error loc
+              "terminator-folding entry does not end the block";
+          (match Fusion.match_at blk e.Fusion.fstart with
+          | Some (p, len, term)
+            when p = e.Fusion.fpattern && len = e.Fusion.flen
+                 && term = e.Fusion.fterm ->
+              ()
+          | Some (p, len, term) ->
+              report ctx Error
+                (Instr_loc (name, b, e.Fusion.fstart))
+                "pattern mismatch: table says %s/%d%s, bytecode derives %s/%d%s"
                 (Fusion.pattern_name e.Fusion.fpattern)
-                (Fusion.stack_delta e.Fusion.fpattern)
-                derived
-          end
-        end)
-      witness.Fusion.fentries;
-    (* determinism audit: the planner, given the witness's own inputs,
-       must reproduce the table exactly *)
-    let replanned =
-      Fusion.plan ~gen:witness.Fusion.fgen ~hot:witness.Fusion.fhot m
-    in
-    if replanned.Fusion.fentries <> witness.Fusion.fentries then
-      report ctx Error (Method_loc name)
-        "fusion table is not the deterministic plan for its inputs (%d vs %d \
-         entries)"
-        (List.length witness.Fusion.fentries)
-        (List.length replanned.Fusion.fentries);
-    report ctx Info (Method_loc name) "fusion table valid: %d superinstruction(s)"
+                e.Fusion.flen
+                (if e.Fusion.fterm then "+term" else "")
+                (Fusion.pattern_name p) len
+                (if term then "+term" else "")
+          | None ->
+              report ctx Error
+                (Instr_loc (name, b, e.Fusion.fstart))
+                "no catalog pattern matches at the claimed position");
+          let derived = sequence_stack_delta blk e in
+          if Fusion.stack_delta e.Fusion.fpattern <> derived then
+            report ctx Error loc
+              "stack effect mismatch: superinstruction %s nets %d, the \
+               sequence it replaces nets %d"
+              (Fusion.pattern_name e.Fusion.fpattern)
+              (Fusion.stack_delta e.Fusion.fpattern)
+              derived
+        end
+      end)
+    witness.Fusion.fentries;
+  (* determinism audit: the planner must reproduce the table exactly *)
+  let replanned = Fusion.plan ~gen:witness.Fusion.fgen m in
+  if replanned.Fusion.fentries <> witness.Fusion.fentries then
+    report ctx Error (Method_loc name)
+      "fusion table is not the deterministic plan for its inputs (%d vs %d \
+       entries)"
       (List.length witness.Fusion.fentries)
-  end;
+      (List.length replanned.Fusion.fentries);
+  report ctx Info (Method_loc name) "fusion table valid: %d superinstruction(s)"
+    (List.length witness.Fusion.fentries);
   finish ctx
 
 (* --- whole-program deep driver ------------------------------------- *)
@@ -1304,9 +1288,8 @@ let check_program_deep (p : Program.t) =
         add (lint_liveness m);
         add (lint_intervals p m);
         add (justify_unsafe p m);
-        (* audit the fusion planner's worst case: every block hot *)
-        let hot = Array.make (Array.length m.Method.blocks) true in
-        add (validate_fusion ~witness:(Fusion.plan ~gen:0 ~hot m) m)
+        (* audit the table the engine compiles for this body *)
+        add (validate_fusion ~witness:(Fusion.plan ~gen:0 m) m)
       end)
     p;
   add (lint_effects p);

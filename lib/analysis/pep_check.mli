@@ -228,12 +228,11 @@ val validate_layout :
     Validates an engine-v2 fusion table ({!Fusion.witness}) against the
     body it claims to fuse, re-deriving every invariant the flat-code
     compiler relies on instead of trusting the planner: entries in
-    bounds, ordered and disjoint; only hot blocks; only blocks whose
+    bounds, ordered and disjoint; only blocks whose
     independently-derived {!Effects.block_summary} admits fusion; each
     entry's pattern / length / terminator flag reproducible by
     {!Fusion.match_at}; stack neutrality of each replacement; and the
-    whole table equal to a deterministic re-plan from the witness's own
-    inputs.  Errors report under pass ["fusion"]; a valid table gets one
+    whole table equal to a deterministic re-plan of the body.  Errors report under pass ["fusion"]; a valid table gets one
     [Info] line with its entry count. *)
 val validate_fusion :
   witness:Fusion.witness -> Method.t -> diagnostic list
@@ -242,8 +241,8 @@ val validate_fusion :
 
     {!check_program_static} plus, for every method whose body verifies,
     the pass-5 dataflow lints and the unsafe-op justification, an
-    all-hot fusion-plan audit ({!validate_fusion} on the worst-case
-    plan), and the whole-program effect summary.  This is what
+    audit of the fusion table the engine compiles ({!validate_fusion}
+    on {!Fusion.plan}), and the whole-program effect summary.  This is what
     [pepsim check --deep] runs before the transform-validation replay
     sweep. *)
 val check_program_deep : Program.t -> diagnostic list

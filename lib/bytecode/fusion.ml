@@ -20,9 +20,7 @@ type entry = {
   fpattern : pattern;
 }
 
-type witness = { fgen : int; fhot : bool array; fentries : entry list }
-
-let empty_witness = { fgen = min_int; fhot = [||]; fentries = [] }
+type witness = { fgen : int; fentries : entry list }
 
 (* Only total operators are fused: Div/Rem carry a zero guard and
    Shl/Shr a shift mask, and specializing those buys nothing the
@@ -75,13 +73,11 @@ let match_at (blk : Method.block) i =
     | _ -> None
   else None
 
-let plan ~gen ~hot (m : Method.t) =
-  let nblocks = Array.length m.Method.blocks in
-  let hot = if Array.length hot = nblocks then hot else Array.make nblocks false in
+let plan ~gen (m : Method.t) =
   let entries = ref [] in
   Array.iteri
     (fun b blk ->
-      if hot.(b) && block_fusable blk then begin
+      if block_fusable blk then begin
         let n = Array.length blk.Method.body in
         let i = ref 0 in
         while !i < n do
@@ -95,7 +91,7 @@ let plan ~gen ~hot (m : Method.t) =
         done
       end)
     m.Method.blocks;
-  { fgen = gen; fhot = Array.copy hot; fentries = List.rev !entries }
+  { fgen = gen; fentries = List.rev !entries }
 
 let stack_delta = function
   | LL _ | LK _ -> 1

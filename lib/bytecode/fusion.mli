@@ -1,10 +1,9 @@
-(** Profile-guided superinstruction planning.
+(** Superinstruction planning.
 
-    The execution engine fuses hot adjacent instruction pairs/triples
-    into single dispatched superinstructions (ROADMAP: Engine v2).  The
+    The execution engine fuses adjacent instruction pairs/triples into
+    single dispatched superinstructions (ROADMAP: Engine v2).  The
     planner here is deliberately dumb and deterministic: given a method
-    body and a per-block hot mask (derived from the VM's own PEP edge
-    profile by the driver), it scans each hot block left to right,
+    body, it scans every block {!block_fusable} admits left to right,
     greedily matching the longest catalog pattern at each position, and
     emits a {!witness} — the exact fusion table the engine compiles.
 
@@ -44,11 +43,9 @@ type entry = {
 }
 
 (** A fusion table for one compiled form: the generation stamp it was
-    planned against, the hot mask it was derived from, and the entries
-    in ascending (block, start) order, non-overlapping. *)
-type witness = { fgen : int; fhot : bool array; fentries : entry list }
-
-val empty_witness : witness
+    planned against and the entries in ascending (block, start) order,
+    non-overlapping. *)
+type witness = { fgen : int; fentries : entry list }
 
 (** Binops with a fused implementation in the engine (total operators
     only — [Div]/[Rem]/[Shl]/[Shr] keep their guarded generic form). *)
@@ -64,11 +61,9 @@ val block_fusable : Method.block -> bool
     validator re-runs it to audit planned tables. *)
 val match_at : Method.block -> int -> (pattern * int * bool) option
 
-(** [plan ~gen ~hot m] — greedy left-to-right plan over every block
-    with [hot.(b)] set that {!block_fusable} admits.  [hot] shorter or
-    longer than the block array is treated as all-cold (stale masks
-    after a recompile must not fuse). *)
-val plan : gen:int -> hot:bool array -> Method.t -> witness
+(** [plan ~gen m] — greedy left-to-right plan over every block
+    {!block_fusable} admits. *)
+val plan : gen:int -> Method.t -> witness
 
 (** Net operand-stack effect of a fused sequence (e.g. [LL _] pushes
     one; [LLCmpBr _] pushes nothing and consumes the branch condition

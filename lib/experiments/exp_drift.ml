@@ -22,13 +22,6 @@ type series = {
 
 let default_threshold = 0.80
 
-let compressed_cost tick_shrink =
-  {
-    Cost_model.default with
-    Cost_model.tick_period =
-      max 1 (Cost_model.default.Cost_model.tick_period / max 1 tick_shrink);
-  }
-
 (* Per-window deltas over the cumulative tables, fleet-collector style:
    replay never re-instruments, so cumulative counts are monotone and
    the delta is exact. *)
@@ -41,18 +34,6 @@ let delta cursor rows =
       Hashtbl.replace cursor.tbl (a, b) c;
       if c - prev > 0 then Some (a, b, c - prev) else None)
     rows
-
-let cumulative_paths (tables : Path_profile.table) =
-  let rows = ref [] in
-  Array.iteri
-    (fun mi prof ->
-      Path_profile.iter
-        (fun (e : Path_profile.entry) ->
-          if e.Path_profile.count > 0 then
-            rows := (mi, e.Path_profile.path_id, e.Path_profile.count) :: !rows)
-        prof)
-    tables;
-  List.sort compare !rows
 
 let path_table ~n_methods rows =
   let t = Path_profile.create_table ~n_methods in
@@ -88,24 +69,10 @@ let recovered_of ~threshold ~windows ~shifts points =
 let run ?(samples = 64) ?(stride = 17) ?(tick_shrink = 8)
     ?(threshold = default_threshold) ?size ?(seed = 42) ~schedule
     (w : Workload.t) =
-  let size = Option.value ~default:w.Workload.default_size size in
-  let cost = compressed_cost tick_shrink in
-  let program = Workload.program ~size w in
-  Verify.program program;
+  let cost = Exp_harness.compressed_cost ~tick_shrink in
   (* phase-0 adaptive warmup: the advice every window replays against *)
-  let wst = Machine.create ~cost ~seed program in
-  let wdriver =
-    Driver.create
-      {
-        Driver.default_options with
-        Driver.mode = Driver.Adaptive { thresholds = Driver.default_thresholds };
-      }
-      wst
-  in
-  ignore (Driver.run wdriver);
-  ignore (Driver.run wdriver);
-  let advice = Driver.advice wdriver in
-  let env = { Exp_harness.workload = w; program; advice; size; seed } in
+  let env = Exp_harness.make_env ~cost ?size ~seed w in
+  let program = env.Exp_harness.program and advice = env.Exp_harness.advice in
   (* the collection instance: replay + PEP, with a masked perfect path
      profiler riding the same driver as concurrent ground truth *)
   let st = Machine.create ~cost ~seed:(seed + 1) program in
@@ -143,11 +110,11 @@ let run ?(samples = 64) ?(stride = 17) ?(tick_shrink = 8)
           st.Machine.globals.(Phased.phase_global) <- phase;
         ignore (Driver.run driver);
         let pep_d =
-          path_table ~n_methods (delta c_pep (cumulative_paths pep.Pep.paths))
+          path_table ~n_methods (delta c_pep (Path_profile.rows pep.Pep.paths))
         in
         let truth_d =
           path_table ~n_methods
-            (delta c_truth (cumulative_paths truth.Profiler.table))
+            (delta c_truth (Path_profile.rows truth.Profiler.table))
         in
         let total = Pep.n_samples pep in
         let samples = max 0 (total - !c_samples) in

@@ -35,7 +35,6 @@ type config = {
   unroll : bool;
   deep : bool;
   engine : Driver.engine;
-  tiers : Codegen.tiers;
   telemetry : Telemetry.t option;
   faults : Fault_plan.t;
 }
@@ -48,7 +47,6 @@ let default =
     unroll = false;
     deep = false;
     engine = `Threaded;
-    tiers = Codegen.default_tiers;
     telemetry = None;
     faults = Fault_plan.empty;
   }
@@ -89,7 +87,7 @@ let config_key c =
   if c.deep then Buffer.add_string buf "+deep";
   (match c.engine with
   | `Oracle -> Buffer.add_string buf "+oracle"
-  | `Threaded -> Buffer.add_string buf ("+" ^ Codegen.tier_name c.tiers));
+  | `Threaded -> Buffer.add_string buf "+v2-flat");
   (match c.telemetry with
   | Some _ -> Buffer.add_string buf "+tel"
   | None -> ());
@@ -102,18 +100,24 @@ let begin_run config name =
   | None -> ()
   | Some tel -> Telemetry.begin_run tel ~name
 
-let make_env ?size ?(config = default) ~seed workload =
+let compressed_cost ~tick_shrink =
+  {
+    Cost_model.default with
+    Cost_model.tick_period =
+      max 1 (Cost_model.default.Cost_model.tick_period / max 1 tick_shrink);
+  }
+
+let make_env ?cost ?size ?(config = default) ~seed workload =
   let size = Option.value ~default:workload.Workload.default_size size in
   let program = Workload.program ~size workload in
   Verify.program program;
-  let st = Machine.create ~seed program in
+  let st = Machine.create ?cost ~seed program in
   begin_run config (Fmt.str "warmup %s" workload.Workload.name);
   let driver =
     Driver.create
       {
         Driver.default_options with
         engine = config.engine;
-        tiers = config.tiers;
         telemetry = config.telemetry;
       }
       st
@@ -284,7 +288,6 @@ let replay_driver ?extra_hooks ~faults env config st =
       verify = true;
       deep_verify = config.deep;
       engine = config.engine;
-      tiers = config.tiers;
       telemetry = config.telemetry;
       faults;
     }
@@ -494,7 +497,6 @@ let adaptive_total ?(config = default) ~trial env =
           verify = true;
           deep_verify = config.deep;
           engine = config.engine;
-          tiers = config.tiers;
           telemetry = config.telemetry;
           faults = injector_of config;
         }
@@ -502,7 +504,6 @@ let adaptive_total ?(config = default) ~trial env =
         {
           Driver.default_options with
           engine = config.engine;
-          tiers = config.tiers;
           telemetry = config.telemetry;
           faults = injector_of config;
         }

@@ -63,11 +63,6 @@ type config = {
   engine : Driver.engine;
       (** [`Threaded] by default — pass [`Oracle] to run the reference
           interpreter, as the differential tests do for both *)
-  tiers : Codegen.tiers;
-      (** engine-v2 tier policy ({!Codegen.default_tiers} by default):
-          superinstruction fusion and the PIC ladder.  Part of
-          {!config_key} via {!Codegen.tier_name} (["+v2-flat"] etc.);
-          tiers change host-side speed only, never measurements *)
   telemetry : Telemetry.t option;
       (** host-side metrics/trace sink, threaded through the driver,
           engine and PEP; measurements are bit-identical with or
@@ -92,10 +87,18 @@ val default : config
     key, so e.g. a continuous and a flipped table cannot alias. *)
 val config_key : config -> string
 
+(** The default cost model with the timer period divided by
+    [tick_shrink] (at least one cycle), so short runs still sample every
+    hot method: the fleet's and the drift experiment's compressed
+    timer. *)
+val compressed_cost : tick_shrink:int -> Cost_model.t
+
 (** Compile the workload and produce advice from a two-iteration adaptive
-    warmup run.  Only [config.engine] and [config.telemetry] matter
-    here; the advice must be identical under either engine. *)
-val make_env : ?size:int -> ?config:config -> seed:int -> Workload.t -> env
+    warmup run under [cost] (default {!Cost_model.default}).  Only
+    [config.engine] and [config.telemetry] matter here; the advice must
+    be identical under either engine. *)
+val make_env :
+  ?cost:Cost_model.t -> ?size:int -> ?config:config -> seed:int -> Workload.t -> env
 
 (** Envs for the whole suite; [scale] multiplies every workload's default
     size (use a small scale in tests). *)

@@ -148,3 +148,15 @@ let prefetch ?jobs ?telemetry caches ids =
   (* fig10's Fixed-table configs derive from stage-1 results, so the
      task list itself can only be built once those are installed *)
   stage Exp_figures.derived_configs
+
+let figures ?(jobs = 1) ?(config = Exp_harness.default) ?cache_dir ~scale ~seed
+    ids =
+  let caches =
+    List.map
+      (fun env -> Exp_cache.create ~config ?cache_dir env)
+      (suite_envs ~scale ~jobs ~config ~seed ())
+  in
+  prefetch ~jobs ?telemetry:config.Exp_harness.telemetry caches ids;
+  List.iter (fun id -> Exp_figures.print (Exp_figures.by_id id caches)) ids;
+  if cache_dir <> None then Exp_cache.print_report caches;
+  caches

@@ -54,3 +54,18 @@ val suite_envs :
     entry), serially. *)
 val prefetch :
   ?jobs:int -> ?telemetry:Telemetry.t -> Exp_cache.t list -> string list -> unit
+
+(** The figure sweep: build the suite's envs at [scale] under [config]
+    (default {!Exp_harness.default}), open one run cache per benchmark
+    (on disk under [cache_dir], if given), {!prefetch} the figures
+    [ids] need, print each figure in order, then the cache report when
+    there is a [cache_dir].  Returns the caches, holding every run the
+    figures used. *)
+val figures :
+  ?jobs:int ->
+  ?config:Exp_harness.config ->
+  ?cache_dir:string ->
+  scale:float ->
+  seed:int ->
+  string list ->
+  Exp_cache.t list

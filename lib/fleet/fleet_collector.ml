@@ -88,12 +88,7 @@ type report = {
 
 let size_of spec = Option.value ~default:spec.workload.Workload.default_size spec.size
 
-let cost_of spec =
-  {
-    Cost_model.default with
-    Cost_model.tick_period =
-      max 1 (Cost_model.default.Cost_model.tick_period / max 1 spec.tick_shrink);
-  }
+let cost_of spec = Exp_harness.compressed_cost ~tick_shrink:spec.tick_shrink
 
 let sampling_of spec = Sampling.pep ~samples:spec.samples ~stride:spec.stride
 
@@ -117,27 +112,6 @@ let cohort_of spec (name, drift) =
     config_key = config_key spec;
     drift;
   }
-
-(* Per-cohort warmup: Exp_harness.make_env with the compressed timer —
-   adaptive two-iteration run in phase 0, advice captured.  Shared
-   across cohorts (steady and shift run the same program and seed; the
-   drift only applies to collection windows). *)
-let warmup_env spec =
-  let program = Workload.program ~size:(size_of spec) spec.workload in
-  Verify.program program;
-  let st = Machine.create ~cost:(cost_of spec) ~seed:spec.seed program in
-  let driver =
-    Driver.create
-      {
-        Driver.default_options with
-        Driver.mode =
-          Driver.Adaptive { thresholds = Driver.default_thresholds };
-      }
-      st
-  in
-  ignore (Driver.run driver);
-  ignore (Driver.run driver);
-  (program, Driver.advice driver)
 
 (* ------------------------ one instance's run ----------------------- *)
 
@@ -177,18 +151,6 @@ let delta4 cur rows =
       if dc > 0 || dd > 0 then out := dd :: dc :: b :: a :: !out)
     rows;
   Array.of_list (List.rev !out)
-
-let cumulative_paths (pep : Pep.t) =
-  let rows = ref [] in
-  Array.iteri
-    (fun mi prof ->
-      Path_profile.iter
-        (fun (e : Path_profile.entry) ->
-          if e.Path_profile.count > 0 then
-            rows := (mi, e.Path_profile.path_id, e.Path_profile.count) :: !rows)
-        prof)
-    pep.Pep.paths;
-  List.sort compare !rows
 
 let cumulative_edges (pep : Pep.t) =
   let rows = ref [] in
@@ -269,7 +231,7 @@ let run_instance spec ~program ~advice ?faults instance =
           let start_cycle = st.Machine.cycles in
           ignore (Driver.run driver);
           let end_cycle = st.Machine.cycles in
-          let paths = delta3 cursors.c_paths (cumulative_paths pep) in
+          let paths = delta3 cursors.c_paths (Path_profile.rows pep.Pep.paths) in
           let edges = delta4 cursors.c_edges (cumulative_edges pep) in
           let dcg = delta3 cursors.c_dcg (cumulative_dcg (Driver.dcg driver)) in
           let total_samples = Pep.n_samples pep in
@@ -379,7 +341,14 @@ let run ?(jobs = 1) ~dir spec =
               | Error qe -> diags := !diags @ [ qe ])
           | _ -> ())
         diags0;
-      let program, advice = warmup_env spec in
+      (* the warmup under the compressed timer: adaptive two-iteration
+         run in phase 0, advice captured.  Shared across cohorts (steady
+         and shift run the same program and seed; the drift only applies
+         to collection windows). *)
+      let { Exp_harness.program; advice; _ } =
+        Exp_harness.make_env ~cost:(cost_of spec) ~size:(size_of spec)
+          ~seed:spec.seed spec.workload
+      in
       let cohorts = List.map (cohort_of spec) spec.cohorts in
       let cold =
         List.filter (fun c -> not (covered ~existing spec c)) cohorts

@@ -71,6 +71,14 @@ let create_table ~n_methods = Array.init n_methods (fun _ -> create ())
 let table_total tbl = Array.fold_left (fun acc t -> acc + total t) 0 tbl
 let table_overflow tbl = Array.fold_left (fun acc t -> acc + overflow t) 0 tbl
 
+let rows tbl =
+  let rows = ref [] in
+  Array.iteri
+    (fun mi t ->
+      iter (fun e -> if e.count > 0 then rows := (mi, e.path_id, e.count) :: !rows) t)
+    tbl;
+  List.sort compare !rows
+
 let to_lines tbl =
   let lines = ref [] in
   Array.iteri

@@ -64,6 +64,10 @@ val table_total : table -> int
 (** Total dropped updates across the table. *)
 val table_overflow : table -> int
 
+(** [(method index, path id, count)] of every path with a positive
+    count, sorted. *)
+val rows : table -> (int * int * int) list
+
 (** One line per path: ["<method-index> <path-id> <count>"] (memoized
     expansions are not serialized; they are re-derivable from the
     P-DAG).  [of_lines] is the inverse.

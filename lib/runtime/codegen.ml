@@ -5,10 +5,10 @@
    [fb] (plus captured layout-penalty rows [frows] and call-site inline
    caches [fics]).  Execution is one tail-recursive loop over a program
    counter; a block transfer is a fused virtual-cycle add followed by a
-   jump to the successor's first slot.  Superinstructions (profile-hot
-   adjacent pairs/triples planned by {!Fusion}) collapse several slots
-   into one dispatch; call sites climb a mono -> poly(4) -> megamorphic
-   inline-cache ladder keyed on {!Machine.cmeth.gen}.
+   jump to the successor's first slot.  Superinstructions (adjacent
+   pairs/triples that {!Fusion} plans in every block without a call)
+   collapse several slots into one dispatch; each call site caches one
+   callee translation keyed on {!Machine.cmeth.gen}.
 
    The interpreter ([Interp]) is the semantic oracle: the flat code
    performs exactly the oracle's virtual-cycle reads and writes, in the
@@ -219,31 +219,18 @@ type flat = {
   (* each of the four is [[||]] in a translation where it would hold
      nothing *)
   fics : ic array;
-  fwitness : Fusion.witness;  (* the fusion table compiled in *)
 }
 
-(* Call-site inline cache: a ladder of tiers keyed on the callee
-   compiled form's generation stamp.  tier 0 = monomorphic (entry 0
-   only), tier 1 = polymorphic (4 entries, most recent first), tier 2 =
-   megamorphic (per-method shared cache via [get_body]; entry 2 tracks
-   the last seen generation for demotion while entry 0 holds a
-   never-matching stamp, so the call-site fast path is one compare
-   regardless of tier).  Generation stamps are globally unique, so a
-   matching stamp proves the cached translation is current. *)
+(* Call-site inline cache: the callee's translation [b0] and the
+   generation stamp it was made from [g0].  A site's callee is fixed
+   ([Instr.Call] names it) and stamps are never reused, so an older
+   translation can never match again: one entry is all a site can use,
+   and a miss refills it. *)
 and ic = {
   cidx : int;  (* callee method index *)
   iargc : int;
-  mutable tier : int;
   mutable g0 : int;
-  mutable g1 : int;
-  mutable g2 : int;
-  mutable g3 : int;
   mutable b0 : flat;
-  mutable b1 : flat;
-  mutable b2 : flat;
-  mutable b3 : flat;
-  mutable miss_streak : int;  (* misses at the current tier *)
-  mutable stable : int;  (* consecutive same-generation megamorphic hits *)
 }
 
 let observed = 4
@@ -256,18 +243,6 @@ let dst_of w = w lsr 25
    cached, never current *)
 let stale_gen = -1
 
-type tiers = { fuse : bool }
-
-let default_tiers = { fuse = true }
-let tier_name t = if t.fuse then "v2-flat" else "v2-flat-nofuse"
-
-(* PIC ladder thresholds: mono misses before promoting to poly, poly
-   misses before promoting to megamorphic, stable megamorphic hits
-   before demoting back to mono *)
-let pic_mono_misses = 4
-let pic_poly_misses = 4
-let pic_mega_stable = 64
-
 (* Engine-level telemetry counters; host-side only, absent entirely
    when the engine was created without a sink. *)
 type tstats = {
@@ -276,9 +251,6 @@ type tstats = {
   translations : Metrics.counter;
   fuse_blocks : Metrics.counter;
   fuse_sites : Metrics.counter;
-  pic_promote_poly : Metrics.counter;
-  pic_promote_mega : Metrics.counter;
-  pic_demote : Metrics.counter;
 }
 
 type t = {
@@ -288,12 +260,11 @@ type t = {
   heap_n : int;
   globals : int array;
   prng : Prng.t;
-  tiers : tiers;
+  fuse : bool;  (* compile superinstructions *)
   mutable hooks : Interp.hooks;
   mutable layers : Interp.hooks array;  (* the hooks' single layers *)
   mutable hooked_mode : bool;
   bodies : flat option array;
-  hot : bool array option array;  (* fusion hot masks, per method *)
   invalid : flat;  (* never-matching cache filler for fresh ICs *)
   mutable envs : env array;  (* frame pool, indexed by call depth *)
   stats : tstats option;
@@ -341,7 +312,6 @@ let invalid_flat (st : Machine.t) =
     fyield = [||];
     yend = [||];
     fics = [||];
-    fwitness = Fusion.empty_witness;
   }
 
 let fresh_env () =
@@ -361,7 +331,7 @@ let is_no_hooks = function
       true
   | _ -> false
 
-let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
+let create ?telemetry ?(fuse = true) ?(hooks = Interp.no_hooks) st =
   let n = Array.length st.Machine.methods in
   let stats =
     match telemetry with
@@ -375,9 +345,6 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
             translations = Metrics.counter m "engine.translations";
             fuse_blocks = Metrics.counter m "engine.fuse.blocks";
             fuse_sites = Metrics.counter m "engine.fuse.sites";
-            pic_promote_poly = Metrics.counter m "engine.pic.promote_poly";
-            pic_promote_mega = Metrics.counter m "engine.pic.promote_mega";
-            pic_demote = Metrics.counter m "engine.pic.demote";
           }
   in
   {
@@ -387,12 +354,11 @@ let create ?telemetry ?(tiers = default_tiers) ?(hooks = Interp.no_hooks) st =
     heap_n = Array.length st.Machine.heap;
     globals = st.Machine.globals;
     prng = st.Machine.prng;
-    tiers;
+    fuse;
     hooks;
     layers = Array.of_list (Interp.layers hooks);
     hooked_mode = not (is_no_hooks hooks);
     bodies = Array.make n None;
-    hot = Array.make n None;
     invalid = invalid_flat st;
     envs = Array.init 64 (fun _ -> fresh_env ());
     stats;
@@ -406,27 +372,11 @@ let set_hooks eng hooks =
      made with; their inline caches go with them *)
   Array.fill eng.bodies 0 (Array.length eng.bodies) None
 
-let hooks eng = eng.hooks
-let tiers eng = eng.tiers
-
-let set_hot_blocks eng midx hot =
-  eng.hot.(midx) <- Some (Array.copy hot);
-  (* force a re-plan: the generation stamp is unchanged, but the fusion
-     table depends on the mask *)
-  eng.bodies.(midx) <- None
-
-let hot_mask eng midx =
-  if not eng.tiers.fuse then [||]
-  else match eng.hot.(midx) with Some h -> h | None -> [||]
-
+(* The fusion table a translation of the method's current form compiles *)
 let fusion_witness eng midx =
   let cm = eng.st.Machine.methods.(midx) in
-  Fusion.plan ~gen:cm.Machine.gen ~hot:(hot_mask eng midx) cm.Machine.meth
-
-let fused_entries eng midx =
-  match eng.bodies.(midx) with
-  | Some b -> b.fwitness.Fusion.fentries
-  | None -> []
+  if eng.fuse then Fusion.plan ~gen:cm.Machine.gen cm.Machine.meth
+  else { Fusion.fgen = cm.Machine.gen; fentries = [] }
 
 let env_at eng depth =
   let n = Array.length eng.envs in
@@ -688,7 +638,7 @@ let rec get_body eng midx =
 and translate eng (cm : Machine.cmeth) midx : flat =
   let m = cm.Machine.meth in
   let nblocks = Array.length m.Method.blocks in
-  let witness = Fusion.plan ~gen:cm.Machine.gen ~hot:(hot_mask eng midx) m in
+  let witness = fusion_witness eng midx in
   (match eng.stats with
   | Some s ->
       Metrics.incr s.translations;
@@ -839,24 +789,7 @@ and translate eng (cm : Machine.cmeth) midx : flat =
     | AGet -> push AGET ~ax:0 ~bx:0
     | ASet -> push ASET ~ax:0 ~bx:0
     | Call (_, argc) ->
-        let inv = eng.invalid in
-        let ic =
-          {
-            cidx = targets.(i);
-            iargc = argc;
-            tier = 0;
-            g0 = min_int;
-            g1 = min_int;
-            g2 = min_int;
-            g3 = min_int;
-            b0 = inv;
-            b1 = inv;
-            b2 = inv;
-            b3 = inv;
-            miss_streak = 0;
-            stable = 0;
-          }
-        in
+        let ic = { cidx = targets.(i); iargc = argc; g0 = min_int; b0 = eng.invalid } in
         ic_acc := ic :: !ic_acc;
         push CALL ~ax:!n_ics ~bx:0;
         incr n_ics
@@ -1008,101 +941,16 @@ and translate eng (cm : Machine.cmeth) midx : flat =
     fyield;
     yend;
     fics = Array.of_list (List.rev !ic_acc);
-    fwitness = witness;
   }
 
-(* Inline-cache lookup off the fast path (any non-monomorphic-hit
-   case).  Generation stamps are globally unique and monotonic, so a
-   matching stamp in any slot proves the cached flat code is current. *)
-and lookup_ic eng ic (ccm : Machine.cmeth) =
-  let gen = ccm.Machine.gen in
-  match ic.tier with
-  | 0 ->
-      (* monomorphic; the hit case is inlined at the call site *)
-      count_miss eng;
-      let bd = get_body eng ic.cidx in
-      ic.miss_streak <- ic.miss_streak + 1;
-      if ic.miss_streak >= pic_mono_misses then begin
-        ic.g1 <- ic.g0;
-        ic.b1 <- ic.b0;
-        ic.tier <- 1;
-        ic.miss_streak <- 0;
-        match eng.stats with
-        | Some s -> Metrics.incr s.pic_promote_poly
-        | None -> ()
-      end;
-      ic.g0 <- gen;
-      ic.b0 <- bd;
-      bd
-  | 1 ->
-      if ic.g0 = gen then begin
-        count_hit eng;
-        ic.b0
-      end
-      else if ic.g1 = gen then begin
-        count_hit eng;
-        ic.b1
-      end
-      else if ic.g2 = gen then begin
-        count_hit eng;
-        ic.b2
-      end
-      else if ic.g3 = gen then begin
-        count_hit eng;
-        ic.b3
-      end
-      else begin
-        count_miss eng;
-        let bd = get_body eng ic.cidx in
-        ic.g3 <- ic.g2;
-        ic.b3 <- ic.b2;
-        ic.g2 <- ic.g1;
-        ic.b2 <- ic.b1;
-        ic.g1 <- ic.g0;
-        ic.b1 <- ic.b0;
-        ic.g0 <- gen;
-        ic.b0 <- bd;
-        ic.miss_streak <- ic.miss_streak + 1;
-        if ic.miss_streak >= pic_poly_misses then begin
-          ic.tier <- 2;
-          ic.miss_streak <- 0;
-          (* the call-site fast path is a single stamp compare on slot
-             0, so the megamorphic tier parks a never-matching stamp
-             there and tracks the last seen generation in slot 2 *)
-          ic.g0 <- min_int;
-          ic.g2 <- gen;
-          ic.b2 <- bd;
-          match eng.stats with
-          | Some s -> Metrics.incr s.pic_promote_mega
-          | None -> ()
-        end;
-        bd
-      end
-  | _ ->
-      (* megamorphic: always consult the per-method cache; a long
-         stable run earns demotion back to monomorphic *)
-      let bd = get_body eng ic.cidx in
-      if ic.g2 = gen then begin
-        count_hit eng;
-        ic.stable <- ic.stable + 1;
-        if ic.stable >= pic_mega_stable then begin
-          ic.tier <- 0;
-          ic.miss_streak <- 0;
-          ic.stable <- 0;
-          ic.g0 <- gen;
-          ic.b0 <- bd;
-          match eng.stats with
-          | Some s -> Metrics.incr s.pic_demote
-          | None -> ()
-        end
-      end
-      else begin
-        count_miss eng;
-        ic.g2 <- gen;
-        ic.b2 <- bd;
-        ic.stable <- 0
-      end;
-      bd
+(* An inline-cache miss (the hit is inlined at the call site): refill
+   the site's entry with the callee's current translation. *)
+and ic_miss eng ic (ccm : Machine.cmeth) =
+  count_miss eng;
+  let bd = get_body eng ic.cidx in
+  ic.g0 <- ccm.Machine.gen;
+  ic.b0 <- bd;
+  bd
 
 (* Enter a translated body: charge the entry block like the oracle's
    [enter_block] (cost, then the poll and the yieldpoint if the entry
@@ -1446,15 +1294,13 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
       if not eng.hooked_mode then begin
         let ccm = Array.unsafe_get st.Machine.methods ic.cidx in
         let bd =
-          (* slot 0 carries a never-matching stamp in the megamorphic
-             tier, so one compare covers the whole ladder; the stats
-             match is [prep]/[count_hit] hand-inlined — without flambda
-             nothing here inlines on its own *)
+          (* the stats match is [count_hit] hand-inlined — without
+             flambda nothing here inlines on its own *)
           if ic.g0 = ccm.Machine.gen then begin
             (match eng.stats with Some s -> Metrics.incr s.ic_hits | None -> ());
             ic.b0
           end
-          else lookup_ic eng ic ccm
+          else ic_miss eng ic ccm
         in
         let envs = eng.envs in
         let cenv =
@@ -1523,7 +1369,7 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
             count_hit eng;
             ic.b0
           end
-          else lookup_ic eng ic ccm
+          else ic_miss eng ic ccm
         in
         let cenv = env_at eng cdepth in
         prep cenv bd argc;
@@ -1769,17 +1615,6 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
       Array.unsafe_set locals l
         (Array.unsafe_get locals l + Array.unsafe_get fl.fb pc);
       transfer eng fl stack locals frame cyc depth (pc + 1) sp
-
-let ic_tiers eng name =
-  let midx = Machine.index eng.st name in
-  match eng.bodies.(midx) with
-  | None -> []
-  | Some b ->
-      Array.to_list
-        (Array.map
-           (fun ic ->
-             match ic.tier with 0 -> "mono" | 1 -> "poly" | _ -> "mega")
-           b.fics)
 
 (* Root invocation (the engine's equivalent of [Interp.call]): args come
    in a real array, and the hook prologue/epilogue runs here once per

@@ -21,7 +21,6 @@ type options = {
   verify : bool;  (* re-verify bytecode after every optimization pass *)
   deep_verify : bool;  (* also run the dataflow lints on every compiled body *)
   engine : engine;  (* flat threaded code by default; interp oracle *)
-  tiers : Codegen.tiers;  (* engine-v2 tier policy: fusion + PIC ladder *)
   telemetry : Telemetry.t option;  (* host-side metrics/trace sink *)
   faults : Fault_injector.t option;  (* deterministic fault injection *)
 }
@@ -38,7 +37,6 @@ let default_options =
     verify = true;
     deep_verify = false;
     engine = `Threaded;
-    tiers = Codegen.default_tiers;
     telemetry = None;
     faults = None;
   }
@@ -153,8 +151,8 @@ let deep_verify_body d midx (cm : Machine.cmeth) =
     record_checks d (Pep_check.lint_intervals p meth);
     record_checks d
       (Pep_check.justify_unsafe p ~max_stack:cm.Machine.max_stack meth);
-    (* the fusion table the engine would compile for this body right
-       now, validated against an independent effect/pattern derivation *)
+    (* the fusion table the engine compiles for this body, validated
+       against an independent effect/pattern derivation *)
     record_checks d
       (Pep_check.validate_fusion ~witness:(Codegen.fusion_witness d.eng midx)
          meth)
@@ -306,21 +304,6 @@ let do_compile_opt d midx ~level =
           ~edge_extra:(fun b idx -> cm.Machine.edge_extra.(b).(idx))
           ~taken_penalty:cost.Cost_model.taken_branch_penalty
           ~mispredict_penalty:cost.Cost_model.mispredict_penalty));
-  (* feed the engine's superinstruction planner its hot mask: blocks
-     the profile saw at all, with a 2%-of-hottest floor to drop noise,
-     under the same profile the layout pass just used.  Fusion is free
-     at runtime (strictly fewer dispatches, observationally neutral),
-     so the mask only bounds translation effort: never-executed blocks
-     and profile noise stay unfused, but moderately-warm paths — e.g.
-     the arms of a switch, each a small fraction of its header — do
-     fuse.  Methods reaching opt levels are hot by promotion, so this
-     picks the executed paths within them. *)
-  (if d.opts.tiers.Codegen.fuse then begin
-     let freqs = Freq_estimate.block_freqs cm.cfg profile in
-     let top = Array.fold_left Float.max 0.0 freqs in
-     let hot = Array.map (fun f -> f > 0.0 && f >= 0.02 *. top) freqs in
-     Codegen.set_hot_blocks d.eng midx hot
-   end);
   deep_verify_body d midx (Machine.cmeth d.st midx);
   (match (d.pep_state, d.opts.pep) with
   | Some p, Some popts ->
@@ -542,7 +525,7 @@ let create ?extra_hooks opts st =
       unrolled_loops = 0;
       checks = [];
       hooks = Interp.no_hooks;
-      eng = Codegen.create ?telemetry:opts.telemetry ~tiers:opts.tiers st;
+      eng = Codegen.create ?telemetry:opts.telemetry st;
       tstats;
       iterations = 0;
     }

@@ -72,18 +72,10 @@ type options = {
           the unsafe-array-op justification on every body the optimizing
           compiler installs — including adaptive mid-flight recompiles
           and fault-injected retries.  Off by default: the lints cost
-          real host time per compile.  Also validates the engine's
-          current fusion table for every optimized body
+          real host time per compile.  Also validates the fusion table
+          the engine compiles for every optimized body
           ({!Pep_check.validate_fusion}, pass ["fusion"]). *)
   engine : engine;
-  tiers : Codegen.tiers;
-      (** engine-v2 tier policy: profile-guided superinstruction fusion
-          and the PIC promotion/demotion ladder.  When [fuse] is on the
-          driver derives a per-method hot-block mask from the same edge
-          profile the layout pass uses (blocks at least half as frequent
-          as the hottest) and feeds it to the engine at every optimizing
-          compile.  Tier choices never affect simulated semantics — only
-          host-side speed. *)
   telemetry : Telemetry.t option;
       (** host-side metrics/trace sink.  When present the driver
           registers the [vm.*] metrics (yieldpoint polls, ticks,
@@ -189,8 +181,8 @@ val add_hooks : t -> Interp.hooks -> unit
     {!run} without the telemetry span. *)
 val hooks : t -> Interp.hooks
 
-(** The flat engine the driver runs on, with its translations, fusion
-    hot masks and inline caches; [Codegen.set_hooks (engine d)
+(** The flat engine the driver runs on, with its translations and
+    inline caches; [Codegen.set_hooks (engine d)
     Interp.no_hooks] turns it into a bare engine over the same compiled
     bodies (the engine benchmark's third variant). *)
 val engine : t -> Codegen.t

@@ -417,8 +417,7 @@ let fusion_method () =
         ]
   in
   let m = Program.find p "main" in
-  let hot = Array.make (Array.length m.Method.blocks) true in
-  (m, Fusion.plan ~gen:0 ~hot m)
+  (m, Fusion.plan ~gen:0 m)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -437,12 +436,6 @@ let test_fusion_plan_accepted () =
   let m, w = fusion_method () in
   if w.Fusion.fentries = [] then Alcotest.fail "planner found nothing to fuse";
   no_errors "planned table" (Pep_check.validate_fusion ~witness:w m)
-
-let test_reject_fusion_cold_block () =
-  fusion_error "entry in cold block" ~expect:"not marked hot" (fun w ->
-      let fhot = Array.copy w.Fusion.fhot in
-      fhot.((first_entry w).Fusion.fblock) <- false;
-      { w with Fusion.fhot })
 
 let test_reject_fusion_wrong_pattern () =
   fusion_error "claimed pattern differs from bytecode" ~expect:"mismatch"
@@ -471,10 +464,6 @@ let test_reject_fusion_out_of_range () =
           { e with Fusion.fstart = e.Fusion.fstart + 1000 }
           :: List.tl w.Fusion.fentries;
       })
-
-let test_reject_fusion_stale_mask () =
-  fusion_error "mask from an older body" ~expect:"stale mask" (fun w ->
-      { w with Fusion.fhot = Array.make (Array.length w.Fusion.fhot + 1) true })
 
 let test_reject_fusion_dropped_entry () =
   fusion_error "table is not the deterministic plan" ~expect:"deterministic"
@@ -519,7 +508,6 @@ let test_reject_fusion_call_block () =
   let witness =
     {
       Fusion.fgen = 0;
-      fhot = Array.make (Array.length m.Method.blocks) true;
       fentries =
         [
           {
@@ -561,16 +549,12 @@ let suite =
     Alcotest.test_case "replay checks clean" `Quick test_replay_checks_clean;
     Alcotest.test_case "fusion: planned table accepted" `Quick
       test_fusion_plan_accepted;
-    Alcotest.test_case "fusion: reject cold block" `Quick
-      test_reject_fusion_cold_block;
     Alcotest.test_case "fusion: reject wrong pattern" `Quick
       test_reject_fusion_wrong_pattern;
     Alcotest.test_case "fusion: reject overlap" `Quick
       test_reject_fusion_overlap;
     Alcotest.test_case "fusion: reject out-of-range entry" `Quick
       test_reject_fusion_out_of_range;
-    Alcotest.test_case "fusion: reject stale hot mask" `Quick
-      test_reject_fusion_stale_mask;
     Alcotest.test_case "fusion: reject dropped entry" `Quick
       test_reject_fusion_dropped_entry;
     Alcotest.test_case "fusion: reject call block" `Quick

@@ -778,17 +778,15 @@ let prop_sites_sound =
       done;
       !checked > 0 && !broken = 0)
 
-(* ------------------------- PIC tier ladder ------------------------- *)
+(* ------------------------ call-site refills ------------------------ *)
 
-(* A call site climbs mono -> poly -> megamorphic as the callee is
-   recompiled under it: every [set_speed] bumps the callee's generation
-   stamp, so the next dispatch through the site misses its cache.  Eight
-   distinct generations flow through one site, the site's tier is
-   observed at each rung, and a long stable megamorphic run earns the
-   demotion back to monomorphic.  The oracle must agree bit-for-bit at
-   every step. *)
-let pic_program () =
-  Compile.program ~name:"pic" ~main:"main"
+(* Every [set_speed] bumps the callee's generation stamp, so the next
+   call through the site misses its cache and refills it.  Eight
+   generations flow through one site: after each bump the run must
+   agree with the oracle bit-for-bit, and of its 40 calls exactly one
+   misses while every other call hits. *)
+let refill_program () =
+  Compile.program ~name:"refill" ~main:"main"
     [
       mdef "main" ~params:[]
         [
@@ -799,47 +797,29 @@ let pic_program () =
       mdef "f" ~params:[ "a" ] [ ret (add (mul (v "a") (i 3)) (i 1)) ];
     ]
 
-let test_pic_tier_ladder () =
-  let p = pic_program () in
+let test_call_site_refill () =
+  let p = refill_program () in
   let st_o = Machine.create ~seed:3 p and st_t = Machine.create ~seed:3 p in
   let tel = Telemetry.create () in
   let eng = Codegen.create ~telemetry:tel st_t in
   let fidx = Machine.index st_t "f" in
-  let agree label =
+  let cval name = Metrics.value (Metrics.counter (Telemetry.metrics tel) name) in
+  let agree label ~misses =
+    let h0 = cval "engine.ic.hits" and m0 = cval "engine.ic.misses" in
     let r_o = Interp.run Interp.no_hooks st_o in
     let r_t = Codegen.run eng in
     check ci (label ^ " result") r_o r_t;
-    check ci (label ^ " cycles") st_o.Machine.cycles st_t.Machine.cycles
+    check ci (label ^ " cycles") st_o.Machine.cycles st_t.Machine.cycles;
+    check ci (label ^ " misses") misses (cval "engine.ic.misses" - m0);
+    check ci (label ^ " hits") (40 - misses) (cval "engine.ic.hits" - h0)
   in
-  let bump pct =
-    Machine.set_speed st_o fidx ~percent:pct;
-    Machine.set_speed st_t fidx ~percent:pct
-  in
-  let tiers () = Codegen.ic_tiers eng "main" in
-  agree "gen 1";
-  check csl "fresh site is monomorphic" [ "mono" ] (tiers ());
-  (* three more generations: the 4th mono miss promotes to poly *)
-  for g = 2 to 4 do
-    bump (100 + (10 * g));
-    agree (Fmt.str "gen %d" g)
+  agree "gen 1" ~misses:1;
+  for g = 2 to 8 do
+    Machine.set_speed st_o fidx ~percent:(100 + (10 * g));
+    Machine.set_speed st_t fidx ~percent:(100 + (10 * g));
+    agree (Fmt.str "gen %d" g) ~misses:1
   done;
-  check csl "4 mono misses promote to poly" [ "poly" ] (tiers ());
-  (* four generations beyond the 4-way cache: promote to megamorphic *)
-  for g = 5 to 8 do
-    bump (100 + (10 * g));
-    agree (Fmt.str "gen %d" g)
-  done;
-  check csl "4 poly misses promote to mega" [ "mega" ] (tiers ());
-  (* no further recompiles: stable same-generation hits accumulate
-     across runs until the demotion threshold *)
-  agree "stable 1";
-  agree "stable 2";
-  check csl "stable megamorphic run demotes to mono" [ "mono" ] (tiers ());
-  let m = Telemetry.metrics tel in
-  let cval name = Metrics.value (Metrics.counter m name) in
-  check cb "promote_poly counted" true (cval "engine.pic.promote_poly" >= 1);
-  check cb "promote_mega counted" true (cval "engine.pic.promote_mega" >= 1);
-  check cb "demote counted" true (cval "engine.pic.demote" >= 1)
+  agree "no bump" ~misses:0
 
 (* ---------------------- superinstruction fusion ---------------------- *)
 
@@ -847,8 +827,8 @@ let test_pic_tier_ladder () =
    fusion catalog: the switch header ends [Load; Jmp] (ljmp), its
    compare chain is [Const; Cmp; Br] (kcmpbr), if-arm stores end
    [Store; Jmp] to the join (stjmp), and the for-latch is [Inc; Jmp]
-   (incjmp).  Fused all-hot, the engine must stay bit-identical to the
-   oracle, and the compiled tables must validate. *)
+   (incjmp).  Fused, the engine must stay bit-identical to the oracle,
+   and the compiled tables must validate. *)
 let fusion_program () =
   Compile.program ~name:"fuse" ~main:"main"
     [
@@ -876,22 +856,13 @@ let fusion_program () =
         ];
     ]
 
-let all_hot_engine ?tiers st =
-  let eng = Codegen.create ?tiers st in
-  for midx = 0 to Program.n_methods st.Machine.program - 1 do
-    let m = Program.method_of_index st.Machine.program midx in
-    Codegen.set_hot_blocks eng midx
-      (Array.make (Array.length m.Method.blocks) true)
-  done;
-  eng
-
 let test_fusion_patterns_differential () =
   let p = fusion_program () in
   let st_o = Machine.create ~seed:3 p
   and st_f = Machine.create ~seed:3 p
   and st_n = Machine.create ~seed:3 p in
-  let fused = all_hot_engine st_f in
-  let nofuse = all_hot_engine ~tiers:{ Codegen.fuse = false } st_n in
+  let fused = Codegen.create st_f in
+  let nofuse = Codegen.create ~fuse:false st_n in
   let r_o = Interp.run Interp.no_hooks st_o in
   let r_f = Codegen.run fused in
   let r_n = Codegen.run nofuse in
@@ -900,21 +871,22 @@ let test_fusion_patterns_differential () =
   check ci "fused cycles" st_o.Machine.cycles st_f.Machine.cycles;
   check ci "nofuse cycles" st_o.Machine.cycles st_n.Machine.cycles;
   (* the compiled tables really contain the block-transfer patterns *)
+  let entries eng midx = (Codegen.fusion_witness eng midx).Fusion.fentries in
   let names =
     List.concat_map
       (fun midx ->
         List.map
           (fun (e : Fusion.entry) -> Fusion.pattern_name e.Fusion.fpattern)
-          (Codegen.fused_entries fused midx))
+          (entries fused midx))
       (List.init (Program.n_methods p) Fun.id)
   in
   List.iter
     (fun pat ->
       check cb (pat ^ " compiled") true (List.mem pat names))
     [ "kcmpbr-eq"; "ljmp"; "stjmp"; "incjmp" ];
-  check cb "nothing fused with the tier off" true
+  check cb "nothing fused with fusion off" true
     (List.for_all
-       (fun midx -> Codegen.fused_entries nofuse midx = [])
+       (fun midx -> entries nofuse midx = [])
        (List.init (Program.n_methods p) Fun.id));
   (* every planned table passes the independent validator *)
   Program.iter_methods
@@ -926,6 +898,30 @@ let test_fusion_patterns_differential () =
           Alcotest.failf "%s: fusion table rejected: %a" m.Method.name
             Pep_check.pp_diagnostic d)
     p
+
+(* Superinstructions are not reserved for optimized code: a replay
+   whose advice leaves every method at baseline still compiles them into
+   each translation, and agrees with the oracle. *)
+let test_baseline_fused () =
+  let w = Suite.find "compress" in
+  let env = Exp_harness.make_env ~size:20 ~seed:3 w in
+  let advice =
+    { env.advice with Advice.levels = Array.map (fun _ -> -1) env.advice.Advice.levels }
+  in
+  let env = { env with Exp_harness.advice } in
+  let tel = Telemetry.create () in
+  let oracle = Exp_harness.replay env (with_engine `Oracle (cfg Exp_harness.Base)) in
+  let threaded =
+    Exp_harness.replay env
+      { (cfg Exp_harness.Base) with Exp_harness.telemetry = Some tel }
+  in
+  check meas "measurement" oracle.Exp_harness.meas threaded.Exp_harness.meas;
+  let eng = Driver.engine threaded.Exp_harness.driver in
+  let main = Machine.index (Driver.machine threaded.Exp_harness.driver) "main" in
+  check cb "main's table fuses" true
+    ((Codegen.fusion_witness eng main).Fusion.fentries <> []);
+  check cb "baseline translations fused" true
+    (Metrics.value (Metrics.counter (Telemetry.metrics tel) "engine.fuse.sites") > 0)
 
 (* ------------------------- allocation tests ------------------------- *)
 
@@ -1007,10 +1003,12 @@ let suite =
         test_recompile_invalidates;
       Alcotest.test_case "hook event parity" `Quick test_hook_parity;
       Alcotest.test_case "hook respecialization" `Quick test_hook_switch;
-      Alcotest.test_case "PIC tier ladder (mono/poly/mega/demote)" `Quick
-        test_pic_tier_ladder;
+      Alcotest.test_case "call-site cache refills per generation" `Quick
+        test_call_site_refill;
       Alcotest.test_case "fusion patterns differential" `Quick
         test_fusion_patterns_differential;
+      Alcotest.test_case "baseline methods run superinstructions" `Quick
+        test_baseline_fused;
       Alcotest.test_case "oracle: no per-call argument copy" `Quick
         test_oracle_no_arg_copy;
       Alcotest.test_case "threaded: steady state allocation-free" `Quick

@@ -675,7 +675,6 @@ let gen_config =
           unroll;
           deep = false;
           engine;
-          tiers = Codegen.default_tiers;
           telemetry = None;
           faults;
         })
@@ -700,7 +699,6 @@ let same_config (a : Exp_harness.config) (b : Exp_harness.config) =
   a.profiling = b.profiling
   && same_opt a.opt_profile b.opt_profile
   && a.inline = b.inline && a.unroll = b.unroll && a.engine = b.engine
-  && a.tiers = b.tiers
   && Fault_plan.key a.faults = Fault_plan.key b.faults
 
 (* a structurally-equal but physically-distinct copy (fixed tables

@@ -158,7 +158,6 @@ let test_driver_with_pep () =
       verify = true;
       deep_verify = false;
       engine = `Threaded;
-      tiers = Codegen.default_tiers;
       telemetry = None;
       faults = None;
     }
