@@ -438,11 +438,13 @@ let blocks_per_iteration env pep =
   let d = precompiled ~engine:`Oracle env pep in
   let n = ref 0 in
   Driver.add_hooks d
-    {
-      Interp.no_hooks with
-      on_entry = Some (fun _ _ -> incr n);
-      on_edge = Some (fun _ _ ~src:_ ~idx:_ ~dst:_ -> incr n);
-    };
+    [
+      {
+        Interp.layer with
+        on_entry = Some (fun _ _ -> incr n);
+        on_edge = Some (fun _ _ ~src:_ ~idx:_ ~dst:_ -> incr n);
+      };
+    ];
   let iters = 3 in
   for _ = 1 to iters do
     ignore (Driver.run d)
@@ -481,7 +483,7 @@ let suite_rows ~seed =
             bare_s = best 2;
           })
         suite_configs)
-    (Exp_harness.suite_envs ~scale:suite_scale ~seed ())
+    (Exp_pool.suite_envs ~scale:suite_scale ~seed ())
 
 (* Suite-wide ratio of two variants: total minimum time over every
    workload of [config], so heavier workloads weigh more, as in the

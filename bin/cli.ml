@@ -151,6 +151,19 @@ let scale_arg ~default =
     value & opt float default
     & info [ "scale" ] ~docv:"F" ~doc:"Scale workload sizes by F.")
 
+(* fleet diff and fleet watch: the finding thresholds *)
+let new_share_arg =
+  Arg.(
+    value & opt float Fleet_query.default_thresholds.Fleet_query.new_share
+    & info [ "new-share" ] ~docv:"F"
+        ~doc:"Path share making an unseen path a new-hot-path finding.")
+
+let edge_shift_arg =
+  Arg.(
+    value & opt float Fleet_query.default_thresholds.Fleet_query.edge_shift
+    & info [ "edge-shift" ] ~docv:"F"
+        ~doc:"Taken-bias delta flagging an edge-flow shift.")
+
 let workload_name_arg =
   Arg.(
     required
@@ -172,6 +185,28 @@ let find_workload name =
 (* Repeatable, comma-separable option values, blanks dropped. *)
 let split_commas xs =
   List.filter (fun s -> s <> "") (List.concat_map (String.split_on_char ',') xs)
+
+let require_pos name v =
+  if v < 1 then begin
+    Printf.eprintf "--%s: expected an integer >= 1, got %d\n" name v;
+    exit 2
+  end
+
+(* The curated cases a [--case] list names, in its order; all of them
+   for an empty list.  An unknown label exits 2. *)
+let pick_cases ~what ~label all labels =
+  match split_commas labels with
+  | [] -> all
+  | ls ->
+      List.map
+        (fun l ->
+          match List.find_opt (fun c -> label c = l) all with
+          | Some c -> c
+          | None ->
+              Printf.eprintf "unknown %s %s; have: %s\n" what l
+                (String.concat " " (List.map label all));
+              exit 2)
+        ls
 
 (* Comma-separable *workload* lists: a [gen:] spec itself contains
    commas, so axis fragments (key=value, not themselves a spec) are

@@ -39,8 +39,7 @@ let check_program ?(static_only = false) ?(deep = false) ~sampling ~seed program
     let st = Machine.create ~seed program in
     let pep = Pep.create ~sampling st in
     let truth = Profiler.perfect_edge st in
-    let hooks = Interp.compose (Tick.hooks ()) pep.Pep.hooks in
-    let hooks = Interp.compose hooks truth.Profiler.ehooks in
+    let hooks = Tick.hooks () @ pep.Pep.hooks @ truth.Profiler.ehooks in
     ignore (Interp.run hooks st);
     add (Exp_harness.lint_pep st pep);
     Array.iteri
@@ -113,7 +112,7 @@ let run_cmd =
             let st = Machine.create ~seed program in
             let pep = Pep.create ~sampling st in
             let result =
-              Interp.run (Interp.compose (Tick.hooks ()) pep.Pep.hooks) st
+              Interp.run (Tick.hooks () @ pep.Pep.hooks) st
             in
             Printf.printf "result: %d  (%.2f Mcycles, %d samples)\n" result
               (float_of_int st.Machine.cycles /. 1e6)
@@ -757,10 +756,10 @@ let check_cmd =
         List.iteri
           (fun j (label, methods, static_s, sweep_s, configs, errs, warns, fus) ->
             Printf.fprintf oc
-              "    { \"name\": \"%s\", \"methods\": %d, \"static_s\": %.3f, \
+              "    { \"name\": %s, \"methods\": %d, \"static_s\": %.3f, \
                \"sweep_s\": %.3f, \"sweep_configs\": %d, \"errors\": %d, \
                \"warnings\": %d, \"fusion_tables\": %d }%s\n"
-              label methods static_s sweep_s configs errs warns fus
+              (Tjson.str label) methods static_s sweep_s configs errs warns fus
               (if j = List.length rows - 1 then "" else ","))
           rows;
         Printf.fprintf oc "  ]\n}\n";
@@ -816,7 +815,6 @@ let chaos_cmd =
              (1 - absolute overlap vs the healthy run).")
   in
   let action seeds scale jobs only case_labels faults_spec max_loss =
-    let split_commas xs = Cli.split_commas xs in
     let seeds =
       List.map
         (fun s ->
@@ -825,28 +823,12 @@ let chaos_cmd =
           | None ->
               Printf.eprintf "--seed: %s is not an integer\n" s;
               exit 2)
-        (split_commas [ seeds ])
+        (Cli.split_commas [ seeds ])
     in
     let cases =
-      match split_commas case_labels with
-      | [] -> Exp_chaos.curated
-      | labels ->
-          List.map
-            (fun l ->
-              match
-                List.find_opt
-                  (fun (c : Exp_chaos.case) -> c.Exp_chaos.label = l)
-                  Exp_chaos.curated
-              with
-              | Some c -> c
-              | None ->
-                  Printf.eprintf "unknown chaos case %s; have: %s\n" l
-                    (String.concat " "
-                       (List.map
-                          (fun (c : Exp_chaos.case) -> c.Exp_chaos.label)
-                          Exp_chaos.curated));
-                  exit 2)
-            labels
+      Cli.pick_cases ~what:"chaos case"
+        ~label:(fun (c : Exp_chaos.case) -> c.Exp_chaos.label)
+        Exp_chaos.curated case_labels
     in
     let cases =
       match Cli.parse_faults faults_spec with
@@ -1035,16 +1017,10 @@ let fleet_run_cmd =
   in
   let action dir workload size seed samples stride jobs instances windows
       tick_shrink drift_at keep_raw retain cohort_specs faults_spec =
-    let require_pos name v =
-      if v < 1 then begin
-        Printf.eprintf "--%s: expected an integer >= 1, got %d\n" name v;
-        exit 2
-      end
-    in
-    require_pos "instances" instances;
-    require_pos "windows" windows;
-    require_pos "tick-shrink" tick_shrink;
-    Option.iter (require_pos "retain") retain;
+    Cli.require_pos "instances" instances;
+    Cli.require_pos "windows" windows;
+    Cli.require_pos "tick-shrink" tick_shrink;
+    Option.iter (Cli.require_pos "retain") retain;
     let faults = Cli.parse_faults faults_spec in
     if Fault_plan.perturbs_execution faults then begin
       Printf.eprintf
@@ -1215,18 +1191,6 @@ let fleet_diff_cmd =
             "First window of the current side for a temporal diff \
              (default: halfway).")
   in
-  let new_share_arg =
-    Arg.(
-      value & opt float Fleet_query.default_thresholds.Fleet_query.new_share
-      & info [ "new-share" ] ~docv:"F"
-          ~doc:"Path share making an unseen path a new-hot-path finding.")
-  in
-  let edge_shift_arg =
-    Arg.(
-      value & opt float Fleet_query.default_thresholds.Fleet_query.edge_shift
-      & info [ "edge-shift" ] ~docv:"F"
-          ~doc:"Taken-bias delta flagging an edge-flow shift.")
-  in
   let action dir cohort baseline_cohort split new_share edge_shift =
     let segments = load_segments ~dir in
     let max_hi =
@@ -1278,7 +1242,7 @@ let fleet_diff_cmd =
           exits 1 when the rules flag a regression")
     Term.(
       const action $ fleet_dir_arg $ cohort_arg $ baseline_cohort_arg
-      $ split_arg $ new_share_arg $ edge_shift_arg)
+      $ split_arg $ Cli.new_share_arg $ Cli.edge_shift_arg)
 
 let fleet_watch_cmd =
   let rules_file_arg =
@@ -1312,29 +1276,10 @@ let fleet_watch_cmd =
       & info [ "baseline-windows" ] ~docv:"N"
           ~doc:"Per-cohort baseline aggregate width, in windows.")
   in
-  let new_share_arg =
-    Arg.(
-      value & opt float Fleet_query.default_thresholds.Fleet_query.new_share
-      & info [ "new-share" ] ~docv:"F"
-          ~doc:"Path share making an unseen path a new-hot-path finding.")
-  in
-  let edge_shift_arg =
-    Arg.(
-      value & opt float Fleet_query.default_thresholds.Fleet_query.edge_shift
-      & info [ "edge-shift" ] ~docv:"F"
-          ~doc:"Taken-bias delta flagging an edge-flow shift.")
-  in
   let action dir rules_file inline_rules persist baseline_windows new_share
       edge_shift =
-    if persist < 1 then begin
-      Printf.eprintf "--persist: expected an integer >= 1, got %d\n" persist;
-      exit 2
-    end;
-    if baseline_windows < 1 then begin
-      Printf.eprintf "--baseline-windows: expected an integer >= 1, got %d\n"
-        baseline_windows;
-      exit 2
-    end;
+    Cli.require_pos "persist" persist;
+    Cli.require_pos "baseline-windows" baseline_windows;
     let from_file =
       match rules_file with
       | None -> []
@@ -1379,7 +1324,7 @@ let fleet_watch_cmd =
           any rule fires")
     Term.(
       const action $ fleet_dir_arg $ rules_file_arg $ rule_arg $ persist_arg
-      $ baseline_arg $ new_share_arg $ edge_shift_arg)
+      $ baseline_arg $ Cli.new_share_arg $ Cli.edge_shift_arg)
 
 let fleet_chaos_cmd =
   let dir_arg =
@@ -1407,34 +1352,12 @@ let fleet_chaos_cmd =
              comma-separable); default: all of them.")
   in
   let action dir workload size seed jobs instances windows case_labels =
-    let require_pos name v =
-      if v < 1 then begin
-        Printf.eprintf "--%s: expected an integer >= 1, got %d\n" name v;
-        exit 2
-      end
-    in
-    require_pos "instances" instances;
-    require_pos "windows" windows;
+    Cli.require_pos "instances" instances;
+    Cli.require_pos "windows" windows;
     let cases =
-      match Cli.split_commas case_labels with
-      | [] -> Exp_chaos.fleet_curated
-      | labels ->
-          List.map
-            (fun l ->
-              match
-                List.find_opt
-                  (fun (c : Exp_chaos.fleet_case) -> c.Exp_chaos.flabel = l)
-                  Exp_chaos.fleet_curated
-              with
-              | Some c -> c
-              | None ->
-                  Printf.eprintf "unknown fleet chaos case %s; have: %s\n" l
-                    (String.concat " "
-                       (List.map
-                          (fun (c : Exp_chaos.fleet_case) -> c.Exp_chaos.flabel)
-                          Exp_chaos.fleet_curated));
-                  exit 2)
-            labels
+      Cli.pick_cases ~what:"fleet chaos case"
+        ~label:(fun (c : Exp_chaos.fleet_case) -> c.Exp_chaos.flabel)
+        Exp_chaos.fleet_curated case_labels
     in
     let w = Cli.find_workload workload in
     let spec =

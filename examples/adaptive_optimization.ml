@@ -33,7 +33,7 @@ let () =
   (* flipped: collect the base run's profile, flip it, feed it back *)
   let st = Machine.create ~seed:99 program in
   let pe = Profiler.perfect_edge st in
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) pe.Profiler.ehooks) st);
+  ignore (Interp.run (Tick.hooks () @ pe.Profiler.ehooks) st);
   let flipped = Edge_profile.flip_table pe.Profiler.etable in
   let _, flip_iter2, flip_sum =
     run "flipped"

@@ -49,7 +49,7 @@ let () =
 
   let machine = Machine.create ~seed:1 program in
   let pep = Pep.create ~sampling:(Sampling.pep ~samples:64 ~stride:17) machine in
-  let total = Interp.run (Interp.compose (Tick.hooks ()) pep.Pep.hooks) machine in
+  let total = Interp.run (Tick.hooks () @ pep.Pep.hooks) machine in
   Printf.printf "total Collatz steps: %d, longest chain: %d\n" total
     machine.Machine.globals.(0);
 

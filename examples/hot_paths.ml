@@ -15,7 +15,7 @@ let () =
   let perfect = Profiler.perfect_path st_perfect in
   ignore
     (Interp.run
-       (Interp.compose (Tick.hooks ()) perfect.Profiler.hooks)
+       (Tick.hooks () @ perfect.Profiler.hooks)
        st_perfect);
 
   (* PEP profile: same numbering, sampled *)
@@ -23,7 +23,7 @@ let () =
   let pep =
     Pep.create ~sampling:(Sampling.pep ~samples:64 ~stride:17) st_pep
   in
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) pep.Pep.hooks) st_pep);
+  ignore (Interp.run (Tick.hooks () @ pep.Pep.hooks) st_pep);
 
   let exec_idx = Program.index program "exec" in
   let top_of table =

@@ -18,7 +18,7 @@ let () =
   (* ground truth *)
   let st0 = Machine.create ~seed program in
   let perfect = Profiler.perfect_edge st0 in
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.ehooks) st0);
+  ignore (Interp.run (Tick.hooks () @ perfect.Profiler.ehooks) st0);
 
   (* partial-path sampler: plans provide the always-on register updates,
      kept in the frame's path register; every yieldpoint reads the live
@@ -72,9 +72,9 @@ let () =
       Machine.add_cycles st r_update
     end
   in
-  let hooks =
+  let layer =
     {
-      Interp.no_hooks with
+      Interp.layer with
       on_entry =
         Some
           (fun st (frame : Interp.frame) ->
@@ -101,7 +101,7 @@ let () =
             | None -> ());
     }
   in
-  ignore (Interp.run hooks st);
+  ignore (Interp.run [ layer ] st);
 
   Printf.printf
     "partial-path sampling: %d samples at arbitrary yieldpoints (%d \

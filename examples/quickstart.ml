@@ -37,7 +37,7 @@ let () =
 
   (* 3. run: the tick driver owns the virtual timer, PEP samples at
      path-end yieldpoints *)
-  let hooks = Interp.compose (Tick.hooks ()) pep.Pep.hooks in
+  let hooks = Tick.hooks () @ pep.Pep.hooks in
   let result = Interp.run hooks machine in
   Printf.printf "program result: %d (%.1f Mcycles, %d samples)\n\n" result
     (float_of_int machine.Machine.cycles /. 1e6)

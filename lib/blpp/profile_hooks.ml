@@ -31,9 +31,12 @@ let make_plans ~mode ~number st =
    other's register (a real system would allocate distinct registers or
    stack slots per instrumentation).  The closures below are what the
    oracle runs; [path] describes the same steps as data over the same
-   register, for an engine to lower. *)
+   register, for an engine to lower.  The register starts small and
+   grows with the call depth: a frame whose method has a plan grows it
+   in [on_entry], which an engine runs before any of the frame's
+   steps. *)
 let path_hooks ?live ~(plans : plans) ~count_cost ~on_path_end () =
-  let regs = ref (Array.make 1024 0) in
+  let regs = ref (Array.make 4 0) in
   let slot (st : Machine.t) =
     let depth = st.depth in
     if depth >= Array.length !regs then begin
@@ -107,23 +110,25 @@ let path_hooks ?live ~(plans : plans) ~count_cost ~on_path_end () =
     | None -> ()
     | Some { badd; breset } -> path_end st frame (slot st) ~badd ~breset
   in
-  {
-    Interp.no_hooks with
-    on_entry = Some on_entry;
-    on_edge = Some on_edge;
-    edge_site = Some edge_site;
-    on_yieldpoint = Some on_yieldpoint;
-    path =
-      Some
-        {
-          Interp.edge_step = step;
-          block_event;
-          reg = regs;
-          count_charge;
-          live;
-          on_path_end;
-        };
-  }
+  [
+    {
+      Interp.layer with
+      on_entry = Some on_entry;
+      on_edge = Some on_edge;
+      edge_site = Some edge_site;
+      on_yieldpoint = Some on_yieldpoint;
+      path =
+        Some
+          {
+            Interp.edge_step = step;
+            block_event;
+            reg = regs;
+            count_charge;
+            live;
+            on_path_end;
+          };
+    };
+  ]
 
 let edge_count_hooks ?(charge = true) st ~(table : Edge_profile.table) =
   let branch_of =
@@ -150,8 +155,10 @@ let edge_count_hooks ?(charge = true) st ~(table : Edge_profile.table) =
         Machine.add_cycles st st.Machine.cost.Cost_model.edge_count
     end
   in
-  {
-    Interp.no_hooks with
-    on_edge = Some on_edge;
-    edge_site = Some (fun meth ~src ~idx:_ -> branch meth src >= 0);
-  }
+  [
+    {
+      Interp.layer with
+      on_edge = Some on_edge;
+      edge_site = Some (fun meth ~src ~idx:_ -> branch meth src >= 0);
+    };
+  ]

@@ -51,9 +51,9 @@ val make_plans :
     [`Array] for classic BLPP's array-indexed counter, [`None] for PEP,
     which charges sampling costs itself in [on_path_end].
 
-    The layer's closures are what the oracle runs.  Its [path] field
-    hands an engine the same plans, register and charges as data
-    ({!Interp.path_layer}).  With [live], [on_path_end] acts only while
+    The result is one layer.  Its closures are what the oracle runs; its
+    [path] field hands an engine the same plans, register and charges as
+    data ({!Interp.path_layer}).  With [live], [on_path_end] acts only while
     [Machine.tick_pending] or [!live] holds, and must change nothing
     otherwise; without it, it may act at every path end.  So {!Codegen}
     runs the register updates inside its transfers and calls

@@ -160,20 +160,6 @@ let run_spec ?windows ?samples ?stride ?tick_shrink ?threshold ?size ?seed spec
 
 (* ------------------------------- export ---------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json s =
   let ints l = String.concat "," (List.map string_of_int l) in
   let point p =
@@ -183,8 +169,8 @@ let to_json s =
       p.stale_edge_acc
   in
   Fmt.str
-    "{\"workload\":\"%s\",\"windows\":%d,\"threshold\":%.2f,\"schedule\":[%s],\"shifts\":[%s],\"recovered\":%b,\"points\":[%s]}"
-    (json_escape s.workload) s.windows s.threshold (ints s.schedule)
+    "{\"workload\":%s,\"windows\":%d,\"threshold\":%.2f,\"schedule\":[%s],\"shifts\":[%s],\"recovered\":%b,\"points\":[%s]}"
+    (Tjson.str s.workload) s.windows s.threshold (ints s.schedule)
     (ints s.shifts) s.recovered
     (String.concat "," (List.map point s.points))
 

@@ -126,15 +126,6 @@ let make_env ?cost ?size ?(config = default) ~seed workload =
   ignore (Driver.run driver);
   { workload; program; advice = Driver.advice driver; size; seed }
 
-let suite_envs ?(scale = 1.0) ?config ~seed () =
-  List.map
-    (fun (w : Workload.t) ->
-      let size =
-        max 1 (int_of_float (float_of_int w.default_size *. scale))
-      in
-      make_env ~size ?config ~seed w)
-    Suite.all
-
 type run = {
   meas : measurement;
   pep : Pep.t option;
@@ -469,46 +460,37 @@ let adaptive_total ?(config = default) ~trial env =
   (* The adaptive system needs enough timer ticks for promotion decisions
      to stabilize (the paper's runs see ~550); compress the tick period so
      the tick:execution ratio stays comparable at simulation scale. *)
-  let cost =
-    {
-      Cost_model.default with
-      Cost_model.tick_period = Cost_model.default.Cost_model.tick_period / 4;
-    }
-  in
+  let cost = compressed_cost ~tick_shrink:4 in
   let period = cost.Cost_model.tick_period in
   (* pseudo-uniform, distinct timer phases across trials *)
   let tick_offset = 1 + (trial * 10007 * 977) mod period in
   let st = Machine.create ~cost ~tick_offset ~seed:env.seed env.program in
   begin_run config
     (Fmt.str "adaptive %s trial%d" env.workload.Workload.name trial);
-  let opts =
-    (* [Pep_profiled] turns on PEP and lets it drive optimization (paper
-       Fig. 11); any other profiling value runs the plain adaptive
-       system.  [inline]/[unroll]/[opt_profile] are fixed by the
-       methodology and ignored here. *)
+  (* [Pep_profiled] turns on PEP and lets it drive optimization (paper
+     Fig. 11); any other profiling value runs the plain adaptive system.
+     [inline]/[unroll]/[opt_profile] are fixed by the methodology and
+     ignored here. *)
+  let pep, opt_profile =
     match config.profiling with
     | Pep_profiled { sampling; zero; numbering } ->
-        {
-          Driver.mode = Adaptive { thresholds = Driver.default_thresholds };
-          opt_profile = Driver.From_pep;
-          pep = Some { Driver.sampling; zero; numbering };
-          inline = false;
-          unroll = false;
-          verify = true;
-          deep_verify = config.deep;
-          engine = config.engine;
-          telemetry = config.telemetry;
-          faults = injector_of config;
-        }
+        (Some { Driver.sampling; zero; numbering }, Driver.From_pep)
     | Base | Perfect_path | Perfect_edge | Classic_blpp | Instr_back_edge ->
-        {
-          Driver.default_options with
-          engine = config.engine;
-          telemetry = config.telemetry;
-          faults = injector_of config;
-        }
+        (None, Driver.From_baseline)
   in
-  let driver = Driver.create opts st in
+  let driver =
+    Driver.create
+      {
+        Driver.default_options with
+        opt_profile;
+        pep;
+        deep_verify = config.deep;
+        engine = config.engine;
+        telemetry = config.telemetry;
+        faults = injector_of config;
+      }
+      st
+  in
   let a, _ = Driver.run driver in
   let b, _ = Driver.run driver in
   a + b

@@ -100,10 +100,6 @@ val compressed_cost : tick_shrink:int -> Cost_model.t
 val make_env :
   ?cost:Cost_model.t -> ?size:int -> ?config:config -> seed:int -> Workload.t -> env
 
-(** Envs for the whole suite; [scale] multiplies every workload's default
-    size (use a small scale in tests). *)
-val suite_envs : ?scale:float -> ?config:config -> seed:int -> unit -> env list
-
 type run = {
   meas : measurement;
   pep : Pep.t option;

@@ -36,8 +36,10 @@ type task = { cache : Exp_cache.t; config : Exp_harness.config }
     domains). *)
 val run_tasks : ?jobs:int -> ?telemetry:Telemetry.t -> task list -> unit
 
-(** {!Exp_harness.suite_envs} with the warmup runs (the expensive part
-    of preparation) sharded across workers. *)
+(** Envs for the whole suite, each warmed up by {!Exp_harness.make_env}
+    at the workload's default size times [scale] (at least 1; use a
+    small scale in tests), with the warmup runs (the expensive part of
+    preparation) sharded across [jobs] workers. *)
 val suite_envs :
   ?scale:float ->
   ?jobs:int ->

@@ -19,10 +19,10 @@
    produces exactly what unfused code does.
 
    Hooks are sparse.  When it translates a compiled form, the engine
-   lists what each composed layer does at each transfer, in composition
-   order: a layer's [on_edge] where its [edge_site] says it acts, its
-   [on_yieldpoint] at every yieldpoint, and for a path layer
-   ([Interp.hooks.path]) the steps of its plan, lowered — register adds
+   lists what each layer of the composition does at each transfer, in
+   composition order: a layer's [on_edge] where its [edge_site] says it
+   acts, its [on_yieldpoint] at every yieldpoint, and for a path layer
+   ([Interp.layer.path]) the steps of its plan, lowered — register adds
    and resets, and path ends that call [on_path_end] only where it can
    act.  A transfer with no work, or whose only work is one path
    layer's [r += add] and at most one path end at its yieldpoint, takes
@@ -40,7 +40,7 @@
    it mid-run, so after every hook and every hooked call a frame checks
    its form, and a frame whose form changed under it runs the rest of
    that hook point through the layers' closures and finishes on a copy
-   whose every transfer calls the composed closures ([current]); a
+   whose every transfer calls every layer's closures ([current]); a
    path layer's closures act on the register its lowered steps used. *)
 
 (* Opcodes.  All constructors are nullary, so the code array is an
@@ -261,12 +261,16 @@ type t = {
   globals : int array;
   prng : Prng.t;
   fuse : bool;  (* compile superinstructions *)
-  mutable hooks : Interp.hooks;
-  mutable layers : Interp.hooks array;  (* the hooks' single layers *)
+  mutable layers : Interp.layer array;  (* the hooks, in composition order *)
+  (* every layer's [on_entry], [on_exit] and [on_tick] in order, derived
+     by [set_hooks] *)
+  mutable on_entry : (Machine.t -> Interp.frame -> unit) option;
+  mutable on_exit : (Machine.t -> Interp.frame -> unit) option;
+  mutable on_tick : (Machine.t -> Interp.frame -> unit) option;
   mutable hooked_mode : bool;
   bodies : flat option array;
   invalid : flat;  (* never-matching cache filler for fresh ICs *)
-  mutable envs : env array;  (* frame pool, indexed by call depth *)
+  mutable envs : env array;  (* frame pool, indexed by call depth, grown by [env_at] *)
   stats : tstats option;
 }
 
@@ -317,19 +321,32 @@ let invalid_flat (st : Machine.t) =
 let fresh_env () =
   { locals = Array.make 8 0; stack = Array.make 8 0; frame = dummy_frame }
 
-let is_no_hooks = function
-  | {
-      Interp.on_entry = None;
-      on_exit = None;
-      on_edge = None;
-      edge_site = _;
-      on_tick = None;
-      on_yieldpoint = None;
-      path = None;
-      layers = _;
-    } ->
-      true
-  | _ -> false
+(* The layers' closures at one hook point as one closure, built once
+   per [set_hooks]: a hooked call or tick walks no layers and allocates
+   nothing. *)
+let seq get layers =
+  Array.fold_right
+    (fun l k ->
+      match (get l, k) with
+      | None, k -> k
+      | Some f, None -> Some f
+      | Some f, Some g ->
+          Some
+            (fun st frame ->
+              f st frame;
+              g st frame))
+    layers None
+
+let set_hooks eng hooks =
+  let layers = Array.of_list hooks in
+  eng.layers <- layers;
+  eng.on_entry <- seq (fun l -> l.Interp.on_entry) layers;
+  eng.on_exit <- seq (fun l -> l.Interp.on_exit) layers;
+  eng.on_tick <- seq (fun l -> l.Interp.on_tick) layers;
+  eng.hooked_mode <- Array.length layers > 0;
+  (* translations lower their transfers' work under the hooks they were
+     made with; their inline caches go with them *)
+  Array.fill eng.bodies 0 (Array.length eng.bodies) None
 
 let create ?telemetry ?(fuse = true) ?(hooks = Interp.no_hooks) st =
   let n = Array.length st.Machine.methods in
@@ -347,30 +364,28 @@ let create ?telemetry ?(fuse = true) ?(hooks = Interp.no_hooks) st =
             fuse_sites = Metrics.counter m "engine.fuse.sites";
           }
   in
-  {
-    st;
-    poll = st.Machine.cost.Cost_model.yieldpoint_poll;
-    heap = st.Machine.heap;
-    heap_n = Array.length st.Machine.heap;
-    globals = st.Machine.globals;
-    prng = st.Machine.prng;
-    fuse;
-    hooks;
-    layers = Array.of_list (Interp.layers hooks);
-    hooked_mode = not (is_no_hooks hooks);
-    bodies = Array.make n None;
-    invalid = invalid_flat st;
-    envs = Array.init 64 (fun _ -> fresh_env ());
-    stats;
-  }
-
-let set_hooks eng hooks =
-  eng.hooks <- hooks;
-  eng.layers <- Array.of_list (Interp.layers hooks);
-  eng.hooked_mode <- not (is_no_hooks hooks);
-  (* translations lower their transfers' work under the hooks they were
-     made with; their inline caches go with them *)
-  Array.fill eng.bodies 0 (Array.length eng.bodies) None
+  let eng =
+    {
+      st;
+      poll = st.Machine.cost.Cost_model.yieldpoint_poll;
+      heap = st.Machine.heap;
+      heap_n = Array.length st.Machine.heap;
+      globals = st.Machine.globals;
+      prng = st.Machine.prng;
+      fuse;
+      layers = [||];
+      on_entry = None;
+      on_exit = None;
+      on_tick = None;
+      hooked_mode = false;
+      bodies = Array.make n None;
+      invalid = invalid_flat st;
+      envs = Array.init 4 (fun _ -> fresh_env ());
+      stats;
+    }
+  in
+  set_hooks eng hooks;
+  eng
 
 (* The fusion table a translation of the method's current form compiles *)
 let fusion_witness eng midx =
@@ -500,8 +515,8 @@ let is_transfer = function
 
 (* The copy a frame finishes on once its compiled form changed under it
    (a hook ran [set_speed] or [recompile] on its method): every transfer
-   takes the hooked path and calls the composed closures, which read the
-   live plans, as under the oracle. *)
+   takes the hooked path and calls every layer's closures, which read
+   the live plans, as under the oracle. *)
 let demote fl =
   let fb = Array.copy fl.fb in
   Array.iteri
@@ -536,6 +551,23 @@ let run_step eng frame depth s =
   if s.reset >= 0 then !(s.reg).(depth) <- s.reset;
   st.Machine.cycles <- st.Machine.cycles + s.post
 
+(* The closures of the layers from [from] on, as the oracle runs them:
+   a stale frame's hook point from layer 0, or the rest of one whose
+   form changed at layer [from - 1]. *)
+let edge_closures eng frame ~src ~idx ~dst from =
+  for k = from to Array.length eng.layers - 1 do
+    match eng.layers.(k).Interp.on_edge with
+    | Some f -> f eng.st frame ~src ~idx ~dst
+    | None -> ()
+  done
+
+let yield_closures eng frame blk from =
+  for k = from to Array.length eng.layers - 1 do
+    match eng.layers.(k).Interp.on_yieldpoint with
+    | Some f -> f eng.st frame blk
+    | None -> ()
+  done
+
 (* A hook point's items in composition order.  Should one of them
    change the frame's form (a closure or [on_path_end] bumped its
    method's generation), the layers after it run as closures over the
@@ -554,20 +586,9 @@ let edge_items eng fl frame depth items ~src ~idx ~dst =
     in
     if fresh fl then incr i
     else begin
-      for k = li + 1 to Array.length eng.layers - 1 do
-        match eng.layers.(k).Interp.on_edge with
-        | Some f -> f eng.st frame ~src ~idx ~dst
-        | None -> ()
-      done;
+      edge_closures eng frame ~src ~idx ~dst (li + 1);
       i := n
     end
-  done
-
-let yield_closures eng frame blk from =
-  for k = from to Array.length eng.layers - 1 do
-    match eng.layers.(k).Interp.on_yieldpoint with
-    | Some f -> f eng.st frame blk
-    | None -> ()
   done
 
 let yield_items eng fl frame depth items blk =
@@ -592,21 +613,18 @@ let yield_items eng fl frame depth items blk =
 (* The oracle's yieldpoint once the poll is charged and flushed: raise
    the timer flag when the tick is due, run [on_tick] if the flag is
    set, then the block's yieldpoint items.  In a frame whose form is no
-   longer the one translated, the composed [on_yieldpoint] does that
+   longer the one translated, every layer's [on_yieldpoint] does that
    work over the live plans. *)
 let yield_point eng fl frame depth c blk =
   let st = eng.st in
   if c >= st.Machine.next_tick then st.Machine.yield_flag <- true;
   (if st.Machine.yield_flag then
-     match eng.hooks.Interp.on_tick with Some f -> f st frame | None -> ());
+     match eng.on_tick with Some f -> f st frame | None -> ());
   if fresh fl then begin
     if blk < Array.length fl.fyield then
       yield_items eng fl frame depth (Array.unsafe_get fl.fyield blk) blk
   end
-  else
-    match eng.hooks.Interp.on_yieldpoint with
-    | Some g -> g st frame blk
-    | None -> ()
+  else yield_closures eng frame blk 0
 
 let count_hit eng =
   match eng.stats with Some s -> Metrics.incr s.ic_hits | None -> ()
@@ -706,7 +724,7 @@ and translate eng (cm : Machine.cmeth) midx : flat =
     Array.of_list !acc
   in
   let edge_items ~src ~idx =
-    items_of (fun li (l : Interp.hooks) ->
+    items_of (fun li (l : Interp.layer) ->
         match (l.Interp.path, l.Interp.on_edge, l.Interp.edge_site) with
         | Some pl, _, _ -> (
             match pl.Interp.edge_step midx ~src ~idx with
@@ -722,7 +740,7 @@ and translate eng (cm : Machine.cmeth) midx : flat =
     Array.init nblocks (fun b ->
         if not cm.Machine.yieldpoint.(b) then [||]
         else
-          items_of (fun li (l : Interp.hooks) ->
+          items_of (fun li (l : Interp.layer) ->
               match (l.Interp.path, l.Interp.on_yieldpoint) with
               | Some pl, _ -> (
                   match pl.Interp.block_event midx b with
@@ -1054,7 +1072,7 @@ and tick eng fl stack locals frame c depth slot sp w =
   let st = eng.st in
   let pc = Array.unsafe_get fl.fa slot in
   st.Machine.yield_flag <- true;
-  match eng.hooks.Interp.on_tick with
+  match eng.on_tick with
   | None ->
       if w land lend = 0 then exec eng fl stack locals frame c depth pc sp
       else path_end eng fl stack locals frame c depth pc sp (dst_of w)
@@ -1068,9 +1086,7 @@ and tick eng fl stack locals frame c depth slot sp w =
           path_end eng fl stack locals frame st.Machine.cycles depth pc sp
             (dst_of w)
       else begin
-        (match eng.hooks.Interp.on_yieldpoint with
-        | Some g -> g st frame (dst_of w)
-        | None -> ());
+        yield_closures eng frame (dst_of w) 0;
         exec eng (current fl) stack locals frame st.Machine.cycles depth pc sp
       end
 
@@ -1098,7 +1114,7 @@ and path_end eng fl stack locals frame c depth pc sp blk =
 
 (* The hooked path: the oracle's sequence with every charge flushed
    before the hook that may observe it.  A translation still current
-   runs its items; a frame whose form went stale calls the composed
+   runs its items; a frame whose form went stale calls every layer's
    closures. *)
 and observed_transfer eng fl stack locals frame cyc depth slot sp =
   let st = eng.st in
@@ -1110,10 +1126,7 @@ and observed_transfer eng fl stack locals frame cyc depth slot sp =
     if slot < Array.length fl.fedge then Array.unsafe_get fl.fedge slot
     else [||]
   in
-  (if not (fresh fl) then
-     match eng.hooks.Interp.on_edge with
-     | Some f -> f st frame ~src:(src_of w) ~idx ~dst
-     | None -> ()
+  (if not (fresh fl) then edge_closures eng frame ~src:(src_of w) ~idx ~dst 0
    else if Array.length items > 0 then
      edge_items eng fl frame depth items ~src:(src_of w) ~idx ~dst);
   let c = st.Machine.cycles + fl.fcm.Machine.block_cost.(dst) in
@@ -1360,9 +1373,7 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
         let cframe = { Interp.fmeth = ic.cidx; fparent = fl.self; r = 0 } in
         (* on_entry runs before the inline cache is consulted: a lazy
            compiler hook may have just replaced the callee's body *)
-        (match eng.hooks.Interp.on_entry with
-        | Some f -> f st cframe
-        | None -> ());
+        (match eng.on_entry with Some f -> f st cframe | None -> ());
         let ccm = Array.unsafe_get st.Machine.methods ic.cidx in
         let bd =
           if ic.g0 = ccm.Machine.gen then begin
@@ -1379,9 +1390,7 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
         done;
         cenv.frame <- cframe;
         let v = run_flat eng bd cenv in
-        (match eng.hooks.Interp.on_exit with
-        | Some f -> f st cframe
-        | None -> ());
+        (match eng.on_exit with Some f -> f st cframe | None -> ());
         st.Machine.depth <- depth;
         Array.unsafe_set stack sp v;
         (* the callee's hooks may have recompiled this frame's method *)
@@ -1627,14 +1636,14 @@ let invoke eng midx (args : int array) =
   let argc = Array.length args in
   if eng.hooked_mode then begin
     let frame = { Interp.fmeth = midx; fparent = -1; r = 0 } in
-    (match eng.hooks.Interp.on_entry with Some f -> f st frame | None -> ());
+    (match eng.on_entry with Some f -> f st frame | None -> ());
     let bd = get_body eng midx in
     let env = env_at eng depth in
     prep env bd argc;
     Array.blit args 0 env.locals 0 argc;
     env.frame <- frame;
     let r = run_flat eng bd env in
-    (match eng.hooks.Interp.on_exit with Some f -> f st frame | None -> ());
+    (match eng.on_exit with Some f -> f st frame | None -> ());
     st.Machine.depth <- st.Machine.depth - 1;
     r
   end

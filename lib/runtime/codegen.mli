@@ -22,11 +22,12 @@
     Steady-state calls never consult the method table and allocate
     nothing in bare (hook-free) execution.
 
-    {b Sparse hooks, lowered path layers.}  A translation lists, per
-    block transfer and in composition order, what each layer does there:
-    a layer's [on_edge] where its [Interp.hooks.edge_site] says it acts,
-    its [on_yieldpoint] at every yieldpoint, and a path layer's plan
-    ([Interp.hooks.path]) as flat operations on its path register.  A
+    {b Sparse hooks, lowered path layers.}  The engine keeps the
+    composition as its list of layers ({!Interp.hooks}).  A translation
+    lists, per block transfer and in list order, what each layer does
+    there: a layer's [on_edge] where its [Interp.layer.edge_site] says
+    it acts, its [on_yieldpoint] at every yieldpoint, and a path layer's
+    plan ([Interp.layer.path]) as flat operations on its path register.  A
     transfer with nothing to do, or whose only work is one path layer's
     [r += add] and at most one path end at the destination's yieldpoint,
     takes one fast path in hooked and bare runs alike, with the
@@ -34,13 +35,14 @@
     and [on_path_end] called only where the layer says it can act; the
     timer's [on_tick] runs only at a poll that finds the tick due.  Any
     other transfer is observed and runs its list in the oracle's order.
-    Calls always consult [on_entry]/[on_exit] when hooks are present.
-    A frame whose compiled form changes under it (a hook runs
-    {!Machine.set_speed} or {!Machine.recompile} on its method) runs
-    the rest of that hook point, and then every transfer, through the
-    layers' closures, which read the live plans and act on the same
-    registers, so layers whose sites or plans change with a generation
-    bump see exactly what the oracle shows them.
+    Every hooked call runs the layers' [on_entry] and [on_exit], and a
+    due tick their [on_tick], each sequenced once per {!set_hooks}.  A
+    frame whose compiled form changes under it (a hook runs
+    {!Machine.set_speed} or {!Machine.recompile} on its method) runs the
+    rest of that hook point, and then every transfer, through the
+    layers' closures from the first layer on, which read the live plans
+    and act on the same registers, so layers whose sites or plans change
+    with a generation bump see exactly what the oracle shows them.
 
     Semantics are bit-identical to the oracle: same virtual cycle
     counts, same yieldpoint firings, same hook event order (minus

@@ -11,7 +11,7 @@ type path_layer = {
   on_path_end : Machine.t -> frame -> path_id:int -> unit;
 }
 
-type hooks = {
+type layer = {
   on_entry : (Machine.t -> frame -> unit) option;
   on_exit : (Machine.t -> frame -> unit) option;
   on_edge : (Machine.t -> frame -> src:int -> idx:int -> dst:int -> unit) option;
@@ -19,10 +19,11 @@ type hooks = {
   on_tick : (Machine.t -> frame -> unit) option;
   on_yieldpoint : (Machine.t -> frame -> Cfg.block_id -> unit) option;
   path : path_layer option;
-  layers : hooks list;
 }
 
-let no_hooks =
+type hooks = layer list
+
+let layer =
   {
     on_entry = None;
     on_exit = None;
@@ -31,69 +32,48 @@ let no_hooks =
     on_tick = None;
     on_yieldpoint = None;
     path = None;
-    layers = [];
   }
 
-let compose_opt a b =
-  match (a, b) with
-  | None, f | f, None -> f
-  | Some f, Some g ->
-      Some
-        (fun st frame ->
-          f st frame;
-          g st frame)
+let no_hooks = []
 
-let compose_opt_edge a b =
-  match (a, b) with
-  | None, f | f, None -> f
-  | Some f, Some g ->
-      Some
-        (fun st frame ~src ~idx ~dst ->
-          f st frame ~src ~idx ~dst;
-          g st frame ~src ~idx ~dst)
+(* Each hook point's callbacks in composition order, taken from the
+   layers once per [call]: a hook point runs only the callbacks it has,
+   and one without any costs a match. *)
+type points = {
+  entries : (Machine.t -> frame -> unit) list;
+  exits : (Machine.t -> frame -> unit) list;
+  ticks : (Machine.t -> frame -> unit) list;
+  yieldpoints : (Machine.t -> frame -> Cfg.block_id -> unit) list;
+  edges : (Machine.t -> frame -> src:int -> idx:int -> dst:int -> unit) list;
+}
 
-let compose_opt_yp a b =
-  match (a, b) with
-  | None, f | f, None -> f
-  | Some f, Some g ->
-      Some
-        (fun st frame blk ->
-          f st frame blk;
-          g st frame blk)
-
-(* A layer without [on_edge] acts nowhere, whatever its [edge_site]
-   says; [None] on a layer with [on_edge] means every edge. *)
-let compose_site a b =
-  match (a.on_edge, b.on_edge) with
-  | None, _ -> b.edge_site
-  | _, None -> a.edge_site
-  | Some _, Some _ -> (
-      match (a.edge_site, b.edge_site) with
-      | None, _ | _, None -> None
-      | Some p, Some q -> Some (fun m ~src ~idx -> p m ~src ~idx || q m ~src ~idx))
-
-let layers h =
-  match h.layers with
-  | _ :: _ as l -> l
-  | [] ->
-      if
-        Option.is_none h.on_entry && Option.is_none h.on_exit
-        && Option.is_none h.on_edge && Option.is_none h.on_tick
-        && Option.is_none h.on_yieldpoint && Option.is_none h.path
-      then []
-      else [ h ]
-
-let compose a b =
+let points hooks =
+  let get f = List.filter_map f hooks in
   {
-    on_entry = compose_opt a.on_entry b.on_entry;
-    on_exit = compose_opt a.on_exit b.on_exit;
-    on_edge = compose_opt_edge a.on_edge b.on_edge;
-    edge_site = compose_site a b;
-    on_tick = compose_opt a.on_tick b.on_tick;
-    on_yieldpoint = compose_opt_yp a.on_yieldpoint b.on_yieldpoint;
-    path = None;
-    layers = layers a @ layers b;
+    entries = get (fun l -> l.on_entry);
+    exits = get (fun l -> l.on_exit);
+    ticks = get (fun l -> l.on_tick);
+    yieldpoints = get (fun l -> l.on_yieldpoint);
+    edges = get (fun l -> l.on_edge);
   }
+
+let rec each st frame = function
+  | [] -> ()
+  | f :: fs ->
+      f st frame;
+      each st frame fs
+
+let rec each_yp st frame blk = function
+  | [] -> ()
+  | f :: fs ->
+      f st frame blk;
+      each_yp st frame blk fs
+
+let rec each_edge st frame ~src ~idx ~dst = function
+  | [] -> ()
+  | f :: fs ->
+      f st frame ~src ~idx ~dst;
+      each_edge st frame ~src ~idx ~dst fs
 
 exception Runtime_error of string
 
@@ -106,7 +86,7 @@ let heap_index heap i =
 
 (* [src.(pos .. pos+argc-1)] are the arguments: callers pass a slice of
    their operand stack directly, so a call allocates no argument array. *)
-let rec exec_method hooks (st : Machine.t) ~parent midx (src : int array) pos
+let rec exec_method p (st : Machine.t) ~parent midx (src : int array) pos
     argc =
   if st.depth >= max_depth then raise (Runtime_error "call stack overflow");
   st.depth <- st.depth + 1;
@@ -114,7 +94,7 @@ let rec exec_method hooks (st : Machine.t) ~parent midx (src : int array) pos
   (* on_entry runs before the compiled form is fetched: a lazy compiler
      hook may install or replace the method body and this invocation will
      execute the fresh code, as in a JIT compiling at first invocation *)
-  (match hooks.on_entry with Some f -> f st frame | None -> ());
+  (match p.entries with [] -> () | fs -> each st frame fs);
   let cm = st.methods.(midx) in
   let m = cm.meth in
   let locals = Array.make (max 1 m.nlocals) 0 in
@@ -127,17 +107,17 @@ let rec exec_method hooks (st : Machine.t) ~parent midx (src : int array) pos
       st.cycles <- st.cycles + st.cost.Cost_model.yieldpoint_poll;
       if st.cycles >= st.next_tick then st.yield_flag <- true;
       (if st.yield_flag then
-         match hooks.on_tick with Some f -> f st frame | None -> ());
-      match hooks.on_yieldpoint with Some f -> f st frame b | None -> ()
+         match p.ticks with [] -> () | fs -> each st frame fs);
+      match p.yieldpoints with [] -> () | fs -> each_yp st frame b fs
     end
   in
   (* the oracle ignores [edge_site]: calling [on_edge] everywhere is what
      lets the differential suite check every layer's site declaration *)
   let take_edge ~src ~idx ~dst =
     st.cycles <- st.cycles + cm.edge_extra.(src).(idx);
-    match hooks.on_edge with
-    | Some f -> f st frame ~src ~idx ~dst
-    | None -> ()
+    match p.edges with
+    | [] -> ()
+    | fs -> each_edge st frame ~src ~idx ~dst fs
   in
   let exec_instr (ins : Instr.t) =
     match ins with
@@ -196,7 +176,7 @@ let rec exec_method hooks (st : Machine.t) ~parent midx (src : int array) pos
       | Instr.Call (_, argc) ->
           let cidx = targets.(i) in
           sp := !sp - argc;
-          let v = exec_method hooks st ~parent:midx cidx stack !sp argc in
+          let v = exec_method p st ~parent:midx cidx stack !sp argc in
           stack.(!sp) <- v;
           incr sp
       | ins -> exec_instr ins
@@ -218,12 +198,12 @@ let rec exec_method hooks (st : Machine.t) ~parent midx (src : int array) pos
         cur := dst;
         enter_block dst
   done;
-  (match hooks.on_exit with Some f -> f st frame | None -> ());
+  (match p.exits with [] -> () | fs -> each st frame fs);
   st.depth <- st.depth - 1;
   !result
 
 let call hooks st name args =
-  exec_method hooks st ~parent:(-1)
+  exec_method (points hooks) st ~parent:(-1)
     (Program.index st.program name)
     args 0 (Array.length args)
 

@@ -12,15 +12,17 @@
     all profiling, sampling and instrumentation-cost accounting live in
     hook implementations supplied by the profiling and VM layers.
 
-    Hook order on a control transfer [src -> dst]: charge [edge_extra],
-    call [on_edge]; then on entering [dst]: charge block cost, and if
-    [dst] is a yieldpoint, charge the poll, raise the timer flag when
-    the tick is due, call [on_tick] if the flag is set, then call
-    [on_yieldpoint].  [on_entry] runs with the fresh frame
-    before the method's compiled form is even fetched — a lazy-compiler
-    hook may install or replace the body and this invocation executes the
-    fresh code; [on_exit] runs after the exit block's [Ret], while the
-    frame is still live.
+    Hooks are a list of layers ({!hooks}), and each hook point below
+    calls every layer's callback in list order.  Hook order on a control
+    transfer [src -> dst]: charge [edge_extra], call [on_edge]; then on
+    entering [dst]: charge block cost, and if [dst] is a yieldpoint,
+    charge the poll, raise the timer flag when the tick is due, call
+    [on_tick] if the flag is set (read once: every layer's [on_tick]
+    runs, even after one rearms the timer), then call [on_yieldpoint].
+    [on_entry] runs with the fresh frame before the method's compiled
+    form is even fetched — a lazy-compiler hook may install or replace
+    the body and this invocation executes the fresh code; [on_exit] runs
+    after the exit block's [Ret], while the frame is still live.
 
     {b Sparse edges.}  A layer's [edge_site] says where its [on_edge]
     acts, so an engine may skip the call elsewhere ({!Codegen} decides
@@ -53,9 +55,7 @@
     of the method, like a layer's sites.  A frame whose compiled form
     changes under it (a hook bumped its generation) runs the rest of its
     hook points through the closures, which read the live plans and act
-    on the same register; this oracle always calls the closures.  An
-    engine keeps every composed layer's order at every hook point
-    ([layers]). *)
+    on the same register; this oracle always calls the closures. *)
 
 (** Per-invocation frame view exposed to hooks: the method index, the
     calling method's index (-1 for the root invocation), and the
@@ -86,7 +86,9 @@ type path_layer = {
   on_path_end : Machine.t -> frame -> path_id:int -> unit;
 }
 
-type hooks = {
+(** One hook layer: a profiler, the timer driver or one of the VM's own
+    layers.  Build one as [{ Interp.layer with ... }]. *)
+type layer = {
   on_entry : (Machine.t -> frame -> unit) option;
   on_exit : (Machine.t -> frame -> unit) option;
   on_edge : (Machine.t -> frame -> src:int -> idx:int -> dst:int -> unit) option;
@@ -101,22 +103,19 @@ type hooks = {
   on_yieldpoint : (Machine.t -> frame -> Cfg.block_id -> unit) option;
   path : path_layer option;
       (** on a path layer: its [on_edge] and [on_yieldpoint] work as data *)
-  layers : hooks list;
-      (** a composition's single layers in order, kept by {!compose};
-          [[]] on a single layer.  Replace a composition's closures only
-          through {!compose}, or an engine that reads [layers] misses
-          the change. *)
 }
 
+(** The layer without any callback. *)
+val layer : layer
+
+(** A composition of layers, in order: at every hook point each layer's
+    callback runs in list order (so [a @ b] runs [a]'s before [b]'s),
+    and the composition acts on an edge wherever one of its layers
+    does. *)
+type hooks = layer list
+
+(** [[]]: no layer. *)
 val no_hooks : hooks
-
-(** [compose a b] runs [a]'s callback before [b]'s at every hook point;
-    the composed [edge_site] is the union of the two layers' sites. *)
-val compose : hooks -> hooks -> hooks
-
-(** The single layers of [h] in composition order: [h.layers], [[h]]
-    for a single layer, [[]] for a layer without any hook. *)
-val layers : hooks -> hooks list
 
 exception Runtime_error of string
 

@@ -5,7 +5,7 @@ let hooks ?on_tick () =
     (match on_tick with Some f -> f st frame | None -> ());
     Machine.rearm_timer st
   in
-  { Interp.no_hooks with on_tick = Some tick }
+  [ { Interp.layer with on_tick = Some tick } ]
 
 type method_samples = int array
 

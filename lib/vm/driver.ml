@@ -466,7 +466,7 @@ let maybe_retry_replay d advice midx =
     | Uncompiled | Baseline | Opt _ -> ()
   end
 
-let create ?extra_hooks opts st =
+let create ?(extra_hooks = []) opts st =
   let n_methods = Array.length st.Machine.methods in
   let n_levels = Array.length st.Machine.cost.Cost_model.compile_cost_opt in
   let tstats =
@@ -545,7 +545,7 @@ let create ?extra_hooks opts st =
   in
   let lazy_compile =
     {
-      Interp.no_hooks with
+      Interp.layer with
       on_entry = Some (fun _st (frame : Interp.frame) -> ensure_compiled d frame.fmeth);
     }
   in
@@ -564,7 +564,7 @@ let create ?extra_hooks opts st =
      never transformed, so [branch_of] describes them. *)
   let baseline_edge =
     {
-      Interp.no_hooks with
+      Interp.layer with
       on_edge =
         Some
           (fun st (frame : Interp.frame) ~src ~idx ~dst:_ ->
@@ -582,33 +582,29 @@ let create ?extra_hooks opts st =
             d.baseline_active.(meth) && branch_of.(meth).(src) >= 0);
     }
   in
-  let hooks = Interp.compose tick_hooks lazy_compile in
-  let hooks = Interp.compose hooks baseline_edge in
-  let hooks =
-    match pep_state with
-    | Some p -> Interp.compose hooks p.Pep.hooks
-    | None -> hooks
-  in
-  let hooks =
-    match extra_hooks with
-    | Some h -> Interp.compose hooks h
-    | None -> hooks
-  in
-  (* The yieldpoint-poll counter rides along as one more hook.  An
+  (* The yieldpoint-poll counter rides along as one more layer.  An
      [on_yieldpoint] closure makes every transfer into a yieldpoint an
      observed one, so only telemetry-enabled runs pay for it; without
      it a run observes nothing but the tick (inline at the poll) and the
      baseline counter's edges, and runs PEP's register updates and path
-     ends lowered ([Interp.hooks.path]). *)
-  let hooks =
+     ends lowered ([Interp.layer.path]). *)
+  let polls =
     match d.tstats with
     | Some s ->
-        Interp.compose hooks
+        [
           {
-            Interp.no_hooks with
+            Interp.layer with
             on_yieldpoint = Some (fun _st _frame _blk -> Metrics.incr s.polls);
-          }
-    | None -> hooks
+          };
+        ]
+    | None -> []
+  in
+  let hooks =
+    tick_hooks
+    @ [ lazy_compile; baseline_edge ]
+    @ (match pep_state with Some p -> p.Pep.hooks | None -> [])
+    @ extra_hooks
+    @ polls
   in
   d.hooks <- hooks;
   Codegen.set_hooks d.eng hooks;
@@ -655,7 +651,7 @@ let inlined_sites d = d.inlined_sites
 let unrolled_loops d = d.unrolled_loops
 let checks d = List.rev d.checks
 let add_hooks d h =
-  d.hooks <- Interp.compose d.hooks h;
+  d.hooks <- d.hooks @ h;
   Codegen.set_hooks d.eng d.hooks
 
 let hooks d = d.hooks

@@ -170,15 +170,16 @@ val inlined_sites : t -> int
 (** Loops unrolled so far. *)
 val unrolled_loops : t -> int
 
-(** Compose more hooks after the driver's own (for hooks that must be
+(** Append more layers after the driver's (for hooks that must be
     built after {!precompile}).  The engine drops its translations,
     which mark their transfers under the hooks they were made with. *)
 val add_hooks : t -> Interp.hooks -> unit
 
-(** The composed hooks the driver runs with: its own (tick, lazy
-    compilation, baseline edge counter, PEP, telemetry) and every layer
-    added since.  [Interp.run (hooks d) (machine d)] is one oracle
-    {!run} without the telemetry span. *)
+(** The layers the driver runs with, in order: its own (tick, lazy
+    compilation, baseline edge counter, PEP), [extra_hooks],
+    telemetry's poll counter, then every layer added since.
+    [Interp.run (hooks d) (machine d)] is one oracle {!run} without the
+    telemetry span. *)
 val hooks : t -> Interp.hooks
 
 (** The flat engine the driver runs on, with its translations and

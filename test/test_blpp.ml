@@ -145,12 +145,14 @@ let reference_hooks mode st (plans : Profile_hooks.plans) =
       | _ -> Alcotest.fail "reference stack mismatch"
     end
   in
-  ( {
-      Interp.no_hooks with
-      on_entry = Some on_entry;
-      on_exit = Some on_exit;
-      on_edge = Some on_edge;
-    },
+  ( [
+      {
+        Interp.layer with
+        on_entry = Some on_entry;
+        on_exit = Some on_exit;
+        on_edge = Some on_edge;
+      };
+    ],
     rs.table )
 
 let profiled_table (p : Profiler.path_profiler) =
@@ -211,7 +213,7 @@ let run_comparison name mode program seed =
     in
     if all_planned then begin
       let ref_hooks, reference = reference_hooks mode st profiler.Profiler.plans in
-      let hooks = Interp.compose profiler.Profiler.hooks ref_hooks in
+      let hooks = profiler.Profiler.hooks @ ref_hooks in
       ignore (Interp.run hooks st);
       compare_profiles name reference (profiled_table profiler)
     end

@@ -162,7 +162,7 @@ let test_smart_static_ops_ordering () =
         ~number:(fun m dag -> Pep.smart_number ~zero table m dag)
         ~sampling:Sampling.never st2
     in
-    ignore (Interp.run (Interp.compose (Tick.hooks ()) pep.Pep.hooks) st2);
+    ignore (Interp.run (Tick.hooks () @ pep.Pep.hooks) st2);
     st2.Machine.cycles
   in
   check cb "hottest-zero cheaper than coldest-zero" true

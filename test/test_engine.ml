@@ -433,7 +433,7 @@ let stale_path_run engine =
           Machine.set_speed st frame.Interp.fmeth ~percent:(100 + (10 * !ticks)))
       ()
   in
-  let hooks = Interp.compose tick layer in
+  let hooks = tick @ layer in
   let r =
     match engine with
     | `Oracle -> Interp.run hooks st
@@ -549,39 +549,64 @@ let test_recompile_invalidates () =
   check ci "cycles after recompile" st_o.Machine.cycles st_t.Machine.cycles
 
 (* Hook specialization: the hooked variant must deliver the same events,
-   in the same order, as the oracle. *)
+   in the same order, as the oracle: for one layer, and for three layers
+   that each tag their events with their index, which must then arrive
+   in layer order at every hook point.  Layer 0 rearms the timer at a
+   tick, as the tick driver does; the flag was read before, so layers 1
+   and 2 see that tick too. *)
 let test_hook_parity () =
   let p = tiny_program () in
-  let trace_hooks trace =
+  let trace_layer ?(tick = false) trace k =
+    let ev e = trace := (k, e) :: !trace in
     {
-      Interp.no_hooks with
-      on_entry =
-        Some
-          (fun _ (f : Interp.frame) ->
-            trace := (`E, f.Interp.fmeth, 0, 0) :: !trace);
-      on_exit =
-        Some
-          (fun _ (f : Interp.frame) ->
-            trace := (`X, f.Interp.fmeth, 0, 0) :: !trace);
+      Interp.layer with
+      on_entry = Some (fun _ (f : Interp.frame) -> ev (`E, f.Interp.fmeth, 0, 0));
+      on_exit = Some (fun _ (f : Interp.frame) -> ev (`X, f.Interp.fmeth, 0, 0));
       on_edge =
         Some
           (fun _ (f : Interp.frame) ~src ~idx ~dst:_ ->
-            trace := (`D, f.Interp.fmeth, src, idx) :: !trace);
+            ev (`D, f.Interp.fmeth, src, idx));
+      on_tick =
+        (if tick then
+           Some
+             (fun st (f : Interp.frame) ->
+               ev (`T, f.Interp.fmeth, 0, 0);
+               if k = 0 then Machine.rearm_timer st)
+         else None);
       on_yieldpoint =
-        Some
-          (fun _ (f : Interp.frame) blk ->
-            trace := (`Y, f.Interp.fmeth, blk, 0) :: !trace);
+        Some (fun _ (f : Interp.frame) blk -> ev (`Y, f.Interp.fmeth, blk, 0));
     }
   in
-  let st_o = Machine.create ~tick_offset:50 ~seed:3 p
-  and st_t = Machine.create ~tick_offset:50 ~seed:3 p in
-  let tr_o = ref [] and tr_t = ref [] in
-  let r_o = Interp.run (trace_hooks tr_o) st_o in
-  let r_t = Codegen.run (Codegen.create ~hooks:(trace_hooks tr_t) st_t) in
-  check ci "result" r_o r_t;
-  check ci "cycles" st_o.Machine.cycles st_t.Machine.cycles;
-  check cb "hook event sequences identical" true (!tr_o = !tr_t);
-  check cb "events seen" true (List.length !tr_o > 50)
+  let parity label hooks_of =
+    let st_o = Machine.create ~tick_offset:50 ~seed:3 p
+    and st_t = Machine.create ~tick_offset:50 ~seed:3 p in
+    let tr_o = ref [] and tr_t = ref [] in
+    let r_o = Interp.run (hooks_of tr_o) st_o in
+    let r_t = Codegen.run (Codegen.create ~hooks:(hooks_of tr_t) st_t) in
+    check ci (label ^ " result") r_o r_t;
+    check ci (label ^ " cycles") st_o.Machine.cycles st_t.Machine.cycles;
+    check cb (label ^ " hook event sequences identical") true (!tr_o = !tr_t);
+    check cb (label ^ " events seen") true (List.length !tr_o > 50);
+    List.rev !tr_o
+  in
+  ignore (parity "one layer" (fun tr -> [ trace_layer tr 0 ]));
+  let events =
+    parity "three layers" (fun tr ->
+        List.map (trace_layer ~tick:true tr) [ 0; 1; 2 ])
+  in
+  let rec in_layer_order = function
+    | [] -> true
+    | (0, e0) :: (1, e1) :: (2, e2) :: rest ->
+        e0 = e1 && e1 = e2 && in_layer_order rest
+    | _ -> false
+  in
+  check cb "three layers: every hook point in layer order" true
+    (in_layer_order events);
+  List.iter
+    (fun kind ->
+      check cb "three layers: every kind of hook point seen" true
+        (List.exists (fun (_, (k, _, _, _)) -> k = kind) events))
+    [ `E; `X; `D; `T; `Y ]
 
 (* Switching hooks on an existing engine re-specializes: bare runs must
    not fire hooks, hooked runs must. *)
@@ -592,10 +617,12 @@ let test_hook_switch () =
   let r1 = Codegen.run eng in
   let edges = ref 0 in
   Codegen.set_hooks eng
-    {
-      Interp.no_hooks with
-      on_edge = Some (fun _ _ ~src:_ ~idx:_ ~dst:_ -> incr edges);
-    };
+    [
+      {
+        Interp.layer with
+        on_edge = Some (fun _ _ ~src:_ ~idx:_ ~dst:_ -> incr edges);
+      };
+    ];
   let r2 = Codegen.run eng in
   check ci "same result under hooks" r1 r2;
   check cb "hooks fired" true (!edges > 0);
@@ -634,17 +661,19 @@ let widening_run ~engine ~change =
   let main = Machine.index st "main" in
   let widened = ref false and counted = ref 0 in
   let layer =
-    {
-      Interp.no_hooks with
-      on_edge =
-        Some
-          (fun st (frame : Interp.frame) ~src:_ ~idx:_ ~dst:_ ->
-            if !widened && frame.Interp.fmeth = main then begin
-              incr counted;
-              Machine.add_cycles st 3
-            end);
-      edge_site = Some (fun meth ~src:_ ~idx:_ -> !widened && meth = main);
-    }
+    [
+      {
+        Interp.layer with
+        on_edge =
+          Some
+            (fun st (frame : Interp.frame) ~src:_ ~idx:_ ~dst:_ ->
+              if !widened && frame.Interp.fmeth = main then begin
+                incr counted;
+                Machine.add_cycles st 3
+              end);
+        edge_site = Some (fun meth ~src:_ ~idx:_ -> !widened && meth = main);
+      };
+    ]
   in
   let tick =
     Tick.hooks
@@ -658,7 +687,7 @@ let widening_run ~engine ~change =
         end)
       ()
   in
-  let hooks = Interp.compose tick layer in
+  let hooks = tick @ layer in
   let r =
     match engine with
     | `Oracle -> Interp.run hooks st
@@ -678,28 +707,40 @@ let test_sites_widen_under_running_frame () =
     [ ("recompile", `Recompile); ("set_speed", `Set_speed) ]
 
 (* Soundness of every site declaration: wherever a layer's [edge_site]
-   is false, calling its [on_edge] changes neither the cycles nor its
-   tables.  Each profiler layer is audited on its own; the driver's own
-   layers (baseline counter, PEP) are audited through the composed
-   hooks, at the edges where no layer declares a site.  The runs go
-   through the oracle, which calls [on_edge] everywhere. *)
-let audit ~fingerprint ~checked ~broken (h : Interp.hooks) =
-  match (h.Interp.on_edge, h.Interp.edge_site) with
-  | Some f, Some site ->
-      {
-        h with
-        on_edge =
-          Some
-            (fun st (frame : Interp.frame) ~src ~idx ~dst ->
-              if site frame.Interp.fmeth ~src ~idx then f st frame ~src ~idx ~dst
-              else begin
-                let c = st.Machine.cycles and fp = fingerprint () in
-                f st frame ~src ~idx ~dst;
-                incr checked;
-                if st.Machine.cycles <> c || fingerprint () <> fp then incr broken
-              end);
-      }
-  | _ -> Alcotest.fail "layer declares no edge sites"
+   is false, calling its [on_edge] changes neither the cycles nor any
+   table [fingerprint] covers.  Each profiler layer is audited on its
+   own; the driver's own layers (baseline counter, PEP) are audited in
+   the driver's composition, each at the edges outside its own site,
+   against every layer's tables.  A composition whose acting layers
+   leave a site undeclared, or that acts nowhere, fails the audit.  The
+   audited layers keep their sites, so the composition acts where it
+   did.  The runs go through the oracle, which calls [on_edge]
+   everywhere. *)
+let audit ~fingerprint ~checked ~broken (hooks : Interp.hooks) =
+  let audited (l : Interp.layer) =
+    match (l.Interp.on_edge, l.Interp.edge_site) with
+    | None, _ -> l
+    | Some _, None -> Alcotest.fail "layer declares no edge sites"
+    | Some f, Some site ->
+        {
+          l with
+          on_edge =
+            Some
+              (fun st (frame : Interp.frame) ~src ~idx ~dst ->
+                if site frame.Interp.fmeth ~src ~idx then
+                  f st frame ~src ~idx ~dst
+                else begin
+                  let c = st.Machine.cycles and fp = fingerprint () in
+                  f st frame ~src ~idx ~dst;
+                  incr checked;
+                  if st.Machine.cycles <> c || fingerprint () <> fp then
+                    incr broken
+                end);
+        }
+  in
+  if not (List.exists (fun (l : Interp.layer) -> Option.is_some l.Interp.on_edge) hooks)
+  then Alcotest.fail "no layer acts on an edge";
+  List.map audited hooks
 
 let prop_sites_sound =
   let producers =

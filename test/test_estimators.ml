@@ -144,7 +144,7 @@ let test_estimate_finds_true_hot_paths () =
   let program = Workload.program ~size:6 (Suite.find "jess") in
   let st = Machine.create ~seed:4 program in
   let perfect = Profiler.perfect_path st in
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.hooks) st);
+  ignore (Interp.run (Tick.hooks () @ perfect.Profiler.hooks) st);
   let edges =
     Profiler.edges_of_paths ~n_methods:(Program.n_methods program)
       perfect.Profiler.plans perfect.Profiler.table
@@ -168,7 +168,7 @@ let test_hw_profiler_counts () =
   (* ground truth *)
   let st0 = Machine.create ~seed:6 program in
   let perfect = Profiler.perfect_path st0 in
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.hooks) st0);
+  ignore (Interp.run (Tick.hooks () @ perfect.Profiler.hooks) st0);
   (* hardware table big enough to hold everything exactly *)
   let st = Machine.create ~seed:6 program in
   let hw =
@@ -176,7 +176,7 @@ let test_hw_profiler_counts () =
       ~number:(fun _ dag -> Numbering.ball_larus dag)
       st
   in
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) (Hw_profiler.hooks hw)) st);
+  ignore (Interp.run (Tick.hooks () @ (Hw_profiler.hooks hw)) st);
   let seen, evictions = List.hd (Hw_profiler.stats hw) in
   check ci "sees every path end" (Path_profile.table_total perfect.Profiler.table) seen;
   check cb "few collisions at this size" true (evictions < seen / 100);
@@ -199,14 +199,14 @@ let test_hw_small_table_degrades () =
   let accuracy table_size =
     let st0 = Machine.create ~seed:6 program in
     let perfect = Profiler.perfect_path st0 in
-    ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.hooks) st0);
+    ignore (Interp.run (Tick.hooks () @ perfect.Profiler.hooks) st0);
     let st = Machine.create ~seed:6 program in
     let hw =
       Hw_profiler.create ~table_sizes:[ table_size ]
         ~number:(fun _ dag -> Numbering.ball_larus dag)
         st
     in
-    ignore (Interp.run (Interp.compose (Tick.hooks ()) (Hw_profiler.hooks hw)) st);
+    ignore (Interp.run (Tick.hooks () @ (Hw_profiler.hooks hw)) st);
     let n_branches =
       Profiler.n_branches_resolver perfect.Profiler.plans perfect.Profiler.table
     in
@@ -231,7 +231,7 @@ let test_hw_shared_replay () =
         ~number:(fun _ dag -> Numbering.ball_larus dag)
         st
     in
-    ignore (Interp.run (Interp.compose (Tick.hooks ()) (Hw_profiler.hooks hw)) st);
+    ignore (Interp.run (Tick.hooks () @ (Hw_profiler.hooks hw)) st);
     ( List.map Path_profile.to_lines (Hw_profiler.to_path_profiles hw),
       Hw_profiler.stats hw,
       st.Machine.cycles )

@@ -71,7 +71,7 @@ let test_irreducible_profiled () =
   let program = irreducible_program () in
   let st = Machine.create ~seed:9 program in
   let p = Profiler.perfect_path st in
-  let r = Interp.run (Interp.compose (Tick.hooks ()) p.Profiler.hooks) st in
+  let r = Interp.run (Tick.hooks () @ p.Profiler.hooks) st in
   check cb "ran" true (r >= 0);
   (* recorded ids are all in range *)
   Array.iteri

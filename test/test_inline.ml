@@ -177,8 +177,7 @@ let test_two_layers_coexist () =
   let perfect = Profiler.perfect_path st in
   let pep = Pep.create ~sampling:(Sampling.pep ~samples:max_int ~stride:1) st in
   let hooks =
-    Interp.compose (Tick.hooks ())
-      (Interp.compose perfect.Profiler.hooks pep.Pep.hooks)
+    Tick.hooks () @ perfect.Profiler.hooks @ pep.Pep.hooks
   in
   ignore (Interp.run hooks st);
   (* every PEP-sampled path must exist in the perfect table *)

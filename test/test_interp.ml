@@ -140,11 +140,13 @@ let test_timer_flag_sets () =
   let st = Machine.create ~tick_offset:10 ~seed:1 p in
   let seen = ref false in
   let hooks =
-    {
-      Interp.no_hooks with
-      on_yieldpoint =
-        Some (fun (st : Machine.t) _ _ -> if st.yield_flag then seen := true);
-    }
+    [
+      {
+        Interp.layer with
+        on_yieldpoint =
+          Some (fun (st : Machine.t) _ _ -> if st.yield_flag then seen := true);
+      };
+    ]
   in
   ignore (Interp.run hooks st);
   check Alcotest.bool "flag observed" true !seen
@@ -164,15 +166,17 @@ let test_edge_hook_sees_all_branches () =
   let taken = ref 0 and not_taken = ref 0 in
   let cm = Machine.cmeth st 0 in
   let hooks =
-    {
-      Interp.no_hooks with
-      on_edge =
-        Some
-          (fun _ _ ~src ~idx ~dst:_ ->
-            match Cfg.terminator cm.Machine.cfg src with
-            | Cfg.Branch _ -> if idx = 0 then incr taken else incr not_taken
-            | Cfg.Return | Cfg.Jump _ -> ());
-    }
+    [
+      {
+        Interp.layer with
+        on_edge =
+          Some
+            (fun _ _ ~src ~idx ~dst:_ ->
+              match Cfg.terminator cm.Machine.cfg src with
+              | Cfg.Branch _ -> if idx = 0 then incr taken else incr not_taken
+              | Cfg.Return | Cfg.Jump _ -> ());
+      };
+    ]
   in
   let r = Interp.run hooks st in
   check ci "result" 5 r;

@@ -9,7 +9,7 @@ let program_of ?(size = 3) name = Workload.program ~size (Suite.find name)
 let run_pep ?(seed = 5) ?tick_offset ~sampling program =
   let st = Machine.create ?tick_offset ~seed program in
   let pep = Pep.create ~sampling st in
-  let hooks = Interp.compose (Tick.hooks ()) pep.Pep.hooks in
+  let hooks = Tick.hooks () @ pep.Pep.hooks in
   let result = Interp.run hooks st in
   (result, st, pep)
 
@@ -86,7 +86,7 @@ let test_pep_subset_of_perfect () =
   let program = program_of "db" in
   let st = Machine.create ~seed:5 program in
   let perfect = Profiler.perfect_path st in
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.hooks) st);
+  ignore (Interp.run (Tick.hooks () @ perfect.Profiler.hooks) st);
   let _, _, pep =
     run_pep ~tick_offset:100 ~sampling:(Sampling.pep ~samples:64 ~stride:17)
       program
@@ -108,7 +108,7 @@ let test_dense_sampling_accuracy () =
   let program = program_of "pseudojbb" in
   let st = Machine.create ~seed:5 program in
   let perfect = Profiler.perfect_path st in
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) perfect.Profiler.hooks) st);
+  ignore (Interp.run (Tick.hooks () @ perfect.Profiler.hooks) st);
   let _, _, pep =
     run_pep ~tick_offset:1 ~sampling:(Sampling.pep ~samples:max_int ~stride:1)
       program
@@ -130,7 +130,7 @@ let test_uninterruptible_not_profiled () =
   let hash_idx = Program.index program "hash" in
   check Alcotest.bool "no plan for uninterruptible" true
     (pep.Pep.plans.(hash_idx) = None);
-  ignore (Interp.run (Interp.compose (Tick.hooks ()) pep.Pep.hooks) st);
+  ignore (Interp.run (Tick.hooks () @ pep.Pep.hooks) st);
   check ci "no paths recorded for it" 0
     (Path_profile.total pep.Pep.paths.(hash_idx))
 

@@ -133,7 +133,7 @@ let test_uninterruptible_no_yieldpoints () =
   let st = Machine.create ~tick_offset:1 ~seed:1 program in
   let polled = ref 0 in
   let hooks =
-    { Interp.no_hooks with on_yieldpoint = Some (fun _ _ _ -> incr polled) }
+    [ { Interp.layer with on_yieldpoint = Some (fun _ _ _ -> incr polled) } ]
   in
   ignore (Interp.run hooks st);
   check ci "no yieldpoints executed" 0 !polled

@@ -120,10 +120,7 @@ let test_unroll_halves_header_yieldpoints () =
     end;
     let n = ref 0 in
     let hooks =
-      {
-        Interp.no_hooks with
-        on_yieldpoint = Some (fun _ _ _ -> incr n);
-      }
+      [ { Interp.layer with on_yieldpoint = Some (fun _ _ _ -> incr n) } ]
     in
     ignore (Interp.run hooks st);
     !n
