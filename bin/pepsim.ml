@@ -25,7 +25,8 @@ let print_diags diags =
 
 (* Static passes 1-3 over every method in both truncation modes (plus,
    when [deep], the pass-5 dataflow lints and unsafe-op justification),
-   then — unless [static_only] — one profiled run (PEP sampling plus an
+   then — unless [static_only], or a static pass found an error, so
+   the program may not load — one profiled run (PEP sampling plus an
    exact edge profiler) whose collected profiles feed pass 4. *)
 let check_program ?(static_only = false) ?(deep = false) ~sampling ~seed program
     =
@@ -35,7 +36,7 @@ let check_program ?(static_only = false) ?(deep = false) ~sampling ~seed program
        else Pep_check.check_program_static program)
   in
   let add ds = diags := !diags @ ds in
-  if not static_only then begin
+  if not (static_only || Pep_check.has_errors !diags) then begin
     let st = Machine.create ~seed program in
     let pep = Pep.create ~sampling st in
     let truth = Profiler.perfect_edge st in
@@ -81,6 +82,49 @@ let print_profiles program (pep : Pep.t) =
       end)
     program
 
+(* --- loading textual programs ---------------------------------------- *)
+
+(* A textual program that cannot be read, parsed, compiled or linked is
+   reported as "FILE: message", exit 2. *)
+let load_file file =
+  match
+    Compile.pdef
+      (Parse.program (In_channel.with_open_text file In_channel.input_all))
+  with
+  | p -> p
+  | exception (Parse.Error msg | Compile.Error msg | Program.Link_error msg) ->
+      Printf.eprintf "%s: %s\n" file msg;
+      exit 2
+  | exception Sys_error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+
+(* SOURCE is a workload name (suite, phased or gen: spec) or a path to a
+   textual program. *)
+let load_program_arg source =
+  match Suite.resolve source with
+  | Ok w -> Workload.program ~size:2 w
+  | Error _ ->
+      if Sys.file_exists source && not (Sys.is_directory source) then
+        load_file source
+      else begin
+        Printf.eprintf "%s: neither a workload nor a file\n" source;
+        exit 2
+      end
+
+(* Before a loaded program runs or is shown: every diagnostic of the
+   bytecode verifier on stderr, then exit 2 if one is an error or a
+   method fails CFG construction ({!Verify.program}). *)
+let verify_loaded label program =
+  let ds = Verify.check_program program in
+  List.iter (fun d -> Fmt.epr "%s: %a@." label Pep_check.pp_diagnostic d) ds;
+  if Pep_check.has_errors ds then exit 2;
+  match Verify.program program with
+  | () -> ()
+  | exception Verify.Error msg ->
+      Printf.eprintf "%s: %s\n" label msg;
+      exit 2
+
 (* --- run ----------------------------------------------------------- *)
 
 let run_cmd =
@@ -91,41 +135,22 @@ let run_cmd =
       & info [] ~docv:"FILE" ~doc:"Program in the pepsim textual format.")
   in
   let action file sampling seed verify =
-    let src =
-      match In_channel.with_open_text file In_channel.input_all with
-      | src -> src
-      | exception Sys_error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-    in
-    match Parse.program src with
-    | exception Parse.Error msg ->
-        Printf.eprintf "%s: %s\n" file msg;
-        exit 2
-    | ast -> (
-        match Compile.pdef ast with
-        | exception Compile.Error msg ->
-            Printf.eprintf "%s: %s\n" file msg;
-            exit 2
-        | program ->
-            Verify.program program;
-            let st = Machine.create ~seed program in
-            let pep = Pep.create ~sampling st in
-            let result =
-              Interp.run (Tick.hooks () @ pep.Pep.hooks) st
-            in
-            Printf.printf "result: %d  (%.2f Mcycles, %d samples)\n" result
-              (float_of_int st.Machine.cycles /. 1e6)
-              (Pep.n_samples pep);
-            print_profiles program pep;
-            if verify then begin
-              let diags =
-                Pep_check.check_program_static program
-                @ Exp_harness.lint_pep st pep
-              in
-              Fmt.pr "%a@." Pep_check.pp_report diags;
-              if Pep_check.has_errors diags then exit 1
-            end)
+    let program = load_file file in
+    verify_loaded file program;
+    let st = Machine.create ~seed program in
+    let pep = Pep.create ~sampling st in
+    let result = Interp.run (Tick.hooks () @ pep.Pep.hooks) st in
+    Printf.printf "result: %d  (%.2f Mcycles, %d samples)\n" result
+      (float_of_int st.Machine.cycles /. 1e6)
+      (Pep.n_samples pep);
+    print_profiles program pep;
+    if verify then begin
+      let diags =
+        Pep_check.check_program_static program @ Exp_harness.lint_pep st pep
+      in
+      Fmt.pr "%a@." Pep_check.pp_report diags;
+      if Pep_check.has_errors diags then exit 1
+    end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Profile a textual program with PEP")
@@ -276,30 +301,6 @@ let experiments_cmd =
 
 (* --- disasm -------------------------------------------------------- *)
 
-let load_program_arg source =
-  (* SOURCE is a workload name (suite, phased or gen: spec) or a path
-     to a textual program *)
-  match Suite.resolve source with
-  | Ok w -> Workload.program ~size:2 w
-  | Error _ ->
-      if Sys.file_exists source && not (Sys.is_directory source) then begin
-        match
-          let src = In_channel.with_open_text source In_channel.input_all in
-          Compile.pdef (Parse.program src)
-        with
-        | p -> p
-        | exception Parse.Error msg | exception Compile.Error msg ->
-            Printf.eprintf "%s: %s\n" source msg;
-            exit 2
-        | exception Sys_error msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2
-      end
-      else begin
-        Printf.eprintf "%s: neither a workload nor a file\n" source;
-        exit 2
-      end
-
 let disasm_cmd =
   let source_arg =
     Arg.(
@@ -323,7 +324,7 @@ let disasm_cmd =
   in
   let action source method_filter mode =
     let program = load_program_arg source in
-    Verify.program program;
+    verify_loaded source program;
     Program.iter_methods
       (fun _ (m : Method.t) ->
         if method_filter = None || method_filter = Some m.Method.name then begin

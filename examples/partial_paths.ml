@@ -21,9 +21,9 @@ let () =
   ignore (Interp.run (Tick.hooks () @ perfect.Profiler.ehooks) st0);
 
   (* partial-path sampler: plans provide the always-on register updates,
-     kept in the frame's path register; every yieldpoint reads the live
-     value before any path-end processing, the "pass r to the yieldpoint
-     handler" of §4.3 *)
+     kept in one path register per call depth; every yieldpoint reads the
+     live value before any path-end processing, the "pass r to the
+     yieldpoint handler" of §4.3 *)
   let st = Machine.create ~seed program in
   let plans =
     Profile_hooks.make_plans ~mode:Dag.Loop_header
@@ -60,15 +60,17 @@ let () =
           | exception Invalid_argument _ -> incr unusable)
     end
   in
-  (* the plan's register updates, each charged like PEP's *)
-  let update (st : Machine.t) (frame : Interp.frame) ~add ~reset =
+  (* the plan's register updates, each charged like PEP's, on the
+     register of the running frame's call depth *)
+  let regs = Array.make (Interp.max_depth + 1) 0 in
+  let update (st : Machine.t) ~add ~reset =
     let r_update = st.cost.Cost_model.r_update in
     if add <> 0 then begin
-      frame.r <- frame.r + add;
+      regs.(st.depth) <- regs.(st.depth) + add;
       Machine.add_cycles st r_update
     end;
     if reset >= 0 then begin
-      frame.r <- reset;
+      regs.(st.depth) <- reset;
       Machine.add_cycles st r_update
     end
   in
@@ -79,14 +81,14 @@ let () =
         Some
           (fun st (frame : Interp.frame) ->
             if Option.is_some plans.(frame.fmeth) then
-              update st frame ~add:0 ~reset:0);
+              update st ~add:0 ~reset:0);
       on_edge =
         Some
           (fun st (frame : Interp.frame) ~src ~idx ~dst:_ ->
             match plans.(frame.fmeth) with
             | Some plan -> (
                 match plan.Instrument.edge_steps.(src).(idx) with
-                | Some { add; reset; _ } -> update st frame ~add ~reset
+                | Some { add; reset; _ } -> update st ~add ~reset
                 | None -> ())
             | None -> ());
       on_yieldpoint =
@@ -94,9 +96,9 @@ let () =
           (fun st (frame : Interp.frame) blk ->
             match plans.(frame.fmeth) with
             | Some plan -> (
-                on_register st frame blk ~r:frame.r;
+                on_register st frame blk ~r:regs.(st.depth);
                 match plan.Instrument.path_end.(blk) with
-                | Some { badd; breset } -> update st frame ~add:badd ~reset:breset
+                | Some { badd; breset } -> update st ~add:badd ~reset:breset
                 | None -> ())
             | None -> ());
     }

@@ -1,49 +1,4 @@
-type severity = Error | Warning | Info
-
-type location =
-  | Program_loc
-  | Method_loc of string
-  | Block_loc of string * int
-  | Instr_loc of string * int * int
-  | Edge_loc of string * int * int
-  | Node_loc of string * int
-  | Branch_loc of string * Cfg.branch_id
-  | Path_loc of string * int
-
-type diagnostic = {
-  severity : severity;
-  pass : string;
-  loc : location;
-  message : string;
-}
-
-let pp_severity ppf s =
-  Fmt.string ppf
-    (match s with Error -> "error" | Warning -> "warning" | Info -> "info")
-
-let pp_location ppf = function
-  | Program_loc -> Fmt.string ppf "program"
-  | Method_loc m -> Fmt.string ppf m
-  | Block_loc (m, b) -> Fmt.pf ppf "%s:B%d" m b
-  | Instr_loc (m, b, i) -> Fmt.pf ppf "%s:B%d:%d" m b i
-  | Edge_loc (m, s, d) -> Fmt.pf ppf "%s:B%d->B%d" m s d
-  | Node_loc (m, n) -> Fmt.pf ppf "%s:n%d" m n
-  | Branch_loc (m, br) -> Fmt.pf ppf "%s:branch %d" m br
-  | Path_loc (m, p) -> Fmt.pf ppf "%s:path %d" m p
-
-let pp_diagnostic ppf d =
-  Fmt.pf ppf "%a[%s] %a: %s" pp_severity d.severity d.pass pp_location d.loc
-    d.message
-
-let errors ds = List.filter (fun d -> d.severity = Error) ds
-let has_errors ds = List.exists (fun d -> d.severity = Error) ds
-let with_pass pass ds = List.map (fun d -> { d with pass }) ds
-
-let pp_report ppf ds =
-  let n_err = List.length (errors ds) in
-  let n_warn = List.length (List.filter (fun d -> d.severity = Warning) ds) in
-  List.iter (fun d -> Fmt.pf ppf "%a@." pp_diagnostic d) ds;
-  Fmt.pf ppf "%d error(s), %d warning(s)" n_err n_warn
+include Diagnostic
 
 (* Diagnostics accumulate newest-first; every pass returns them
    oldest-first. *)
@@ -58,172 +13,8 @@ let report ctx severity loc fmt =
 let new_ctx pass = { pass; acc = [] }
 let finish ctx = List.rev ctx.acc
 
-let find_method_opt (p : Program.t) name =
-  Array.find_opt (fun (m : Method.t) -> m.Method.name = name) p.Program.methods
-
-let verify_method (p : Program.t) (m : Method.t) =
-  let ctx = new_ctx "bytecode" in
-  let name = m.Method.name in
-  let n = Array.length m.Method.blocks in
-  if n = 0 then begin
-    report ctx Error (Method_loc name) "method has no blocks";
-    finish ctx
-  end
-  else begin
-    let in_range b = b >= 0 && b < n in
-    if m.Method.nparams < 0 || m.Method.nparams > m.Method.nlocals then
-      report ctx Error (Method_loc name) "nparams %d outside nlocals %d"
-        m.Method.nparams m.Method.nlocals;
-    if not (in_range m.Method.entry) then
-      report ctx Error (Method_loc name) "entry block %d out of range"
-        m.Method.entry;
-    if not (in_range m.Method.exit_) then
-      report ctx Error (Method_loc name) "exit block %d out of range"
-        m.Method.exit_;
-    if in_range m.Method.exit_ then begin
-      match m.Method.blocks.(m.Method.exit_).Method.term with
-      | Method.Ret -> ()
-      | Method.Jmp _ | Method.Br _ ->
-          report ctx Error
-            (Block_loc (name, m.Method.exit_))
-            "exit block does not end in ret"
-    end;
-    (* {!To_cfg} relies on the entry block never being a branch target *)
-    Array.iteri
-      (fun bid (blk : Method.block) ->
-        let targets =
-          match blk.Method.term with
-          | Method.Ret -> []
-          | Method.Jmp d -> [ d ]
-          | Method.Br { on_true; on_false; _ } -> [ on_true; on_false ]
-        in
-        if List.mem m.Method.entry targets then
-          report ctx Warning
-            (Block_loc (name, bid))
-            "entry block B%d is a branch target" m.Method.entry)
-      m.Method.blocks;
-    let check_instr bid depth i (ins : Instr.t) =
-      let pops, pushes = Instr.stack_effect ins in
-      if depth < pops then
-        report ctx Error
-          (Instr_loc (name, bid, i))
-          "stack underflow at %a (depth %d, pops %d)" Instr.pp ins depth pops;
-      (match ins with
-      | Instr.Load l | Instr.Store l | Instr.Inc (l, _) ->
-          if l < 0 || l >= m.Method.nlocals then
-            report ctx Error
-              (Instr_loc (name, bid, i))
-              "local %d out of range (nlocals %d)" l m.Method.nlocals
-      | Instr.GLoad g | Instr.GStore g ->
-          if g < 0 || g >= p.Program.n_globals then
-            report ctx Error
-              (Instr_loc (name, bid, i))
-              "global %d out of range (n_globals %d)" g p.Program.n_globals
-      | Instr.Rand k ->
-          if k <= 0 then
-            report ctx Error
-              (Instr_loc (name, bid, i))
-              "rand bound %d is not positive" k
-      | Instr.Call (callee, argc) -> (
-          if argc < 0 then
-            report ctx Error (Instr_loc (name, bid, i)) "negative arity %d" argc;
-          match find_method_opt p callee with
-          | None ->
-              report ctx Error
-                (Instr_loc (name, bid, i))
-                "call to unknown method %s" callee
-          | Some target ->
-              if target.Method.nparams <> argc then
-                report ctx Error
-                  (Instr_loc (name, bid, i))
-                  "call %s/%d but %s takes %d parameter(s)" callee argc callee
-                  target.Method.nparams)
-      | Instr.Const _ | Instr.Binop _ | Instr.Cmp _ | Instr.Neg | Instr.Not
-      | Instr.Dup | Instr.Pop | Instr.AGet | Instr.ASet ->
-          ());
-      max depth pops - pops + pushes
-    in
-    let depths = Array.make n (-1) in
-    let worklist = Queue.create () in
-    let set_depth ~from b d =
-      if not (in_range b) then
-        report ctx Error (Block_loc (name, from)) "jump target %d out of range" b
-      else if depths.(b) = -1 then begin
-        depths.(b) <- d;
-        Queue.add b worklist
-      end
-      else if depths.(b) <> d then
-        report ctx Error
-          (Block_loc (name, b))
-          "block entered with inconsistent stack depths %d and %d" depths.(b) d
-    in
-    if in_range m.Method.entry then begin
-      depths.(m.Method.entry) <- 0;
-      Queue.add m.Method.entry worklist
-    end;
-    while not (Queue.is_empty worklist) do
-      let bid = Queue.pop worklist in
-      let blk = m.Method.blocks.(bid) in
-      let depth = ref depths.(bid) in
-      Array.iteri
-        (fun i ins -> depth := check_instr bid !depth i ins)
-        blk.Method.body;
-      let depth = !depth in
-      match blk.Method.term with
-      | Method.Ret ->
-          if bid <> m.Method.exit_ then
-            report ctx Error (Block_loc (name, bid)) "ret outside the exit block";
-          if depth <> 1 then
-            report ctx Error
-              (Block_loc (name, bid))
-              "exit reached with stack depth %d (want 1)" depth
-      | Method.Jmp d -> set_depth ~from:bid d depth
-      | Method.Br { on_true; on_false; _ } ->
-          if depth < 1 then
-            report ctx Error
-              (Block_loc (name, bid))
-              "branch with no condition on the stack";
-          if on_true = on_false then
-            report ctx Error
-              (Block_loc (name, bid))
-              "both branch arms target block %d" on_true;
-          let d = max 0 (depth - 1) in
-          set_depth ~from:bid on_true d;
-          if on_true <> on_false then set_depth ~from:bid on_false d
-    done;
-    Array.iteri
-      (fun b d ->
-        if d = -1 then report ctx Error (Block_loc (name, b)) "block unreachable")
-      depths;
-    finish ctx
-  end
-
-let verify_program (p : Program.t) =
-  let ctx = new_ctx "bytecode" in
-  if p.Program.heap_size <= 0 then
-    report ctx Error Program_loc "heap size %d is not positive"
-      p.Program.heap_size;
-  if p.Program.n_globals < 0 then
-    report ctx Error Program_loc "negative global area size %d"
-      p.Program.n_globals;
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun (m : Method.t) ->
-      if Hashtbl.mem seen m.Method.name then
-        report ctx Error (Method_loc m.Method.name) "duplicate method name";
-      Hashtbl.replace seen m.Method.name ())
-    p.Program.methods;
-  (match find_method_opt p p.Program.main with
-  | None -> report ctx Error Program_loc "main method %s missing" p.Program.main
-  | Some m ->
-      if m.Method.nparams <> 0 then
-        report ctx Error
-          (Method_loc m.Method.name)
-          "main takes %d parameter(s) (want 0)" m.Method.nparams);
-  finish ctx
-  @ List.concat_map
-      (fun m -> verify_method p m)
-      (Array.to_list p.Program.methods)
+let verify_method p m = (Verify.check p m).Verify.diagnostics
+let verify_program = Verify.check_program
 
 (* --- pass 2: CFG / DAG invariants ---------------------------------- *)
 
@@ -1084,31 +875,12 @@ let lint_intervals (p : Program.t) (m : Method.t) =
   | exception Failure msg -> report ctx Error (Method_loc name) "%s" msg);
   finish ctx
 
-(* The same bound {!Machine} compiles into each method: block-entry
-   depths from {!Verify.block_depths}, then the running maximum through
-   every body. *)
-let default_max_stack (p : Program.t) (m : Method.t) =
-  let depths = Verify.block_depths p m in
-  let worst = ref 0 in
-  Array.iteri
-    (fun b (blk : Method.block) ->
-      let d = ref depths.(b) in
-      worst := max !worst !d;
-      Array.iter
-        (fun ins ->
-          let pops, pushes = Instr.stack_effect ins in
-          d := !d - pops + pushes;
-          worst := max !worst !d)
-        blk.Method.body)
-    m.Method.blocks;
-  !worst
-
 let justify_unsafe (p : Program.t) ?max_stack (m : Method.t) =
   let ctx = new_ctx "interval" in
   let name = m.Method.name in
   (match
      let max_stack =
-       match max_stack with Some s -> s | None -> default_max_stack p m
+       match max_stack with Some s -> s | None -> Verify.max_stack p m
      in
      (Intervals.analyze m, max_stack)
    with

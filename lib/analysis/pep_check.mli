@@ -13,57 +13,21 @@
     [pepsim check] subcommand) can locate a miscompile at the pass that
     introduced it.
 
-    Unlike {!Verify}, which raises on the first violation and guards
-    parsed input, these passes keep going and are meant to audit {e every}
-    stage of the pipeline — including optimizer-transformed bodies that
-    never went through {!Program.create}'s link checks. *)
+    Like {!Verify}'s keep-going interface, which is pass 1 here, these
+    passes report every violation rather than the first, and are meant to
+    audit {e every} stage of the pipeline — including optimizer-transformed
+    bodies that never went through {!Program.create}'s link checks. *)
 
-type severity = Error | Warning | Info
-
-(** Where a diagnostic points.  Method names key all locations; block,
-    instruction, edge and node ids follow the conventions of the layer
-    the pass inspects. *)
-type location =
-  | Program_loc
-  | Method_loc of string
-  | Block_loc of string * int  (** method, block id *)
-  | Instr_loc of string * int * int  (** method, block id, instruction index *)
-  | Edge_loc of string * int * int  (** method, source block, destination block *)
-  | Node_loc of string * int  (** method, DAG node *)
-  | Branch_loc of string * Cfg.branch_id
-  | Path_loc of string * int  (** method, Ball-Larus path id *)
-
-type diagnostic = {
-  severity : severity;
-  pass : string;  (** which pass produced it: ["bytecode"], ["cfg"], ["dag"], ["numbering"], ["profile"], or a caller-supplied relabel *)
-  loc : location;
-  message : string;
-}
-
-val pp_severity : severity Fmt.t
-val pp_location : location Fmt.t
-val pp_diagnostic : diagnostic Fmt.t
-
-(** One diagnostic per line, then an error/warning count line. *)
-val pp_report : diagnostic list Fmt.t
-
-val errors : diagnostic list -> diagnostic list
-val has_errors : diagnostic list -> bool
-
-(** Relabel the [pass] field, e.g. [with_pass "bytecode@inline"] to record
-    which optimization stage the verified body came from. *)
-val with_pass : string -> diagnostic list -> diagnostic list
+(** The diagnostic vocabulary, shared with {!Verify}. *)
+include module type of struct
+  include Diagnostic
+end
 
 (** {1 Pass 1 — bytecode verifier}
 
-    Abstract interpretation over {!Instr.stack_effect}: a forward
-    dataflow computes the operand-stack depth at entry to every block and
-    demands agreement at join points, no underflow at any instruction, a
-    condition value available at every [Br], and depth 1 at the exit
-    block's [Ret].  Structural checks ride along: jump targets in range,
-    local / global indices in bounds, [Rand] bounds positive, every
-    [Call] resolving in [program]'s method table with matching arity, the
-    exit block holding the only [Ret], and every block reachable.
+    {!Verify.check} and {!Verify.check_program}: the operand-stack
+    dataflow and structural checks listed there, every violation as a
+    ["bytecode"] diagnostic at its method, block or instruction.
     [program] supplies the linking context ([n_globals], the method
     table); [meth] itself need not be a member — the VM driver verifies
     inlined and unrolled bodies that exist only inside the machine. *)
@@ -182,7 +146,8 @@ val lint_intervals : Program.t -> Method.t -> diagnostic list
 (** Independent justification of the unchecked array operations the
     threaded engine emits (see [lib/runtime/codegen.ml]): re-derives by
     abstract interpretation that the operand stack never underflows nor
-    exceeds [max_stack] (default: the same bound {!Machine} compiles)
+    exceeds [max_stack] (default: {!Verify.max_stack}, the bound
+    {!Machine} compiles)
     and that every local/global index is in bounds.  Any [Error] here
     means the unchecked accesses are NOT justified. *)
 val justify_unsafe :

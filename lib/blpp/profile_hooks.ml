@@ -130,16 +130,17 @@ let path_hooks ?live ~(plans : plans) ~count_cost ~on_path_end () =
     };
   ]
 
-let edge_count_hooks ?(charge = true) st ~(table : Edge_profile.table) =
-  let branch_of =
-    Array.map
-      (fun (cm : Machine.cmeth) ->
-        Array.init (Cfg.n_blocks cm.cfg) (fun b ->
-            match Cfg.terminator cm.cfg b with
-            | Cfg.Branch { branch; _ } -> branch
-            | Cfg.Return | Cfg.Jump _ -> -1))
-      st.Machine.methods
-  in
+let branch_table (st : Machine.t) =
+  Array.map
+    (fun (cm : Machine.cmeth) ->
+      Array.init (Cfg.n_blocks cm.cfg) (fun b ->
+          match Cfg.terminator cm.cfg b with
+          | Cfg.Branch { branch; _ } -> branch
+          | Cfg.Return | Cfg.Jump _ -> -1))
+    st.methods
+
+let edge_count_hooks st ~(table : Edge_profile.table) =
+  let branch_of = branch_table st in
   (* the table describes the bodies that existed at creation: a body
      recompiled later (inlining, unrolling) can deliver block ids beyond
      it, and no counter acts there *)
@@ -151,8 +152,7 @@ let edge_count_hooks ?(charge = true) st ~(table : Edge_profile.table) =
     let br = branch frame.fmeth src in
     if br >= 0 then begin
       Edge_profile.incr table.(frame.fmeth) br ~taken:(idx = 0);
-      if charge then
-        Machine.add_cycles st st.Machine.cost.Cost_model.edge_count
+      Machine.add_cycles st st.Machine.cost.Cost_model.edge_count
     end
   in
   [

@@ -1,7 +1,7 @@
 (** Interpreter hooks that execute instrumentation plans.
 
     The hook layer applies a per-method {!Instrument.t} against the live
-    machine: it maintains the frame's path register, charges the cost
+    machine: it keeps a path register per call depth, charges the cost
     model for every executed instrumentation operation, and calls the
     caller's [on_path_end] at every path-end point with the completed
     path number.  Every path layer builds on this: the perfect and
@@ -71,12 +71,15 @@ val path_hooks :
   unit ->
   Interp.hooks
 
+(** Per method, per block: the branch id of the block's conditional
+    branch, -1 where the block ends otherwise — read from the bodies the
+    machine holds now. *)
+val branch_table : Machine.t -> int array array
+
 (** Hooks of baseline-style edge instrumentation: bump the taken or
     not-taken counter of every executed conditional branch, charging
-    [edge_count] cycles each ([charge] false turns the cost off, e.g.
-    when modelling hardware-collected profiles).  The branch table is
-    read from the bodies the machine holds at creation; block ids beyond
-    it (a body recompiled later by inlining or unrolling) count nothing.
-    [edge_site] is the table's branch edges. *)
-val edge_count_hooks :
-  ?charge:bool -> Machine.t -> table:Edge_profile.table -> Interp.hooks
+    [edge_count] cycles each.  The {!branch_table} is taken when the
+    hooks are made; block ids beyond it (a body recompiled later by
+    inlining or unrolling) count nothing.  [edge_site] is the table's
+    branch edges. *)
+val edge_count_hooks : Machine.t -> table:Edge_profile.table -> Interp.hooks

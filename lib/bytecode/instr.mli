@@ -33,7 +33,7 @@ type t =
 (** Stack effect [(pops, pushes)] of an instruction, as the interpreter
     executes it.  Total over every constructor — [Call (_, argc)] is
     [(argc, 1)], [Dup] is [(1, 2)], [Pop] is [(1, 0)], [Inc] is [(0, 0)].
-    The bytecode verifier's dataflow ({!Pep_check.verify_method}) is
+    The bytecode verifier's dataflow ({!Verify.check}) is
     abstract interpretation over exactly this function, and a test
     cross-checks it against the interpreter on every opcode. *)
 val stack_effect : t -> int * int

@@ -274,7 +274,7 @@ type t = {
   stats : tstats option;
 }
 
-let dummy_frame = { Interp.fmeth = -1; fparent = -1; r = 0 }
+let dummy_frame = { Interp.fmeth = -1; fparent = -1 }
 let no_row = [| 0; 0 |]
 
 let no_step =
@@ -1370,7 +1370,7 @@ and exec eng fl stack locals frame cyc depth pc sp : int =
       else begin
         st.Machine.cycles <- cyc;
         st.Machine.depth <- cdepth;
-        let cframe = { Interp.fmeth = ic.cidx; fparent = fl.self; r = 0 } in
+        let cframe = { Interp.fmeth = ic.cidx; fparent = fl.self } in
         (* on_entry runs before the inline cache is consulted: a lazy
            compiler hook may have just replaced the callee's body *)
         (match eng.on_entry with Some f -> f st cframe | None -> ());
@@ -1635,7 +1635,7 @@ let invoke eng midx (args : int array) =
   st.Machine.depth <- depth;
   let argc = Array.length args in
   if eng.hooked_mode then begin
-    let frame = { Interp.fmeth = midx; fparent = -1; r = 0 } in
+    let frame = { Interp.fmeth = midx; fparent = -1 } in
     (match eng.on_entry with Some f -> f st frame | None -> ());
     let bd = get_body eng midx in
     let env = env_at eng depth in

@@ -1,4 +1,4 @@
-type frame = { fmeth : int; fparent : int; mutable r : int }
+type frame = { fmeth : int; fparent : int }
 type edge_step = { add : int; count : bool; reset : int }
 type block_event = { badd : int; breset : int }
 
@@ -90,7 +90,7 @@ let rec exec_method p (st : Machine.t) ~parent midx (src : int array) pos
     argc =
   if st.depth >= max_depth then raise (Runtime_error "call stack overflow");
   st.depth <- st.depth + 1;
-  let frame = { fmeth = midx; fparent = parent; r = 0 } in
+  let frame = { fmeth = midx; fparent = parent } in
   (* on_entry runs before the compiled form is fetched: a lazy compiler
      hook may install or replace the method body and this invocation will
      execute the fresh code, as in a JIT compiling at first invocation *)

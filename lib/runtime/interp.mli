@@ -57,10 +57,10 @@
     hook points through the closures, which read the live plans and act
     on the same register; this oracle always calls the closures. *)
 
-(** Per-invocation frame view exposed to hooks: the method index, the
-    calling method's index (-1 for the root invocation), and the
-    Ball-Larus path register. *)
-type frame = { fmeth : int; fparent : int; mutable r : int }
+(** Per-invocation frame view exposed to hooks: the method index and
+    the calling method's index (-1 for the root invocation).  A path
+    layer keeps its own path register per call depth. *)
+type frame = { fmeth : int; fparent : int }
 
 (** A path layer's work on one edge: [r += add] (0 = absent), a path
     end when [count], then [r = reset] (-1 = absent). *)

@@ -27,22 +27,6 @@ type t = {
   method_index : (string, int) Hashtbl.t;
 }
 
-let max_stack_of program (m : Method.t) =
-  let depths = Verify.block_depths program m in
-  let worst = ref 0 in
-  Array.iteri
-    (fun b (blk : Method.block) ->
-      let d = ref depths.(b) in
-      worst := max !worst !d;
-      Array.iter
-        (fun ins ->
-          let pops, pushes = Instr.stack_effect ins in
-          d := !d - pops + pushes;
-          worst := max !worst !d)
-        blk.body)
-    m.blocks;
-  !worst
-
 let default_yieldpoints (m : Method.t) cfg loops =
   let n = Cfg.n_blocks cfg in
   if m.uninterruptible then Array.make n false
@@ -65,7 +49,7 @@ let default_yieldpoints (m : Method.t) cfg loops =
 let gen_counter = Atomic.make 0
 let next_gen () = Atomic.fetch_and_add gen_counter 1 + 1
 
-let compile_method cost program (m : Method.t) =
+let compile_method ?arities cost program (m : Method.t) =
   let cfg = To_cfg.cfg m in
   let loops = Loops.compute cfg in
   let raw_block_cost =
@@ -92,7 +76,7 @@ let compile_method cost program (m : Method.t) =
     meth = m;
     cfg;
     loops;
-    max_stack = max_stack_of program m;
+    max_stack = Verify.max_stack ?arities program m;
     raw_block_cost;
     call_target;
     gen = next_gen ();
@@ -103,8 +87,9 @@ let compile_method cost program (m : Method.t) =
   }
 
 let create ?(cost = Cost_model.default) ?tick_offset ~seed program =
+  let arities = Verify.arities program in
   let methods =
-    Array.map (compile_method cost program) program.Program.methods
+    Array.map (compile_method ~arities cost program) program.Program.methods
   in
   let first_tick =
     match tick_offset with Some t -> t | None -> cost.Cost_model.tick_period

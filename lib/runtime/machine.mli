@@ -12,7 +12,7 @@ type cmeth = {
   meth : Method.t;
   cfg : Cfg.t;
   loops : Loops.t;
-  max_stack : int;
+  max_stack : int;  (** {!Verify.max_stack}: the operand-stack bound *)
   raw_block_cost : int array;  (** per block, at 100% speed *)
   call_target : int array array;
       (** per block, per body position: the dense method index of the
@@ -54,7 +54,8 @@ type t = {
 (** [create ?cost ?tick_offset ~seed program] loads [program].  Methods
     start at 100% speed with yieldpoints on entry, exit and loop headers
     (none for uninterruptible methods).  The first timer tick fires at
-    [tick_offset] (default one period) virtual cycles. *)
+    [tick_offset] (default one period) virtual cycles.
+    @raise Verify.Error on a method the bytecode verifier rejects. *)
 val create :
   ?cost:Cost_model.t -> ?tick_offset:int -> seed:int -> Program.t -> t
 

@@ -549,15 +549,7 @@ let create ?(extra_hooks = []) opts st =
       on_entry = Some (fun _st (frame : Interp.frame) -> ensure_compiled d frame.fmeth);
     }
   in
-  let branch_of =
-    Array.map
-      (fun (cm : Machine.cmeth) ->
-        Array.init (Cfg.n_blocks cm.cfg) (fun b ->
-            match Cfg.terminator cm.cfg b with
-            | Cfg.Branch { branch; _ } -> branch
-            | Cfg.Return | Cfg.Jump _ -> -1))
-      st.Machine.methods
-  in
+  let branch_of = Profile_hooks.branch_table st in
   (* Baseline code counts its branch edges.  [baseline_active] is part
      of the site, so it changes only right after a [set_speed] of the
      method ([compile_baseline], [do_compile_opt]); baseline bodies are

@@ -60,7 +60,9 @@ let test_synthetic_accepted () =
 
 (* --- pass 1 rejections --------------------------------------------- *)
 
-let test_reject_corrupt_jump () =
+(* Each seeded pass-1 mutation gives the program, the mutated method and
+   where its error must be located. *)
+let corrupt_jump () =
   let p, m =
     first_method_with (fun m ->
         Array.exists
@@ -78,39 +80,37 @@ let test_reject_corrupt_jump () =
     blocks;
   let bid = !bid in
   blocks.(bid) <- { (blocks.(bid)) with Method.term = Method.Jmp 9999 };
-  has_error_at "corrupt jump target"
-    (fun d ->
-      match d.loc with
-      | Pep_check.Block_loc (_, b) -> b = bid
-      | _ -> false)
-    (Pep_check.verify_method p { m with Method.blocks })
+  ( p,
+    { m with Method.blocks },
+    fun (d : Pep_check.diagnostic) ->
+      match d.loc with Pep_check.Block_loc (_, b) -> b = bid | _ -> false )
 
-let test_reject_stack_underflow () =
+let stack_underflow () =
   let p, m = first_method_with (fun _ -> true) in
   let blocks = copy_blocks m in
   let eb = blocks.(m.Method.entry) in
   blocks.(m.Method.entry) <-
     { eb with Method.body = Array.append [| Instr.Pop |] eb.Method.body };
-  has_error_at "extra pop at entry"
-    (fun d ->
+  ( p,
+    { m with Method.blocks },
+    fun (d : Pep_check.diagnostic) ->
       match d.loc with
       | Pep_check.Instr_loc (_, b, 0) -> b = m.Method.entry
-      | _ -> false)
-    (Pep_check.verify_method p { m with Method.blocks })
+      | _ -> false )
 
-let test_reject_unbalanced_push () =
+let unbalanced_push () =
   let p, m = first_method_with (fun _ -> true) in
   let blocks = copy_blocks m in
   let eb = blocks.(m.Method.entry) in
   blocks.(m.Method.entry) <-
     { eb with Method.body = Array.append [| Instr.Const 1 |] eb.Method.body };
-  has_error_at "extra push at entry"
-    (fun (d : Pep_check.diagnostic) -> d.pass = "bytecode")
-    (Pep_check.verify_method p { m with Method.blocks })
+  ( p,
+    { m with Method.blocks },
+    fun (d : Pep_check.diagnostic) -> d.pass = "bytecode" )
 
-let test_reject_bad_call_arity () =
-  (* a method that calls another: retarget the first call with a wrong
-     argc *)
+(* a method that calls another: retarget the first call with a wrong
+   argc *)
+let bad_call_arity () =
   let p, m =
     first_method_with (fun m ->
         Array.exists
@@ -136,12 +136,49 @@ let test_reject_bad_call_arity () =
         b.Method.body)
     blocks;
   let bi, ii = Option.get !loc in
-  has_error_at "wrong call arity"
-    (fun d ->
+  ( p,
+    { m with Method.blocks },
+    fun (d : Pep_check.diagnostic) ->
       match d.loc with
       | Pep_check.Instr_loc (_, b, i) -> b = bi && i = ii
-      | _ -> false)
-    (Pep_check.verify_method p { m with Method.blocks })
+      | _ -> false )
+
+let pass1_mutations =
+  [
+    ("corrupt jump target", corrupt_jump);
+    ("extra pop at entry", stack_underflow);
+    ("extra push at entry", unbalanced_push);
+    ("wrong call arity", bad_call_arity);
+  ]
+
+let rejected what mutation () =
+  let p, m, at = mutation () in
+  has_error_at what at (Pep_check.verify_method p m)
+
+let test_reject_corrupt_jump = rejected "corrupt jump target" corrupt_jump
+let test_reject_stack_underflow = rejected "extra pop at entry" stack_underflow
+let test_reject_unbalanced_push = rejected "extra push at entry" unbalanced_push
+let test_reject_bad_call_arity = rejected "wrong call arity" bad_call_arity
+
+(* The loaders' raise-first interface and pass 1 are one verifier: what
+   {!Verify.block_depths} raises names the location and the text of the
+   first error pass 1 reports. *)
+let test_one_wording () =
+  List.iter
+    (fun (what, mutation) ->
+      let p, m, _ = mutation () in
+      let first =
+        match Pep_check.errors (Pep_check.verify_method p m) with
+        | d :: _ -> d
+        | [] -> Alcotest.failf "%s: pass 1 accepts it" what
+      in
+      match Verify.block_depths p m with
+      | _ -> Alcotest.failf "%s: Verify.block_depths accepts it" what
+      | exception Verify.Error msg ->
+          check Alcotest.string what
+            (Fmt.str "%a: %s" Pep_check.pp_location first.loc first.message)
+            msg)
+    pass1_mutations
 
 (* --- pass 3: numbering --------------------------------------------- *)
 
@@ -535,6 +572,8 @@ let suite =
       test_reject_unbalanced_push;
     Alcotest.test_case "reject bad call arity" `Quick
       test_reject_bad_call_arity;
+    Alcotest.test_case "verify and pass 1 agree" `Quick
+      test_one_wording;
     Alcotest.test_case "bijection exhaustive" `Quick test_bijection_exhaustive;
     Alcotest.test_case "smart numbering audited" `Quick
       test_smart_numbering_audited;
