@@ -337,10 +337,9 @@ let engine_tests setups =
    uninterrupted cost, which is the quantity the ratio is about.  The
    median of per-round ratios is reported alongside as a
    drift-conservative second opinion. *)
-let time_group iters fns =
+let time_group ?(rounds = 96) iters fns =
   let k = Array.length fns in
   Array.iter (fun f -> ignore (f ()); ignore (f ())) fns;
-  let rounds = 96 in
   let per = max 1 (iters / rounds) in
   let dts = Array.make_matrix rounds k infinity in
   for r = 0 to rounds - 1 do
@@ -423,7 +422,7 @@ let precompiled ~engine (env : Exp_harness.env) pep =
     Driver.create
       {
         Driver.default_options with
-        Driver.mode = Driver.Replay env.advice;
+        Driver.mode = Driver.Replay (Exp_harness.advice env);
         pep;
         engine;
       }
@@ -451,43 +450,52 @@ let blocks_per_iteration env pep =
   done;
   float_of_int !n /. float_of_int iters
 
-let suite_row (env : Exp_harness.env) (config, pep) =
+(* A row's three variants over the same precompiled bodies. *)
+let suite_variants (env : Exp_harness.env) pep =
   let oracle = precompiled ~engine:`Oracle env pep in
   let hooked = precompiled ~engine:`Threaded env pep in
   let bare = Driver.engine (precompiled ~engine:`Threaded env pep) in
   Codegen.set_hooks bare Interp.no_hooks;
-  let fns =
-    [|
-      (fun () -> snd (Driver.run oracle));
-      (fun () -> snd (Driver.run hooked));
-      (fun () -> Codegen.run bare);
-    |]
-  in
-  Gc.compact ();
-  let dts = time_group 96 fns in
-  let best j =
-    Array.fold_left
-      (fun acc (row : float array) -> Float.min acc row.(j))
-      infinity dts
-  in
-  {
-    workload = env.workload.Workload.name;
-    config;
-    blocks = blocks_per_iteration env pep;
-    oracle_s = best 0;
-    hooked_s = best 1;
-    bare_s = best 2;
-  }
+  [|
+    (fun () -> snd (Driver.run oracle));
+    (fun () -> snd (Driver.run hooked));
+    (fun () -> Codegen.run bare);
+  |]
 
-(* The first row is timed twice and its first timing dropped: whatever
-   the host still settles after start-up lands in that untimed pass, not
-   in the first workload's row. *)
+(* Three passes over every row at 32 rounds each, each row's minima
+   pooled over its 96 rounds, as [engine_speedups] pools the micros':
+   a host burst that inflates a run of consecutive rows in one pass
+   leaves the other two passes' minima of those rows intact. *)
 let suite_rows ~seed =
-  let envs = Exp_pool.suite_envs ~scale:suite_scale ~seed () in
-  (match envs with
-  | env :: _ -> ignore (suite_row env (List.hd suite_configs))
-  | [] -> ());
-  List.concat_map (fun env -> List.map (suite_row env) suite_configs) envs
+  let rows =
+    List.concat_map
+      (fun env ->
+        List.map
+          (fun (config, pep) -> (env, config, pep, suite_variants env pep))
+          suite_configs)
+      (Exp_pool.suite_envs ~scale:suite_scale ~seed ())
+  in
+  let best = List.map (fun _ -> Array.make 3 infinity) rows in
+  for _ = 1 to 3 do
+    List.iter2
+      (fun (_, _, _, fns) b ->
+        Gc.compact ();
+        Array.iter
+          (Array.iteri (fun j dt -> b.(j) <- Float.min b.(j) dt))
+          (time_group ~rounds:32 32 fns))
+      rows best
+  done;
+  List.map2
+    (fun ((env : Exp_harness.env), config, pep, _) b ->
+      {
+        workload = env.workload.Workload.name;
+        config;
+        blocks = blocks_per_iteration env pep;
+        oracle_s = b.(0);
+        hooked_s = b.(1);
+        bare_s = b.(2);
+      })
+    rows best
 
 (* Suite-wide ratio of two variants: total minimum time over every
    workload of [config], so heavier workloads weigh more, as in the

@@ -27,7 +27,9 @@ let print_diags diags =
    when [deep], the pass-5 dataflow lints and unsafe-op justification),
    then — unless [static_only], or a static pass found an error, so
    the program may not load — one profiled run (PEP sampling plus an
-   exact edge profiler) whose collected profiles feed pass 4. *)
+   exact edge profiler) whose collected profiles feed pass 4.  A run
+   that stops with a runtime error (call-stack overflow) is an error
+   diagnostic of its own, and its partial profiles are not linted. *)
 let check_program ?(static_only = false) ?(deep = false) ~sampling ~seed program
     =
   let diags =
@@ -41,16 +43,27 @@ let check_program ?(static_only = false) ?(deep = false) ~sampling ~seed program
     let pep = Pep.create ~sampling st in
     let truth = Profiler.perfect_edge st in
     let hooks = Tick.hooks () @ pep.Pep.hooks @ truth.Profiler.ehooks in
-    ignore (Interp.run hooks st);
-    add (Exp_harness.lint_pep st pep);
-    Array.iteri
-      (fun midx ep ->
-        if not (Edge_profile.is_empty ep) then
-          add
-            (Pep_check.with_pass "profile@edge"
-               (Pep_check.lint_edge_profile ~exact:true
-                  (Machine.cmeth st midx).Machine.cfg ep)))
-      truth.Profiler.etable
+    match Interp.run hooks st with
+    | exception Interp.Runtime_error msg ->
+        add
+          [
+            {
+              Pep_check.severity = Pep_check.Error;
+              pass = "run";
+              loc = Pep_check.Program_loc;
+              message = "runtime error: " ^ msg;
+            };
+          ]
+    | (_ : int) ->
+        add (Exp_harness.lint_pep st pep);
+        Array.iteri
+          (fun midx ep ->
+            if not (Edge_profile.is_empty ep) then
+              add
+                (Pep_check.with_pass "profile@edge"
+                   (Pep_check.lint_edge_profile ~exact:true
+                      (Machine.cmeth st midx).Machine.cfg ep)))
+          truth.Profiler.etable
   end;
   !diags
 
@@ -139,7 +152,13 @@ let run_cmd =
     verify_loaded file program;
     let st = Machine.create ~seed program in
     let pep = Pep.create ~sampling st in
-    let result = Interp.run (Tick.hooks () @ pep.Pep.hooks) st in
+    let result =
+      match Interp.run (Tick.hooks () @ pep.Pep.hooks) st with
+      | r -> r
+      | exception Interp.Runtime_error msg ->
+          Printf.eprintf "%s: runtime error: %s\n" file msg;
+          exit 1
+    in
     Printf.printf "result: %d  (%.2f Mcycles, %d samples)\n" result
       (float_of_int st.Machine.cycles /. 1e6)
       (Pep.n_samples pep);
@@ -393,7 +412,7 @@ let profiles_cmd =
         | Some prefix ->
             write (prefix ^ ".paths") (Path_profile.to_lines pep.Pep.paths);
             write (prefix ^ ".edges") (Edge_profile.to_lines pep.Pep.edges);
-            write (prefix ^ ".advice") (Advice.to_lines env.advice)
+            write (prefix ^ ".advice") (Advice.to_lines (Exp_harness.advice env))
         | None ->
             Printf.printf
               "%s: %d path samples over %d distinct paths; %d branch \
@@ -1588,6 +1607,8 @@ let gen_corpus_cmd =
         Exp_harness.profiling = Exp_harness.pep_default;
       }
     in
+    (* the warmups run here, on the main domain, before the pool *)
+    List.iter (fun env -> ignore (Exp_harness.advice env)) envs;
     let runs =
       Exp_pool.map ~jobs
         (fun _sink env -> Exp_harness.replay env config)

@@ -742,7 +742,10 @@ let lint_path_profile ?expected_total numbering profile =
       if e.path_id < 0 || e.path_id >= n_paths then
         report ctx Error (Path_loc (name, e.path_id))
           "path id outside [0, %d)" n_paths
-      else begin
+      else if Option.is_some e.edges || e.n_branches >= 0 then begin
+        (* only a memoized expansion or branch count is compared with
+           the path's reconstruction; rows recalled from disk and
+           counting profilers' entries carry neither *)
         let expected = Reconstruct.cfg_edges numbering e.path_id in
         (match e.edges with
         | Some memo ->

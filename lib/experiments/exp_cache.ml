@@ -7,7 +7,9 @@ type stats = {
 }
 
 type t = {
-  env : Exp_harness.env;
+  mutable env : Exp_harness.env;
+      (* its advice: recalled from the store at open, else deferred to
+         [resolve_advice] and replaced by the resolved value *)
   base_config : Exp_harness.config;
   runs : (string, Exp_harness.run) Hashtbl.t;
   series : (string, int list) Hashtbl.t;  (* adaptive totals, by series key *)
@@ -26,6 +28,141 @@ type t = {
   m_miss : Metrics.counter option;
 }
 
+let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+let mincr = function Some c -> Metrics.incr c | None -> ()
+
+let account t ~from_disk diags =
+  if from_disk then begin
+    t.disk_hits <- t.disk_hits + 1;
+    mincr t.m_hit
+  end
+  else begin
+    t.executed <- t.executed + 1;
+    mincr t.m_miss
+  end;
+  t.store_errors <- t.store_errors + List.length diags;
+  t.diags <- t.diags @ diags
+
+let diag ?file reason = { Dcg.file; line = 0; text = ""; reason }
+
+(* Read one store slot: [Ok (Some v)] for a valid entry, [Ok None] when
+   there is none, [Error] with the reason when there is one that cannot
+   be used — damaged, stale or foreign, rejected by [accept], or
+   corrupted by the fault plan (quarantined, exactly as a real digest
+   mismatch would be).  Reads only immutable cache state, so it is safe
+   on worker domains. *)
+let recall ~faults ~slot ~load ~accept =
+  match slot with
+  | None -> Ok None
+  | Some (file, key) -> (
+      match load ~file ~key with
+      | Ok None -> Ok None
+      | Ok (Some stored) -> (
+          match faults with
+          | Some inj when Fault_injector.fire_corrupt inj ~what:"store" ->
+              Fault_injector.note_quarantine inj ~what:"store"
+                ~reason:"fault plan corrupted this cache entry";
+              Error (diag ~file "cache entry quarantined by fault plan; recomputed")
+          | Some _ | None -> (
+              match accept stored with
+              | Ok v -> Ok (Some v)
+              | Error reason ->
+                  (* shape passed the digest but not the configuration *)
+                  Error (diag ~file ("cache entry rejected: " ^ reason))))
+      | Error e -> Error e)
+
+(* Run [execute] and overwrite the slot with its value, after [diags]
+   (why a stored entry was not used).  [execute] also returns the
+   reasons its value must not be persisted (a failed verification):
+   each becomes a diagnostic, and the slot is left as it was.  The only
+   side effect is an atomic store write. *)
+let fresh ~slot ~save ~execute diags =
+  let v, refusals = execute () in
+  match (slot, refusals) with
+  | Some (file, key), [] -> (
+      match save ~file ~key v with
+      | Ok () -> (v, diags)
+      | Error e -> (v, diags @ [ e ]))
+  | None, [] -> (v, diags)
+  | _, _ :: _ ->
+      let file = Option.map fst slot in
+      (v, diags @ List.map (fun r -> diag ?file r) refusals)
+
+(* Load-or-execute through one store slot: a valid entry's value and
+   [true], else [execute]'s value, written to the slot, with a
+   diagnostic saying why any stored entry was not used. *)
+let through_store ~faults ~slot ~load ~save ~accept ~execute =
+  match recall ~faults ~slot ~load ~accept with
+  | Ok (Some v) -> (v, true, [])
+  | Ok None ->
+      let v, diags = fresh ~slot ~save ~execute [] in
+      (v, false, diags)
+  | Error e ->
+      let v, diags = fresh ~slot ~save ~execute [ e ] in
+      (v, false, diags)
+
+(* ------------------------------ advice ----------------------------- *)
+
+let engine_name = function `Oracle -> "oracle" | `Threaded -> "v2-flat"
+
+(* The advice's slot: one file per (benchmark, warmup engine), whose
+   identity key adds the warmup's cost model to the cache identity, so
+   an entry written under another program or timer is stale.  A cache
+   whose plan perturbs execution persists nothing, the advice included. *)
+let advice_slot t =
+  match t.cache_dir with
+  | Some dir
+    when not (Fault_plan.perturbs_execution t.base_config.Exp_harness.faults) ->
+      let env = t.env and engine = engine_name t.base_config.Exp_harness.engine in
+      let file_key =
+        Fmt.str "%s|%d|%d|advice+%s" env.Exp_harness.workload.Workload.name
+          env.Exp_harness.size env.Exp_harness.seed engine
+      in
+      Some
+        ( Exp_store.filename ~dir file_key,
+          Fmt.str "%s|warmup-cost=%s|engine=%s|advice" t.identity
+            (digest env.Exp_harness.cost) engine )
+  | Some _ | None -> None
+
+let advice_pending t = not (Lazy.is_val t.env.Exp_harness.advice)
+
+type advice_outcome = { a_advice : Advice.t; a_diags : Dcg.parse_error list }
+
+(* The worker half: the warmup on the base configuration's engine,
+   tracing to [config]'s sink, written to the advice slot.  Reads only
+   immutable cache state (never [t.env]'s advice itself). *)
+let compute_advice t (config : Exp_harness.config) =
+  let a_advice, a_diags =
+    fresh ~slot:(advice_slot t) ~save:Exp_store.save_advice
+      ~execute:(fun () ->
+        ( Exp_harness.warmup
+            ~config:{ t.base_config with Exp_harness.telemetry = config.telemetry }
+            t.env,
+          [] ))
+      []
+  in
+  { a_advice; a_diags }
+
+(* The main-domain half: the advice becomes the env's, counted once as
+   executed. *)
+let install_advice t o =
+  if advice_pending t then begin
+    t.env <- { t.env with Exp_harness.advice = Lazy.from_val o.a_advice };
+    account t ~from_disk:false o.a_diags
+  end
+
+(* Resolve a pending advice on the calling domain, which must be the
+   main one: it writes the accounting, and a deferred advice forced
+   from two domains at once raises. *)
+let resolve_advice t =
+  if advice_pending t then begin
+    if not (Domain.is_main_domain ()) then
+      invalid_arg
+        "Exp_cache: a pending advice must be resolved on the main domain";
+    install_advice t (compute_advice t t.base_config)
+  end;
+  Exp_harness.advice t.env
+
 let create ?(config = Exp_harness.default) ?cache_dir env =
   (* surface an unusable cache directory once, at open; the cache still
      works (every run recomputes) with the failure on record *)
@@ -35,7 +172,6 @@ let create ?(config = Exp_harness.default) ?cache_dir env =
     | Some dir -> (
         match Exp_store.prepare_dir dir with Ok () -> [] | Error e -> [ e ])
   in
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
   (* the format version is not part of the identity: the frame's
      version byte covers it *)
   let identity =
@@ -50,23 +186,48 @@ let create ?(config = Exp_harness.default) ?cache_dir env =
       (fun tel -> Metrics.counter (Telemetry.metrics tel) name)
       config.Exp_harness.telemetry
   in
-  {
-    env;
-    base_config = config;
-    runs = Hashtbl.create 16;
-    series = Hashtbl.create 4;
-    values = Hashtbl.create 1;
-    perfect_edge_table = None;
-    cache_dir;
-    identity;
-    memory_hits = 0;
-    disk_hits = 0;
-    executed = 0;
-    store_errors = List.length open_diags;
-    diags = open_diags;
-    m_hit = counter "exp.cache_hit";
-    m_miss = counter "exp.cache_miss";
-  }
+  let t =
+    {
+      env;
+      base_config = config;
+      runs = Hashtbl.create 16;
+      series = Hashtbl.create 4;
+      values = Hashtbl.create 1;
+      perfect_edge_table = None;
+      cache_dir;
+      identity;
+      memory_hits = 0;
+      disk_hits = 0;
+      executed = 0;
+      store_errors = List.length open_diags;
+      diags = open_diags;
+      m_hit = counter "exp.cache_hit";
+      m_miss = counter "exp.cache_miss";
+    }
+  in
+  (* the advice: recalled now when its entry is valid, else deferred
+     (a stored entry that cannot be used is reported now, and
+     overwritten when the advice is computed) *)
+  let defer () =
+    t.env <- { env with Exp_harness.advice = lazy (resolve_advice t) }
+  in
+  let n_methods = Program.n_methods env.Exp_harness.program in
+  (match
+     recall
+       ~faults:(Exp_harness.injector_of config)
+       ~slot:(advice_slot t)
+       ~load:(Exp_store.load_advice ~n_methods)
+       ~accept:Result.ok
+   with
+  | Ok (Some a) ->
+      t.env <- { env with Exp_harness.advice = Lazy.from_val a };
+      account t ~from_disk:true []
+  | Ok None -> defer ()
+  | Error e ->
+      defer ();
+      t.store_errors <- t.store_errors + 1;
+      t.diags <- t.diags @ [ e ]);
+  t
 
 let env t = t.env
 let config t = t.base_config
@@ -97,8 +258,6 @@ let print_report caches =
     (fun c ->
       List.iter (Fmt.epr "cache: %a@." Dcg.pp_parse_error) (diagnostics c))
     caches
-
-let mincr = function Some c -> Metrics.incr c | None -> ()
 
 (* A [From_pep] optimizing compilation consults the live sampler state
    at each method's compile time, which a rebuild (precompile, no
@@ -173,59 +332,13 @@ type outcome = {
   o_diags : Dcg.parse_error list;
 }
 
-let diag ?file reason = { Dcg.file; line = 0; text = ""; reason }
-
-(* Load-or-execute through one store slot: a valid entry is [accept]ed
-   (its value and [true]), anything else runs [execute] and overwrites
-   the slot, with a diagnostic saying why the entry was not used.
-   [execute] also returns the reasons its value must not be persisted
-   (a failed verification): each becomes a diagnostic, and the slot is
-   left as it was.  Reads only immutable cache state, so it is safe on
-   worker domains; the only side effect is an atomic store write. *)
-let through_store ~faults ~slot ~load ~save ~accept ~execute =
-  let fresh diags =
-    let v, refusals = execute () in
-    match (slot, refusals) with
-    | Some (file, key), [] -> (
-        match save ~file ~key v with
-        | Ok () -> (v, false, diags)
-        | Error e -> (v, false, diags @ [ e ]))
-    | None, [] -> (v, false, diags)
-    | _, _ :: _ ->
-        let file = Option.map fst slot in
-        (v, false, diags @ List.map (fun r -> diag ?file r) refusals)
-  in
-  match slot with
-  | None -> fresh []
-  | Some (file, key) -> (
-      match load ~file ~key with
-      | Ok None -> fresh []
-      | Ok (Some stored) -> (
-          match faults with
-          | Some inj when Fault_injector.fire_corrupt inj ~what:"store" ->
-              (* the plan says this load observed a corrupted entry:
-                 quarantine it and recompute, exactly as a real digest
-                 mismatch would *)
-              Fault_injector.note_quarantine inj ~what:"store"
-                ~reason:"fault plan corrupted this cache entry";
-              fresh
-                [
-                  diag ~file "cache entry quarantined by fault plan; recomputed";
-                ]
-          | Some _ | None -> (
-              match accept stored with
-              | Ok v -> (v, true, [])
-              | Error reason ->
-                  (* shape passed the digest but not the configuration:
-                     recompute and overwrite, reporting why *)
-                  fresh [ diag ~file ("cache entry rejected: " ^ reason) ]))
-      | Error e -> fresh [ e ])
-
 (* The worker half of a run: everything except touching the memo table
-   and counters.  Reads only immutable cache state (env, identity,
-   cache_dir), so concurrent [compute]s on one cache from several
-   domains are safe. *)
+   and counters.  Once the advice is resolved it reads only immutable
+   cache state (env, identity, cache_dir), so concurrent [compute]s on
+   one cache from several domains are safe; a pending advice is
+   resolved first, which only the main domain may do. *)
 let compute t config =
+  ignore (resolve_advice t);
   let faults = Exp_harness.injector_of config in
   let o_run, o_from_disk, o_diags =
     through_store ~faults ~slot:(file_and_key t config) ~load:Exp_store.load
@@ -234,18 +347,6 @@ let compute t config =
       ~execute:(fun () -> (Exp_harness.replay ?faults t.env config, []))
   in
   { o_run; o_from_disk; o_diags }
-
-let account t ~from_disk diags =
-  if from_disk then begin
-    t.disk_hits <- t.disk_hits + 1;
-    mincr t.m_hit
-  end
-  else begin
-    t.executed <- t.executed + 1;
-    mincr t.m_miss
-  end;
-  t.store_errors <- t.store_errors + List.length diags;
-  t.diags <- t.diags @ diags
 
 (* The main-domain half: memoize and account.  Callers that shard
    [compute]s across domains must install results in a deterministic

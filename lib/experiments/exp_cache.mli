@@ -17,39 +17,61 @@
     calling domain, when a figure first asks; they are not job-pool
     tasks.
 
-    With [cache_dir], completed runs and derived entries are
+    Every run replays the benchmark's {e advice}, the outcome of its
+    adaptive warmup ({!Exp_harness.env}); the cache holds it as one more
+    entry.  With a [cache_dir], {!create} reads a valid advice entry
+    when it opens the cache; otherwise the advice stays deferred until
+    first needed — the first {!compute} or {!run}, a figure reading
+    {!env}'s advice, or a job pool's advice stage — and is then
+    computed by the warmup and saved.  A deferred advice is resolved on
+    the main domain only (see {!resolve_advice}).  It is accounted like
+    a run: computed, it counts once as [executed]; recalled, once as
+    [disk_hits].
+
+    With [cache_dir], completed runs, derived entries and the advice are
     additionally persisted through {!Exp_store} under a composite
     identity (workload, size, seed, digests of the compiled program and
     cost model, and the configuration key, plus the tag of a derived
-    entry).  An entry embeds that key's MD5 (format v3).  Runs are
-    recalled on later sweeps by {!Exp_harness.rebuild} — zero
-    application execution — and derived entries by reading their
-    numbers back.  Stale, damaged or foreign-format entries (an entry
-    written by an older store format, or another kind of entry where a
-    series or values were expected, included) surface as {!diagnostics}
-    and are recomputed and overwritten, never trusted or crashed on.  An
-    unusable [cache_dir] (unwritable, or a path component that is not a
-    directory) is reported the same way, once, at {!create} — runs still
-    execute, they just are not persisted.
+    entry; for the advice, the warmup's cost digest and engine and the
+    tag [|advice]).  An entry embeds that key's MD5 (format v3).  Runs
+    are recalled on later sweeps by {!Exp_harness.rebuild} — zero
+    application execution — derived entries by reading their numbers
+    back, and the advice by reading its rows back, checked against the
+    program as {!Advice.of_lines} checks text.  Stale, damaged or
+    foreign-format entries (an entry written by an older store format,
+    or another kind of entry where a series or values were expected,
+    included) surface as {!diagnostics} and are recomputed and
+    overwritten, never trusted or crashed on.  An unusable [cache_dir]
+    (unwritable, or a path component that is not a directory) is
+    reported the same way, once, at {!create} — runs still execute,
+    they just are not persisted.
 
     Fault plans: a configuration whose plan
     {!Fault_plan.perturbs_execution} is never persisted (a rebuild's
     precompile order would re-order the live run's fault-decision
     stream); a [corrupt=P] plan additionally makes loads of persisted
     entries observe deliberate corruption with probability [P] — the
-    entry is quarantined with a diagnostic and the run or derived value
-    recomputed, exercising exactly the real digest-mismatch path. *)
+    entry is quarantined with a diagnostic and the run, derived value
+    or advice recomputed, exercising exactly the real digest-mismatch
+    path.  The advice is loaded under the base configuration's plan. *)
 
 type t
 
 (** [config] is the base configuration the convenience runs below (and
     {!config}-derived callers) build on — e.g. pass one carrying a
-    telemetry sink to have every figure's runs traced.  [cache_dir]
-    (default: none, memory only) enables the persistent layer; it is
-    prepared with {!Exp_store.prepare_dir}, any failure becoming the
-    cache's first diagnostic. *)
+    telemetry sink to have every figure's runs traced; the advice's
+    warmup runs on its engine.  [cache_dir] (default: none, memory
+    only) enables the persistent layer; it is prepared with
+    {!Exp_store.prepare_dir}, any failure becoming the cache's first
+    diagnostic, and the advice entry is read: a valid one is a disk
+    hit, one that cannot be used a diagnostic (the advice is then
+    computed on first need and overwrites it).  [env]'s own deferred
+    advice is never forced. *)
 val create : ?config:Exp_harness.config -> ?cache_dir:string -> Exp_harness.env -> t
 
+(** The cache's env: the one given to {!create}, its advice replaced by
+    the recalled one or by the cache's deferred one (forcing it
+    resolves through the cache, as {!resolve_advice} does). *)
 val env : t -> Exp_harness.env
 
 (** The base configuration given to {!create} (default
@@ -72,12 +94,51 @@ val find_run : t -> Exp_harness.config -> Exp_harness.run option
     [run t c] is [install t c (compute t c)] plus memo lookup.  A pool
     shards the [compute]s (worker domains: execute or load from disk —
     touches no shared mutable state) and then [install]s every outcome
-    from the main domain in deterministic key order. *)
+    from the main domain in deterministic key order.  A [compute] whose
+    cache's advice is still pending resolves it first, with its
+    accounting ({!resolve_advice}); that is main-domain work, so a pool
+    resolves every pending advice before it shards any [compute]. *)
 
 type outcome
 
 val compute : t -> Exp_harness.config -> outcome
 val install : t -> Exp_harness.config -> outcome -> Exp_harness.run
+
+(** {2 The advice}
+
+    A deferred advice is a lazy value, and OCaml 5 raises when two
+    domains force one lazy value at once: it is resolved on exactly one
+    domain.  [resolve_advice t] is [install_advice t (compute_advice t
+    (config t))] when pending; a pool shards the [compute_advice]s of
+    several caches, each worker on its own sink, and installs them on
+    the main domain in cache order. *)
+
+(** Whether {!env}'s advice is still deferred: not recalled at open and
+    not computed since. *)
+val advice_pending : t -> bool
+
+(** {!env}'s advice, computed now (and saved, and counted as
+    [executed]) if it is pending.
+    @raise Invalid_argument if it is pending and the caller is not the
+    main domain. *)
+val resolve_advice : t -> Advice.t
+
+type advice_outcome
+
+(** The worker half: the warmup ({!Exp_harness.warmup}) on the base
+    configuration's engine, tracing to [config]'s sink (only the sink
+    is read), written to the advice's store slot.  Touches no shared
+    mutable state. *)
+val compute_advice : t -> Exp_harness.config -> advice_outcome
+
+(** The main-domain half: the outcome's advice becomes {!env}'s and is
+    counted once as [executed] (a no-op once the advice is resolved). *)
+val install_advice : t -> advice_outcome -> unit
+
+(** Like {!store_slot}, for the advice: [None] without a [cache_dir],
+    or when the base configuration's fault plan
+    {!Fault_plan.perturbs_execution} (such a cache persists nothing). *)
+val advice_slot : t -> (string * string) option
 
 (** {2 Derived entries} *)
 
@@ -118,15 +179,16 @@ val values_slot :
 (** {2 Accounting}
 
     A derived entry counts like a run: computed, recalled from disk, or
-    recalled from memory. *)
+    recalled from memory.  The advice counts once: computed or recalled
+    from disk. *)
 
 type stats = {
   memory_hits : int;  (** recalled from the in-process memo table *)
   disk_hits : int;  (** rebuilt from a persisted entry, no execution *)
   executed : int;
-      (** actually simulated: one per run replayed, and one per derived
+      (** actually simulated: one per run replayed, one per derived
           entry computed (all of a series' trials, all of a values
-          entry's replays) *)
+          entry's replays), and one for the advice's warmup *)
   store_errors : int;
       (** one per {!diagnostics} entry: stale, corrupt or unwritable
           entries, and values kept off disk by a failed verification *)

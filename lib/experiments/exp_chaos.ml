@@ -165,6 +165,9 @@ let cross_check (ro : report) (rt : report) =
   { rt with violations = !v }
 
 let sweep ?jobs ?(cases = curated) envs =
+  (* every case of an env shares its advice: resolved here, on the
+     main domain, never forced by two workers at once *)
+  List.iter (fun env -> ignore (Exp_harness.advice env)) envs;
   List.concat
     (Exp_pool.map ?jobs
        (fun _tel env ->

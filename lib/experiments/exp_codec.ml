@@ -4,7 +4,8 @@
    A run entry is one PEPRUN frame (varint-packed profile rows, raw MD5
    trailer); an adaptive series entry is one PEPSER frame (the per-trial
    totals); a values entry is one PEPVAL frame (derived floats as their
-   IEEE bits).  All three embed the 16-byte MD5 of the composite
+   IEEE bits); an advice entry is one PEPADV frame (the advice's rows as
+   varints).  All four embed the 16-byte MD5 of the composite
    identity key, not the key text, so a damaged entry fails the digest
    check, a stale one fails the key-digest comparison, and a foreign or
    future-versioned one fails the frame checks — always a structured
@@ -186,6 +187,7 @@ end
 let magic = "PEPRUN"
 let series_magic = "PEPSER"
 let values_magic = "PEPVAL"
+let advice_magic = "PEPADV"
 
 (* every frame's version; bump on any change to their bytes *)
 let version = 3
@@ -318,3 +320,48 @@ let encode_values = encode_list ~magic:values_magic Bin.float
 
 let decode_values =
   decode_list ~magic:values_magic ~what:"values cache" Bin.rfloat
+
+(* ---------------------------- advice entries ------------------------ *)
+
+(* A list frame of advice rows: a tag (0 level, 1 edge, 2 call), then
+   the row's numbers. *)
+let put_row w (row : Advice.row) =
+  let ints tag xs = List.iter (Bin.int w) (tag :: xs) in
+  match row with
+  | Advice.Level { meth; level } -> ints 0 [ meth; level ]
+  | Advice.Edge { meth; branch; taken; not_taken } ->
+      ints 1 [ meth; branch; taken; not_taken ]
+  | Advice.Call { caller; callee; weight } -> ints 2 [ caller; callee; weight ]
+
+let get_row r : Advice.row =
+  match Bin.rint r with
+  | 0 ->
+      let meth = Bin.rint r in
+      let level = Bin.rint r in
+      Advice.Level { meth; level }
+  | 1 ->
+      let meth = Bin.rint r in
+      let branch = Bin.rint r in
+      let taken = Bin.rint r in
+      let not_taken = Bin.rint r in
+      Advice.Edge { meth; branch; taken; not_taken }
+  | 2 ->
+      let caller = Bin.rint r in
+      let callee = Bin.rint r in
+      let weight = Bin.rint r in
+      Advice.Call { caller; callee; weight }
+  | t -> Bin.fail (Fmt.str "unknown advice row tag %d" t)
+
+(* A method without a level row stays at baseline (-1), so those rows
+   are not stored. *)
+let encode_advice ~key a =
+  encode_list ~magic:advice_magic put_row ~key
+    (List.filter
+       (function Advice.Level { level = -1; _ } -> false | _ -> true)
+       (Advice.rows a))
+
+let decode_advice ~n_methods ~file ~key contents =
+  Result.bind
+    (decode_list ~magic:advice_magic ~what:"advice cache" get_row ~file ~key
+       contents)
+    (Advice.of_rows ~file ~n_methods)

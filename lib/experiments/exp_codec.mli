@@ -1,7 +1,7 @@
 (** The run cache's wire format, and the binary frame both on-disk
     stores share.
 
-    The run cache holds three kinds of entry, all at format version 3:
+    The run cache holds four kinds of entry, all at format version 3:
     - a run entry is one [PEPRUN] frame: magic, version byte, the
       identity key's MD5, the measurement and the four profile tables as
       varints, then an MD5 trailer;
@@ -11,7 +11,12 @@
     - a values entry is one [PEPVAL] frame: magic, version byte, the
       identity key's MD5, a count, each value's 64 IEEE bits
       (little-endian), then an MD5 trailer — a benchmark's comparator
-      values, for instance, in 105 bytes.
+      values, for instance, in 105 bytes;
+    - an advice entry is one [PEPADV] frame: magic, version byte, the
+      identity key's MD5, a count, each {!Advice.row} as a tag and its
+      numbers in varints (a method left at baseline has no row), then
+      an MD5 trailer — about 120 bytes for a suite benchmark at scale
+      0.05, where its {!Advice.to_lines} text alone takes about 220.
 
     An entry embeds the 16-byte MD5 of its identity key rather than the
     key text (about 140 bytes, mostly two hex digests).  A damaged entry
@@ -134,3 +139,20 @@ val encode_values : key:string -> float list -> string
     as foreign. *)
 val decode_values :
   file:string -> key:string -> string -> (float list, Dcg.parse_error) result
+
+(** Full file bytes of an advice entry: the advice's {!Advice.rows}
+    under their identity [key]. *)
+val encode_advice : key:string -> Advice.t -> string
+
+(** Decode an advice entry's bytes, verifying frame, digest and [key],
+    then its rows against a program of [n_methods] methods by
+    {!Advice.of_rows} (the checks {!Advice.of_lines} applies to text);
+    [file] only labels diagnostics.  Any other kind of entry is rejected
+    as foreign, as an advice entry is by {!decode}, {!decode_series} and
+    {!decode_values}. *)
+val decode_advice :
+  n_methods:int ->
+  file:string ->
+  key:string ->
+  string ->
+  (Advice.t, Dcg.parse_error) result

@@ -72,7 +72,7 @@ let run ?(samples = 64) ?(stride = 17) ?(tick_shrink = 8)
   let cost = Exp_harness.compressed_cost ~tick_shrink in
   (* phase-0 adaptive warmup: the advice every window replays against *)
   let env = Exp_harness.make_env ~cost ?size ~seed w in
-  let program = env.Exp_harness.program and advice = env.Exp_harness.advice in
+  let program = env.Exp_harness.program and advice = Exp_harness.advice env in
   (* the collection instance: replay + PEP, with a masked perfect path
      profiler riding the same driver as concurrent ground truth *)
   let st = Machine.create ~cost ~seed:(seed + 1) program in

@@ -363,9 +363,7 @@ let tab_header caches =
               ~number:(Exp_harness.advice_number env)
               st
           in
-          Array.iteri
-            (fun m level -> if level < 0 then plans.(m) <- None)
-            env.advice.Advice.levels;
+          Exp_harness.mask_plans env plans;
           Array.fold_left
             (fun acc plan ->
               match plan with
@@ -407,7 +405,7 @@ let tab_onetime caches =
         let acc =
           100.
           *. Accuracy.relative_overlap ~actual
-               ~estimated:env.advice.Advice.profile
+               ~estimated:(Exp_harness.advice env).Advice.profile
         in
         (bench_name c, [ acc ]))
       caches

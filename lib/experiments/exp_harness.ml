@@ -1,10 +1,13 @@
 type env = {
   workload : Workload.t;
   program : Program.t;
-  advice : Advice.t;
+  advice : Advice.t Lazy.t;
+  cost : Cost_model.t;
   size : int;
   seed : int;
 }
+
+let advice env = Lazy.force env.advice
 
 type measurement = { iter1 : int; iter2 : int; compile : int; checksum : int }
 
@@ -107,12 +110,11 @@ let compressed_cost ~tick_shrink =
       max 1 (Cost_model.default.Cost_model.tick_period / max 1 tick_shrink);
   }
 
-let make_env ?cost ?size ?(config = default) ~seed workload =
-  let size = Option.value ~default:workload.Workload.default_size size in
-  let program = Workload.program ~size workload in
-  Verify.program program;
-  let st = Machine.create ?cost ~seed program in
-  begin_run config (Fmt.str "warmup %s" workload.Workload.name);
+(* The two-iteration adaptive run whose final decisions are the
+   advice: only [config]'s engine and telemetry sink matter. *)
+let warmup ?(config = default) env =
+  let st = Machine.create ~cost:env.cost ~seed:env.seed env.program in
+  begin_run config (Fmt.str "warmup %s" env.workload.Workload.name);
   let driver =
     Driver.create
       {
@@ -124,7 +126,16 @@ let make_env ?cost ?size ?(config = default) ~seed workload =
   in
   ignore (Driver.run driver);
   ignore (Driver.run driver);
-  { workload; program; advice = Driver.advice driver; size; seed }
+  Driver.advice driver
+
+let make_env ?(cost = Cost_model.default) ?size ?config ~seed workload =
+  let size = Option.value ~default:workload.Workload.default_size size in
+  let program = Workload.program ~size workload in
+  Verify.program program;
+  let rec env =
+    { workload; program; advice = lazy (warmup ?config env); cost; size; seed }
+  in
+  env
 
 type run = {
   meas : measurement;
@@ -214,14 +225,14 @@ let lint_run ?expected_samples (r : run) =
     (Driver.baseline_profile r.driver);
   !acc
 
-let advice_number env midx dag = Pep.smart_number env.advice.Advice.profile midx dag
+let advice_number env midx dag = Pep.smart_number (advice env).Advice.profile midx dag
 
 (* Restrict a profiler's plans to the methods the advice opt-compiles, so
    every configuration profiles the same method set PEP does. *)
 let mask_plans env (plans : Profile_hooks.plans) =
   Array.iteri
     (fun m level -> if level < 0 then plans.(m) <- None)
-    env.advice.Advice.levels
+    (advice env).Advice.levels
 
 (* A [corrupt] fault models a damaged input detected at load time: the
    input is quarantined and recomputed from scratch.  Advice (and its
@@ -237,21 +248,18 @@ let quarantine_inputs env config faults =
       let bad_dcg = Fault_injector.fire_corrupt inj ~what:"dcg" in
       if not (bad_advice || bad_dcg) then env
       else begin
-        let fresh =
-          (make_env ~size:env.size
-             ~config:{ default with engine = config.engine }
-             ~seed:env.seed env.workload)
-            .advice
-        in
+        let fresh = warmup ~config:{ default with engine = config.engine } env in
         if bad_advice then
           Fault_injector.note_quarantine inj ~what:"advice"
             ~reason:"corrupt advice quarantined; recomputed from warmup";
         if bad_dcg then
           Fault_injector.note_quarantine inj ~what:"dcg"
             ~reason:"corrupt DCG quarantined; recomputed from warmup";
-        if bad_advice then { env with advice = fresh }
-        else
-          { env with advice = { env.advice with Advice.dcg = fresh.Advice.dcg } }
+        let advice =
+          if bad_advice then fresh
+          else { (advice env) with Advice.dcg = fresh.Advice.dcg }
+        in
+        { env with advice = Lazy.from_val advice }
       end
 
 (* The replay-mode driver of [config] over [st].  Every replay — the
@@ -271,7 +279,7 @@ let replay_driver ?extra_hooks ~faults env config st =
   in
   Driver.create ?extra_hooks
     {
-      Driver.mode = Replay env.advice;
+      Driver.mode = Replay (advice env);
       opt_profile = config.opt_profile;
       pep;
       inline = config.inline;

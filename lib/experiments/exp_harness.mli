@@ -2,7 +2,13 @@
     methodologies (paper §5).
 
     An {!env} fixes a workload, its compiled program and the advice file
-    produced by a preparatory adaptive run.  {!replay} then performs
+    produced by a preparatory adaptive run (the warmup).  The warmup is
+    deferred: {!make_env} only builds and verifies the program, and the
+    advice is computed when first forced ({!advice}), or supplied by a
+    run cache that recalls it from disk ([Exp_cache]).  OCaml 5 raises
+    when two domains force one lazy value at once, so an env's advice is
+    resolved on one domain — the main one, before a job pool shares the
+    env among workers.  {!replay} then performs
     deterministic replay-compilation runs under a chosen profiling
     configuration: two iterations of the application, the first carrying
     compilation (paper Fig. 7), the second execution only (Fig. 6).
@@ -13,10 +19,16 @@
 type env = {
   workload : Workload.t;
   program : Program.t;
-  advice : Advice.t;
+  advice : Advice.t Lazy.t;
+      (** the warmup's advice, deferred: read it with {!advice} *)
+  cost : Cost_model.t;  (** the cost model the warmup runs under *)
   size : int;
   seed : int;
 }
+
+(** The env's advice, running its warmup if nothing has yet.  Force it
+    on one domain only (see the module comment). *)
+val advice : env -> Advice.t
 
 type measurement = {
   iter1 : int;  (** first-iteration cycles, compilation included *)
@@ -93,12 +105,21 @@ val config_key : config -> string
     timer. *)
 val compressed_cost : tick_shrink:int -> Cost_model.t
 
-(** Compile the workload and produce advice from a two-iteration adaptive
-    warmup run under [cost] (default {!Cost_model.default}).  Only
-    [config.engine] and [config.telemetry] matter here; the advice must
-    be identical under either engine. *)
+(** Compile and verify the workload; its advice comes from a
+    two-iteration adaptive warmup under [cost] (default
+    {!Cost_model.default}), run by {!warmup} with [config] when the
+    advice is first forced.  Only [config.engine] and
+    [config.telemetry] matter here; the advice must be identical under
+    either engine. *)
 val make_env :
   ?cost:Cost_model.t -> ?size:int -> ?config:config -> seed:int -> Workload.t -> env
+
+(** Run [env]'s warmup now and return its advice, whatever [env.advice]
+    holds: a fresh machine under [env.cost] and [env.seed], two
+    iterations of the adaptive system, its final decisions.  Only
+    [config.engine] and [config.telemetry] matter (default
+    {!default}). *)
+val warmup : ?config:config -> env -> Advice.t
 
 type run = {
   meas : measurement;

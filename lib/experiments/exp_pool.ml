@@ -74,6 +74,20 @@ let reconfig sink config =
 
 type task = { cache : Exp_cache.t; config : Exp_harness.config }
 
+(* Every pending advice among [caches], resolved before any run is
+   sharded: the warmups go through the pool like runs (worker halves on
+   private sinks, installed on the main domain in cache order), so no
+   worker ever forces a deferred advice. *)
+let resolve_advice ~jobs ?telemetry caches =
+  let pending = List.filter Exp_cache.advice_pending caches in
+  if jobs <= 1 || List.length pending <= 1 then
+    List.iter (fun c -> ignore (Exp_cache.resolve_advice c)) pending
+  else
+    List.iter2 Exp_cache.install_advice pending
+      (map ~jobs ?telemetry
+         (fun sink c -> Exp_cache.compute_advice c (reconfig sink (Exp_cache.config c)))
+         pending)
+
 let run_tasks ?(jobs = 1) ?telemetry tasks =
   let distinct =
     List.rev
@@ -81,6 +95,7 @@ let run_tasks ?(jobs = 1) ?telemetry tasks =
          (fun acc t -> if List.memq t.cache acc then acc else t.cache :: acc)
          [] tasks)
   in
+  resolve_advice ~jobs ?telemetry distinct;
   let ordinal c =
     let rec go i = function
       | [] -> assert false
@@ -119,19 +134,14 @@ let run_tasks ?(jobs = 1) ?telemetry tasks =
       pending outcomes
   end
 
-let suite_envs ?(scale = 1.0) ?(jobs = 1) ?config ~seed () =
-  let telemetry = Option.bind config (fun c -> c.Exp_harness.telemetry) in
-  let sized =
-    List.map
-      (fun (w : Workload.t) ->
-        (w, max 1 (int_of_float (float_of_int w.default_size *. scale))))
-      Suite.all
-  in
-  map ~jobs ?telemetry
-    (fun sink (w, size) ->
-      let config = Option.map (reconfig sink) config in
+(* No warmup runs here, so there is nothing to shard: [jobs] is
+   accepted and ignored. *)
+let suite_envs ?(scale = 1.0) ?jobs:_ ?config ~seed () =
+  List.map
+    (fun (w : Workload.t) ->
+      let size = max 1 (int_of_float (float_of_int w.default_size *. scale)) in
       Exp_harness.make_env ~size ?config ~seed w)
-    sized
+    Suite.all
 
 let prefetch ?jobs ?telemetry caches ids =
   let stage select =

@@ -9,7 +9,14 @@
     sink in worker order after the join.
 
     [jobs <= 1] never spawns a domain and behaves exactly like the
-    serial code paths it replaces. *)
+    serial code paths it replaces.
+
+    A benchmark's advice ({!Exp_harness.env}) is deferred, and a
+    deferred advice is resolved on one domain only: {!run_tasks} (and so
+    {!prefetch}) first resolves every pending advice of its caches, the
+    warmups sharded like runs with installs on the main domain, before
+    it shards any run.  Callers that share an env among {!map}'s workers
+    resolve its advice on the main domain first. *)
 
 (** [map ~jobs ~telemetry f xs] applies [f sink x] to every element,
     sharding round-robin across workers; results come back in input
@@ -29,17 +36,23 @@ type task = { cache : Exp_cache.t; config : Exp_harness.config }
 (** Deduplicate [tasks] (by cache and configuration key), drop those
     already memoized, execute the rest — {!Exp_cache.compute} on the
     workers, {!Exp_cache.install} on the main domain in sorted order —
-    so later figure builds recall every run from memory.  Pass as
+    so later figure builds recall every run from memory.  First, every
+    task cache whose advice is pending gets it resolved:
+    {!Exp_cache.compute_advice} on the workers,
+    {!Exp_cache.install_advice} on the main domain in cache order
+    (serially through {!Exp_cache.resolve_advice} at [jobs <= 1]).  Pass as
     [telemetry] the sink the task configurations carry, if any: workers
     substitute private sinks for it (carried sinks are stripped in
     workers if [telemetry] is omitted — a sink is never shared across
     domains). *)
 val run_tasks : ?jobs:int -> ?telemetry:Telemetry.t -> task list -> unit
 
-(** Envs for the whole suite, each warmed up by {!Exp_harness.make_env}
-    at the workload's default size times [scale] (at least 1; use a
-    small scale in tests), with the warmup runs (the expensive part of
-    preparation) sharded across [jobs] workers. *)
+(** Envs for the whole suite, built by {!Exp_harness.make_env} under
+    [config] at the workload's default size times [scale] (at least 1;
+    use a small scale in tests).  No warmup runs here: each env's advice
+    stays deferred until a run cache recalls or computes it, or it is
+    forced.  [jobs] is accepted for source compatibility and ignored —
+    building the programs is the only work left, and it is cheap. *)
 val suite_envs :
   ?scale:float ->
   ?jobs:int ->
@@ -49,8 +62,9 @@ val suite_envs :
   Exp_harness.env list
 
 (** Run every cacheable configuration the given figure ids need, on
-    every cache: first the {!Exp_figures.prefetch_configs} sets, then
-    the {!Exp_figures.derived_configs} second stage.  After this,
+    every cache: first every pending advice (see {!run_tasks}), then the
+    {!Exp_figures.prefetch_configs} sets, then the
+    {!Exp_figures.derived_configs} second stage.  After this,
     building those figures recalls runs from memory and computes or
     recalls only their derived entries (fig11's series, the comparator
     entry), serially. *)

@@ -1,10 +1,10 @@
-(* On-disk storage for experiment run payloads, adaptive series and
-   derived values.
+(* On-disk storage for experiment run payloads, adaptive series,
+   derived values and replay advice.
 
    One file per (workload, size, seed, configuration) run, one per
-   (workload, size, seed, configuration, trials) adaptive series, and
-   one per (workload, size, seed, configuration, tag) set of derived
-   values, named by the MD5 of that identity so a cache directory can be
+   (workload, size, seed, configuration, trials) adaptive series, one
+   per (workload, size, seed, configuration, tag) set of derived values
+   and one per (workload, size, seed, warmup) advice, named by the MD5 of that identity so a cache directory can be
    shared across sweeps.  The bytes inside are one [Exp_codec] frame.
 
    The composite key embeds digests of the compiled program and the
@@ -157,6 +157,8 @@ let save_series ~file ~key totals =
 let save_values ~file ~key values =
   write_file ~file (Exp_codec.encode_values ~key values)
 
+let save_advice ~file ~key a = write_file ~file (Exp_codec.encode_advice ~key a)
+
 let load_with decode ~file ~key =
   if not (Sys.file_exists file) then Ok None
   else
@@ -167,3 +169,4 @@ let load_with decode ~file ~key =
 let load = load_with Exp_codec.decode
 let load_series = load_with Exp_codec.decode_series
 let load_values = load_with Exp_codec.decode_values
+let load_advice ~n_methods = load_with (Exp_codec.decode_advice ~n_methods)

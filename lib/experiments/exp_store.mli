@@ -1,10 +1,10 @@
-(** On-disk storage for experiment run payloads, adaptive series and
-    derived values.
+(** On-disk storage for experiment run payloads, adaptive series,
+    derived values and replay advice.
 
     One file per (workload, size, seed, configuration) run, one per
-    (workload, size, seed, configuration, trials) adaptive series, and
-    one per (workload, size, seed, configuration, tag) set of derived
-    values, keyed by a composite identity that embeds digests of the
+    (workload, size, seed, configuration, trials) adaptive series, one
+    per (workload, size, seed, configuration, tag) set of derived
+    values, and one per (workload, size, seed, warmup) advice, keyed by a composite identity that embeds digests of the
     compiled program and cost model (built by {!Exp_cache}).  The bytes inside are one
     {!Exp_codec} frame, which embeds the identity key's MD5.  Loading
     validates magic, version, content digest, key digest and record
@@ -27,8 +27,8 @@ type payload = Exp_codec.payload = {
   pedges : string list;
 }
 
-(** [filename ~dir file_key] is the store path for a run, series or
-    values identity: [dir/<md5 hex of file_key>.run]. *)
+(** [filename ~dir file_key] is the store path for a run, series,
+    values or advice identity: [dir/<md5 hex of file_key>.run]. *)
 val filename : dir:string -> string -> string
 
 (** Create [dir] (and parents) if missing.  [Error] carries a
@@ -80,3 +80,16 @@ val save_values :
     [Error] (foreign entry). *)
 val load_values :
   file:string -> key:string -> (float list option, Dcg.parse_error) result
+
+(** {!save} for a benchmark's replay advice. *)
+val save_advice :
+  file:string -> key:string -> Advice.t -> (unit, Dcg.parse_error) result
+
+(** {!load} for a replay advice, its rows checked against a program of
+    [n_methods] methods; any other kind of entry at [file] is an
+    [Error] (foreign entry). *)
+val load_advice :
+  n_methods:int ->
+  file:string ->
+  key:string ->
+  (Advice.t option, Dcg.parse_error) result

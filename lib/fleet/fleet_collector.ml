@@ -345,10 +345,11 @@ let run ?(jobs = 1) ~dir spec =
          run in phase 0, advice captured.  Shared across cohorts (steady
          and shift run the same program and seed; the drift only applies
          to collection windows). *)
-      let { Exp_harness.program; advice; _ } =
+      let env =
         Exp_harness.make_env ~cost:(cost_of spec) ~size:(size_of spec)
           ~seed:spec.seed spec.workload
       in
+      let program = env.Exp_harness.program in
       let cohorts = List.map (cohort_of spec) spec.cohorts in
       let cold =
         List.filter (fun c -> not (covered ~existing spec c)) cohorts
@@ -370,20 +371,29 @@ let run ?(jobs = 1) ~dir spec =
                 { Fleet.Instance_id.cohort; ordinal }))
           cold
       in
+      (* the warmup runs here, on the main domain, before the workers
+         share its advice — and only when some cohort is collected, so a
+         fully covered rerun runs none *)
       let results =
-        Exp_pool.map ~jobs
-          (fun _sink inst ->
-            if active then begin
-              (* per-instance injector: keyed streams make its decisions
-                 independent of which domain runs it *)
-              let inj = Fault_injector.create plan in
-              let snaps, lost = run_instance spec ~program ~advice ~faults:inj inst in
-              (inst, snaps, lost, Some (Fault_injector.counts inj))
-            end
-            else
-              let snaps, lost = run_instance spec ~program ~advice inst in
-              (inst, snaps, lost, None))
-          instances
+        match instances with
+        | [] -> []
+        | _ :: _ ->
+            let advice = Exp_harness.advice env in
+            Exp_pool.map ~jobs
+              (fun _sink inst ->
+                if active then begin
+                  (* per-instance injector: keyed streams make its
+                     decisions independent of which domain runs it *)
+                  let inj = Fault_injector.create plan in
+                  let snaps, lost =
+                    run_instance spec ~program ~advice ~faults:inj inst
+                  in
+                  (inst, snaps, lost, Some (Fault_injector.counts inj))
+                end
+                else
+                  let snaps, lost = run_instance spec ~program ~advice inst in
+                  (inst, snaps, lost, None))
+              instances
       in
       (* merge worker accounting on the main domain, in input order *)
       (match fleet_inj with

@@ -9,7 +9,10 @@
 
     Instances execute in {e replay} mode against advice from a shared
     two-iteration adaptive warmup, so cumulative profiles are monotone
-    and window deltas exact; the simulated timer is compressed by
+    and window deltas exact.  The warmup runs on the main domain before
+    the instances are sharded, and only when some cohort has windows
+    left to collect: a rerun over a fully covered store simulates
+    nothing, warmup included.  The simulated timer is compressed by
     [tick_shrink] so short windows still sample every hot method.
     Everything is deterministic: reruns and any [?jobs] produce
     byte-identical segments. *)

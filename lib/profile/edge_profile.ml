@@ -105,10 +105,17 @@ let to_lines tbl =
     tbl;
   List.rev !lines
 
+let add_row tbl mi b ~taken ~not_taken =
+  if mi >= 0 && mi < Array.length tbl && taken >= 0 && not_taken >= 0 then begin
+    add tbl.(mi) b ~taken:true taken;
+    add tbl.(mi) b ~taken:false not_taken;
+    Ok ()
+  end
+  else Error "expected a method index in range and non-negative counters"
+
 let parse_line tbl line =
   if String.trim line = "" then Ok ()
   else
-    let n_methods = Array.length tbl in
     match String.split_on_char ' ' (String.trim line) with
     | [ mi; b; tk; nt ] -> (
         match
@@ -117,11 +124,8 @@ let parse_line tbl line =
             int_of_string_opt tk,
             int_of_string_opt nt )
         with
-        | Some mi, Some b, Some tk, Some nt
-          when mi >= 0 && mi < n_methods && tk >= 0 && nt >= 0 ->
-            add tbl.(mi) b ~taken:true tk;
-            add tbl.(mi) b ~taken:false nt;
-            Ok ()
+        | Some mi, Some b, Some taken, Some not_taken ->
+            add_row tbl mi b ~taken ~not_taken
         | _ ->
             Error
               "expected a method index in range and non-negative counters")

@@ -75,4 +75,11 @@ val of_lines : n_methods:int -> string list -> table
     errors instead of the [Failure] that {!of_lines} raises. *)
 val parse_line : table -> string -> (unit, string) result
 
+(** [add_row tbl mi b ~taken ~not_taken] adds one parsed line's counts:
+    the checks and the update {!parse_line} applies to
+    ["<mi> <b> <taken> <not-taken>"], for readers that hold the numbers
+    already (the run cache's binary advice entries). *)
+val add_row :
+  table -> int -> Cfg.branch_id -> taken:int -> not_taken:int -> (unit, string) result
+
 val pp : t Fmt.t

@@ -18,6 +18,26 @@ type t = {
 
 val n_opt : t -> int
 
+(** One entry of an advice: a method's level, one branch's baseline
+    counters, or one sampled call edge — a line of {!to_lines} as
+    numbers. *)
+type row =
+  | Level of { meth : int; level : int }
+  | Edge of { meth : int; branch : int; taken : int; not_taken : int }
+  | Call of { caller : int; callee : int; weight : int }
+
+(** Every row, in {!to_lines} order: one level per method, the edge
+    counters by method and branch, the call edges by weight. *)
+val rows : t -> row list
+
+(** Rebuild an advice from its rows, under the checks {!of_lines}
+    applies to the same numbers in text: a level's method index is in
+    range, edge counters name a method in range and are non-negative,
+    call weights are positive.  An error's [line] is the 1-based row
+    position and its [text] the row's {!to_lines} rendering. *)
+val of_rows :
+  ?file:string -> n_methods:int -> row list -> (t, Dcg.parse_error) result
+
 (** Textual round-trip, for writing advice next to benchmark results. *)
 val to_lines : t -> string list
 

@@ -49,6 +49,13 @@ let pp_parse_error ppf e =
     (Option.value e.file ~default:"<input>")
     e.line e.reason e.text
 
+let set_row t ~caller ~callee w =
+  if w > 0 then begin
+    Hashtbl.replace t (caller, callee) (ref w);
+    Ok ()
+  end
+  else Error "expected three integers with a positive weight"
+
 let parse_line t line =
   if String.trim line = "" then Ok ()
   else
@@ -57,9 +64,7 @@ let parse_line t line =
         match
           (int_of_string_opt cr, int_of_string_opt ce, int_of_string_opt w)
         with
-        | Some cr, Some ce, Some w when w > 0 ->
-            Hashtbl.replace t (cr, ce) (ref w);
-            Ok ()
+        | Some caller, Some callee, Some w -> set_row t ~caller ~callee w
         | _ -> Error "expected three integers with a positive weight")
     | _ -> Error "expected \"<caller> <callee> <weight>\""
 

@@ -48,4 +48,10 @@ val pp_parse_error : parse_error Fmt.t
     are ignored); [Error reason] leaves [t] unchanged. *)
 val parse_line : t -> string -> (unit, string) result
 
+(** [set_row t ~caller ~callee w] stores one parsed line's edge: the
+    check and the update {!parse_line} applies to
+    ["<caller> <callee> <w>"], for readers that hold the numbers
+    already. *)
+val set_row : t -> caller:int -> callee:int -> int -> (unit, string) result
+
 val of_lines : ?file:string -> string list -> (t, parse_error) result

@@ -326,7 +326,28 @@ let test_reject_bad_path_profile () =
   Path_profile.add profile 1 10;
   has_error_at "more path executions than samples"
     (fun (d : Pep_check.diagnostic) -> d.pass = "profile")
-    (Pep_check.lint_path_profile ~expected_total:3 n profile)
+    (Pep_check.lint_path_profile ~expected_total:3 n profile);
+  (* a memoized expansion or branch count is checked against the
+     path's reconstruction: path 1's memo set to path 2's edges, and
+     path 3's branch count off by one *)
+  let profile = Path_profile.create () in
+  Path_profile.incr profile 1;
+  Path_profile.incr profile 3;
+  no_errors "no memo, nothing to compare" (Pep_check.lint_path_profile n profile);
+  let e1 = Path_profile.entry profile 1 and e3 = Path_profile.entry profile 3 in
+  e1.Path_profile.edges <- Some (Reconstruct.cfg_edges n 2);
+  e3.Path_profile.n_branches <- Reconstruct.n_branches n 3 + 1;
+  let ds = Pep_check.lint_path_profile n profile in
+  has_error_at "memo disagrees with the P-DAG"
+    (fun d ->
+      d.message = "memoized expansion disagrees with P-DAG reconstruction"
+      && match d.loc with Pep_check.Path_loc (_, 1) -> true | _ -> false)
+    ds;
+  has_error_at "wrong branch count"
+    (fun d ->
+      String.starts_with ~prefix:"memoized branch length" d.message
+      && match d.loc with Pep_check.Path_loc (_, 3) -> true | _ -> false)
+    ds
 
 (* --- stack_effect vs the interpreter ------------------------------- *)
 

@@ -105,11 +105,11 @@ let test_adaptive_differential () =
       in
       check
         Alcotest.(array int)
-        (name ^ " advice levels") oenv.advice.Advice.levels
-        tenv.advice.Advice.levels;
+        (name ^ " advice levels") (Exp_harness.advice oenv).Advice.levels
+        (Exp_harness.advice tenv).Advice.levels;
       check csl (name ^ " advice profile")
-        (Edge_profile.to_lines oenv.advice.Advice.profile)
-        (Edge_profile.to_lines tenv.advice.Advice.profile);
+        (Edge_profile.to_lines (Exp_harness.advice oenv).Advice.profile)
+        (Edge_profile.to_lines (Exp_harness.advice tenv).Advice.profile);
       List.iter
         (fun (label, profiling) ->
           check ci
@@ -196,7 +196,7 @@ let test_drift_truth_differential () =
       Driver.create
         {
           Driver.default_options with
-          Driver.mode = Driver.Replay env.advice;
+          Driver.mode = Driver.Replay (Exp_harness.advice env);
           pep =
             Some
               {
@@ -792,7 +792,7 @@ let prop_sites_sound =
         Driver.create ~extra_hooks:layer
           {
             Driver.default_options with
-            Driver.mode = Driver.Replay env.advice;
+            Driver.mode = Driver.Replay (Exp_harness.advice env);
             pep =
               Some
                 {
@@ -946,10 +946,9 @@ let test_fusion_patterns_differential () =
 let test_baseline_fused () =
   let w = Suite.find "compress" in
   let env = Exp_harness.make_env ~size:20 ~seed:3 w in
-  let advice =
-    { env.advice with Advice.levels = Array.map (fun _ -> -1) env.advice.Advice.levels }
-  in
-  let env = { env with Exp_harness.advice } in
+  let advice = Exp_harness.advice env in
+  let advice = { advice with Advice.levels = Array.map (fun _ -> -1) advice.Advice.levels } in
+  let env = { env with Exp_harness.advice = Lazy.from_val advice } in
   let tel = Telemetry.create () in
   let oracle = Exp_harness.replay env (with_engine `Oracle (cfg Exp_harness.Base)) in
   let threaded =

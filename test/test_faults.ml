@@ -384,7 +384,9 @@ let test_unusable_cache_dir () =
   check ci "runs still execute"
     (Lazy.force healthy).Exp_harness.meas.Exp_harness.checksum
     r.Exp_harness.meas.Exp_harness.checksum;
-  check ci "executed, not loaded" 1 (Exp_cache.stats cache).Exp_cache.executed;
+  check ci "the advice and the run executed, not loaded" 2
+    (Exp_cache.stats cache).Exp_cache.executed;
+  check ci "nothing loaded" 0 (Exp_cache.stats cache).Exp_cache.disk_hits;
   Sys.remove file
 
 let test_store_corrupt_quarantine () =
@@ -397,16 +399,28 @@ let test_store_corrupt_quarantine () =
     (match Exp_cache.store_file cache1 config with
     | Some f -> Sys.file_exists f
     | None -> false);
-  (* a fresh cache finds the entry on disk; the plan corrupts the load *)
+  check cb "advice persisted" true
+    (Sys.file_exists (fst (Option.get (Exp_cache.advice_slot cache1))));
+  let quarantines c =
+    List.length
+      (List.filter
+         (fun (d : Dcg.parse_error) ->
+           has_substring ~sub:"quarantined" d.Dcg.reason)
+         (Exp_cache.diagnostics c))
+  in
+  (* a fresh cache finds the entries on disk; the plan corrupts every
+     load: the advice's at open, then the run's *)
   let cache2 = Exp_cache.create ~config ~cache_dir:dir (Lazy.force env) in
+  check ci "advice quarantined at open" 1 (quarantines cache2);
+  check cb "advice left to recompute" true (Exp_cache.advice_pending cache2);
   let r2 = Exp_cache.run cache2 config in
-  check ci "quarantined, recomputed" 1 (Exp_cache.stats cache2).Exp_cache.executed;
+  check (Alcotest.list Alcotest.string) "identical advice either way"
+    (Advice.to_lines (Exp_cache.resolve_advice cache1))
+    (Advice.to_lines (Exp_cache.resolve_advice cache2));
+  check ci "advice and run quarantined, recomputed" 2
+    (Exp_cache.stats cache2).Exp_cache.executed;
   check ci "no disk hit" 0 (Exp_cache.stats cache2).Exp_cache.disk_hits;
-  check cb "quarantine diagnosed" true
-    (List.exists
-       (fun (d : Dcg.parse_error) ->
-         has_substring ~sub:"quarantined" d.Dcg.reason)
-       (Exp_cache.diagnostics cache2));
+  check ci "both quarantines diagnosed" 2 (quarantines cache2);
   (match (Exp_cache.run cache2 config).Exp_harness.faults with
   | Some inj ->
       check cb "store corruption accounted" true
@@ -422,15 +436,10 @@ let test_store_corrupt_quarantine () =
     | Some (f, _) -> Sys.file_exists f
     | None -> false);
   let s2 = Exp_cache.adaptive cache2 config ~trials in
-  check ci "series quarantined, recomputed" 2
+  check ci "series quarantined, recomputed" 3
     (Exp_cache.stats cache2).Exp_cache.executed;
   check ci "still no disk hit" 0 (Exp_cache.stats cache2).Exp_cache.disk_hits;
-  check ci "both quarantines diagnosed" 2
-    (List.length
-       (List.filter
-          (fun (d : Dcg.parse_error) ->
-            has_substring ~sub:"quarantined" d.Dcg.reason)
-          (Exp_cache.diagnostics cache2)));
+  check ci "all three quarantines diagnosed" 3 (quarantines cache2);
   check (Alcotest.list ci) "identical totals either way" s1 s2;
   (* and so does the comparator entry: its runs ensured first, building
      a comparator figure quarantines the entry and recomputes it *)
@@ -451,21 +460,14 @@ let test_store_corrupt_quarantine () =
     | None -> false);
   Exp_pool.prefetch [ cache2 ] comparator_ids;
   let before = Exp_cache.stats cache2 in
-  let quarantined () =
-    List.length
-      (List.filter
-         (fun (d : Dcg.parse_error) ->
-           has_substring ~sub:"quarantined" d.Dcg.reason)
-         (Exp_cache.diagnostics cache2))
-  in
-  let q0 = quarantined () in
+  let q0 = quarantines cache2 in
   let r2 = rows cache2 in
   let after = Exp_cache.stats cache2 in
   check ci "comparator entry quarantined, recomputed" 1
     (after.Exp_cache.executed - before.Exp_cache.executed);
   check ci "comparator entry not a disk hit" 0
     (after.Exp_cache.disk_hits - before.Exp_cache.disk_hits);
-  check ci "comparator quarantine diagnosed" (q0 + 1) (quarantined ());
+  check ci "comparator quarantine diagnosed" (q0 + 1) (quarantines cache2);
   check cb "identical comparator rows either way" true (r1 = r2)
 
 let test_perturbing_plans_not_persisted () =
@@ -478,6 +480,8 @@ let test_perturbing_plans_not_persisted () =
     (Option.is_none (Exp_cache.adaptive_slot cache config ~trials:2));
   check cb "no comparator slot for a perturbing plan" true
     (Option.is_none (Exp_figures.comparators_slot cache));
+  check cb "no advice slot for a perturbing plan" true
+    (Option.is_none (Exp_cache.advice_slot cache));
   let _ = Exp_cache.run cache config in
   let _ = Exp_cache.adaptive cache config ~trials:2 in
   let _ = Exp_figures.tab_hardware [ cache ] in

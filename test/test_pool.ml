@@ -8,8 +8,11 @@
    - robustness: truncated, bit-flipped, wrong-version, stale-keyed,
      foreign-kind and legacy-text store entries are recomputed with a
      structured diagnostic, never trusted and never crashed on, for
-     adaptive series and comparator entries as for runs; a digest-valid
-     tamper is caught by the re-lint;
+     adaptive series, comparator entries and the advice as for runs; a
+     digest-valid tamper is caught by the re-lint;
+   - the advice entry: its rows round-trip for every suite workload and
+     are checked against the program, and a warm store recalls it
+     without running a warmup;
    - the memoization contract: a config runs exactly once per cache,
      disk hits included, an adaptive series is computed once, and
      values from a replay that failed verification are never persisted;
@@ -64,9 +67,12 @@ let sweep ?cache_dir ~prefetch ~jobs () =
   in
   (caches, figs)
 
+let advice_lines c = Advice.to_lines (Exp_cache.resolve_advice c)
+
 let check_same_runs msg base caches =
   List.iter2
     (fun c c' ->
+      check csl (msg ^ ": advice") (advice_lines c) (advice_lines c');
       let runs = Exp_cache.all_runs c and runs' = Exp_cache.all_runs c' in
       check csl (msg ^ ": run keys") (List.map fst runs) (List.map fst runs');
       List.iter2
@@ -124,9 +130,9 @@ let test_pool_differential () =
     (fun c ->
       let s = Exp_cache.stats c in
       check ci
-        "cold: every run, fig11's two series and the comparator entry \
-         executed"
-        (List.length (Exp_cache.all_runs c) + 3)
+        "cold: every run, fig11's two series, the comparator entry and \
+         the advice executed"
+        (List.length (Exp_cache.all_runs c) + 4)
         s.Exp_cache.executed;
       check ci "cold: no disk hits" 0 s.Exp_cache.disk_hits;
       check ci "cold: no store errors" 0 s.Exp_cache.store_errors;
@@ -147,10 +153,13 @@ let test_pool_differential () =
         (fst (List.assoc variant variants)))
     [ "warm disk cache jobs=4"; "warm disk cache jobs=1" ]
 
+(* suite_envs runs no warmup; the advice its envs resolve to is the
+   same at any job count *)
 let test_suite_envs_deterministic () =
   let envs jobs = Exp_pool.suite_envs ~scale:0.05 ~jobs ~seed:7 () in
   let repr (e : Exp_harness.env) =
-    (e.workload.Workload.name, e.size, e.seed, Advice.to_lines e.advice)
+    check cb "no warmup before the advice is needed" false (Lazy.is_val e.advice);
+    (e.workload.Workload.name, e.size, e.seed, Advice.to_lines (Exp_harness.advice e))
   in
   check cb "suite_envs independent of jobs" true
     (List.map repr (envs 1) = List.map repr (envs 3))
@@ -172,23 +181,33 @@ let rob_config =
         };
   }
 
-(* The three kinds of store entry, behind one interface so each
+(* The four kinds of store entry, behind one interface so each
    robustness case runs on all of them: [value] runs or recalls the
    entry through a cache and renders the result, after [runs] has
    ensured the cached runs it reads; [what] names the entry's format in
-   diagnostics. *)
+   diagnostics.  The advice is read when a cache opens ([at_open]); the
+   others when first asked for. *)
 type entry = {
   what : string;
   slot : Exp_cache.t -> string * string;
   runs : Exp_cache.t -> unit;
   value : Exp_cache.t -> string;
+  at_open : bool;
 }
 
 (* [e.value] on [c] and what it cost on its own: (executed, disk hits,
-   store errors) counted during [e.value], after [e.runs] *)
+   store errors) counted since [c] opened for the advice, else during
+   [e.value], after the advice and [e.runs] *)
 let measured e c =
-  e.runs c;
-  let s0 = Exp_cache.stats c in
+  let s0 =
+    if e.at_open then
+      { Exp_cache.memory_hits = 0; disk_hits = 0; executed = 0; store_errors = 0; migrated = 0 }
+    else begin
+      ignore (Exp_cache.resolve_advice c);
+      e.runs c;
+      Exp_cache.stats c
+    end
+  in
   let v = e.value c in
   let s = Exp_cache.stats c in
   ( v,
@@ -207,6 +226,7 @@ let run_entry =
       (fun c ->
         let m = (Exp_cache.run c rob_config).Exp_harness.meas in
         Printf.sprintf "%d %d %d %d" m.iter1 m.iter2 m.compile m.checksum);
+    at_open = false;
   }
 
 let series_entry =
@@ -221,6 +241,7 @@ let series_entry =
         String.concat " "
           (List.map string_of_int
              (Exp_cache.adaptive c rob_config ~trials:series_trials)));
+    at_open = false;
   }
 
 let comparator_figures =
@@ -241,9 +262,19 @@ let comparators_entry =
                String.concat " "
                  (List.concat_map (fun (_, bits) -> List.map Int64.to_string bits) rows))
              comparator_figures));
+    at_open = false;
   }
 
-let all_entries = [ run_entry; series_entry; comparators_entry ]
+let advice_entry =
+  {
+    what = "advice cache";
+    slot = (fun c -> Option.get (Exp_cache.advice_slot c));
+    runs = ignore;
+    value = (fun c -> String.concat "; " (Advice.to_lines (Exp_cache.resolve_advice c)));
+    at_open = true;
+  }
+
+let all_entries = [ run_entry; series_entry; comparators_entry; advice_entry ]
 
 (* run once against a fresh store, returning the run, its entry file
    and its composite identity key *)
@@ -357,8 +388,14 @@ let test_store_stale_program () =
       check cs (e.what ^ ": same store file") file (fst (e.slot cache'));
       (* the new program's runs are stale too: ensure them first, so
          only the entry under test is counted *)
-      e.runs cache';
-      let diags_before = List.length (Exp_cache.diagnostics cache') in
+      let diags_before =
+        if e.at_open then 0
+        else begin
+          ignore (Exp_cache.resolve_advice cache');
+          e.runs cache';
+          List.length (Exp_cache.diagnostics cache')
+        end
+      in
       let v', (executed, disk_hits, _) = measured e cache' in
       check ci (e.what ^ ": stale entry recomputed") 1 executed;
       check ci (e.what ^ ": stale entry not loaded") 0 disk_hits;
@@ -409,8 +446,9 @@ let test_store_lint_catches_valid_digest_tamper () =
   | Error e -> Alcotest.failf "tampered save failed: %s" e.Dcg.reason);
   let cache = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
   let r = Exp_cache.run cache rob_config in
-  (* the store accepted it (digest and key are fine)... *)
-  check ci "tampered entry loads" 1 (Exp_cache.stats cache).Exp_cache.disk_hits;
+  (* the store accepted it (digest and key are fine): the advice and
+     the run are both disk hits... *)
+  check ci "tampered entry loads" 2 (Exp_cache.stats cache).Exp_cache.disk_hits;
   check ci "no execution" 0 (Exp_cache.stats cache).Exp_cache.executed;
   (* ...and the re-lint flags the impossible profile *)
   check cb "re-lint catches inflated counts" true
@@ -454,8 +492,114 @@ let test_store_foreign_kind () =
     (foreign (fun key -> Exp_codec.encode ~key payload));
   recompute_after ~entries:[ comparators_entry ] ~expect
     (foreign (fun key -> Exp_codec.encode_series ~key [ 1; 2; 3 ]));
-  recompute_after ~entries:[ run_entry; series_entry ] ~expect
-    (foreign (fun key -> Exp_codec.encode_values ~key [ 1.; 2.; 3. ]))
+  recompute_after ~entries:[ run_entry; series_entry; advice_entry ] ~expect
+    (foreign (fun key -> Exp_codec.encode_values ~key [ 1.; 2.; 3. ]));
+  recompute_after ~entries:[ advice_entry ] ~expect
+    (foreign (fun key -> Exp_codec.encode ~key payload));
+  recompute_after ~entries:[ advice_entry ] ~expect
+    (foreign (fun key -> Exp_codec.encode_series ~key [ 1; 2; 3 ]));
+  let advice =
+    Result.get_ok
+      (Advice.of_rows ~n_methods:1 [ Advice.Level { meth = 0; level = 1 } ])
+  in
+  recompute_after ~entries:[ run_entry; series_entry; comparators_entry ] ~expect
+    (foreign (fun key -> Exp_codec.encode_advice ~key advice))
+
+(* the advice's identity includes the warmup's cost model: an entry
+   written under another timer is stale (the same file, since name,
+   size and seed agree), counted as a miss with a diagnostic and
+   overwritten, while the runs, replayed under the default cost, are
+   still recalled *)
+let test_store_stale_warmup_cost () =
+  let dir = fresh_dir () in
+  let first = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
+  ignore (Exp_cache.run first rob_config);
+  let env' =
+    Exp_harness.make_env
+      ~cost:(Exp_harness.compressed_cost ~tick_shrink:2)
+      ~seed:33 ~size:20 (Suite.find "compress")
+  in
+  let cache = Exp_cache.create ~cache_dir:dir env' in
+  check cs "same advice file"
+    (fst (Option.get (Exp_cache.advice_slot first)))
+    (fst (Option.get (Exp_cache.advice_slot cache)));
+  check cb "stale diagnostic at open" true
+    (diag_mentions "stale cache entry" (Exp_cache.diagnostics cache));
+  check cb "advice pending" true (Exp_cache.advice_pending cache);
+  check csl "recomputed under its own timer"
+    (Advice.to_lines (Exp_harness.warmup env'))
+    (advice_lines cache);
+  ignore (Exp_cache.run cache rob_config);
+  let s = Exp_cache.stats cache in
+  check ci "the advice executed" 1 s.Exp_cache.executed;
+  check ci "the run recalled" 1 s.Exp_cache.disk_hits;
+  check ci "one store error" 1 s.Exp_cache.store_errors;
+  let again = Exp_cache.create ~cache_dir:dir env' in
+  check ci "overwritten advice is a disk hit" 1
+    (Exp_cache.stats again).Exp_cache.disk_hits;
+  check csl "overwritten advice loads" (advice_lines cache) (advice_lines again)
+
+(* every suite workload's advice survives the binary entry row for row,
+   in fewer bytes than its text; rows naming a method the program does
+   not have are rejected as the text reader rejects them *)
+let test_advice_codec_suite () =
+  List.iter
+    (fun (e : Exp_harness.env) ->
+      let name = e.workload.Workload.name in
+      let a = Exp_harness.advice e and key = "k|" ^ name in
+      let n_methods = Program.n_methods e.program in
+      let enc = Exp_codec.encode_advice ~key a in
+      (match Exp_codec.decode_advice ~n_methods ~file:"mem" ~key enc with
+      | Ok a' ->
+          check csl (name ^ ": rows round-trip") (Advice.to_lines a)
+            (Advice.to_lines a')
+      | Error d -> Alcotest.failf "%s: advice decode failed: %s" name d.Dcg.reason);
+      check cb (name ^ ": smaller than its text") true
+        (String.length enc < String.length (String.concat "\n" (Advice.to_lines a))))
+    (Exp_pool.suite_envs ~scale:0.05 ~seed:42 ());
+  let key = "k|range" in
+  List.iter
+    (fun (what, row) ->
+      let enc =
+        Exp_codec.encode_advice ~key (Result.get_ok (Advice.of_rows ~n_methods:3 [ row ]))
+      in
+      match Exp_codec.decode_advice ~n_methods:2 ~file:"mem" ~key enc with
+      | Ok _ -> Alcotest.failf "%s for a third method accepted by two" what
+      | Error d ->
+          check cb (what ^ " out of range named") true
+            (diag_mentions "method index in range" [ d ]))
+    [
+      ("a level", Advice.Level { meth = 2; level = 1 });
+      ("edge counters", Advice.Edge { meth = 2; branch = 0; taken = 1; not_taken = 0 });
+    ]
+
+(* a traced cache over a warm store recalls the advice instead of
+   running the warmup: a disk hit, nothing executed, not one timer tick
+   on its sink once every run is recalled, and the cold advice *)
+let test_warm_advice_no_warmup () =
+  let dir = fresh_dir () in
+  let configs =
+    List.map
+      (fun profiling -> { rob_config with Exp_harness.profiling })
+      [ Exp_harness.Base; Exp_harness.pep_default; Exp_harness.Perfect_path ]
+  in
+  let cold = Exp_cache.create ~cache_dir:dir (Lazy.force rob_env) in
+  List.iter (fun c -> ignore (Exp_cache.run cold c)) configs;
+  let tel = Telemetry.create () in
+  let traced c = { c with Exp_harness.telemetry = Some tel } in
+  let env =
+    Exp_harness.make_env ~config:(traced Exp_harness.default) ~seed:33 ~size:20
+      (Suite.find "compress")
+  in
+  let warm = Exp_cache.create ~config:(traced Exp_harness.default) ~cache_dir:dir env in
+  List.iter (fun c -> ignore (Exp_cache.run warm (traced c))) configs;
+  let s = Exp_cache.stats warm in
+  check ci "the advice and every run recalled" (List.length configs + 1)
+    s.Exp_cache.disk_hits;
+  check ci "nothing executed" 0 s.Exp_cache.executed;
+  check ci "no timer tick" 0
+    (Metrics.value (Metrics.counter (Telemetry.metrics tel) "vm.ticks"));
+  check csl "the cold advice" (advice_lines cold) (advice_lines warm)
 
 (* ------------------- memoization contract ------------------- *)
 
@@ -468,7 +612,7 @@ let test_all_runs_records_once () =
   check cb "second run is the memoized first" true (r1 == r2);
   check ci "one entry after two runs" 1 (List.length (Exp_cache.all_runs a));
   let s = Exp_cache.stats a in
-  check ci "one execution" 1 s.Exp_cache.executed;
+  check ci "one execution and the advice's" 2 s.Exp_cache.executed;
   check ci "one memory hit" 1 s.Exp_cache.memory_hits;
   (* a fresh cache over the same store: the disk hit also records the
      run exactly once, with the same measurement *)
@@ -476,7 +620,7 @@ let test_all_runs_records_once () =
   let rb = Exp_cache.run b rob_config in
   check ci "one entry after disk hit" 1 (List.length (Exp_cache.all_runs b));
   let s = Exp_cache.stats b in
-  check ci "disk hit" 1 s.Exp_cache.disk_hits;
+  check ci "disk hit and the advice's" 2 s.Exp_cache.disk_hits;
   check ci "no execution" 0 s.Exp_cache.executed;
   check_meas "disk-loaded measurement" r1.Exp_harness.meas rb.Exp_harness.meas;
   (* disk-loaded checks are re-derived, not parroted from the file *)
@@ -962,6 +1106,12 @@ let suite =
       test_store_legacy_text_is_a_miss;
     Alcotest.test_case "another kind's entry is a miss" `Slow
       test_store_foreign_kind;
+    Alcotest.test_case "advice under another warmup cost is stale" `Slow
+      test_store_stale_warmup_cost;
+    Alcotest.test_case "advice rows round-trip for the suite" `Slow
+      test_advice_codec_suite;
+    Alcotest.test_case "warm store recalls the advice, no warmup" `Slow
+      test_warm_advice_no_warmup;
     Alcotest.test_case "all_runs records each run once" `Slow
       test_all_runs_records_once;
     Alcotest.test_case "adaptive series" `Slow test_adaptive_series;

@@ -308,7 +308,8 @@ let test_traced_parallel_sweep () =
     (count "\"ph\":\"i\"" j1)
     (count "\"ph\":\"i\"" j4);
   check ci "no worker rows when serial" 0 (count "worker " j1);
-  check ci "one trace thread per worker" 4 (count "\"worker " j4);
+  (* the two caches' advice stage (two workers), then the runs' four *)
+  check ci "one trace thread per worker and stage" (2 + 4) (count "\"worker " j4);
   (* merged counters equal the serial totals; the one gauge
      (vm.compile.cycles) merges as a max over workers, so it is only
      order-independent, not comparable to the serial last-write *)

@@ -162,6 +162,7 @@ let pool_repr ~jobs envs =
   let config =
     { Exp_harness.default with Exp_harness.profiling = Exp_harness.pep_default }
   in
+  List.iter (fun env -> ignore (Exp_harness.advice env)) envs;
   Exp_pool.map ~jobs
     (fun _sink (env : Exp_harness.env) ->
       let r = Exp_harness.replay env config in
