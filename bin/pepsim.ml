@@ -1451,14 +1451,10 @@ let gen_windows_arg =
           "Collection windows for the drift schedule (default: two per \
            phase, at least 6).")
 
-let gen_windows spec = function
-  | Some w -> w
-  | None -> max 6 (2 * spec.Wgen.phases)
-
 let gen_describe_cmd =
   let action s windows =
     let spec = parse_gen_spec s in
-    let windows = gen_windows spec windows in
+    let windows = Option.value windows ~default:(Wgen.default_windows spec) in
     let w = Wgen.workload spec in
     let program = Workload.program ~size:2 w in
     Printf.printf "spec:     %s\n" (Wgen.print spec);
@@ -1559,8 +1555,7 @@ let gen_accuracy_cmd =
   in
   let action s windows size seed threshold strict out =
     let spec = parse_gen_spec s in
-    let windows = gen_windows spec windows in
-    let series = Exp_drift.run_spec ~windows ~threshold ?size ~seed spec in
+    let series = Exp_drift.run_spec ?windows ~threshold ?size ~seed spec in
     Exp_figures.print (Exp_drift.figure series);
     (match out with
     | None -> ()

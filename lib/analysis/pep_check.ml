@@ -569,18 +569,14 @@ let lint_edge_profile ?(exact = true) cfg profile =
   let name = Cfg.name cfg in
   let cfg_branches = Cfg.branch_ids cfg in
   List.iter
-    (fun br ->
-      (match Edge_profile.counter profile br with
-      | Some c ->
-          if c.Edge_profile.taken < 0 || c.Edge_profile.not_taken < 0 then
-            report ctx Error (Branch_loc (name, br))
-              "negative counter (taken %d, not-taken %d)" c.Edge_profile.taken
-              c.Edge_profile.not_taken
-      | None -> ());
+    (fun (br, (taken, not_taken)) ->
+      if taken < 0 || not_taken < 0 then
+        report ctx Error (Branch_loc (name, br))
+          "negative counter (taken %d, not-taken %d)" taken not_taken;
       if not (List.mem br cfg_branches) then
         report ctx Error (Branch_loc (name, br))
           "profiled branch id not present in the CFG")
-    (Edge_profile.branch_ids profile);
+    (Edge_profile.entries profile);
   if not exact then finish ctx
   else begin
     (* per-block attribution requires unique branch ids *)

@@ -310,19 +310,19 @@ let payload_of_run (r : Exp_harness.run) =
       (match r.Exp_harness.pep with Some p -> Pep.n_samples p | None -> 0);
     pep_paths =
       (match r.Exp_harness.pep with
-      | Some p -> Path_profile.to_lines p.Pep.paths
+      | Some p -> Path_profile.rows p.Pep.paths
       | None -> []);
     pep_edges =
       (match r.Exp_harness.pep with
-      | Some p -> Edge_profile.to_lines p.Pep.edges
+      | Some p -> Edge_profile.rows p.Pep.edges
       | None -> []);
     ppaths =
       (match r.Exp_harness.ppaths with
-      | Some p -> Path_profile.to_lines p.Profiler.table
+      | Some p -> Path_profile.rows p.Profiler.table
       | None -> []);
     pedges =
       (match r.Exp_harness.pedges with
-      | Some p -> Edge_profile.to_lines p.Profiler.etable
+      | Some p -> Edge_profile.rows p.Profiler.etable
       | None -> []);
   }
 

@@ -1,12 +1,12 @@
 (* The run cache's wire format, and the binary frame both on-disk
    stores share.
 
-   A run entry is one PEPRUN frame (varint-packed profile rows, raw MD5
-   trailer); an adaptive series entry is one PEPSER frame (the per-trial
-   totals); a values entry is one PEPVAL frame (derived floats as their
-   IEEE bits); an advice entry is one PEPADV frame (the advice's rows as
-   varints).  All four embed the 16-byte MD5 of the composite
-   identity key, not the key text, so a damaged entry fails the digest
+   A run entry is one PEPRUN frame (the profile tables' rows as varints,
+   raw MD5 trailer); an adaptive series entry is one PEPSER frame (the
+   per-trial totals); a values entry is one PEPVAL frame (derived floats
+   as their IEEE bits); an advice entry is one PEPADV frame (the
+   advice's rows as varints).  All four embed the 16-byte MD5 of the
+   composite identity key, not the key text, so a damaged entry fails the digest
    check, a stale one fails the key-digest comparison, and a foreign or
    future-versioned one fails the frame checks — always a structured
    [Dcg.parse_error], never a silent miss or a crash. *)
@@ -17,10 +17,10 @@ type payload = {
   compile : int;
   checksum : int;
   n_samples : int;
-  pep_paths : string list;
-  pep_edges : string list;
-  ppaths : string list;
-  pedges : string list;
+  pep_paths : (int * int * int) list;
+  pep_edges : (int * int * int * int) list;
+  ppaths : (int * int * int) list;
+  pedges : (int * int * int * int) list;
 }
 
 (* --------------------------- binary wire --------------------------- *)
@@ -206,24 +206,20 @@ let check_key r key =
 
 (* ---------------------------- run entries -------------------------- *)
 
-(* A profile line whose fields are all integers in canonical rendering
-   is stored as a varint row; anything else (and any line whose
-   re-rendering would differ, e.g. "007" or double spaces) falls back to
-   a raw string so encode∘decode is the identity on arbitrary input. *)
-let pack_line l =
-  match String.split_on_char ' ' l with
-  | [] -> None
-  | toks -> (
-      match
-        List.map
-          (fun t -> match int_of_string_opt t with
-            | Some v when t <> "" && string_of_int v = t -> Some v
-            | _ -> None)
-          toks
-      with
-      | ints when List.for_all Option.is_some ints ->
-          Some (List.map Option.get ints)
-      | _ -> None)
+(* Each profile table is one section: a tag byte (0), the row count,
+   then each row as its arity (3 for a path, 4 for an edge) and its
+   ints.  The tag and the arities say nothing the section's position
+   does not; they keep the entries already on disk valid, and any other
+   tag or arity is rejected. *)
+let put_section w put rows =
+  Bin.byte w 0;
+  Bin.int w (List.length rows);
+  List.iter (put w) rows
+
+let put_path w (mi, pid, count) = List.iter (Bin.int w) [ 3; mi; pid; count ]
+
+let put_edge w (mi, b, taken, not_taken) =
+  List.iter (Bin.int w) [ 4; mi; b; taken; not_taken ]
 
 let encode ~key p =
   let w = Bin.frame ~magic ~version in
@@ -233,32 +229,31 @@ let encode ~key p =
   Bin.int w p.compile;
   Bin.int w p.checksum;
   Bin.int w p.n_samples;
-  let section lines =
-    let packed =
-      let rows = List.map pack_line lines in
-      if List.for_all Option.is_some rows then
-        Some (List.map Option.get rows)
-      else None
-    in
-    match packed with
-    | Some rows ->
-        Bin.byte w 0;
-        Bin.int w (List.length rows);
-        List.iter
-          (fun row ->
-            Bin.int w (List.length row);
-            List.iter (Bin.int w) row)
-          rows
-    | None ->
-        Bin.byte w 1;
-        Bin.int w (List.length lines);
-        List.iter (Bin.str w) lines
-  in
-  section p.pep_paths;
-  section p.pep_edges;
-  section p.ppaths;
-  section p.pedges;
+  put_section w put_path p.pep_paths;
+  put_section w put_edge p.pep_edges;
+  put_section w put_path p.ppaths;
+  put_section w put_edge p.pedges;
   Bin.contents_with_digest w
+
+let get_section r name arity get =
+  (match Bin.rbyte r with
+  | 0 -> ()
+  | t -> Bin.fail (Fmt.str "unknown %s section tag %d" name t));
+  List.init (Bin.rcount r) (fun _ ->
+      match Bin.rint r with
+      | n when n = arity -> get r
+      | n -> Bin.fail (Fmt.str "%s row of %d ints, want %d" name n arity))
+
+let get_path r =
+  let mi = Bin.rint r in
+  let pid = Bin.rint r in
+  (mi, pid, Bin.rint r)
+
+let get_edge r =
+  let mi = Bin.rint r in
+  let b = Bin.rint r in
+  let taken = Bin.rint r in
+  (mi, b, taken, Bin.rint r)
 
 let decode ~file ~key contents =
   Bin.check_frame ~magic ~version ~what:"cache" ~file contents (fun r ->
@@ -268,22 +263,10 @@ let decode ~file ~key contents =
       let compile = Bin.rint r in
       let checksum = Bin.rint r in
       let n_samples = Bin.rint r in
-      let section name =
-        let tag = Bin.rbyte r in
-        let k = Bin.rcount r in
-        match tag with
-        | 0 ->
-            List.init k (fun _ ->
-                String.concat " "
-                  (List.init (Bin.rcount r) (fun _ ->
-                       string_of_int (Bin.rint r))))
-        | 1 -> List.init k (fun _ -> Bin.rstr r)
-        | t -> Bin.fail (Fmt.str "unknown %s section tag %d" name t)
-      in
-      let pep_paths = section "pep.paths" in
-      let pep_edges = section "pep.edges" in
-      let ppaths = section "ppaths" in
-      let pedges = section "pedges" in
+      let pep_paths = get_section r "pep.paths" 3 get_path in
+      let pep_edges = get_section r "pep.edges" 4 get_edge in
+      let ppaths = get_section r "ppaths" 3 get_path in
+      let pedges = get_section r "pedges" 4 get_edge in
       {
         iter1;
         iter2;

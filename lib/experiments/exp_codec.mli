@@ -3,8 +3,8 @@
 
     The run cache holds four kinds of entry, all at format version 3:
     - a run entry is one [PEPRUN] frame: magic, version byte, the
-      identity key's MD5, the measurement and the four profile tables as
-      varints, then an MD5 trailer;
+      identity key's MD5, the measurement and the four profile tables'
+      rows as varints, then an MD5 trailer;
     - an adaptive series entry is one [PEPSER] frame: magic, version
       byte, the identity key's MD5, the per-trial totals as varints,
       then an MD5 trailer;
@@ -32,17 +32,19 @@
 
 (** Everything needed to rebuild an [Exp_harness.run] without executing
     the application: the measurement, the sample count, and the
-    collected profile tables in their [to_lines] serialization. *)
+    collected profile tables as rows — [(method, path id, count)] from
+    {!Path_profile.rows}, [(method, branch, taken, not-taken)] from
+    {!Edge_profile.rows}. *)
 type payload = {
   iter1 : int;
   iter2 : int;
   compile : int;
   checksum : int;
   n_samples : int;
-  pep_paths : string list;
-  pep_edges : string list;
-  ppaths : string list;
-  pedges : string list;
+  pep_paths : (int * int * int) list;
+  pep_edges : (int * int * int * int) list;
+  ppaths : (int * int * int) list;
+  pedges : (int * int * int * int) list;
 }
 
 (** Low-level binary wire format: unsigned LEB128 varints over
@@ -109,13 +111,16 @@ module Bin : sig
 end
 
 (** Full file bytes of a run entry for a payload under its identity
-    [key].  Profile lines whose fields are all integers are packed as
-    varint rows; anything else falls back to length-prefixed strings, so
-    {!decode}∘[encode] is the identity on arbitrary payloads. *)
+    [key]: each profile table is a section of a tag byte (0), the row
+    count, then each row as its arity and its ints.  {!decode}∘[encode]
+    is the identity on every payload, any ints included. *)
 val encode : key:string -> payload -> string
 
 (** Decode a run entry's bytes, verifying frame, digest, shape and
-    [key]; [file] only labels diagnostics. *)
+    [key]; [file] only labels diagnostics.  A section with another tag
+    (the retired tag 1 of raw text lines included) or a row of another
+    arity is an [Error].  The rows' values are not checked here: that is
+    {!Exp_harness.rebuild}'s job, against the program. *)
 val decode :
   file:string -> key:string -> string -> (payload, Dcg.parse_error) result
 

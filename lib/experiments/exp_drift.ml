@@ -66,9 +66,12 @@ let recovered_of ~threshold ~windows ~shifts points =
       probe (s + 1))
     shifts
 
-let run ?(samples = 64) ?(stride = 17) ?(tick_shrink = 8)
-    ?(threshold = default_threshold) ?size ?(seed = 42) ~schedule
-    (w : Workload.t) =
+(* PEP(64,17) under a timer compressed 8x, like the fleet collector's *)
+let samples = 64
+let stride = 17
+let tick_shrink = 8
+
+let run ~threshold ?size ~seed ~schedule (w : Workload.t) =
   let cost = Exp_harness.compressed_cost ~tick_shrink in
   (* phase-0 adaptive warmup: the advice every window replays against *)
   let env = Exp_harness.make_env ~cost ?size ~seed w in
@@ -147,14 +150,9 @@ let run ?(samples = 64) ?(stride = 17) ?(tick_shrink = 8)
     recovered = recovered_of ~threshold ~windows ~shifts points;
   }
 
-let run_spec ?windows ?samples ?stride ?tick_shrink ?threshold ?size ?seed spec
-    =
-  (* two windows per phase minimum, so every shift has a recovery
-     window before the next one *)
-  let windows =
-    match windows with Some w -> w | None -> max 6 (2 * spec.Wgen.phases)
-  in
-  run ?samples ?stride ?tick_shrink ?threshold ?size ?seed
+let run_spec ?windows ?(threshold = default_threshold) ?size ?(seed = 42) spec =
+  let windows = Option.value windows ~default:(Wgen.default_windows spec) in
+  run ~threshold ?size ~seed
     ~schedule:(Wgen.schedule spec ~windows)
     (Wgen.workload spec)
 

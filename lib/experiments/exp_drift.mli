@@ -49,30 +49,13 @@ type series = {
 (** The stated recovery threshold (0.80). *)
 val default_threshold : float
 
-(** Run the windowed series.  [schedule] gives the phase for each
-    window (see {!Wgen.schedule}); its length fixes the window count.
-    [tick_shrink] compresses the sampling timer like the fleet
-    collector (default 8); [size]/[seed] default to the workload's
-    default size and 42. *)
-val run :
-  ?samples:int ->
-  ?stride:int ->
-  ?tick_shrink:int ->
-  ?threshold:float ->
-  ?size:int ->
-  ?seed:int ->
-  schedule:int list ->
-  Workload.t ->
-  series
-
-(** [run] over a generated spec with its canonical {!Wgen.schedule}.
-    [windows] defaults to [max 6 (2 * phases)] so every shift is
-    followed by at least one same-phase recovery window. *)
+(** Run the windowed series over a generated spec: PEP(64,17) under a
+    sampling timer compressed 8x, like the fleet collector's, for
+    [windows] windows (default {!Wgen.default_windows}) of the spec's
+    canonical {!Wgen.schedule}.  [size]/[seed] default to the
+    workload's default size and 42. *)
 val run_spec :
   ?windows:int ->
-  ?samples:int ->
-  ?stride:int ->
-  ?tick_shrink:int ->
   ?threshold:float ->
   ?size:int ->
   ?seed:int ->

@@ -378,11 +378,13 @@ let replay ?faults env config =
    application.  Replay compilation is execution-order-independent (the
    advice fixes the opt profile and the call graph), so [precompile]
    yields the same compiled bodies, plans and transform counts as the
-   lazy compilation of a live run; the profile tables are then restored
-   from their serialized lines and re-linted from scratch — nothing
-   recorded on disk is trusted beyond the raw counts.  [Error reason]
-   means the payload does not fit the configuration (wrong sections,
-   unparseable lines): callers fall back to executing. *)
+   lazy compilation of a live run; the profile tables are then refilled
+   from their rows through the [add_row] checks the text readers apply
+   and re-linted from scratch — nothing recorded on disk is trusted
+   beyond the raw counts.  [Error reason] means the payload does not
+   fit the configuration (wrong sections, rows naming no method of the
+   program or holding impossible counts): callers fall back to
+   executing. *)
 let rebuild ?faults env config (p : Exp_store.payload) =
   let faults =
     match faults with Some _ as f -> f | None -> injector_of config
@@ -393,14 +395,22 @@ let rebuild ?faults env config (p : Exp_store.payload) =
   let extra, driver = setup_replay ~faults env config in
   Driver.precompile driver;
   let exception Bad of string in
-  let fill what parse lines =
-    List.iter
-      (fun line ->
-        match parse line with
+  let paths what tbl =
+    List.iter (fun (mi, pid, count) ->
+        match Path_profile.add_row tbl mi pid ~count with
         | Ok () -> ()
         | Error reason ->
-            raise (Bad (Fmt.str "%s: %s (line %S)" what reason line)))
-      lines
+            raise (Bad (Fmt.str "%s: %s (row %d %d %d)" what reason mi pid count)))
+  in
+  let edges what tbl =
+    List.iter (fun (mi, b, taken, not_taken) ->
+        match Edge_profile.add_row tbl mi b ~taken ~not_taken with
+        | Ok () -> ()
+        | Error reason ->
+            raise
+              (Bad
+                 (Fmt.str "%s: %s (row %d %d %d %d)" what reason mi b taken
+                    not_taken)))
   in
   let want what = function
     | [] -> ()
@@ -411,18 +421,16 @@ let rebuild ?faults env config (p : Exp_store.payload) =
   match
     (match Driver.pep driver with
     | Some pp ->
-        fill "pep.paths" (Path_profile.parse_line pp.Pep.paths) p.Exp_store.pep_paths;
-        fill "pep.edges" (Edge_profile.parse_line pp.Pep.edges) p.Exp_store.pep_edges
+        paths "pep.paths" pp.Pep.paths p.Exp_store.pep_paths;
+        edges "pep.edges" pp.Pep.edges p.Exp_store.pep_edges
     | None ->
         want "pep.paths" p.Exp_store.pep_paths;
         want "pep.edges" p.Exp_store.pep_edges);
     (match extra with
-    | Some (`Path pr) ->
-        fill "ppaths" (Path_profile.parse_line pr.Profiler.table) p.Exp_store.ppaths
+    | Some (`Path pr) -> paths "ppaths" pr.Profiler.table p.Exp_store.ppaths
     | _ -> want "ppaths" p.Exp_store.ppaths);
     (match extra with
-    | Some (`Edge pr) ->
-        fill "pedges" (Edge_profile.parse_line pr.Profiler.etable) p.Exp_store.pedges
+    | Some (`Edge pr) -> edges "pedges" pr.Profiler.etable p.Exp_store.pedges
     | _ -> want "pedges" p.Exp_store.pedges)
   with
   | () ->

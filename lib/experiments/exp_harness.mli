@@ -167,13 +167,16 @@ val replay : ?faults:Fault_injector.t -> env -> config -> run
     persisted payload, without executing the application: the driver is
     {!Driver.precompile}d (replay compilation is independent of
     execution order, so compiled bodies, plans and transforms are
-    identical to a live run's), the profile tables restored from their
-    serialized lines, and [checks] re-linted from scratch — raw counts
-    are the only thing taken from disk.  [Error reason] means the
-    payload does not fit the configuration; callers fall back to
-    executing.  Not supported (by construction never persisted) for
-    [From_pep] opt-profiles, whose compilation consults live sampler
-    state. *)
+    identical to a live run's), the profile tables refilled from their
+    rows by {!Path_profile.add_row} and {!Edge_profile.add_row} (the
+    checks the text readers apply), and [checks] re-linted from scratch
+    — raw counts are the only thing taken from disk.  [Error reason]
+    means the payload does not fit the configuration (a section it
+    never collects, a row naming no method of the program, a negative
+    path id, a path count below 1, a negative edge counter); callers
+    fall back to executing.  Not supported (by construction never
+    persisted) for [From_pep] opt-profiles, whose compilation consults
+    live sampler state. *)
 val rebuild :
   ?faults:Fault_injector.t -> env -> config -> Exp_store.payload -> (run, string) result
 

@@ -21,10 +21,10 @@ type payload = Exp_codec.payload = {
   compile : int;
   checksum : int;
   n_samples : int;
-  pep_paths : string list;
-  pep_edges : string list;
-  ppaths : string list;
-  pedges : string list;
+  pep_paths : (int * int * int) list;
+  pep_edges : (int * int * int * int) list;
+  ppaths : (int * int * int) list;
+  pedges : (int * int * int * int) list;
 }
 
 (** [filename ~dir file_key] is the store path for a run, series,

@@ -152,16 +152,6 @@ let delta4 cur rows =
     rows;
   Array.of_list (List.rev !out)
 
-let cumulative_edges (pep : Pep.t) =
-  let rows = ref [] in
-  Array.iteri
-    (fun mi prof ->
-      List.iter
-        (fun (br, (tk, nt)) -> rows := (mi, br, tk, nt) :: !rows)
-        (Edge_profile.entries prof))
-    pep.Pep.edges;
-  List.sort compare !rows
-
 let cumulative_dcg dcg = List.sort compare (Dcg.edges dcg)
 
 (* Run one instance through every window, returning its raw segments
@@ -232,7 +222,7 @@ let run_instance spec ~program ~advice ?faults instance =
           ignore (Driver.run driver);
           let end_cycle = st.Machine.cycles in
           let paths = delta3 cursors.c_paths (Path_profile.rows pep.Pep.paths) in
-          let edges = delta4 cursors.c_edges (cumulative_edges pep) in
+          let edges = delta4 cursors.c_edges (Edge_profile.rows pep.Pep.edges) in
           let dcg = delta3 cursors.c_dcg (cumulative_dcg (Driver.dcg driver)) in
           let total_samples = Pep.n_samples pep in
           let samples = max 0 (total_samples - cursors.c_samples) in

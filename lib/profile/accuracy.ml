@@ -52,46 +52,32 @@ let wall_path_accuracy ?(threshold = 0.00125) ~n_branches ~actual ~estimated ()
 let relative_overlap ~(actual : Edge_profile.table)
     ~(estimated : Edge_profile.table) =
   let weighted = ref 0. and weight = ref 0. in
-  Array.iteri
-    (fun mi prof ->
-      List.iter
-        (fun b ->
-          let freq = Edge_profile.freq prof b in
-          if freq > 0 then begin
-            match Edge_profile.bias prof b with
-            | None -> ()
-            | Some bias_a ->
-                let bias_e =
-                  Option.value ~default:0.5
-                    (Edge_profile.bias estimated.(mi) b)
-                in
-                let acc_b = 1. -. Float.abs (bias_a -. bias_e) in
-                weighted := !weighted +. (float_of_int freq *. acc_b);
-                weight := !weight +. float_of_int freq
-          end)
-        (Edge_profile.branch_ids prof))
-    actual;
+  List.iter
+    (fun (mi, b, taken, not_taken) ->
+      let freq = taken + not_taken in
+      if freq > 0 then begin
+        let bias_a = float_of_int taken /. float_of_int freq in
+        let bias_e =
+          Option.value ~default:0.5 (Edge_profile.bias estimated.(mi) b)
+        in
+        let acc_b = 1. -. Float.abs (bias_a -. bias_e) in
+        weighted := !weighted +. (float_of_int freq *. acc_b);
+        weight := !weight +. float_of_int freq
+      end)
+    (Edge_profile.rows actual);
   if !weight <= 0. then 1.0 else !weighted /. !weight
 
 let normalized_weights (table : Edge_profile.table) =
   let total = float_of_int (Edge_profile.table_total table) in
   let weights = Hashtbl.create 256 in
   if total > 0. then
-    Array.iteri
-      (fun mi prof ->
-        List.iter
-          (fun b ->
-            match Edge_profile.counter prof b with
-            | None -> ()
-            | Some c ->
-                if c.Edge_profile.taken > 0 then
-                  Hashtbl.replace weights (mi, b, true)
-                    (float_of_int c.taken /. total);
-                if c.not_taken > 0 then
-                  Hashtbl.replace weights (mi, b, false)
-                    (float_of_int c.not_taken /. total))
-          (Edge_profile.branch_ids prof))
-      table;
+    List.iter
+      (fun (mi, b, taken, not_taken) ->
+        if taken > 0 then
+          Hashtbl.replace weights (mi, b, true) (float_of_int taken /. total);
+        if not_taken > 0 then
+          Hashtbl.replace weights (mi, b, false) (float_of_int not_taken /. total))
+      (Edge_profile.rows table);
   weights
 
 let absolute_overlap ~(actual : Edge_profile.table)

@@ -91,19 +91,20 @@ let flip_table tbl = Array.map flip tbl
 let table_total tbl = Array.fold_left (fun acc t -> acc + total t) 0 tbl
 let table_overflow tbl = Array.fold_left (fun acc t -> acc + overflow t) 0 tbl
 
+let rows tbl =
+  List.concat
+    (Array.to_list
+       (Array.mapi
+          (fun mi t ->
+            List.map
+              (fun (b, (taken, not_taken)) -> (mi, b, taken, not_taken))
+              (entries t))
+          tbl))
+
 let to_lines tbl =
-  let lines = ref [] in
-  Array.iteri
-    (fun mi t ->
-      List.iter
-        (fun b ->
-          match Hashtbl.find_opt t.tbl b with
-          | Some c ->
-              lines := Fmt.str "%d %d %d %d" mi b c.taken c.not_taken :: !lines
-          | None -> ())
-        (branch_ids t))
-    tbl;
-  List.rev !lines
+  List.map
+    (fun (mi, b, taken, not_taken) -> Fmt.str "%d %d %d %d" mi b taken not_taken)
+    (rows tbl)
 
 let add_row tbl mi b ~taken ~not_taken =
   if mi >= 0 && mi < Array.length tbl && taken >= 0 && not_taken >= 0 then begin
@@ -144,9 +145,7 @@ let of_lines ~n_methods lines =
 let pp ppf t =
   Fmt.pf ppf "@[<v>";
   List.iter
-    (fun b ->
-      match Hashtbl.find_opt t.tbl b with
-      | Some c -> Fmt.pf ppf "br%d: taken=%d not-taken=%d@," b c.taken c.not_taken
-      | None -> ())
-    (branch_ids t);
+    (fun (b, (taken, not_taken)) ->
+      Fmt.pf ppf "br%d: taken=%d not-taken=%d@," b taken not_taken)
+    (entries t);
   Fmt.pf ppf "@]"

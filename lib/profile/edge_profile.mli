@@ -39,8 +39,7 @@ val bias : t -> Cfg.branch_id -> float option
 val branch_ids : t -> Cfg.branch_id list
 
 (** [(branch, (taken, not_taken))] for every branch seen, sorted by
-    branch id — the deterministic bulk accessor the fleet collector
-    diffs consecutive snapshots with. *)
+    branch id. *)
 val entries : t -> (Cfg.branch_id * (int * int)) list
 
 val total : t -> int
@@ -62,23 +61,29 @@ val table_total : table -> int
 (** Total dropped updates across the table. *)
 val table_overflow : table -> int
 
-(** One line per branch: ["<method-index> <branch> <taken> <not-taken>"].
-    [of_lines] is its inverse.
+(** [(method index, branch, taken, not-taken)] of every branch seen,
+    by method, then by branch id: the table's contents as the run cache
+    stores them, an advice lists them and the fleet collector diffs
+    them. *)
+val rows : table -> (int * Cfg.branch_id * int * int) list
+
+(** {!rows} rendered, one line per row: ["<method-index> <branch>
+    <taken> <not-taken>"].  [of_lines] is its inverse.
     @raise Failure on malformed input. *)
 val to_lines : table -> string list
 
 val of_lines : n_methods:int -> string list -> table
 
-(** Parse one serialized line into [tbl] (blank lines are ignored);
-    [Error reason] leaves [tbl] unchanged.  Lets callers that track
-    their own line numbers (e.g. [Advice.of_lines]) report structured
-    errors instead of the [Failure] that {!of_lines} raises. *)
+(** Parse one serialized line into [tbl] by {!add_row} (blank lines are
+    ignored); [Error reason] leaves [tbl] unchanged.  Lets callers that
+    track their own line numbers report structured errors instead of
+    the [Failure] that {!of_lines} raises. *)
 val parse_line : table -> string -> (unit, string) result
 
-(** [add_row tbl mi b ~taken ~not_taken] adds one parsed line's counts:
-    the checks and the update {!parse_line} applies to
-    ["<mi> <b> <taken> <not-taken>"], for readers that hold the numbers
-    already (the run cache's binary advice entries). *)
+(** [add_row tbl mi b ~taken ~not_taken] adds one row's counts to
+    method [mi]'s counter for branch [b], after the checks every reader
+    applies: [mi] names a method of [tbl] and both counts are
+    non-negative.  [Error reason] leaves [tbl] unchanged. *)
 val add_row :
   table -> int -> Cfg.branch_id -> taken:int -> not_taken:int -> (unit, string) result
 

@@ -72,29 +72,28 @@ let table_total tbl = Array.fold_left (fun acc t -> acc + total t) 0 tbl
 let table_overflow tbl = Array.fold_left (fun acc t -> acc + overflow t) 0 tbl
 
 let rows tbl =
-  let rows = ref [] in
-  Array.iteri
-    (fun mi t ->
-      iter (fun e -> if e.count > 0 then rows := (mi, e.path_id, e.count) :: !rows) t)
-    tbl;
-  List.sort compare !rows
+  List.concat
+    (Array.to_list
+       (Array.mapi
+          (fun mi t ->
+            List.filter_map
+              (fun e -> if e.count > 0 then Some (mi, e.path_id, e.count) else None)
+              (entries t))
+          tbl))
 
 let to_lines tbl =
-  let lines = ref [] in
-  Array.iteri
-    (fun mi t ->
-      List.iter
-        (fun e ->
-          if e.count > 0 then
-            lines := Fmt.str "%d %d %d" mi e.path_id e.count :: !lines)
-        (entries t))
-    tbl;
-  List.rev !lines
+  List.map (fun (mi, pid, count) -> Fmt.str "%d %d %d" mi pid count) (rows tbl)
+
+let bad_row = "expected a method index in range, a path id >= 0 and a count > 0"
+
+let add_row tbl mi pid ~count =
+  if mi >= 0 && mi < Array.length tbl && pid >= 0 && count > 0 then begin
+    add tbl.(mi) pid count;
+    Ok ()
+  end
+  else Error bad_row
 
 let parse_line tbl line =
-  let bad () =
-    Error "expected \"<method-index> <path-id> <count>\" with count > 0"
-  in
   if String.trim line = "" then Ok ()
   else
     match String.split_on_char ' ' (String.trim line) with
@@ -102,12 +101,9 @@ let parse_line tbl line =
         match
           (int_of_string_opt mi, int_of_string_opt pid, int_of_string_opt count)
         with
-        | Some mi, Some pid, Some count
-          when mi >= 0 && mi < Array.length tbl && pid >= 0 && count > 0 ->
-            add tbl.(mi) pid count;
-            Ok ()
-        | _ -> bad ())
-    | _ -> bad ()
+        | Some mi, Some pid, Some count -> add_row tbl mi pid ~count
+        | _ -> Error bad_row)
+    | _ -> Error "expected \"<method-index> <path-id> <count>\""
 
 let of_lines ~n_methods lines =
   let tbl = create_table ~n_methods in

@@ -65,20 +65,29 @@ val table_total : table -> int
 val table_overflow : table -> int
 
 (** [(method index, path id, count)] of every path with a positive
-    count, sorted. *)
+    count, by method, then by path id: the table's contents as the run
+    cache stores them and the fleet collector diffs them. *)
 val rows : table -> (int * int * int) list
 
-(** One line per path: ["<method-index> <path-id> <count>"] (memoized
-    expansions are not serialized; they are re-derivable from the
-    P-DAG).  [of_lines] is the inverse.
+(** [add_row tbl mi path_id ~count] adds one row's count to method
+    [mi]'s table, after the checks every reader applies: [mi] names a
+    method of [tbl], [path_id >= 0] and [count > 0].  [Error reason]
+    leaves [tbl] unchanged.  A full table drops the update as {!add}
+    does (still [Ok]). *)
+val add_row : table -> int -> int -> count:int -> (unit, string) result
+
+(** {!rows} rendered, one line per row: ["<method-index> <path-id>
+    <count>"] (memoized expansions are not serialized; they are
+    re-derivable from the P-DAG).  [of_lines] is the inverse.
     @raise Failure on malformed input. *)
 val to_lines : table -> string list
 
 val of_lines : n_methods:int -> string list -> table
 
-(** Parse one serialized line into an existing table (blank lines are
-    ignored).  The structured-error twin of {!of_lines}, for callers
-    that need per-line diagnostics instead of exceptions. *)
+(** Parse one serialized line into an existing table by {!add_row}
+    (blank lines are ignored).  The structured-error twin of
+    {!of_lines}, for callers that need per-line diagnostics instead of
+    exceptions. *)
 val parse_line : table -> string -> (unit, string) result
 
 val pp : t Fmt.t

@@ -13,15 +13,9 @@ let rows t =
     Array.to_list (Array.mapi (fun meth level -> Level { meth; level }) t.levels)
   in
   let edges =
-    List.concat
-      (Array.to_list
-         (Array.mapi
-            (fun meth ep ->
-              List.map
-                (fun (branch, (taken, not_taken)) ->
-                  Edge { meth; branch; taken; not_taken })
-                (Edge_profile.entries ep))
-            t.profile))
+    List.map
+      (fun (meth, branch, taken, not_taken) -> Edge { meth; branch; taken; not_taken })
+      (Edge_profile.rows t.profile)
   in
   let calls =
     List.map
@@ -72,28 +66,38 @@ let of_rows ?file ~n_methods rows =
   in
   go 1 rows
 
+(* One non-blank line of text as its row: the keyword, then exactly
+   the row's numbers. *)
+let row_of_line line =
+  let ints rest = List.map int_of_string_opt rest in
+  match String.split_on_char ' ' line with
+  | "level" :: rest -> (
+      match ints rest with
+      | [ Some meth; Some level ] -> Ok (Level { meth; level })
+      | _ -> Error "expected \"level <method> <level>\"")
+  | "edge" :: rest -> (
+      match ints rest with
+      | [ Some meth; Some branch; Some taken; Some not_taken ] ->
+          Ok (Edge { meth; branch; taken; not_taken })
+      | _ -> Error "expected \"edge <method> <branch> <taken> <not-taken>\"")
+  | "dcg" :: rest -> (
+      match ints rest with
+      | [ Some caller; Some callee; Some weight ] ->
+          Ok (Call { caller; callee; weight })
+      | _ -> Error "expected \"dcg <caller> <callee> <weight>\"")
+  | _ -> Error "expected \"level\", \"edge\" or \"dcg\""
+
 let of_lines ?file ~n_methods lines =
   let t = empty ~n_methods in
-  (* Parse line by line (rather than batching the "edge"/"dcg" payloads
-     into the sub-parsers) so an error points at its line in the file. *)
+  (* line by line, so an error points at its line in the file *)
   let rec go n = function
     | [] -> Ok t
     | raw :: rest -> (
         let line = String.trim raw in
-        let parsed =
-          if line = "" then Ok ()
-          else
-            match String.split_on_char ' ' line with
-            | "level" :: mi :: l :: [] -> (
-                match (int_of_string_opt mi, int_of_string_opt l) with
-                | Some meth, Some level -> add_row t (Level { meth; level })
-                | _ -> Error "expected a method index in range and a level")
-            | "edge" :: rest ->
-                Edge_profile.parse_line t.profile (String.concat " " rest)
-            | "dcg" :: rest -> Dcg.parse_line t.dcg (String.concat " " rest)
-            | _ -> Error "expected \"level\", \"edge\" or \"dcg\""
+        let added =
+          if line = "" then Ok () else Result.bind (row_of_line line) (add_row t)
         in
-        match parsed with
+        match added with
         | Ok () -> go (n + 1) rest
         | Error reason -> Error { Dcg.file; line = n; text = line; reason })
   in

@@ -41,8 +41,11 @@ val of_rows :
 (** Textual round-trip, for writing advice next to benchmark results. *)
 val to_lines : t -> string list
 
-(** Parse a serialized advice file.  A malformed line yields a
-    {!Dcg.parse_error} naming the file (when given), the 1-based line
-    number, the offending text and the reason. *)
+(** Parse a serialized advice file.  Each non-blank line is exactly
+    one {!row}: its keyword, then exactly that row's numbers ([edge]
+    with no numbers, or with three, is malformed).  Every row then
+    passes the checks {!of_rows} applies.  A malformed or rejected line
+    yields a {!Dcg.parse_error} naming the file (when given), the
+    1-based line number, the offending text and the reason. *)
 val of_lines :
   ?file:string -> n_methods:int -> string list -> (t, Dcg.parse_error) result

@@ -138,6 +138,8 @@ let schedule spec ~windows =
   List.init (max 0 windows) (fun w ->
       if windows <= 1 then 0 else min (spec.phases - 1) (w * spec.phases / windows))
 
+let default_windows spec = max 6 (2 * spec.phases)
+
 let shifts spec ~windows =
   let sched = Array.of_list (schedule spec ~windows) in
   List.filter

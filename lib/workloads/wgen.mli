@@ -81,6 +81,11 @@ val resolve : string -> (Workload.t, error) result
     default drift cohort).  Always [phases - 1] by the last window. *)
 val schedule : spec -> windows:int -> int list
 
+(** The window count a drift series runs by default: two per phase, at
+    least 6, so every shift is followed by a same-phase recovery
+    window. *)
+val default_windows : spec -> int
+
 (** The windows at which [schedule] changes phase (the shift
     boundaries an accuracy-over-time series must recover after). *)
 val shifts : spec -> windows:int -> int list

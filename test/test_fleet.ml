@@ -600,9 +600,8 @@ let prop_segment_codec =
                 compile = 0;
                 checksum = 0;
                 n_samples = s.Fleet_store.samples;
-                pep_paths =
-                  List.map (fun (a, b, c) -> Fmt.str "%d %d %d" a b c) rows3;
-                pep_edges = [];
+                pep_paths = rows3;
+                pep_edges = rows4;
                 ppaths = [];
                 pedges = [];
               }

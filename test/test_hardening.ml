@@ -190,6 +190,10 @@ let test_advice_bad_lines () =
       (1, [ "dcg a b c" ]);
       (1, [ "wat" ]);
       (3, [ "level 0 2"; ""; "level 9 1" ]);
+      (* a keyword without its numbers, or with too few, is no row *)
+      (2, [ "level 0 1"; "edge" ]);
+      (2, [ "level 0 1"; "dcg" ]);
+      (2, [ "level 0 1"; "edge 0 0" ]);
     ]
 
 let suite =

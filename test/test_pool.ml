@@ -9,7 +9,9 @@
      foreign-kind and legacy-text store entries are recomputed with a
      structured diagnostic, never trusted and never crashed on, for
      adaptive series, comparator entries and the advice as for runs; a
-     digest-valid tamper is caught by the re-lint;
+     digest-valid tamper is caught by the re-lint, and a digest-valid
+     run entry whose rows do not fit the program or the format is
+     recomputed;
    - the advice entry: its rows round-trip for every suite workload and
      are checked against the program, and a warm store recalls it
      without running a warmup;
@@ -17,9 +19,10 @@
      disk hits included, an adaptive series is computed once, and
      values from a replay that failed verification are never persisted;
    - config_key injectivity over randomized configurations, the run,
-     series and values codecs' round trips (every float bit included)
-     and their rejection of damaged or foreign frames (each other's
-     included), and the store's save/load round-trip (QCheck). *)
+     series and values codecs' round trips (rows of any ints, every
+     float bit included) and their rejection of damaged or foreign
+     frames (each other's included), and the store's save/load
+     round-trip (QCheck). *)
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -224,8 +227,12 @@ let run_entry =
     runs = ignore;
     value =
       (fun c ->
-        let m = (Exp_cache.run c rob_config).Exp_harness.meas in
-        Printf.sprintf "%d %d %d %d" m.iter1 m.iter2 m.compile m.checksum);
+        let r = Exp_cache.run c rob_config in
+        let m = r.Exp_harness.meas and pep = Option.get r.Exp_harness.pep in
+        String.concat "; "
+          (Printf.sprintf "%d %d %d %d" m.iter1 m.iter2 m.compile m.checksum
+          :: Path_profile.to_lines pep.Pep.paths
+          @ Edge_profile.to_lines pep.Pep.edges));
     at_open = false;
   }
 
@@ -411,6 +418,12 @@ let test_store_stale_program () =
       check ci (e.what ^ ": overwritten entry is a disk hit") 1 disk_hits)
     all_entries
 
+let load_payload file key =
+  match Exp_store.load ~file ~key with
+  | Ok (Some p) -> p
+  | Ok None -> Alcotest.fail "entry vanished"
+  | Error e -> Alcotest.failf "entry unreadable: %s" e.Dcg.reason
+
 (* a tamper that keeps the digest valid (counts inflated, trailer
    recomputed) passes the store's checks — and must then be caught by
    the re-lint, because disk-loaded profiles are never trusted *)
@@ -421,26 +434,12 @@ let test_store_lint_catches_valid_digest_tamper () =
     (Pep_check.has_errors orig.Exp_harness.checks);
   (* decode the entry, inflate the first recorded path count far past
      the sample bound, and re-save — digest and key both valid *)
-  let p =
-    match Exp_store.load ~file ~key with
-    | Ok (Some p) -> p
-    | Ok None -> Alcotest.fail "entry vanished"
-    | Error e -> Alcotest.failf "entry unreadable: %s" e.Dcg.reason
-  in
-  let inflated = ref false in
+  let p = load_payload file key in
   let pep_paths =
-    List.map
-      (fun l ->
-        if !inflated then l
-        else begin
-          inflated := true;
-          match String.split_on_char ' ' l with
-          | [ mi; pid; _count ] -> Printf.sprintf "%s %s %d" mi pid 1_000_000
-          | _ -> Alcotest.failf "unexpected pep.paths line %S" l
-        end)
-      p.Exp_store.pep_paths
+    match p.Exp_store.pep_paths with
+    | (mi, pid, _count) :: rest -> (mi, pid, 1_000_000) :: rest
+    | [] -> Alcotest.fail "no pep.paths row to inflate"
   in
-  check cb "inflated a count" true !inflated;
   (match Exp_store.save ~file ~key { p with Exp_store.pep_paths } with
   | Ok () -> ()
   | Error e -> Alcotest.failf "tampered save failed: %s" e.Dcg.reason);
@@ -504,6 +503,104 @@ let test_store_foreign_kind () =
   in
   recompute_after ~entries:[ run_entry; series_entry; comparators_entry ] ~expect
     (foreign (fun key -> Exp_codec.encode_advice ~key advice))
+
+(* A run frame written by hand: the payload's measurement, then one
+   section per [put] — for entries the encoder cannot produce. *)
+let forge_run ~key (p : Exp_store.payload) sections =
+  let module B = Exp_codec.Bin in
+  let w = B.frame ~magic:"PEPRUN" ~version:3 in
+  B.str w (Digest.string key);
+  List.iter (B.int w) [ p.iter1; p.iter2; p.compile; p.checksum; p.n_samples ];
+  List.iter (fun put -> put w) sections;
+  B.contents_with_digest w
+
+(* a section of tag 0: each row as its arity and its ints *)
+let packed rows w =
+  let module B = Exp_codec.Bin in
+  B.byte w 0;
+  B.int w (List.length rows);
+  List.iter
+    (fun row ->
+      B.int w (List.length row);
+      List.iter (B.int w) row)
+    rows
+
+let path_ints = List.map (fun (a, b, c) -> [ a; b; c ])
+let edge_ints = List.map (fun (a, b, c, d) -> [ a; b; c; d ])
+
+(* digest-valid run entries under the right key whose rows do not fit —
+   a method past the program, a path count of 0, a section the
+   configuration never collects, the retired raw-text section (tag 1),
+   a path row of four ints — are each one store error naming the fault
+   and one execution, never a disk hit *)
+let test_store_rows_that_do_not_fit () =
+  let n_methods = Program.n_methods (Lazy.force rob_env).Exp_harness.program in
+  let resave edit file key =
+    match Exp_store.save ~file ~key (edit (load_payload file key)) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "forged save failed: %s" e.Dcg.reason
+  in
+  let first_path f (p : Exp_store.payload) =
+    match p.Exp_store.pep_paths with
+    | row :: rest -> { p with Exp_store.pep_paths = f row :: rest }
+    | [] -> Alcotest.fail "no pep.paths row"
+  in
+  let forge sections file key =
+    let p = load_payload file key in
+    write_all file (forge_run ~key p (sections p))
+  in
+  let cases =
+    [
+      ( "method index in range",
+        resave (first_path (fun (_, pid, c) -> (n_methods, pid, c))) );
+      ("count > 0", resave (first_path (fun (mi, pid, _) -> (mi, pid, 0))));
+      ( "payload has a ppaths section",
+        resave (fun p -> { p with Exp_store.ppaths = [ (0, 0, 1) ] }) );
+      ( "unknown pep.paths section tag 1",
+        forge (fun p ->
+            let module B = Exp_codec.Bin in
+            [
+              (fun w ->
+                B.byte w 1;
+                B.int w (List.length p.Exp_store.pep_paths);
+                List.iter
+                  (fun (a, b, c) -> B.str w (Printf.sprintf "%d %d %d" a b c))
+                  p.Exp_store.pep_paths);
+              packed (edge_ints p.Exp_store.pep_edges);
+              packed [];
+              packed [];
+            ]) );
+      ( "pep.paths row of 4 ints, want 3",
+        forge (fun p ->
+            [
+              packed
+                (match path_ints p.Exp_store.pep_paths with
+                | row :: rest -> (row @ [ 1 ]) :: rest
+                | [] -> Alcotest.fail "no pep.paths row");
+              packed (edge_ints p.Exp_store.pep_edges);
+              packed [];
+              packed [];
+            ]) );
+    ]
+  in
+  List.iter
+    (fun (expect, corrupt) ->
+      recompute_after ~entries:[ run_entry ] ~expect:(fun _ -> expect) corrupt)
+    cases;
+  (* the hand-written frame of an untouched payload is the stored file,
+     byte for byte: the forgeries above differ from it only as named *)
+  let _, file, key = populate (fresh_dir ()) in
+  let stored = read_all file in
+  forge
+    (fun p ->
+      [
+        packed (path_ints p.Exp_store.pep_paths);
+        packed (edge_ints p.Exp_store.pep_edges);
+        packed [];
+        packed [];
+      ])
+    file key;
+  check cs "hand-written frame = stored bytes" stored (read_all file)
 
 (* the advice's identity includes the warmup's cost model: an entry
    written under another timer is stale (the same file, since name,
@@ -833,7 +930,7 @@ let same_opt a b =
   | Driver.From_pep, Driver.From_pep ->
       true
   | Driver.Fixed ta, Driver.Fixed tb ->
-      Edge_profile.to_lines ta = Edge_profile.to_lines tb
+      Edge_profile.rows ta = Edge_profile.rows tb
   | _ -> false
 
 (* plans compare by canonical key: two plans the key cannot tell apart
@@ -846,18 +943,18 @@ let same_config (a : Exp_harness.config) (b : Exp_harness.config) =
   && Fault_plan.key a.faults = Fault_plan.key b.faults
 
 (* a structurally-equal but physically-distinct copy (fixed tables
-   rebuilt through the parse_line round trip) *)
+   rebuilt from their rows) *)
 let copy_config (c : Exp_harness.config) =
   match c.opt_profile with
   | Driver.From_baseline | Driver.From_pep -> c
   | Driver.Fixed t ->
       let t' = Edge_profile.create_table ~n_methods:(Array.length t) in
       List.iter
-        (fun l ->
-          match Edge_profile.parse_line t' l with
+        (fun (mi, b, taken, not_taken) ->
+          match Edge_profile.add_row t' mi b ~taken ~not_taken with
           | Ok () -> ()
-          | Error e -> Alcotest.failf "edge line %S rejected: %s" l e)
-        (Edge_profile.to_lines t);
+          | Error e -> Alcotest.failf "edge row of method %d rejected: %s" mi e)
+        (Edge_profile.rows t);
       { c with Exp_harness.opt_profile = Driver.Fixed t' }
 
 let gen_config_pair =
@@ -876,6 +973,19 @@ let prop_config_key_injective =
 let gen_flat_string =
   QCheck.Gen.(
     string_size (int_range 0 30) ~gen:(map Char.chr (int_range 32 126)))
+
+(* row ints of any sign, the extremes well represented *)
+let gen_row_int =
+  QCheck.Gen.(
+    oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int; 0; -1 ] ])
+
+let gen_rows3 =
+  QCheck.Gen.(list_size (int_range 0 8) (triple gen_row_int gen_row_int gen_row_int))
+
+let gen_rows4 =
+  QCheck.Gen.(
+    list_size (int_range 0 8)
+      (quad gen_row_int gen_row_int gen_row_int gen_row_int))
 
 let gen_payload =
   QCheck.Gen.(
@@ -899,11 +1009,7 @@ let gen_payload =
                (int_range (-1000000) 1000000)
                (int_range (-1000000) 1000000))
             (pair (int_range (-1000000) 1000000) (int_range 0 100000)))
-         (quad
-            (list_size (int_range 0 8) gen_flat_string)
-            (list_size (int_range 0 8) gen_flat_string)
-            (list_size (int_range 0 8) gen_flat_string)
-            (list_size (int_range 0 8) gen_flat_string))))
+         (quad gen_rows3 gen_rows4 gen_rows3 gen_rows4)))
 
 (* Damaged variants of a valid frame, drawn from [i]: one flipped bit,
    a cut at a random offset, bytes appended, and [foreign] — the other
@@ -1106,6 +1212,8 @@ let suite =
       test_store_legacy_text_is_a_miss;
     Alcotest.test_case "another kind's entry is a miss" `Slow
       test_store_foreign_kind;
+    Alcotest.test_case "stored rows that do not fit are recomputed" `Slow
+      test_store_rows_that_do_not_fit;
     Alcotest.test_case "advice under another warmup cost is stale" `Slow
       test_store_stale_warmup_cost;
     Alcotest.test_case "advice rows round-trip for the suite" `Slow

@@ -39,6 +39,53 @@ let test_edge_profile_serialize () =
   check ci "total preserved" (Edge_profile.table_total tbl)
     (Edge_profile.table_total tbl')
 
+(* [rows] is the one row form every store writes (run cache, advice,
+   fleet segments) and [to_lines] renders, so its order is part of
+   their bytes: by method, then by branch or path id, whatever the
+   insertion order; [add_row] applies [parse_line]'s checks *)
+let test_rows () =
+  let e = Edge_profile.create_table ~n_methods:3 in
+  Edge_profile.add e.(2) 7 ~taken:false 2;
+  Edge_profile.add e.(0) 5 ~taken:true 4;
+  Edge_profile.add e.(2) 1 ~taken:true 1;
+  Edge_profile.add e.(0) 0 ~taken:false 0;
+  let erows = [ (0, 0, 0, 0); (0, 5, 4, 0); (2, 1, 1, 0); (2, 7, 0, 2) ] in
+  check Alcotest.(list (pair (pair int int) (pair int int)))
+    "edge rows by method, then branch"
+    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) erows)
+    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) (Edge_profile.rows e));
+  check Alcotest.(list string) "edge lines are the rows rendered"
+    [ "0 0 0 0"; "0 5 4 0"; "2 1 1 0"; "2 7 0 2" ]
+    (Edge_profile.to_lines e);
+  let p = Path_profile.create_table ~n_methods:2 in
+  Path_profile.add p.(1) 9 3;
+  Path_profile.add p.(0) 4 1;
+  Path_profile.add p.(1) 2 5;
+  Path_profile.add p.(0) 8 0;
+  check Alcotest.(list (triple int int int))
+    "path rows by method, then path id, counts > 0"
+    [ (0, 4, 1); (1, 2, 5); (1, 9, 3) ]
+    (Path_profile.rows p);
+  check Alcotest.(list string) "path lines are the rows rendered"
+    [ "0 4 1"; "1 2 5"; "1 9 3" ]
+    (Path_profile.to_lines p);
+  List.iter
+    (fun (what, (mi, pid, count)) ->
+      let t = Path_profile.create_table ~n_methods:2 in
+      match Path_profile.add_row t mi pid ~count with
+      | Ok () -> Alcotest.failf "path row with %s accepted" what
+      | Error _ ->
+          check ci (what ^ ": table unchanged") 0 (Path_profile.table_total t))
+    [
+      ("a method past the table", (2, 0, 1));
+      ("a negative method", (-1, 0, 1));
+      ("a negative path id", (0, -1, 1));
+      ("a count of 0", (0, 0, 0));
+    ];
+  check Alcotest.bool "a fitting path row is added" true
+    (Path_profile.add_row p 1 9 ~count:2 = Ok ()
+    && (Option.get (Path_profile.find p.(1) 9)).Path_profile.count = 5)
+
 let test_path_profile () =
   let p = Path_profile.create () in
   Path_profile.incr p 5;
@@ -151,6 +198,7 @@ let suite =
     Alcotest.test_case "edge profile flip" `Quick test_edge_profile_flip;
     Alcotest.test_case "edge profile serialize" `Quick test_edge_profile_serialize;
     Alcotest.test_case "path profile" `Quick test_path_profile;
+    Alcotest.test_case "rows: order and checks" `Quick test_rows;
     Alcotest.test_case "wall: perfect" `Quick test_wall_perfect_estimate;
     Alcotest.test_case "wall: half match" `Quick test_wall_half_match;
     Alcotest.test_case "wall: empty estimate" `Quick test_wall_empty_estimate;
