@@ -23,13 +23,32 @@ open Cmdliner
 let print_diags diags =
   List.iter (fun d -> Fmt.pr "%a@." Pep_check.pp_diagnostic d) diags
 
+(* A program that verifies may still never stop, so the profiled run of
+   [run] and [check] stops at the first timer tick past [cycle_budget]
+   simulated cycles, with a runtime error (exit 1).  On a shared 2-vCPU
+   host, collatz.pep, the largest example, runs 104 Mcycles in 0.16 s,
+   and [check --suite all] takes 1.9 s in all; this budget, about 20
+   times collatz's, stops an endless loop after 2.4 s under [run] and
+   3.3 s under [check] (which also runs an exact edge profiler). *)
+let cycle_budget = 2_000_000_000
+
+let budgeted_tick () =
+  Tick.hooks
+    ~on_tick:(fun st _ ->
+      if st.Machine.cycles > cycle_budget then
+        raise
+          (Interp.Runtime_error
+             (Printf.sprintf "cycle budget of %d cycles exceeded" cycle_budget)))
+    ()
+
 (* Static passes 1-3 over every method in both truncation modes (plus,
    when [deep], the pass-5 dataflow lints and unsafe-op justification),
    then — unless [static_only], or a static pass found an error, so
    the program may not load — one profiled run (PEP sampling plus an
    exact edge profiler) whose collected profiles feed pass 4.  A run
-   that stops with a runtime error (call-stack overflow) is an error
-   diagnostic of its own, and its partial profiles are not linted. *)
+   that stops with a runtime error (call-stack overflow, the cycle
+   budget) is an error diagnostic of its own, and its partial profiles
+   are not linted. *)
 let check_program ?(static_only = false) ?(deep = false) ~sampling ~seed program
     =
   let diags =
@@ -42,7 +61,7 @@ let check_program ?(static_only = false) ?(deep = false) ~sampling ~seed program
     let st = Machine.create ~seed program in
     let pep = Pep.create ~sampling st in
     let truth = Profiler.perfect_edge st in
-    let hooks = Tick.hooks () @ pep.Pep.hooks @ truth.Profiler.ehooks in
+    let hooks = budgeted_tick () @ pep.Pep.hooks @ truth.Profiler.ehooks in
     match Interp.run hooks st with
     | exception Interp.Runtime_error msg ->
         add
@@ -153,7 +172,7 @@ let run_cmd =
     let st = Machine.create ~seed program in
     let pep = Pep.create ~sampling st in
     let result =
-      match Interp.run (Tick.hooks () @ pep.Pep.hooks) st with
+      match Interp.run (budgeted_tick () @ pep.Pep.hooks) st with
       | r -> r
       | exception Interp.Runtime_error msg ->
           Printf.eprintf "%s: runtime error: %s\n" file msg;

@@ -311,19 +311,19 @@ let payload_of_run (r : Exp_harness.run) =
     pep_paths =
       (match r.Exp_harness.pep with
       | Some p -> Path_profile.rows p.Pep.paths
-      | None -> []);
+      | None -> [||]);
     pep_edges =
       (match r.Exp_harness.pep with
       | Some p -> Edge_profile.rows p.Pep.edges
-      | None -> []);
+      | None -> [||]);
     ppaths =
       (match r.Exp_harness.ppaths with
       | Some p -> Path_profile.rows p.Profiler.table
-      | None -> []);
+      | None -> [||]);
     pedges =
       (match r.Exp_harness.pedges with
       | Some p -> Edge_profile.rows p.Profiler.etable
-      | None -> []);
+      | None -> [||]);
   }
 
 type outcome = {

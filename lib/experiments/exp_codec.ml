@@ -1,7 +1,7 @@
-(* The run cache's wire format, and the binary frame both on-disk
-   stores share.
+(* The run cache's wire format, and the binary frame and row section
+   both on-disk stores share.
 
-   A run entry is one PEPRUN frame (the profile tables' rows as varints,
+   A run entry is one PEPRUN frame (the profile tables' row sections,
    raw MD5 trailer); an adaptive series entry is one PEPSER frame (the
    per-trial totals); a values entry is one PEPVAL frame (derived floats
    as their IEEE bits); an advice entry is one PEPADV frame (the
@@ -17,10 +17,10 @@ type payload = {
   compile : int;
   checksum : int;
   n_samples : int;
-  pep_paths : (int * int * int) list;
-  pep_edges : (int * int * int * int) list;
-  ppaths : (int * int * int) list;
-  pedges : (int * int * int * int) list;
+  pep_paths : int array;
+  pep_edges : int array;
+  ppaths : int array;
+  pedges : int array;
 }
 
 (* --------------------------- binary wire --------------------------- *)
@@ -107,9 +107,22 @@ module Bin = struct
     done;
     r.p <- !p
 
-  (* the bytes are [skip_varints]-checked, so decoding needs neither
-     [rbyte]'s end test nor [rvarint]'s length test *)
-  let rints_later r n =
+  let rcount r =
+    let k = rint r in
+    if k < 0 || k > r.limit - r.p then raise (Malformed "count out of range");
+    k
+
+  (* a row section: the row count, then every row's ints *)
+  let rows w ~stride a =
+    if Array.length a mod stride <> 0 then
+      invalid_arg "Exp_codec.Bin.rows: length not a multiple of the stride";
+    int w (Array.length a / stride);
+    Array.iter (int w) a
+
+  (* the ints are [skip_varints]-checked now, so decoding them later
+     needs neither [rbyte]'s end test nor [rvarint]'s length test *)
+  let rrows r ~stride =
+    let n = stride * rcount r in
     let start = r.p in
     skip_varints r n;
     let s = r.s in
@@ -128,11 +141,6 @@ module Bin = struct
         a.(i) <- (u lsr 1) lxor ~-(u land 1)
       done;
       a
-
-  let rcount r =
-    let k = rint r in
-    if k < 0 || k > r.limit - r.p then raise (Malformed "count out of range");
-    k
 
   let rstr r =
     let len = rcount r in
@@ -190,7 +198,7 @@ let values_magic = "PEPVAL"
 let advice_magic = "PEPADV"
 
 (* every frame's version; bump on any change to their bytes *)
-let version = 3
+let version = 4
 
 (* An entry stores [Digest.string key] (16 bytes, length-prefixed); a
    different digest means the entry was written for another identity. *)
@@ -206,54 +214,16 @@ let check_key r key =
 
 (* ---------------------------- run entries -------------------------- *)
 
-(* Each profile table is one section: a tag byte (0), the row count,
-   then each row as its arity (3 for a path, 4 for an edge) and its
-   ints.  The tag and the arities say nothing the section's position
-   does not; they keep the entries already on disk valid, and any other
-   tag or arity is rejected. *)
-let put_section w put rows =
-  Bin.byte w 0;
-  Bin.int w (List.length rows);
-  List.iter (put w) rows
-
-let put_path w (mi, pid, count) = List.iter (Bin.int w) [ 3; mi; pid; count ]
-
-let put_edge w (mi, b, taken, not_taken) =
-  List.iter (Bin.int w) [ 4; mi; b; taken; not_taken ]
-
+(* The measurement, then each profile table as one row section. *)
 let encode ~key p =
   let w = Bin.frame ~magic ~version in
   put_key w key;
-  Bin.int w p.iter1;
-  Bin.int w p.iter2;
-  Bin.int w p.compile;
-  Bin.int w p.checksum;
-  Bin.int w p.n_samples;
-  put_section w put_path p.pep_paths;
-  put_section w put_edge p.pep_edges;
-  put_section w put_path p.ppaths;
-  put_section w put_edge p.pedges;
+  List.iter (Bin.int w) [ p.iter1; p.iter2; p.compile; p.checksum; p.n_samples ];
+  Bin.rows w ~stride:3 p.pep_paths;
+  Bin.rows w ~stride:4 p.pep_edges;
+  Bin.rows w ~stride:3 p.ppaths;
+  Bin.rows w ~stride:4 p.pedges;
   Bin.contents_with_digest w
-
-let get_section r name arity get =
-  (match Bin.rbyte r with
-  | 0 -> ()
-  | t -> Bin.fail (Fmt.str "unknown %s section tag %d" name t));
-  List.init (Bin.rcount r) (fun _ ->
-      match Bin.rint r with
-      | n when n = arity -> get r
-      | n -> Bin.fail (Fmt.str "%s row of %d ints, want %d" name n arity))
-
-let get_path r =
-  let mi = Bin.rint r in
-  let pid = Bin.rint r in
-  (mi, pid, Bin.rint r)
-
-let get_edge r =
-  let mi = Bin.rint r in
-  let b = Bin.rint r in
-  let taken = Bin.rint r in
-  (mi, b, taken, Bin.rint r)
 
 let decode ~file ~key contents =
   Bin.check_frame ~magic ~version ~what:"cache" ~file contents (fun r ->
@@ -263,20 +233,20 @@ let decode ~file ~key contents =
       let compile = Bin.rint r in
       let checksum = Bin.rint r in
       let n_samples = Bin.rint r in
-      let pep_paths = get_section r "pep.paths" 3 get_path in
-      let pep_edges = get_section r "pep.edges" 4 get_edge in
-      let ppaths = get_section r "ppaths" 3 get_path in
-      let pedges = get_section r "pedges" 4 get_edge in
+      let pep_paths = Bin.rrows r ~stride:3 in
+      let pep_edges = Bin.rrows r ~stride:4 in
+      let ppaths = Bin.rrows r ~stride:3 in
+      let pedges = Bin.rrows r ~stride:4 in
       {
         iter1;
         iter2;
         compile;
         checksum;
         n_samples;
-        pep_paths;
-        pep_edges;
-        ppaths;
-        pedges;
+        pep_paths = pep_paths ();
+        pep_edges = pep_edges ();
+        ppaths = ppaths ();
+        pedges = pedges ();
       })
 
 (* ----------------------- series and values entries ------------------ *)

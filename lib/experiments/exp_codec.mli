@@ -1,10 +1,10 @@
-(** The run cache's wire format, and the binary frame both on-disk
-    stores share.
+(** The run cache's wire format, and the binary frame and row section
+    both on-disk stores share.
 
-    The run cache holds four kinds of entry, all at format version 3:
+    The run cache holds four kinds of entry, all at format version 4:
     - a run entry is one [PEPRUN] frame: magic, version byte, the
-      identity key's MD5, the measurement and the four profile tables'
-      rows as varints, then an MD5 trailer;
+      identity key's MD5, the measurement, the four profile tables as
+      row sections ({!Bin.rows}), then an MD5 trailer;
     - an adaptive series entry is one [PEPSER] frame: magic, version
       byte, the identity key's MD5, the per-trial totals as varints,
       then an MD5 trailer;
@@ -26,31 +26,33 @@
     format's bytes — fails the frame checks; always as a structured
     {!Dcg.parse_error}, never a silent miss or a crash.
 
-    The {!Bin} submodule holds the binary primitives and the frame
-    checks, so the fleet's profile segments ({!Fleet_store}) share one
-    wire vocabulary and one frame reader. *)
+    The {!Bin} submodule holds the binary primitives, the row section
+    and the frame checks, so the fleet's profile segments
+    ({!Fleet_store}) share one wire vocabulary, one row reader and one
+    frame reader.  There is no migration: an entry of an older format
+    version fails the frame checks, and the caller recomputes it. *)
 
 (** Everything needed to rebuild an [Exp_harness.run] without executing
     the application: the measurement, the sample count, and the
-    collected profile tables as rows — [(method, path id, count)] from
-    {!Path_profile.rows}, [(method, branch, taken, not-taken)] from
-    {!Edge_profile.rows}. *)
+    collected profile tables as flat rows — stride 3 from
+    {!Path_profile.rows}, stride 4 from {!Edge_profile.rows}. *)
 type payload = {
   iter1 : int;
   iter2 : int;
   compile : int;
   checksum : int;
   n_samples : int;
-  pep_paths : (int * int * int) list;
-  pep_edges : (int * int * int * int) list;
-  ppaths : (int * int * int) list;
-  pedges : (int * int * int * int) list;
+  pep_paths : int array;  (** stride 3: method, path id, count *)
+  pep_edges : int array;  (** stride 4: method, branch, taken, not-taken *)
+  ppaths : int array;  (** stride 3 *)
+  pedges : int array;  (** stride 4 *)
 }
 
 (** Low-level binary wire format: unsigned LEB128 varints over
     zigzag-mapped ints (small magnitudes stay short, negatives legal),
-    length-prefixed strings, and frames — a magic, a version byte, the
-    body, and an MD5 trailer over everything before it. *)
+    length-prefixed strings, row sections, and frames — a magic, a
+    version byte, the body, and an MD5 trailer over everything before
+    it. *)
 module Bin : sig
   type writer
 
@@ -65,6 +67,12 @@ module Bin : sig
   (** A float as its 64 IEEE bits, little-endian: NaN payloads, [-0.0]
       and subnormals survive bit for bit. *)
   val float : writer -> float -> unit
+
+  (** [rows w ~stride a] writes flat rows of [stride] ints as one row
+      section: the row count, then every int of [a], in order.
+      @raise Invalid_argument when [a]'s length is not a multiple of
+      [stride]. *)
+  val rows : writer -> stride:int -> int array -> unit
 
   (** The accumulated bytes plus a 16-byte raw MD5 digest of them. *)
   val contents_with_digest : writer -> string
@@ -82,11 +90,12 @@ module Bin : sig
       drive a huge allocation. *)
   val rcount : reader -> int
 
-  (** [rints_later r n] checks the next [n] varints now, failing as [n]
-      {!rint}s would, and moves past them without decoding them.  The
-      returned function decodes them on each call, into a fresh array;
-      it cannot fail, since the bytes it reads were checked. *)
-  val rints_later : reader -> int -> unit -> int array
+  (** [rrows r ~stride] reads a {!rows} section.  It checks the
+      section now — the row count, as {!rcount}, and every varint, as
+      {!rint} would — and moves past it without decoding it.  The
+      returned function decodes the rows on each call, into a fresh
+      array; it cannot fail, since the bytes it reads were checked. *)
+  val rrows : reader -> stride:int -> unit -> int array
 
   (** Reject the frame being read, with [reason] as the diagnostic; for
       use inside {!check_frame}'s [body]. *)
@@ -111,16 +120,19 @@ module Bin : sig
 end
 
 (** Full file bytes of a run entry for a payload under its identity
-    [key]: each profile table is a section of a tag byte (0), the row
-    count, then each row as its arity and its ints.  {!decode}∘[encode]
-    is the identity on every payload, any ints included. *)
+    [key]: the measurement, then each profile table as one row section
+    ({!Bin.rows}: a row count, then the ints).  {!decode}∘[encode] is
+    the identity on every payload, any ints included.
+    @raise Invalid_argument when a profile array's length is not a
+    multiple of its stride. *)
 val encode : key:string -> payload -> string
 
 (** Decode a run entry's bytes, verifying frame, digest, shape and
-    [key]; [file] only labels diagnostics.  A section with another tag
-    (the retired tag 1 of raw text lines included) or a row of another
-    arity is an [Error].  The rows' values are not checked here: that is
-    {!Exp_harness.rebuild}'s job, against the program. *)
+    [key]; [file] only labels diagnostics.  A row count past the
+    frame's end, a malformed varint or bytes after the last section is
+    an [Error], as is any version but 4 (v3 included).  The rows'
+    values are not checked here: that is {!Exp_harness.rebuild}'s job,
+    against the program. *)
 val decode :
   file:string -> key:string -> string -> (payload, Dcg.parse_error) result
 

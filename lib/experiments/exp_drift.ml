@@ -22,22 +22,14 @@ type series = {
 
 let default_threshold = 0.80
 
-(* Per-window deltas over the cumulative tables, fleet-collector style:
-   replay never re-instruments, so cumulative counts are monotone and
-   the delta is exact. *)
-type cursor = { tbl : (int * int, int) Hashtbl.t }
-
-let delta cursor rows =
-  List.filter_map
-    (fun (a, b, c) ->
-      let prev = Option.value ~default:0 (Hashtbl.find_opt cursor.tbl (a, b)) in
-      Hashtbl.replace cursor.tbl (a, b) c;
-      if c - prev > 0 then Some (a, b, c - prev) else None)
-    rows
-
+(* A table of per-window delta rows ({!Fleet_rows.delta}, as the fleet
+   collector takes them): replay never re-instruments, so cumulative
+   counts are monotone and the delta is exact. *)
 let path_table ~n_methods rows =
   let t = Path_profile.create_table ~n_methods in
-  List.iter (fun (mi, pid, c) -> Path_profile.add t.(mi) pid c) rows;
+  for k = 0 to (Array.length rows / 3) - 1 do
+    Path_profile.add t.(rows.(3 * k)) rows.((3 * k) + 1) rows.((3 * k) + 2)
+  done;
   t
 
 let shifts_of schedule =
@@ -102,8 +94,11 @@ let run ~threshold ?size ~seed ~schedule (w : Workload.t) =
   Driver.add_hooks driver truth.Profiler.hooks;
   let n_methods = Array.length st.Machine.methods in
   let edges_of paths = Profiler.edges_of_paths ~n_methods truth.Profiler.plans paths in
-  let c_pep = { tbl = Hashtbl.create 256 }
-  and c_truth = { tbl = Hashtbl.create 256 } in
+  let c_pep = Fleet_rows.create ~stride:3
+  and c_truth = Fleet_rows.create ~stride:3 in
+  let window_paths cur tbl =
+    path_table ~n_methods (Fleet_rows.delta cur (Path_profile.rows tbl))
+  in
   let c_samples = ref 0 in
   let prev_pep = ref None in
   let points =
@@ -112,13 +107,8 @@ let run ~threshold ?size ~seed ~schedule (w : Workload.t) =
         if Array.length st.Machine.globals > Phased.phase_global then
           st.Machine.globals.(Phased.phase_global) <- phase;
         ignore (Driver.run driver);
-        let pep_d =
-          path_table ~n_methods (delta c_pep (Path_profile.rows pep.Pep.paths))
-        in
-        let truth_d =
-          path_table ~n_methods
-            (delta c_truth (Path_profile.rows truth.Profiler.table))
-        in
+        let pep_d = window_paths c_pep pep.Pep.paths in
+        let truth_d = window_paths c_truth truth.Profiler.table in
         let total = Pep.n_samples pep in
         let samples = max 0 (total - !c_samples) in
         c_samples := total;

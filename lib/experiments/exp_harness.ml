@@ -379,7 +379,7 @@ let replay ?faults env config =
    advice fixes the opt profile and the call graph), so [precompile]
    yields the same compiled bodies, plans and transform counts as the
    lazy compilation of a live run; the profile tables are then refilled
-   from their rows through the [add_row] checks the text readers apply
+   from their rows through the [add_row] checks every reader applies
    and re-linted from scratch — nothing recorded on disk is trusted
    beyond the raw counts.  [Error reason] means the payload does not
    fit the configuration (wrong sections, rows naming no method of the
@@ -395,28 +395,33 @@ let rebuild ?faults env config (p : Exp_store.payload) =
   let extra, driver = setup_replay ~faults env config in
   Driver.precompile driver;
   let exception Bad of string in
-  let paths what tbl =
-    List.iter (fun (mi, pid, count) ->
-        match Path_profile.add_row tbl mi pid ~count with
-        | Ok () -> ()
-        | Error reason ->
-            raise (Bad (Fmt.str "%s: %s (row %d %d %d)" what reason mi pid count)))
+  let paths what tbl a =
+    for k = 0 to (Array.length a / 3) - 1 do
+      let mi = a.(3 * k) and pid = a.((3 * k) + 1) and count = a.((3 * k) + 2) in
+      match Path_profile.add_row tbl mi pid ~count with
+      | Ok () -> ()
+      | Error reason ->
+          raise (Bad (Fmt.str "%s: %s (row %d %d %d)" what reason mi pid count))
+    done
   in
-  let edges what tbl =
-    List.iter (fun (mi, b, taken, not_taken) ->
-        match Edge_profile.add_row tbl mi b ~taken ~not_taken with
-        | Ok () -> ()
-        | Error reason ->
-            raise
-              (Bad
-                 (Fmt.str "%s: %s (row %d %d %d %d)" what reason mi b taken
-                    not_taken)))
+  let edges what tbl a =
+    for k = 0 to (Array.length a / 4) - 1 do
+      let o = 4 * k in
+      let mi = a.(o) and b = a.(o + 1) in
+      let taken = a.(o + 2) and not_taken = a.(o + 3) in
+      match Edge_profile.add_row tbl mi b ~taken ~not_taken with
+      | Ok () -> ()
+      | Error reason ->
+          raise
+            (Bad
+               (Fmt.str "%s: %s (row %d %d %d %d)" what reason mi b taken
+                  not_taken))
+    done
   in
-  let want what = function
-    | [] -> ()
-    | _ :: _ ->
-        raise
-          (Bad (Fmt.str "payload has a %s section this configuration never collects" what))
+  let want what a =
+    if Array.length a > 0 then
+      raise
+        (Bad (Fmt.str "payload has a %s section this configuration never collects" what))
   in
   match
     (match Driver.pep driver with

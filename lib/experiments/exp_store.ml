@@ -22,10 +22,10 @@ type payload = Exp_codec.payload = {
   compile : int;
   checksum : int;
   n_samples : int;
-  pep_paths : (int * int * int) list;
-  pep_edges : (int * int * int * int) list;
-  ppaths : (int * int * int) list;
-  pedges : (int * int * int * int) list;
+  pep_paths : int array;
+  pep_edges : int array;
+  ppaths : int array;
+  pedges : int array;
 }
 
 let filename ~dir file_key =

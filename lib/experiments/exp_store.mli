@@ -21,10 +21,10 @@ type payload = Exp_codec.payload = {
   compile : int;
   checksum : int;
   n_samples : int;
-  pep_paths : (int * int * int) list;
-  pep_edges : (int * int * int * int) list;
-  ppaths : (int * int * int) list;
-  pedges : (int * int * int * int) list;
+  pep_paths : int array;
+  pep_edges : int array;
+  ppaths : int array;
+  pedges : int array;
 }
 
 (** [filename ~dir file_key] is the store path for a run, series,

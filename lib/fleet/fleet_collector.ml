@@ -116,9 +116,9 @@ let cohort_of spec (name, drift) =
 (* ------------------------ one instance's run ----------------------- *)
 
 (* Cursors over the cumulative tables, so each window snapshots its
-   delta: the last cumulative row seen per key, in int-keyed row
-   tables.  All three tables are monotone in replay mode; [max 0] is
-   belt and braces. *)
+   delta ({!Fleet_rows.delta}, in the cumulative rows' sorted order):
+   the last cumulative row seen per key.  All three tables are
+   monotone in replay mode. *)
 type cursors = {
   c_paths : Fleet_rows.t;  (* stride 3: method, path id, count *)
   c_edges : Fleet_rows.t;  (* stride 4: method, branch, taken, not-taken *)
@@ -126,33 +126,10 @@ type cursors = {
   mutable c_samples : int;
 }
 
-(* Each snapshot's rows, flat (stride 3 or 4), in the cumulative rows'
-   sorted order *)
-let delta3 cur rows =
-  let out = ref [] in
-  List.iter
-    (fun (a, b, c) ->
-      let r = Fleet_rows.slot cur a b in
-      let prev = Fleet_rows.get cur r 2 in
-      Fleet_rows.set cur r 2 c;
-      if c - prev > 0 then out := (c - prev) :: b :: a :: !out)
-    rows;
-  Array.of_list (List.rev !out)
-
-let delta4 cur rows =
-  let out = ref [] in
-  List.iter
-    (fun (a, b, c, d) ->
-      let r = Fleet_rows.slot cur a b in
-      let pc = Fleet_rows.get cur r 2 and pd = Fleet_rows.get cur r 3 in
-      Fleet_rows.set cur r 2 c;
-      Fleet_rows.set cur r 3 d;
-      let dc = max 0 (c - pc) and dd = max 0 (d - pd) in
-      if dc > 0 || dd > 0 then out := dd :: dc :: b :: a :: !out)
-    rows;
-  Array.of_list (List.rev !out)
-
-let cumulative_dcg dcg = List.sort compare (Dcg.edges dcg)
+(* the call graph's rows, flat, by key *)
+let cumulative_dcg dcg =
+  Array.of_list
+    (List.concat_map (fun (a, b, c) -> [ a; b; c ]) (List.sort compare (Dcg.edges dcg)))
 
 (* Run one instance through every window, returning its raw segments
    (worker-domain safe: touches only its own machine, tables and — when
@@ -221,9 +198,9 @@ let run_instance spec ~program ~advice ?faults instance =
           let start_cycle = st.Machine.cycles in
           ignore (Driver.run driver);
           let end_cycle = st.Machine.cycles in
-          let paths = delta3 cursors.c_paths (Path_profile.rows pep.Pep.paths) in
-          let edges = delta4 cursors.c_edges (Edge_profile.rows pep.Pep.edges) in
-          let dcg = delta3 cursors.c_dcg (cumulative_dcg (Driver.dcg driver)) in
+          let paths = Fleet_rows.delta cursors.c_paths (Path_profile.rows pep.Pep.paths) in
+          let edges = Fleet_rows.delta cursors.c_edges (Edge_profile.rows pep.Pep.edges) in
+          let dcg = Fleet_rows.delta cursors.c_dcg (cumulative_dcg (Driver.dcg driver)) in
           let total_samples = Pep.n_samples pep in
           let samples = max 0 (total_samples - cursors.c_samples) in
           cursors.c_samples <- total_samples;

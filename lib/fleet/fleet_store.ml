@@ -1,8 +1,9 @@
 (* Time-windowed, digest-protected profile segments.
 
    One binary file per segment, reusing the run cache's wire
-   vocabulary and frame reader (Exp_codec.Bin: varints, magic +
-   version byte, raw MD5 trailer) and directory discipline
+   vocabulary, row sections and frame reader (Exp_codec.Bin: varints,
+   a row count and the rows' ints, magic + version byte, raw MD5
+   trailer) and directory discipline
    (Exp_store.prepare_dir / atomic write_file).  A segment
    carries per-window *deltas* of the three profile tables — paths,
    edges, DCG — plus the method-name table of the program that
@@ -85,13 +86,9 @@ let encode s =
   Bin.int w (Array.length s.methods);
   Array.iter (Bin.str w) s.methods;
   let r = rows s in
-  let section ~stride a =
-    Bin.int w (Array.length a / stride);
-    Array.iter (Bin.int w) a
-  in
-  section ~stride:3 r.paths;
-  section ~stride:4 r.edges;
-  section ~stride:3 r.dcg;
+  Bin.rows w ~stride:3 r.paths;
+  Bin.rows w ~stride:4 r.edges;
+  Bin.rows w ~stride:3 r.dcg;
   Bin.contents_with_digest w
 
 (* ------------------------------ decode ----------------------------- *)
@@ -125,10 +122,9 @@ let decode_keyed ~file contents =
       let samples = Bin.rint r in
       let methods = Array.init (Bin.rcount r) (fun _ -> Bin.rstr r) in
       (* the row sections are checked now and decoded on first use *)
-      let section ~stride = Bin.rints_later r (stride * Bin.rcount r) in
-      let paths = section ~stride:3 in
-      let edges = section ~stride:4 in
-      let dcg = section ~stride:3 in
+      let paths = Bin.rrows r ~stride:3 in
+      let edges = Bin.rrows r ~stride:4 in
+      let dcg = Bin.rrows r ~stride:3 in
       let s =
         {
           cohort =

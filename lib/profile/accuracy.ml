@@ -52,32 +52,37 @@ let wall_path_accuracy ?(threshold = 0.00125) ~n_branches ~actual ~estimated ()
 let relative_overlap ~(actual : Edge_profile.table)
     ~(estimated : Edge_profile.table) =
   let weighted = ref 0. and weight = ref 0. in
-  List.iter
-    (fun (mi, b, taken, not_taken) ->
-      let freq = taken + not_taken in
-      if freq > 0 then begin
-        let bias_a = float_of_int taken /. float_of_int freq in
-        let bias_e =
-          Option.value ~default:0.5 (Edge_profile.bias estimated.(mi) b)
-        in
-        let acc_b = 1. -. Float.abs (bias_a -. bias_e) in
-        weighted := !weighted +. (float_of_int freq *. acc_b);
-        weight := !weight +. float_of_int freq
-      end)
-    (Edge_profile.rows actual);
+  let rows = Edge_profile.rows actual in
+  for k = 0 to (Array.length rows / 4) - 1 do
+    let mi = rows.(4 * k) and b = rows.((4 * k) + 1) in
+    let taken = rows.((4 * k) + 2) in
+    let freq = taken + rows.((4 * k) + 3) in
+    if freq > 0 then begin
+      let bias_a = float_of_int taken /. float_of_int freq in
+      let bias_e =
+        Option.value ~default:0.5 (Edge_profile.bias estimated.(mi) b)
+      in
+      let acc_b = 1. -. Float.abs (bias_a -. bias_e) in
+      weighted := !weighted +. (float_of_int freq *. acc_b);
+      weight := !weight +. float_of_int freq
+    end
+  done;
   if !weight <= 0. then 1.0 else !weighted /. !weight
 
 let normalized_weights (table : Edge_profile.table) =
   let total = float_of_int (Edge_profile.table_total table) in
   let weights = Hashtbl.create 256 in
-  if total > 0. then
-    List.iter
-      (fun (mi, b, taken, not_taken) ->
-        if taken > 0 then
-          Hashtbl.replace weights (mi, b, true) (float_of_int taken /. total);
-        if not_taken > 0 then
-          Hashtbl.replace weights (mi, b, false) (float_of_int not_taken /. total))
-      (Edge_profile.rows table);
+  if total > 0. then begin
+    let rows = Edge_profile.rows table in
+    for k = 0 to (Array.length rows / 4) - 1 do
+      let mi = rows.(4 * k) and b = rows.((4 * k) + 1) in
+      let taken = rows.((4 * k) + 2) and not_taken = rows.((4 * k) + 3) in
+      if taken > 0 then
+        Hashtbl.replace weights (mi, b, true) (float_of_int taken /. total);
+      if not_taken > 0 then
+        Hashtbl.replace weights (mi, b, false) (float_of_int not_taken /. total)
+    done
+  end;
   weights
 
 let absolute_overlap ~(actual : Edge_profile.table)

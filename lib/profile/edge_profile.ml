@@ -92,19 +92,21 @@ let table_total tbl = Array.fold_left (fun acc t -> acc + total t) 0 tbl
 let table_overflow tbl = Array.fold_left (fun acc t -> acc + overflow t) 0 tbl
 
 let rows tbl =
-  List.concat
-    (Array.to_list
-       (Array.mapi
-          (fun mi t ->
-            List.map
-              (fun (b, (taken, not_taken)) -> (mi, b, taken, not_taken))
-              (entries t))
-          tbl))
+  let out = ref [] in
+  Array.iteri
+    (fun mi t ->
+      List.iter
+        (fun (b, (taken, not_taken)) ->
+          out := not_taken :: taken :: b :: mi :: !out)
+        (entries t))
+    tbl;
+  Array.of_list (List.rev !out)
 
 let to_lines tbl =
-  List.map
-    (fun (mi, b, taken, not_taken) -> Fmt.str "%d %d %d %d" mi b taken not_taken)
-    (rows tbl)
+  let r = rows tbl in
+  List.init (Array.length r / 4) (fun k ->
+      let o = 4 * k in
+      Fmt.str "%d %d %d %d" r.(o) r.(o + 1) r.(o + 2) r.(o + 3))
 
 let add_row tbl mi b ~taken ~not_taken =
   if mi >= 0 && mi < Array.length tbl && taken >= 0 && not_taken >= 0 then begin
@@ -113,34 +115,6 @@ let add_row tbl mi b ~taken ~not_taken =
     Ok ()
   end
   else Error "expected a method index in range and non-negative counters"
-
-let parse_line tbl line =
-  if String.trim line = "" then Ok ()
-  else
-    match String.split_on_char ' ' (String.trim line) with
-    | [ mi; b; tk; nt ] -> (
-        match
-          ( int_of_string_opt mi,
-            int_of_string_opt b,
-            int_of_string_opt tk,
-            int_of_string_opt nt )
-        with
-        | Some mi, Some b, Some taken, Some not_taken ->
-            add_row tbl mi b ~taken ~not_taken
-        | _ ->
-            Error
-              "expected a method index in range and non-negative counters")
-    | _ -> Error "expected \"<method> <branch> <taken> <not-taken>\""
-
-let of_lines ~n_methods lines =
-  let tbl = create_table ~n_methods in
-  List.iter
-    (fun line ->
-      match parse_line tbl line with
-      | Ok () -> ()
-      | Error _ -> failwith ("Edge_profile.of_lines: bad line: " ^ line))
-    lines;
-  tbl
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>";

@@ -19,7 +19,7 @@ val counter : t -> Cfg.branch_id -> counter option
 
     A capacity bounds the {e distinct branches} counted, modelling the
     fixed-size profile tables of a production VM.  {!add}/{!incr}/
-    {!parse_line} on a full table drop updates that would create a new
+    {!add_row} on a full table drop updates that would create a new
     counter (counted in {!overflow}); updates to present counters
     always land.  Default: unbounded.  {!copy} preserves capacity and
     overflow; {!clear} resets the overflow count. *)
@@ -61,24 +61,15 @@ val table_total : table -> int
 (** Total dropped updates across the table. *)
 val table_overflow : table -> int
 
-(** [(method index, branch, taken, not-taken)] of every branch seen,
-    by method, then by branch id: the table's contents as the run cache
-    stores them, an advice lists them and the fleet collector diffs
-    them. *)
-val rows : table -> (int * Cfg.branch_id * int * int) list
+(** Every branch seen as a flat stride-4 row (method index, branch,
+    taken, not-taken), by method, then by branch id: the table's
+    contents as the run cache stores them, an advice lists them and the
+    fleet collector diffs them ({!Fleet_rows}). *)
+val rows : table -> int array
 
-(** {!rows} rendered, one line per row: ["<method-index> <branch>
-    <taken> <not-taken>"].  [of_lines] is its inverse.
-    @raise Failure on malformed input. *)
+(** {!rows} rendered for people, one line per row: ["<method-index>
+    <branch> <taken> <not-taken>"]. *)
 val to_lines : table -> string list
-
-val of_lines : n_methods:int -> string list -> table
-
-(** Parse one serialized line into [tbl] by {!add_row} (blank lines are
-    ignored); [Error reason] leaves [tbl] unchanged.  Lets callers that
-    track their own line numbers report structured errors instead of
-    the [Failure] that {!of_lines} raises. *)
-val parse_line : table -> string -> (unit, string) result
 
 (** [add_row tbl mi b ~taken ~not_taken] adds one row's counts to
     method [mi]'s counter for branch [b], after the checks every reader

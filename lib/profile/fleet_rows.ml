@@ -88,3 +88,27 @@ let sorted t =
   let out = Array.make (t.n * s) 0 in
   Array.iteri (fun k r -> Array.blit rows (r * s) out (k * s) s) order;
   out
+
+let delta cur rows =
+  let s = cur.stride in
+  let out = Array.make (Array.length rows) 0 and n = ref 0 in
+  for k = 0 to (Array.length rows / s) - 1 do
+    let o = k * s in
+    let base = slot cur rows.(o) rows.(o + 1) * s in
+    let grew = ref false in
+    for c = 2 to s - 1 do
+      let d = rows.(o + c) - cur.rows.(base + c) in
+      cur.rows.(base + c) <- rows.(o + c);
+      if d > 0 then begin
+        out.(!n + c) <- d;
+        grew := true
+      end
+      else out.(!n + c) <- 0
+    done;
+    if !grew then begin
+      out.(!n) <- rows.(o);
+      out.(!n + 1) <- rows.(o + 1);
+      n := !n + s
+    end
+  done;
+  Array.sub out 0 !n

@@ -1,12 +1,16 @@
 (** Keyed tables of flat profile rows.
 
-    The fleet keeps its profile rows in flat int arrays: row [k] of a
+    Profile rows are flat int arrays: row [k] of a
     stride-[s] array is [a.(k*s) .. a.(k*s + s - 1)], and its {e key} is
     its first two ints (method and path id, method and branch, caller
     and callee).  A [t] holds distinct keys, each with a row of [stride]
     ints, numbered densely in insertion order; finding a key hashes two
     ints and allocates nothing.  Segments and views store rows in
-    ascending key order, which {!sorted} produces. *)
+    ascending key order, which {!sorted} produces.
+
+    The profile tables ({!Path_profile.rows}, {!Edge_profile.rows}),
+    the run cache's payloads and the fleet's segments and views all
+    hold their rows in this form. *)
 
 type t
 
@@ -35,3 +39,14 @@ val sum : t -> int -> int -> int array -> int -> unit
 (** Every row, back to back, in ascending key order (first int, then
     second, as signed ints). *)
 val sorted : t -> int array
+
+(** [delta t rows] is the growth of a cumulative table since the last
+    call: [rows] holds rows of [t]'s stride with distinct keys, and [t]
+    the last cumulative row seen per key (zeros for a key not seen).
+    Returns, in [rows]' order, each row in which some count (a column
+    past the key) grew, with every count replaced by its growth — a
+    count that fell contributes 0 — and records [rows] in [t].  Over a
+    monotone sequence of cumulative tables, the deltas sum to the last
+    table: the windowed deltas of the fleet collector and of
+    [Exp_drift]. *)
+val delta : t -> int array -> int array

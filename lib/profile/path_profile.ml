@@ -72,48 +72,26 @@ let table_total tbl = Array.fold_left (fun acc t -> acc + total t) 0 tbl
 let table_overflow tbl = Array.fold_left (fun acc t -> acc + overflow t) 0 tbl
 
 let rows tbl =
-  List.concat
-    (Array.to_list
-       (Array.mapi
-          (fun mi t ->
-            List.filter_map
-              (fun e -> if e.count > 0 then Some (mi, e.path_id, e.count) else None)
-              (entries t))
-          tbl))
+  let out = ref [] in
+  Array.iteri
+    (fun mi t ->
+      List.iter
+        (fun e -> if e.count > 0 then out := e.count :: e.path_id :: mi :: !out)
+        (entries t))
+    tbl;
+  Array.of_list (List.rev !out)
 
 let to_lines tbl =
-  List.map (fun (mi, pid, count) -> Fmt.str "%d %d %d" mi pid count) (rows tbl)
-
-let bad_row = "expected a method index in range, a path id >= 0 and a count > 0"
+  let r = rows tbl in
+  List.init (Array.length r / 3) (fun k ->
+      Fmt.str "%d %d %d" r.(3 * k) r.((3 * k) + 1) r.((3 * k) + 2))
 
 let add_row tbl mi pid ~count =
   if mi >= 0 && mi < Array.length tbl && pid >= 0 && count > 0 then begin
     add tbl.(mi) pid count;
     Ok ()
   end
-  else Error bad_row
-
-let parse_line tbl line =
-  if String.trim line = "" then Ok ()
-  else
-    match String.split_on_char ' ' (String.trim line) with
-    | [ mi; pid; count ] -> (
-        match
-          (int_of_string_opt mi, int_of_string_opt pid, int_of_string_opt count)
-        with
-        | Some mi, Some pid, Some count -> add_row tbl mi pid ~count
-        | _ -> Error bad_row)
-    | _ -> Error "expected \"<method-index> <path-id> <count>\""
-
-let of_lines ~n_methods lines =
-  let tbl = create_table ~n_methods in
-  List.iter
-    (fun line ->
-      match parse_line tbl line with
-      | Ok () -> ()
-      | Error _ -> failwith ("Path_profile.of_lines: bad line: " ^ line))
-    lines;
-  tbl
+  else Error "expected a method index in range, a path id >= 0 and a count > 0"
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>";

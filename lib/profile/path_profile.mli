@@ -35,7 +35,7 @@ val entry_opt : t -> int -> entry option
 
     A capacity bounds the {e distinct paths} stored, modelling the
     fixed-size profile tables of a production VM.  {!add}/{!incr}/
-    {!parse_line} on a full table drop updates that would create a new
+    {!add_row} on a full table drop updates that would create a new
     entry (counted in {!overflow}); updates to present entries always
     land.  Default: unbounded. *)
 
@@ -64,10 +64,11 @@ val table_total : table -> int
 (** Total dropped updates across the table. *)
 val table_overflow : table -> int
 
-(** [(method index, path id, count)] of every path with a positive
-    count, by method, then by path id: the table's contents as the run
-    cache stores them and the fleet collector diffs them. *)
-val rows : table -> (int * int * int) list
+(** Every path with a positive count as a flat stride-3 row (method
+    index, path id, count), by method, then by path id: the table's
+    contents as the run cache stores them and the fleet collector diffs
+    them ({!Fleet_rows}). *)
+val rows : table -> int array
 
 (** [add_row tbl mi path_id ~count] adds one row's count to method
     [mi]'s table, after the checks every reader applies: [mi] names a
@@ -76,18 +77,9 @@ val rows : table -> (int * int * int) list
     does (still [Ok]). *)
 val add_row : table -> int -> int -> count:int -> (unit, string) result
 
-(** {!rows} rendered, one line per row: ["<method-index> <path-id>
-    <count>"] (memoized expansions are not serialized; they are
-    re-derivable from the P-DAG).  [of_lines] is the inverse.
-    @raise Failure on malformed input. *)
+(** {!rows} rendered for people, one line per row: ["<method-index>
+    <path-id> <count>"] (memoized expansions are not serialized; they
+    are re-derivable from the P-DAG). *)
 val to_lines : table -> string list
-
-val of_lines : n_methods:int -> string list -> table
-
-(** Parse one serialized line into an existing table by {!add_row}
-    (blank lines are ignored).  The structured-error twin of
-    {!of_lines}, for callers that need per-line diagnostics instead of
-    exceptions. *)
-val parse_line : table -> string -> (unit, string) result
 
 val pp : t Fmt.t

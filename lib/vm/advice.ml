@@ -13,9 +13,11 @@ let rows t =
     Array.to_list (Array.mapi (fun meth level -> Level { meth; level }) t.levels)
   in
   let edges =
-    List.map
-      (fun (meth, branch, taken, not_taken) -> Edge { meth; branch; taken; not_taken })
-      (Edge_profile.rows t.profile)
+    let r = Edge_profile.rows t.profile in
+    List.init (Array.length r / 4) (fun k ->
+        let o = 4 * k in
+        Edge
+          { meth = r.(o); branch = r.(o + 1); taken = r.(o + 2); not_taken = r.(o + 3) })
   in
   let calls =
     List.map

@@ -55,26 +55,3 @@ let set_row t ~caller ~callee w =
     Ok ()
   end
   else Error "expected three integers with a positive weight"
-
-let parse_line t line =
-  if String.trim line = "" then Ok ()
-  else
-    match String.split_on_char ' ' (String.trim line) with
-    | [ cr; ce; w ] -> (
-        match
-          (int_of_string_opt cr, int_of_string_opt ce, int_of_string_opt w)
-        with
-        | Some caller, Some callee, Some w -> set_row t ~caller ~callee w
-        | _ -> Error "expected three integers with a positive weight")
-    | _ -> Error "expected \"<caller> <callee> <weight>\""
-
-let of_lines ?file lines =
-  let t = create () in
-  let rec go n = function
-    | [] -> Ok t
-    | raw :: rest -> (
-        match parse_line t raw with
-        | Ok () -> go (n + 1) rest
-        | Error reason -> Error { file; line = n; text = String.trim raw; reason })
-  in
-  go 1 lines

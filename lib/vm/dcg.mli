@@ -33,8 +33,10 @@ val copy : t -> t
 (** One line per edge: ["<caller> <callee> <weight>"]. *)
 val to_lines : t -> string list
 
-(** Where and why parsing a serialized profile failed.  Shared with
-    {!Advice.of_lines}, whose line numbers refer to the advice file. *)
+(** Where and why reading a serialized profile failed: the diagnostic
+    of {!Advice.of_lines}, whose line numbers refer to the advice file,
+    and of both on-disk stores (the run cache and the fleet's segments),
+    which report line 0. *)
 type parse_error = {
   file : string option;  (** source file, when parsing one *)
   line : int;  (** 1-based position in the input *)
@@ -44,14 +46,7 @@ type parse_error = {
 
 val pp_parse_error : parse_error Fmt.t
 
-(** Parse one ["<caller> <callee> <weight>"] line into [t] (blank lines
-    are ignored); [Error reason] leaves [t] unchanged. *)
-val parse_line : t -> string -> (unit, string) result
-
-(** [set_row t ~caller ~callee w] stores one parsed line's edge: the
-    check and the update {!parse_line} applies to
-    ["<caller> <callee> <w>"], for readers that hold the numbers
-    already. *)
+(** [set_row t ~caller ~callee w] stores one call edge read back from
+    an advice, after the check every reader applies: a positive
+    weight.  [Error reason] leaves [t] unchanged. *)
 val set_row : t -> caller:int -> callee:int -> int -> (unit, string) result
-
-val of_lines : ?file:string -> string list -> (t, parse_error) result

@@ -338,10 +338,10 @@ let payload =
     compile = 3;
     checksum = 4;
     n_samples = 0;
-    pep_paths = [];
-    pep_edges = [];
-    ppaths = [];
-    pedges = [];
+    pep_paths = [||];
+    pep_edges = [||];
+    ppaths = [||];
+    pedges = [||];
   }
 
 let test_tmp_sweep () =

@@ -24,7 +24,8 @@
    - deferred rows against the list decoder: on valid segments and on
      re-digested damage to their row sections, [decode] and [load_all]
      give its verdict and diagnostic, and accepted rows decode, without
-     raising, to its rows in order;
+     raising, to its rows in order; the same for a run-cache entry's
+     four row sections under [Exp_codec.decode] and [Exp_store.load];
    - array-backed views and triage against the per-row references:
      [view] (method order, rows, samples, segments, span) and [diff],
      once per call and through one [index] reused for many views;
@@ -444,7 +445,7 @@ let varint n =
 (* Row-section damage, each re-digested so only the row reader can
    object: a section's count inflated, the bytes cut, ten continuation
    bytes inserted, a byte's continuation bit set, a byte dropped, bytes
-   appended. *)
+   appended.  Both stores write their rows in these sections. *)
 type row_damage =
   | Intact
   | Inflate of int * int  (** section, extra rows claimed *)
@@ -454,15 +455,11 @@ type row_damage =
   | Drop of int
   | Append of string
 
-let row_bytes (paths, edges, dcg) damage =
-  let flat3 = List.concat_map (fun (a, b, c) -> [ a; b; c ]) in
-  let sections =
-    [
-      (List.length paths, flat3 paths);
-      (List.length edges, List.concat_map (fun (a, b, c, d) -> [ a; b; c; d ]) edges);
-      (List.length dcg, flat3 dcg);
-    ]
-  in
+(* a section's row count and ints, from tuple rows *)
+let sec3 rows = (List.length rows, Array.to_list (flat3 rows))
+let sec4 rows = (List.length rows, Array.to_list (flat4 rows))
+
+let row_bytes sections damage =
   let bytes =
     String.concat ""
       (List.mapi
@@ -489,20 +486,81 @@ let row_bytes (paths, edges, dcg) damage =
       String.sub bytes 0 p ^ String.sub bytes (p + 1) (n - p - 1)
   | Append tail -> bytes ^ tail
 
+(* Reference decoder of a run entry: the whole frame read in one
+   pass, each section's rows decoded into lists as they are met.
+   Returns the measurement and the four sections' rows. *)
+let reference_run_decode ~file ~key contents =
+  Bin.check_frame ~magic:"PEPRUN" ~version:4 ~what:"cache" ~file contents
+    (fun r ->
+      if Bin.rstr r <> Digest.string key then Bin.fail "stale cache entry";
+      let meas = List.init 5 (fun _ -> Bin.rint r) in
+      let section stride =
+        List.init (Bin.rcount r) (fun _ -> List.init stride (fun _ -> Bin.rint r))
+      in
+      let pep_paths = section 3 in
+      let pep_edges = section 4 in
+      let ppaths = section 3 in
+      let pedges = section 4 in
+      (meas, [ pep_paths; pep_edges; ppaths; pedges ]))
+
+let run_meas =
+  { Exp_codec.iter1 = 1; iter2 = -2; compile = 300; checksum = max_int; n_samples = 5;
+    pep_paths = [||]; pep_edges = [||]; ppaths = [||]; pedges = [||] }
+
+(* The body of a run frame under [key] up to its row sections: the
+   frame of [run_meas], which has no rows, ends its body in four zero
+   counts. *)
+let run_body_before_rows ~key =
+  let bytes = Exp_codec.encode ~key run_meas in
+  String.sub bytes 0 (String.length bytes - 16 - 4)
+
+(* [Exp_codec.decode] and [Exp_store.load] on a run frame's [bytes]
+   against the reference: the same verdict and diagnostic, and for an
+   accepted frame the same measurement and rows, never an exception.
+   [None] when they agree, else what differs. *)
+let run_disagreement ~key bytes =
+  let want = reference_run_decode ~file:"f.run" ~key bytes in
+  let rows stride a =
+    List.init (Array.length a / stride) (fun k -> Array.to_list (Array.sub a (k * stride) stride))
+  in
+  let check what (got : (Exp_codec.payload, Dcg.parse_error) result) =
+    match (got, want) with
+    | Ok p, Ok (meas, sections) ->
+        if
+          [ p.iter1; p.iter2; p.compile; p.checksum; p.n_samples ] = meas
+          && [ rows 3 p.pep_paths; rows 4 p.pep_edges; rows 3 p.ppaths; rows 4 p.pedges ]
+             = sections
+        then None
+        else Some (what ^ ": payload differs")
+    | Error e, Error e' when e.Dcg.reason = e'.Dcg.reason -> None
+    | _ ->
+        let reason = function Ok _ -> "accepted" | Error (e : Dcg.parse_error) -> e.Dcg.reason in
+        Some (Fmt.str "%s: %s, reference: %s" what (reason got) (reason want))
+  in
+  match check "decode" (Exp_codec.decode ~file:"f.run" ~key bytes) with
+  | Some _ as m -> m
+  | None -> (
+      let file = Filename.temp_file "pepsim-run" ".run" in
+      write_all file bytes;
+      let loaded = Exp_store.load ~file ~key in
+      Sys.remove file;
+      match loaded with
+      | Ok (Some p) -> check "load" (Ok p)
+      | Ok None -> Some "load: no entry"
+      | Error e -> check "load" (Error e))
+  | exception exn -> Some (Fmt.str "raised %s" (Printexc.to_string exn))
+
 let prop_decoder_reference =
   let open QCheck.Gen in
   let num = oneof [ small_nat; small_signed_int; int ] in
-  let rows =
-    triple
-      (list_size (int_bound 8) (triple num num num))
-      (list_size (int_bound 8) (quad num num num num))
-      (list_size (int_bound 8) (triple num num num))
-  in
+  let rows3 = list_size (int_bound 8) (triple num num num) in
+  let rows4 = list_size (int_bound 8) (quad num num num num) in
+  let rows = quad rows3 rows4 rows3 rows4 in
   let damage =
     oneof
       [
         return Intact;
-        map2 (fun i e -> Inflate (i, e)) (int_bound 2)
+        map2 (fun i e -> Inflate (i, e)) (int_bound 3)
           (oneofl [ 1; 2; 3; 7; 1000; 1 lsl 40 ]);
         map (fun p -> Cut p) nat;
         map (fun p -> Overlong p) nat;
@@ -512,8 +570,9 @@ let prop_decoder_reference =
       ]
   in
   let methods = list_size (int_bound 4) (oneofl [ "main"; "a"; "b|c"; "" ]) in
-  let print (_, (p, e, d), dmg) =
-    Fmt.str "%d/%d/%d rows, %s" (List.length p) (List.length e) (List.length d)
+  let print (_, (p, e, d, e'), dmg) =
+    Fmt.str "%d/%d/%d/%d rows, %s" (List.length p) (List.length e) (List.length d)
+      (List.length e')
       (match dmg with
       | Intact -> "intact"
       | Inflate (i, e) -> Fmt.str "section %d count +%d" i e
@@ -526,17 +585,30 @@ let prop_decoder_reference =
   QCheck.Test.make ~count:300
     ~name:"decode and load_all = the list decoder (verdict, reason, rows)"
     (QCheck.make ~print (triple methods rows damage))
-    (fun (methods, rows, damage) ->
+    (fun (methods, (paths, edges, dcg, edges'), damage) ->
+      (* the segment's three sections; [Inflate (3, _)] leaves them be *)
       let s =
         {
           (seg ~cohort_name:"d" ~window:1 ~origin:0 []) with
           Fleet_store.methods = Array.of_list methods;
         }
       in
-      let bytes = reframe (body_before_rows s ^ row_bytes rows damage) in
-      match decoder_disagreement bytes with
+      let bytes =
+        reframe (body_before_rows s ^ row_bytes [ sec3 paths; sec4 edges; sec3 dcg ] damage)
+      in
+      (match decoder_disagreement bytes with
+      | None -> ()
+      | Some m -> QCheck.Test.fail_reportf "segment: %s" m);
+      (* a run entry's four sections, through the same row reader *)
+      let key = "k|" ^ String.concat "," methods in
+      let bytes =
+        reframe
+          (run_body_before_rows ~key
+          ^ row_bytes [ sec3 paths; sec4 edges; sec3 dcg; sec4 edges' ] damage)
+      in
+      match run_disagreement ~key bytes with
       | None -> true
-      | Some m -> QCheck.Test.fail_report m)
+      | Some m -> QCheck.Test.fail_reportf "run entry: %s" m)
 
 let gen_segment =
   let open QCheck in
@@ -600,10 +672,10 @@ let prop_segment_codec =
                 compile = 0;
                 checksum = 0;
                 n_samples = s.Fleet_store.samples;
-                pep_paths = rows3;
-                pep_edges = rows4;
-                ppaths = [];
-                pedges = [];
+                pep_paths = flat3 rows3;
+                pep_edges = flat4 rows4;
+                ppaths = [||];
+                pedges = [||];
               }
           in
           Test_pool.rejects_all ~file (Fleet_store.decode ~file)

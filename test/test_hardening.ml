@@ -166,13 +166,21 @@ let test_path_profile_serialization () =
   Path_profile.add t.(0) 5 100;
   Path_profile.add t.(2) 0 1;
   Path_profile.add t.(2) 7 33;
-  let t' = Path_profile.of_lines ~n_methods:3 (Path_profile.to_lines t) in
+  let rows = Path_profile.rows t in
+  let t' = Path_profile.create_table ~n_methods:3 in
+  for k = 0 to (Array.length rows / 3) - 1 do
+    match
+      Path_profile.add_row t' rows.(3 * k) rows.((3 * k) + 1)
+        ~count:rows.((3 * k) + 2)
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "row %d rejected: %s" k e
+  done;
   check ci "total" (Path_profile.table_total t) (Path_profile.table_total t');
   check ci "entry count" 33
     (Option.get (Path_profile.find t'.(2) 7)).Path_profile.count;
-  match Path_profile.of_lines ~n_methods:3 [ "junk line" ] with
-  | (_ : Path_profile.table) -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ()
+  check cb "a row naming no method is an Error, not an exception" true
+    (Result.is_error (Path_profile.add_row t' 3 0 ~count:1))
 
 let test_advice_bad_lines () =
   List.iter

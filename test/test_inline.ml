@@ -204,18 +204,25 @@ let test_dcg () =
   (match Dcg.edges d with
   | (0, 1, 2) :: _ -> ()
   | _ -> Alcotest.fail "heaviest edge first");
-  let d' =
-    match Dcg.of_lines (Dcg.to_lines d) with
-    | Ok d' -> d'
-    | Error e -> Alcotest.failf "roundtrip: %a" Dcg.pp_parse_error e
-  in
+  let d' = Dcg.create () in
+  List.iter
+    (fun (caller, callee, w) ->
+      match Dcg.set_row d' ~caller ~callee w with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "edge %d -> %d rejected: %s" caller callee e)
+    (Dcg.edges d);
   check ci "roundtrip total" (Dcg.total d) (Dcg.total d');
   check ci "roundtrip weight" 2 (Dcg.weight d' ~caller:0 ~callee:1);
-  match Dcg.of_lines ~file:"t.dcg" [ "0 1 2"; "0 x 1" ] with
+  check Alcotest.(list string) "roundtrip lines" (Dcg.to_lines d) (Dcg.to_lines d');
+  (match Dcg.set_row d' ~caller:0 ~callee:1 0 with
+  | Ok () -> Alcotest.fail "a weight of 0 accepted"
+  | Error _ -> check ci "rejected edge left alone" 2 (Dcg.weight d' ~caller:0 ~callee:1));
+  (* the text an advice carries goes through [set_row] *)
+  match Advice.of_lines ~file:"t.advice" ~n_methods:2 [ "dcg 0 1 2"; "dcg 0 1 0" ] with
   | Ok _ -> Alcotest.fail "expected a parse error"
   | Error e ->
-      check Alcotest.string "error rendering" "t.dcg:2: expected three \
-        integers with a positive weight (in \"0 x 1\")"
+      check Alcotest.string "error rendering"
+        "t.advice:2: expected three integers with a positive weight (in \"dcg 0 1 0\")"
         (Fmt.str "%a" Dcg.pp_parse_error e)
 
 let test_driver_samples_dcg () =

@@ -355,20 +355,26 @@ let test_store_bit_flip () =
       Bytes.set b j (Char.chr (Char.code (Bytes.get b j) lxor 1));
       write_all file (Bytes.to_string b))
 
+(* [file]'s entry re-framed with version byte [v] and a recomputed,
+   valid trailer *)
+let reversion v file _key =
+  let bytes = read_all file in
+  let body = Bytes.of_string (String.sub bytes 0 (String.length bytes - 16)) in
+  Bytes.set body 6 (Char.chr v);
+  let body = Bytes.to_string body in
+  write_all file (body ^ Digest.string body)
+
 (* a forged digest does not save a wrong version: the version check runs
-   even on digest-consistent files — here the real entry re-framed with
-   version byte 99 and a recomputed, valid trailer *)
+   even on digest-consistent files — here each real entry re-framed
+   with version byte 99, then with 3, the format whose row sections
+   carried a tag and arities (a series, values or advice entry is then
+   exactly as v3 wrote it; a v3 run entry is forged in
+   [test_store_rows_that_do_not_fit]) *)
 let test_store_wrong_version () =
+  recompute_after ~expect:(fun e -> "unsupported " ^ e.what ^ " version") (reversion 99);
   recompute_after
-    ~expect:(fun e -> "unsupported " ^ e.what ^ " version")
-    (fun file _key ->
-      let bytes = read_all file in
-      let body =
-        Bytes.of_string (String.sub bytes 0 (String.length bytes - 16))
-      in
-      Bytes.set body 6 (Char.chr 99);
-      let body = Bytes.to_string body in
-      write_all file (body ^ Digest.string body))
+    ~expect:(fun e -> Printf.sprintf "unsupported %s version v3 (want v4)" e.what)
+    (reversion 3)
 
 (* a future version whose trailer does not match: the version is checked
    before the digest, so the diagnostic names the version — not a silent
@@ -435,11 +441,9 @@ let test_store_lint_catches_valid_digest_tamper () =
   (* decode the entry, inflate the first recorded path count far past
      the sample bound, and re-save — digest and key both valid *)
   let p = load_payload file key in
-  let pep_paths =
-    match p.Exp_store.pep_paths with
-    | (mi, pid, _count) :: rest -> (mi, pid, 1_000_000) :: rest
-    | [] -> Alcotest.fail "no pep.paths row to inflate"
-  in
+  let pep_paths = Array.copy p.Exp_store.pep_paths in
+  if Array.length pep_paths = 0 then Alcotest.fail "no pep.paths row to inflate";
+  pep_paths.(2) <- 1_000_000;
   (match Exp_store.save ~file ~key { p with Exp_store.pep_paths } with
   | Ok () -> ()
   | Error e -> Alcotest.failf "tampered save failed: %s" e.Dcg.reason);
@@ -479,10 +483,10 @@ let test_store_foreign_kind () =
       compile = 3;
       checksum = 4;
       n_samples = 0;
-      pep_paths = [];
-      pep_edges = [];
-      ppaths = [];
-      pedges = [];
+      pep_paths = [||];
+      pep_edges = [||];
+      ppaths = [||];
+      pedges = [||];
     }
   in
   let foreign encode file key = write_all file (encode key) in
@@ -506,33 +510,37 @@ let test_store_foreign_kind () =
 
 (* A run frame written by hand: the payload's measurement, then one
    section per [put] — for entries the encoder cannot produce. *)
-let forge_run ~key (p : Exp_store.payload) sections =
+let forge_run ?(version = 4) ~key (p : Exp_store.payload) sections =
   let module B = Exp_codec.Bin in
-  let w = B.frame ~magic:"PEPRUN" ~version:3 in
+  let w = B.frame ~magic:"PEPRUN" ~version in
   B.str w (Digest.string key);
   List.iter (B.int w) [ p.iter1; p.iter2; p.compile; p.checksum; p.n_samples ];
   List.iter (fun put -> put w) sections;
   B.contents_with_digest w
 
-(* a section of tag 0: each row as its arity and its ints *)
-let packed rows w =
+(* a row section: the row count, then the ints *)
+let section ~count ints w =
+  let module B = Exp_codec.Bin in
+  B.int w count;
+  Array.iter (B.int w) ints
+
+(* the same rows as format v3 wrote them: a tag byte 0, the row count,
+   then each row as its arity and its ints *)
+let v3_section ~stride ints w =
   let module B = Exp_codec.Bin in
   B.byte w 0;
-  B.int w (List.length rows);
-  List.iter
-    (fun row ->
-      B.int w (List.length row);
-      List.iter (B.int w) row)
-    rows
-
-let path_ints = List.map (fun (a, b, c) -> [ a; b; c ])
-let edge_ints = List.map (fun (a, b, c, d) -> [ a; b; c; d ])
+  B.int w (Array.length ints / stride);
+  Array.iteri
+    (fun i x ->
+      if i mod stride = 0 then B.int w stride;
+      B.int w x)
+    ints
 
 (* digest-valid run entries under the right key whose rows do not fit —
    a method past the program, a path count of 0, a section the
-   configuration never collects, the retired raw-text section (tag 1),
-   a path row of four ints — are each one store error naming the fault
-   and one execution, never a disk hit *)
+   configuration never collects, a row count past the frame's end —
+   and the same payload in format v3 are each one store error naming
+   the fault and one execution, never a disk hit *)
 let test_store_rows_that_do_not_fit () =
   let n_methods = Program.n_methods (Lazy.force rob_env).Exp_harness.program in
   let resave edit file key =
@@ -540,46 +548,38 @@ let test_store_rows_that_do_not_fit () =
     | Ok () -> ()
     | Error e -> Alcotest.failf "forged save failed: %s" e.Dcg.reason
   in
-  let first_path f (p : Exp_store.payload) =
-    match p.Exp_store.pep_paths with
-    | row :: rest -> { p with Exp_store.pep_paths = f row :: rest }
-    | [] -> Alcotest.fail "no pep.paths row"
+  let first_path col v (p : Exp_store.payload) =
+    if Array.length p.Exp_store.pep_paths = 0 then Alcotest.fail "no pep.paths row";
+    let pep_paths = Array.copy p.Exp_store.pep_paths in
+    pep_paths.(col) <- v;
+    { p with Exp_store.pep_paths }
   in
-  let forge sections file key =
+  let forge ?version sections file key =
     let p = load_payload file key in
-    write_all file (forge_run ~key p (sections p))
+    write_all file (forge_run ?version ~key p (sections p))
   in
   let cases =
     [
-      ( "method index in range",
-        resave (first_path (fun (_, pid, c) -> (n_methods, pid, c))) );
-      ("count > 0", resave (first_path (fun (mi, pid, _) -> (mi, pid, 0))));
+      ("method index in range", resave (first_path 0 n_methods));
+      ("count > 0", resave (first_path 2 0));
       ( "payload has a ppaths section",
-        resave (fun p -> { p with Exp_store.ppaths = [ (0, 0, 1) ] }) );
-      ( "unknown pep.paths section tag 1",
+        resave (fun p -> { p with Exp_store.ppaths = [| 0; 0; 1 |] }) );
+      ( "truncated cache entry (count out of range)",
         forge (fun p ->
-            let module B = Exp_codec.Bin in
             [
-              (fun w ->
-                B.byte w 1;
-                B.int w (List.length p.Exp_store.pep_paths);
-                List.iter
-                  (fun (a, b, c) -> B.str w (Printf.sprintf "%d %d %d" a b c))
-                  p.Exp_store.pep_paths);
-              packed (edge_ints p.Exp_store.pep_edges);
-              packed [];
-              packed [];
+              section ~count:(1 lsl 20) p.Exp_store.pep_paths;
+              section ~count:(Array.length p.Exp_store.pep_edges / 4)
+                p.Exp_store.pep_edges;
+              section ~count:0 [||];
+              section ~count:0 [||];
             ]) );
-      ( "pep.paths row of 4 ints, want 3",
-        forge (fun p ->
+      ( "unsupported cache version v3 (want v4)",
+        forge ~version:3 (fun p ->
             [
-              packed
-                (match path_ints p.Exp_store.pep_paths with
-                | row :: rest -> (row @ [ 1 ]) :: rest
-                | [] -> Alcotest.fail "no pep.paths row");
-              packed (edge_ints p.Exp_store.pep_edges);
-              packed [];
-              packed [];
+              v3_section ~stride:3 p.Exp_store.pep_paths;
+              v3_section ~stride:4 p.Exp_store.pep_edges;
+              v3_section ~stride:3 [||];
+              v3_section ~stride:4 [||];
             ]) );
     ]
   in
@@ -594,10 +594,10 @@ let test_store_rows_that_do_not_fit () =
   forge
     (fun p ->
       [
-        packed (path_ints p.Exp_store.pep_paths);
-        packed (edge_ints p.Exp_store.pep_edges);
-        packed [];
-        packed [];
+        section ~count:(Array.length p.Exp_store.pep_paths / 3) p.Exp_store.pep_paths;
+        section ~count:(Array.length p.Exp_store.pep_edges / 4) p.Exp_store.pep_edges;
+        section ~count:0 [||];
+        section ~count:0 [||];
       ])
     file key;
   check cs "hand-written frame = stored bytes" stored (read_all file)
@@ -949,12 +949,16 @@ let copy_config (c : Exp_harness.config) =
   | Driver.From_baseline | Driver.From_pep -> c
   | Driver.Fixed t ->
       let t' = Edge_profile.create_table ~n_methods:(Array.length t) in
-      List.iter
-        (fun (mi, b, taken, not_taken) ->
-          match Edge_profile.add_row t' mi b ~taken ~not_taken with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "edge row of method %d rejected: %s" mi e)
-        (Edge_profile.rows t);
+      let r = Edge_profile.rows t in
+      for k = 0 to (Array.length r / 4) - 1 do
+        let o = 4 * k in
+        match
+          Edge_profile.add_row t' r.(o) r.(o + 1) ~taken:r.(o + 2)
+            ~not_taken:r.(o + 3)
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "edge row of method %d rejected: %s" r.(o) e
+      done;
       { c with Exp_harness.opt_profile = Driver.Fixed t' }
 
 let gen_config_pair =
@@ -979,13 +983,12 @@ let gen_row_int =
   QCheck.Gen.(
     oneof [ int; int_range (-1000) 1000; oneofl [ min_int; max_int; 0; -1 ] ])
 
-let gen_rows3 =
-  QCheck.Gen.(list_size (int_range 0 8) (triple gen_row_int gen_row_int gen_row_int))
-
-let gen_rows4 =
+(* up to 8 flat rows of [stride] ints *)
+let gen_rows ~stride =
   QCheck.Gen.(
-    list_size (int_range 0 8)
-      (quad gen_row_int gen_row_int gen_row_int gen_row_int))
+    map
+      (fun rows -> Array.of_list (List.concat rows))
+      (list_size (int_range 0 8) (list_repeat stride gen_row_int)))
 
 let gen_payload =
   QCheck.Gen.(
@@ -1009,7 +1012,8 @@ let gen_payload =
                (int_range (-1000000) 1000000)
                (int_range (-1000000) 1000000))
             (pair (int_range (-1000000) 1000000) (int_range 0 100000)))
-         (quad gen_rows3 gen_rows4 gen_rows3 gen_rows4)))
+         (quad (gen_rows ~stride:3) (gen_rows ~stride:4) (gen_rows ~stride:3)
+            (gen_rows ~stride:4))))
 
 (* Damaged variants of a valid frame, drawn from [i]: one flipped bit,
    a cut at a random offset, bytes appended, and [foreign] — the other

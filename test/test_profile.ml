@@ -33,27 +33,34 @@ let test_edge_profile_serialize () =
   Edge_profile.add tbl.(0) 0 ~taken:true 4;
   Edge_profile.add tbl.(2) 7 ~taken:false 2;
   Edge_profile.add tbl.(2) 1 ~taken:true 1;
-  let lines = Edge_profile.to_lines tbl in
-  let tbl' = Edge_profile.of_lines ~n_methods:3 lines in
-  check Alcotest.(list string) "roundtrip" lines (Edge_profile.to_lines tbl');
+  let rows = Edge_profile.rows tbl in
+  let tbl' = Edge_profile.create_table ~n_methods:3 in
+  for k = 0 to (Array.length rows / 4) - 1 do
+    let o = 4 * k in
+    match
+      Edge_profile.add_row tbl' rows.(o) rows.(o + 1) ~taken:rows.(o + 2)
+        ~not_taken:rows.(o + 3)
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "row %d rejected: %s" k e
+  done;
+  check Alcotest.(array int) "roundtrip" rows (Edge_profile.rows tbl');
   check ci "total preserved" (Edge_profile.table_total tbl)
     (Edge_profile.table_total tbl')
 
 (* [rows] is the one row form every store writes (run cache, advice,
    fleet segments) and [to_lines] renders, so its order is part of
    their bytes: by method, then by branch or path id, whatever the
-   insertion order; [add_row] applies [parse_line]'s checks *)
+   insertion order; [add_row] applies every reader's checks *)
 let test_rows () =
   let e = Edge_profile.create_table ~n_methods:3 in
   Edge_profile.add e.(2) 7 ~taken:false 2;
   Edge_profile.add e.(0) 5 ~taken:true 4;
   Edge_profile.add e.(2) 1 ~taken:true 1;
   Edge_profile.add e.(0) 0 ~taken:false 0;
-  let erows = [ (0, 0, 0, 0); (0, 5, 4, 0); (2, 1, 1, 0); (2, 7, 0, 2) ] in
-  check Alcotest.(list (pair (pair int int) (pair int int)))
-    "edge rows by method, then branch"
-    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) erows)
-    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) (Edge_profile.rows e));
+  check Alcotest.(array int) "edge rows by method, then branch"
+    [| 0; 0; 0; 0; 0; 5; 4; 0; 2; 1; 1; 0; 2; 7; 0; 2 |]
+    (Edge_profile.rows e);
   check Alcotest.(list string) "edge lines are the rows rendered"
     [ "0 0 0 0"; "0 5 4 0"; "2 1 1 0"; "2 7 0 2" ]
     (Edge_profile.to_lines e);
@@ -62,9 +69,8 @@ let test_rows () =
   Path_profile.add p.(0) 4 1;
   Path_profile.add p.(1) 2 5;
   Path_profile.add p.(0) 8 0;
-  check Alcotest.(list (triple int int int))
-    "path rows by method, then path id, counts > 0"
-    [ (0, 4, 1); (1, 2, 5); (1, 9, 3) ]
+  check Alcotest.(array int) "path rows by method, then path id, counts > 0"
+    [| 0; 4; 1; 1; 2; 5; 1; 9; 3 |]
     (Path_profile.rows p);
   check Alcotest.(list string) "path lines are the rows rendered"
     [ "0 4 1"; "1 2 5"; "1 9 3" ]
@@ -192,6 +198,86 @@ let test_metrics_bounded_qcheck =
          let ab = Accuracy.absolute_overlap ~actual:a ~estimated:e in
          r >= 0. && r <= 1. +. 1e-9 && ab >= 0. && ab <= 1. +. 1e-9))
 
+(* [Fleet_rows.delta] over a random sequence of cumulative tables of
+   [stride]-int rows (keys from a small universe, each table's rows in
+   a shuffled order), against a model of its contract: each window's
+   delta lists, in input order, exactly the rows where some count grew
+   past the last table's, with each count's growth — a count that fell
+   contributes 0, so a row appears only if another count grew.  Without
+   falling counts (a monotone sequence), the deltas sum to the last
+   table's rows with a positive count. *)
+let prop_delta ~stride =
+  let counts = stride - 2 in
+  let gen =
+    QCheck2.Gen.(
+      bool >>= fun falls ->
+      triple (return falls)
+        (list_size (int_range 1 6)
+           (list_size (int_range 0 10)
+              (pair
+                 (pair (int_bound 2) (int_bound 5))
+                 (list_repeat counts
+                    (if falls then int_range (-3) 5 else int_bound 5)))))
+        int)
+  in
+  let zeros () = Array.make counts 0 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~name:(Printf.sprintf "windowed delta = model, stride %d" stride)
+       gen
+       (fun (falls, windows, seed) ->
+         let cur = Fleet_rows.create ~stride in
+         let table = Hashtbl.create 16 and last = Hashtbl.create 16 in
+         let sums = Hashtbl.create 16 in
+         List.iteri
+           (fun w updates ->
+             List.iter
+               (fun (key, growth) ->
+                 let c = Option.value ~default:(zeros ()) (Hashtbl.find_opt table key) in
+                 Hashtbl.replace table key
+                   (Array.mapi (fun j x -> x + List.nth growth j) c))
+               updates;
+             let keys = Array.of_list (List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) table [])) in
+             let rng = Random.State.make [| seed; w |] in
+             for i = Array.length keys - 1 downto 1 do
+               let j = Random.State.int rng (i + 1) in
+               let t = keys.(i) in
+               keys.(i) <- keys.(j);
+               keys.(j) <- t
+             done;
+             let row (a, b) c = a :: b :: Array.to_list c in
+             let rows =
+               Array.of_list
+                 (List.concat_map (fun k -> row k (Hashtbl.find table k)) (Array.to_list keys))
+             in
+             let want =
+               List.concat_map
+                 (fun k ->
+                   let c = Hashtbl.find table k in
+                   let p = Option.value ~default:(zeros ()) (Hashtbl.find_opt last k) in
+                   Hashtbl.replace last k c;
+                   if Array.exists2 ( > ) c p then
+                     row k (Array.map2 (fun c p -> max 0 (c - p)) c p)
+                   else [])
+                 (Array.to_list keys)
+             in
+             let got = Fleet_rows.delta cur rows in
+             if Array.to_list got <> want then
+               QCheck2.Test.fail_reportf "window %d: delta differs from the model" w;
+             for k = 0 to (Array.length got / stride) - 1 do
+               let key = (got.(k * stride), got.((k * stride) + 1)) in
+               let sum = Option.value ~default:(zeros ()) (Hashtbl.find_opt sums key) in
+               Hashtbl.replace sums key
+                 (Array.mapi (fun j x -> x + got.((k * stride) + 2 + j)) sum)
+             done)
+           windows;
+         falls
+         || Hashtbl.fold
+              (fun k c ok ->
+                ok
+                && Option.value ~default:(zeros ()) (Hashtbl.find_opt sums k) = c)
+              table true))
+
 let suite =
   [
     Alcotest.test_case "edge profile basics" `Quick test_edge_profile_basics;
@@ -206,4 +292,6 @@ let suite =
     Alcotest.test_case "relative overlap" `Quick test_relative_overlap;
     Alcotest.test_case "absolute overlap" `Quick test_absolute_overlap;
     test_metrics_bounded_qcheck;
+    prop_delta ~stride:3;
+    prop_delta ~stride:4;
   ]
