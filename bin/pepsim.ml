@@ -1111,10 +1111,10 @@ let fleet_run_cmd =
         (match r.Fleet_collector.counts with
         | Some c when not (Fault_plan.is_empty faults) ->
             Printf.printf
-              "[fleet-faults] plan=%s healed_open=%d crash=%d torn=%d \
-               straggler=%d seg_corrupt=%d restarts=%d lost_instances=%d \
+              "[fleet-faults] plan=%s crash=%d torn=%d straggler=%d \
+               seg_corrupt=%d restarts=%d lost_instances=%d \
                writes_recovered=%d catchups=%d quarantined=%d\n"
-              (Fault_plan.key faults) r.Fleet_collector.healed_open
+              (Fault_plan.key faults)
               c.Fault_injector.instance_crash c.Fault_injector.torn_write
               c.Fault_injector.straggler c.Fault_injector.seg_corrupt
               c.Fault_injector.restarts c.Fault_injector.lost_instances

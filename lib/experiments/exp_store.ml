@@ -51,9 +51,12 @@ let rec ensure_dir dir =
             else Error (err dir ("cannot create cache directory: " ^ m)))
   end
 
-(* A crash between [Filename.temp_file] and the rename in [write_file]
-   leaves a stray [*.tmp] behind; it is never read (loads go by exact
-   final name) but would accumulate, so sweep on store open. *)
+(* [write_file] writes to a [run-*.tmp] in the target directory before
+   its rename.  A crash in between leaves the temp file behind; it is
+   never read (loads go by exact final name) but would accumulate, so
+   sweep on store open. *)
+let temp_file ~dir = Filename.temp_file ~temp_dir:dir "run-" ".tmp"
+
 let sweep_tmp dir =
   match Sys.readdir dir with
   | entries ->
@@ -136,7 +139,7 @@ let write_file ~file contents =
     match ensure_dir dir with
     | Error _ as e -> e
     | Ok () -> (
-        let tmp = Filename.temp_file ~temp_dir:dir "run-" ".tmp" in
+        let tmp = temp_file ~dir in
         try
           Out_channel.with_open_bin tmp (fun oc ->
               Out_channel.output_string oc contents);

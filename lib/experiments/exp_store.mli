@@ -45,6 +45,10 @@ val ensure_dir : string -> (unit, Dcg.parse_error) result
     store directory. *)
 val prepare_dir : string -> (unit, Dcg.parse_error) result
 
+(** A new empty file in [dir], named as {!write_file}'s temp files are
+    ([run-*.tmp]), which {!prepare_dir} sweeps.  Raises [Sys_error]. *)
+val temp_file : dir:string -> string
+
 (** Read a whole file as bytes; [Error] is a structured diagnostic. *)
 val read_file : string -> (string, Dcg.parse_error) result
 

@@ -54,8 +54,9 @@ val fire_corrupt : t -> what:string -> bool
     re-draws (and may crash at a different window). *)
 val fire_instance_crash : t -> instance:string -> window:int -> bool
 
-(** Is this segment write torn (partial bytes on disk, no journal
-    commit)?  [Some draw] carries the deterministic cut-offset seed. *)
+(** Is this segment write torn (killed before its rename: a prefix in
+    a temp file, the final name untouched)?  [Some draw] carries the
+    deterministic cut-offset seed. *)
 val fire_torn_write : t -> file:string -> int option
 
 (** Does this finished window miss its write deadline?  [Some delay]
@@ -77,8 +78,8 @@ val note_instance_restart : t -> instance:string -> attempt:int -> unit
     crash survive, the rest of the instance's data is lost. *)
 val note_instance_lost : t -> instance:string -> unit
 
-(** A torn write was detected (journal intent without commit) and the
-    partial file discarded; the segment will be re-collected. *)
+(** A torn write's temp file was swept and the segment will be
+    re-collected. *)
 val note_write_recovered : t -> file:string -> unit
 
 (** A straggler's window arrived after its deadline and was folded into

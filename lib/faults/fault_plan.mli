@@ -24,7 +24,7 @@
     corrupt=P            probability a persisted run-cache entry is written corrupted
     crash=P              probability a fleet instance crashes in a given window
     crash-restarts=N     seeded-restart cap before an instance is declared lost (default 4)
-    torn-write=P         probability a segment write is torn (partial bytes, no commit)
+    torn-write=P         probability a segment write is torn (a prefix in a temp file, no rename)
     straggler=P          probability a finished window misses its write deadline
     straggler-timeout=N  windows of delay before a straggler is force-collected (default 2)
     seg-corrupt=P        probability a completed segment write is silently corrupted

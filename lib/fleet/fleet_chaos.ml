@@ -14,7 +14,6 @@ type report = {
   converges : bool;
   identical : bool;  (* faulted store == healthy store, byte-for-byte *)
   counts : Fault_injector.counts option;
-  healed_open : int;
   lost : int;  (* degraded.log "lost" records after the faulted run *)
   rebuilt : int;  (* degraded.log "rebuilt" records *)
   violations : string list;
@@ -60,7 +59,6 @@ let run_one ?jobs ~healthy_fp ~dir spec (c : Exp_chaos.fleet_case) =
       converges = c.Exp_chaos.converges;
       identical = false;
       counts = None;
-      healed_open = 0;
       lost = 0;
       rebuilt = 0;
       violations = [];
@@ -131,7 +129,6 @@ let run_one ?jobs ~healthy_fp ~dir spec (c : Exp_chaos.fleet_case) =
         base with
         identical;
         counts = r.Fleet_collector.counts;
-        healed_open = r.Fleet_collector.healed_open;
         lost;
         rebuilt;
         violations = !violations;
@@ -150,7 +147,6 @@ let sweep ?jobs ?(cases = Exp_chaos.fleet_curated) ~dir spec =
           converges = true;
           identical = false;
           counts = None;
-          healed_open = 0;
           lost = 0;
           rebuilt = 0;
           violations = [ Fmt.str "healthy run: %a" Dcg.pp_parse_error e ];

@@ -25,7 +25,6 @@ type report = {
       (** faulted store was byte-identical to healthy before the heal
           rerun *)
   counts : Fault_injector.counts option;
-  healed_open : int;  (** torn files removed by the open recovery scan *)
   lost : int;  (** "lost" records in the degraded log *)
   rebuilt : int;  (** "rebuilt" records in the degraded log *)
   violations : string list;  (** empty means every invariant held *)

@@ -80,7 +80,6 @@ type report = {
   merged : int;  (* merged segments written by compaction *)
   retained_deleted : int;  (* segments dropped by retention *)
   store_bytes : int;
-  healed_open : int;  (* torn files removed by the recovery scan *)
   counts : Fault_injector.counts option;  (* fault accounting, if a plan ran *)
   degraded : (string * int * string) list;  (* degraded.log after this run *)
   diags : Dcg.parse_error list;
@@ -290,14 +289,14 @@ let instance_key_of (s : Fleet_store.segment) =
     { Fleet.Instance_id.cohort = s.Fleet_store.cohort; ordinal = s.Fleet_store.origin }
 
 let run ?(jobs = 1) ~dir spec =
-  match Fleet_store.open_ dir with
+  match Exp_store.prepare_dir dir with
   | Error e -> Error e
-  | Ok recovery ->
+  | Ok () ->
       let existing, diags0 = Fleet_store.load_all ~dir in
       let diags = ref diags0 in
-      (* Segments that fail decode without journal evidence are not
-         crash debris but silent damage: quarantine them so the store
-         is no longer poisoned and coverage gaps trigger re-collection
+      (* Writes are atomic, so a segment that fails decode is damage,
+         never a write in progress: quarantine it so the store is no
+         longer poisoned and coverage gaps trigger re-collection
          below.  The diagnostic still surfaces. *)
       List.iter
         (fun (e : Dcg.parse_error) ->
@@ -414,12 +413,11 @@ let run ?(jobs = 1) ~dir spec =
                      (a.Fleet_store.window.Fleet.Window.lo + da)
                      (b.Fleet_store.window.Fleet.Window.lo + db))
       in
-      (* Write pass with bounded re-collection: a torn or corrupt write
-         is detected (journal / digest), the debris removed or
-         quarantined, and the segment rewritten.  Injection stays live
-         for [seg-retries] rounds, then the final round is forced
-         clean, so every converging plan terminates at the healthy
-         bytes. *)
+      (* Write pass with bounded re-collection: a torn write's temp
+         file is swept, a corrupt segment quarantined, and the segment
+         rewritten.  Injection stays live for [seg-retries] rounds,
+         then the final round is forced clean, so every converging plan
+         terminates at the healthy bytes. *)
       let rec write_round ~round pending =
         let damaged = ref [] in
         List.iter
@@ -461,11 +459,7 @@ let run ?(jobs = 1) ~dir spec =
                 let file = Fleet_store.filename ~dir s in
                 let base = Filename.basename file in
                 (match kind with
-                | `Torn ->
-                    (* what the recovery scan would do at next open:
-                       intent without commit, partial bytes -> discard *)
-                    (try Sys.remove file with Sys_error _ -> ());
-                    Fault_injector.note_write_recovered inj ~file:base
+                | `Torn -> Fault_injector.note_write_recovered inj ~file:base
                 | `Flip -> (
                     Fault_injector.note_segment_quarantined inj ~file:base
                       ~reason:"digest mismatch";
@@ -476,6 +470,11 @@ let run ?(jobs = 1) ~dir spec =
                   ~window:s.Fleet_store.window.Fleet.Window.lo
                   ~reason:"rebuilt")
               dmg;
+            (* reopen the store as a restart would: the sweep removes
+               the torn writes' temp files *)
+            (match Exp_store.prepare_dir dir with
+            | Ok () -> ()
+            | Error e -> diags := !diags @ [ e ]);
             write_round ~round:(round + 1)
               (List.map (fun (s, _) -> (s, 0)) dmg)
       in
@@ -506,7 +505,6 @@ let run ?(jobs = 1) ~dir spec =
           merged;
           retained_deleted;
           store_bytes = Fleet_store.store_bytes ~dir;
-          healed_open = recovery.Fleet_store.healed;
           counts = Option.map Fault_injector.counts fleet_inj;
           degraded = Fleet_store.load_degraded ~dir;
           diags = !diags;

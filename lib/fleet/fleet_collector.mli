@@ -69,8 +69,6 @@ type report = {
   merged : int;  (** merged segments written by compaction *)
   retained_deleted : int;  (** segments dropped by retention *)
   store_bytes : int;  (** store size after this run *)
-  healed_open : int;
-      (** torn files the recovery scan removed when the store opened *)
   counts : Fault_injector.counts option;
       (** full fault/degradation accounting (workers absorbed), when a
           fault plan was active *)

@@ -9,11 +9,15 @@
    edges, DCG — plus the method-name table of the program that
    produced them, so queries never rebuild a program or machine.
 
+   Durability is the run cache's rule: every write is a temp file and
+   an atomic rename, so a crash leaves at most a stray temp file (swept
+   when the directory is next prepared) and never a short segment.
    Reading a file checks all of it: frame, digest, header, identity
    self-check and the structure of the three row sections (counts in
-   range, varints well formed, nothing trailing).  The rows themselves
-   are decoded only when a query first asks for them, into flat int
-   arrays; until then a segment holds its file's bytes.
+   range, varints well formed, nothing trailing), so a damaged file is
+   a diagnostic, never a segment.  The rows themselves are decoded
+   only when a query first asks for them, into flat int arrays; until
+   then a segment holds its file's bytes.
 
    Lifecycle: the collector writes one raw segment per (instance,
    window); [compact] folds the raws of each (cohort, window) into one
@@ -149,84 +153,6 @@ let decode_keyed ~file contents =
 
 let decode ~file contents = Result.map snd (decode_keyed ~file contents)
 
-(* ----------------------- journal & recovery ------------------------ *)
-
-(* Write-ahead journal: before a segment's bytes move toward their
-   final name an intent record ("W <basename> <md5 of bytes>") is
-   appended; after the atomic rename lands a commit record
-   ("C <basename>") follows.  On open, an intent without a commit
-   marks crash debris: if the named file is missing or fails decode it
-   is removed (the write was torn), if it decodes it merely missed its
-   commit line (crash between rename and append).  Either way the
-   store converges to decode-valid segments only, so a run killed at
-   any byte offset can be resumed to the healthy store's exact bytes.
-   A torn *journal* line (crash mid-append) is itself expected debris
-   and is skipped, never reported. *)
-
-let journal_file dir = Filename.concat dir "fleet.journal"
-
-let append_journal ~dir line =
-  let file = journal_file dir in
-  try
-    Out_channel.with_open_gen
-      [ Open_append; Open_creat; Open_binary ]
-      0o644 file
-      (fun oc -> Out_channel.output_string oc (line ^ "\n"));
-    Ok ()
-  with Sys_error m -> Error (err file ("journal append failed: " ^ m))
-
-type recovery = { healed : int; late_commits : int }
-
-let no_recovery = { healed = 0; late_commits = 0 }
-
-let scan_journal dir =
-  let file = journal_file dir in
-  if not (Sys.file_exists file) then no_recovery
-  else begin
-    let lines =
-      match Exp_store.read_file file with
-      | Ok contents -> String.split_on_char '\n' contents
-      | Error _ -> []
-    in
-    (* basename -> committed?  (insertion keeps only the last intent) *)
-    let pending = Hashtbl.create 8 in
-    List.iter
-      (fun line ->
-        match String.split_on_char ' ' line with
-        | [ "W"; base; _digest ] -> Hashtbl.replace pending base false
-        | [ "C"; base ] -> Hashtbl.replace pending base true
-        | _ -> ())
-      lines;
-    let healed = ref 0 and late = ref 0 in
-    Hashtbl.iter
-      (fun base committed ->
-        if not committed then begin
-          let f = Filename.concat dir base in
-          if Sys.file_exists f then begin
-            let valid =
-              match Exp_store.read_file f with
-              | Error _ -> false
-              | Ok contents -> Result.is_ok (decode ~file:f contents)
-            in
-            if valid then incr late
-            else begin
-              (try Sys.remove f with Sys_error _ -> ());
-              incr healed
-            end
-          end
-        end)
-      pending;
-    (* every intent is resolved; drop the journal so it cannot grow
-       without bound across runs *)
-    (try Sys.remove file with Sys_error _ -> ());
-    { healed = !healed; late_commits = !late }
-  end
-
-let open_ dir =
-  match Exp_store.prepare_dir dir with
-  | Error _ as e -> e
-  | Ok () -> Ok (scan_journal dir)
-
 (* Move a damaged segment aside (evidence preserved, store no longer
    poisoned); content-addressed names mean a re-collected replacement
    lands under the original name. *)
@@ -297,44 +223,26 @@ let save ?inject ~dir s =
          "refusing to save: a row array's length is not a multiple of its stride")
   else begin
     let file = filename ~dir s in
-    let base = Filename.basename file in
     let bytes = encode s in
-    let intent () =
-      append_journal ~dir
-        (Fmt.str "W %s %s" base (Digest.to_hex (Digest.string bytes)))
-    in
     match inject with
-    | None -> (
-        match intent () with
-        | Error _ as e -> e
-        | Ok () -> (
-            match Exp_store.write_file ~file bytes with
-            | Error _ as e -> e
-            | Ok () -> append_journal ~dir ("C " ^ base)))
+    | None -> Exp_store.write_file ~file bytes
     | Some (`Torn draw) -> (
-        (* simulate dying mid-write: a strict prefix lands under the
-           final name, the commit record never does *)
-        match intent () with
-        | Error _ as e -> e
-        | Ok () -> (
-            let cut = 1 + (draw mod max 1 (String.length bytes - 1)) in
-            try
-              Out_channel.with_open_bin file (fun oc ->
-                  Out_channel.output_string oc (String.sub bytes 0 cut));
-              Ok ()
-            with Sys_error m -> Error (err file ("write failed: " ^ m))))
-    | Some (`Flip draw) -> (
-        (* the write completes (intent + commit) but a byte is flipped:
-           silent corruption only the digest check can see *)
-        match intent () with
-        | Error _ as e -> e
-        | Ok () -> (
-            let b = Bytes.of_string bytes in
-            let pos = draw mod Bytes.length b in
-            Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
-            match Exp_store.write_file ~file (Bytes.to_string b) with
-            | Error _ as e -> e
-            | Ok () -> append_journal ~dir ("C " ^ base)))
+        (* what a crash inside [Exp_store.write_file] leaves: a strict
+           prefix in its temp file, the final name untouched *)
+        let cut = 1 + (draw mod max 1 (String.length bytes - 1)) in
+        try
+          let tmp = Exp_store.temp_file ~dir in
+          Out_channel.with_open_bin tmp (fun oc ->
+              Out_channel.output_string oc (String.sub bytes 0 cut));
+          Ok ()
+        with Sys_error m -> Error (err file ("write failed: " ^ m)))
+    | Some (`Flip draw) ->
+        (* the write completes with a byte flipped: silent corruption
+           only the digest check can see *)
+        let b = Bytes.of_string bytes in
+        let pos = draw mod Bytes.length b in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0xFF));
+        Exp_store.write_file ~file (Bytes.to_string b)
   end
 
 (* Every [*.seg] in [dir], decoded, sorted by identity on the key

@@ -19,6 +19,12 @@
     segment: OCaml 5 raises when two domains force one lazy value at
     once.
 
+    Writes are atomic ({!Exp_store.write_file}) and reads are checked,
+    so a crash or a damaged file never yields a wrong segment: a stray
+    temp file is swept when the directory is prepared, and a file that
+    fails its checks is a diagnostic, which the collector quarantines
+    and collects again.
+
     Lifecycle: the collector saves one raw segment per (instance,
     window); {!compact} folds each (cohort, window)'s raws into one
     merged segment ([origin = -1]) and deletes them; {!retain} trims
@@ -55,34 +61,17 @@ val segment_key : segment -> string
 (** [dir/<md5 of segment_key>.seg]. *)
 val filename : dir:string -> segment -> string
 
-(** What the recovery scan on {!open_} found and fixed: [healed] files
-    were journal intents without commits whose bytes failed decode
-    (torn writes, removed); [late_commits] were decode-valid files that
-    merely missed their commit record (crash between rename and
-    journal append, kept). *)
-type recovery = { healed : int; late_commits : int }
-
-val no_recovery : recovery
-
-(** Prepare the store directory ({!Exp_store.prepare_dir}: create,
-    sweep stale temp files, probe writability — mkdir and IO failures
-    come back as structured diagnostics) and run the write-ahead
-    journal recovery scan: crash debris is removed, resolved journal
-    entries are dropped.  After [open_] every [*.seg] present was
-    written to completion. *)
-val open_ : string -> (recovery, Dcg.parse_error) result
-
-(** Journaled, digest-protected write under the segment's identity
-    name (refused when a field holds a newline or a row array's length
-    is not a multiple of its stride): intent record, atomic tmp +
-    rename, commit record.  A run killed at any byte offset leaves
-    either no file, a torn file the next {!open_} removes, or the
-    complete segment — never a silently short one.  [inject]
-    deterministically damages the write for chaos runs: [`Torn draw]
-    leaves a strict prefix under the final name
-    with no commit record (the simulated kill), [`Flip draw] completes
-    the write with one byte flipped (silent corruption only the digest
-    check can see). *)
+(** Digest-protected write under the segment's identity name, through
+    {!Exp_store.write_file} (temp file, then atomic rename), refused
+    when a field holds a newline or a row array's length is not a
+    multiple of its stride.  A run killed at any byte offset leaves
+    the final name as it was or holding the complete segment, plus at
+    most a stray [run-*.tmp] that {!Exp_store.prepare_dir} sweeps.  [inject] deterministically
+    damages the write for chaos runs: [`Torn draw] leaves a strict
+    prefix in a [run-*.tmp] beside the store with the final name
+    untouched (the simulated kill before the rename), [`Flip draw]
+    completes the write with one byte flipped (silent corruption only
+    the digest check can see). *)
 val save :
   ?inject:[ `Torn of int | `Flip of int ] ->
   dir:string ->

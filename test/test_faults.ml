@@ -323,13 +323,7 @@ let test_too_many_paths_fallback () =
 
 (* --------------- run-store crash consistency -------------------- *)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    let f = Filename.temp_file "pepsim-faults" "" in
-    Sys.remove f;
-    incr n;
-    f ^ ".d" ^ string_of_int !n
+let fresh_dir () = Test_util.fresh_dir "pepsim-faults"
 
 let payload =
   {

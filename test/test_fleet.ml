@@ -37,13 +37,7 @@ let ci = Alcotest.int
 let cb = Alcotest.bool
 let csl = Alcotest.(list string)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    let f = Filename.temp_file "pepsim-fleet" "" in
-    Sys.remove f;
-    incr n;
-    f ^ ".d" ^ string_of_int !n
+let fresh_dir () = Test_util.fresh_dir "pepsim-fleet"
 
 let read_all file = In_channel.with_open_bin file In_channel.input_all
 let write_all file s = Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc s)
@@ -139,6 +133,19 @@ let test_warm_rerun () =
   Alcotest.(check (list (pair string string)))
     "store untouched" before (store_fingerprint dir)
 
+(* A clean ingest leaves nothing beside its segments, and the report's
+   store size is theirs. *)
+let test_clean_ingest_only_segments () =
+  let dir = fresh_dir () in
+  let r = run_ok dir in
+  let files = Array.to_list (Sys.readdir dir) in
+  check csl "only segment files" []
+    (List.filter (fun f -> not (Filename.check_suffix f ".seg")) files);
+  check ci "store_bytes is the segments' size" r.Fleet_collector.store_bytes
+    (List.fold_left
+       (fun acc f -> acc + String.length (read_all (Filename.concat dir f)))
+       0 files)
+
 (* --------------------------- triage golden ------------------------ *)
 
 let diff_of dir ~cohort =
@@ -212,8 +219,8 @@ let seg ~cohort_name ~window ~origin rows =
 
 let test_segment_roundtrip () =
   let dir = fresh_dir () in
-  (match Fleet_store.open_ dir with
-  | Ok r -> check ci "clean open heals nothing" 0 r.Fleet_store.healed
+  (match Exp_store.prepare_dir dir with
+  | Ok () -> ()
   | Error e -> Alcotest.failf "open: %a" Dcg.pp_parse_error e);
   let s = seg ~cohort_name:"a" ~window:2 ~origin:3 [ (0, 1, 42); (1, 9, 7) ] in
   (match Fleet_store.save ~dir s with
@@ -237,7 +244,7 @@ let test_segment_roundtrip () =
 
 let test_segment_tamper_rejected () =
   let dir = fresh_dir () in
-  ignore (Fleet_store.open_ dir);
+  ignore (Exp_store.prepare_dir dir);
   let s = seg ~cohort_name:"a" ~window:0 ~origin:0 [ (0, 3, 9) ] in
   ignore (Fleet_store.save ~dir s);
   let file = Fleet_store.filename ~dir s in
@@ -252,7 +259,7 @@ let test_segment_tamper_rejected () =
 
 let test_segment_junk_rejected () =
   let dir = fresh_dir () in
-  ignore (Fleet_store.open_ dir);
+  ignore (Exp_store.prepare_dir dir);
   write_all (Filename.concat dir "junk.seg") "not a segment at all";
   let segs, diags = Fleet_store.load_all ~dir in
   check ci "no segment" 0 (List.length segs);
@@ -338,7 +345,7 @@ let reference_decode ~file contents =
    rows ends its body in three zero counts. *)
 let body_before_rows (s : Fleet_store.segment) =
   let dir = fresh_dir () in
-  ignore (Fleet_store.open_ dir);
+  ignore (Exp_store.prepare_dir dir);
   let bare = { s with Fleet_store.rows = no_rows } in
   (match Fleet_store.save ~dir bare with
   | Ok () -> ()
@@ -384,7 +391,7 @@ let decoder_disagreement bytes =
   | Some _ as m -> m
   | None -> (
       let dir = fresh_dir () in
-      ignore (Fleet_store.open_ dir);
+      ignore (Exp_store.prepare_dir dir);
       write_all (Filename.concat dir file) bytes;
       match Fleet_store.load_all ~dir with
       | [ s ], [] -> check "load_all" (Ok s)
@@ -629,7 +636,7 @@ let prop_segment_codec =
     (QCheck.pair gen_segment (QCheck.int_bound 100000))
     (fun ((name, methods, rows3, rows4), i) ->
       let dir = fresh_dir () in
-      ignore (Fleet_store.open_ dir);
+      ignore (Exp_store.prepare_dir dir);
       let s =
         {
           Fleet_store.cohort =
@@ -760,7 +767,7 @@ let compare_rendered (a : Fleet_store.segment) (b : Fleet_store.segment) =
 
 let test_load_order () =
   let dir = fresh_dir () in
-  ignore (Fleet_store.open_ dir);
+  ignore (Exp_store.prepare_dir dir);
   let mk name window origin samples =
     { (seg ~cohort_name:name ~window ~origin [ (0, 1, 1) ]) with
       Fleet_store.samples }
@@ -783,7 +790,7 @@ let test_load_order () =
      sorts after every md5 name; its sample count tells the copies apart *)
   let twin = mk "a" 2 0 99 in
   let other = fresh_dir () in
-  ignore (Fleet_store.open_ other);
+  ignore (Exp_store.prepare_dir other);
   save ~dir:other twin;
   write_all (Filename.concat dir "zz-copy.seg")
     (read_all (Fleet_store.filename ~dir:other twin));
@@ -841,7 +848,7 @@ let test_merge_sums () =
 
 let test_compact_and_retain () =
   let dir = fresh_dir () in
-  ignore (Fleet_store.open_ dir);
+  ignore (Exp_store.prepare_dir dir);
   List.iter
     (fun s -> match Fleet_store.save ~dir s with
       | Ok () -> ()
@@ -1356,6 +1363,12 @@ let test_torn_write_heals () =
   check cb "rebuilds recorded" true
     (List.exists (fun (_, _, reason) -> reason = "rebuilt")
        r.Fleet_collector.degraded);
+  check csl "no temp or quarantined file left" []
+    (List.filter
+       (fun f ->
+         (String.starts_with ~prefix:"run-" f && Filename.check_suffix f ".tmp")
+         || Filename.check_suffix f ".quarantined")
+       (Array.to_list (Sys.readdir dir)));
   check_identical "torn store byte-identical" dir
 
 let test_seg_corrupt_quarantines () =
@@ -1430,17 +1443,19 @@ let test_jobs_identity_under_faults () =
 
 (* Crash consistency, property-style: copy the healthy store, damage
    one segment at an arbitrary byte offset (torn prefix or flipped
-   byte, with or without a forged journal intent for it), reopen and
-   re-run — the store must converge back to the healthy bytes. *)
+   byte), with or without the debris a crash inside
+   [Exp_store.write_file] leaves (the victim's prefix in a stray
+   [run-*.tmp]), and re-run: the store must converge back to the
+   healthy bytes, with no temp file left. *)
 let prop_crash_consistency =
   QCheck.Test.make ~count:15
     ~name:"crash consistency: damaged store heals byte-for-byte"
     QCheck.(quad small_nat small_nat bool bool)
-    (fun (vi, off, flip, forge) ->
+    (fun (vi, off, flip, stray) ->
       let healthy = Lazy.force shared_dir in
       let fp = Lazy.force healthy_fp in
       let dir = fresh_dir () in
-      ignore (Fleet_store.open_ dir);
+      ignore (Exp_store.prepare_dir dir);
       List.iter
         (fun (f, _) ->
           write_all (Filename.concat dir f)
@@ -1450,27 +1465,24 @@ let prop_crash_consistency =
       let path = Filename.concat dir victim in
       let bytes = read_all path in
       let len = String.length bytes in
+      let prefix = String.sub bytes 0 (1 + (off mod (len - 1))) in
       (if flip then begin
          let i = off mod len in
          let b = Bytes.of_string bytes in
          Bytes.set b i (Char.chr (Char.code bytes.[i] lxor 0x55));
          write_all path (Bytes.to_string b)
        end
-       else write_all path (String.sub bytes 0 (1 + (off mod (len - 1)))));
-      if forge then
-        (* a crash between rename and commit: intent without commit *)
-        Out_channel.with_open_gen
-          [ Open_append; Open_creat; Open_binary ]
-          0o644
-          (Filename.concat dir "fleet.journal")
-          (fun oc ->
-            Out_channel.output_string oc
-              ("W " ^ victim ^ " "
-              ^ Digest.to_hex (Digest.string bytes)
-              ^ "\n"));
+       else write_all path prefix);
+      if stray then
+        write_all (Exp_store.temp_file ~dir) prefix;
       ignore (run_ok dir);
       if store_fingerprint dir <> fp then
         QCheck.Test.fail_report "damaged store did not converge"
+      else if
+        Array.exists
+          (fun f -> Filename.check_suffix f ".tmp")
+          (Sys.readdir dir)
+      then QCheck.Test.fail_report "a temp file was left"
       else true)
 
 let test_fleet_chaos_mini () =
@@ -1628,4 +1640,6 @@ let suite =
     qcheck prop_diff_reference;
     Alcotest.test_case "folded leaves non-positive DCG rows out" `Quick
       test_folded_positive_dcg;
+    Alcotest.test_case "clean ingest holds only segments" `Slow
+      test_clean_ingest_only_segments;
   ]

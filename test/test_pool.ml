@@ -30,14 +30,7 @@ let cb = Alcotest.bool
 let cs = Alcotest.string
 let csl = Alcotest.(list string)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    (* unique, not yet existing: Exp_store creates it on first save *)
-    let f = Filename.temp_file "pepsim-cache" "" in
-    Sys.remove f;
-    incr n;
-    f ^ ".d" ^ string_of_int !n
+let fresh_dir () = Test_util.fresh_dir "pepsim-cache"
 
 let check_meas msg (a : Exp_harness.measurement) (b : Exp_harness.measurement) =
   check ci (msg ^ ": iter1") a.iter1 b.iter1;
@@ -1072,7 +1065,7 @@ let segment_bytes =
        }
      in
      match
-       Result.bind (Fleet_store.open_ dir) (fun _ -> Fleet_store.save ~dir s)
+       Result.bind (Exp_store.prepare_dir dir) (fun () -> Fleet_store.save ~dir s)
      with
      | Ok () -> read_all (Fleet_store.filename ~dir s)
      | Error e -> failwith e.Dcg.reason)

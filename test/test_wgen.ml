@@ -186,13 +186,7 @@ let test_corpus_engine_differential () =
 
 (* --- fleet triage on a generated drifting cohort -------------------- *)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    let f = Filename.temp_file "pepsim-wgen" "" in
-    Sys.remove f;
-    incr n;
-    f ^ ".d" ^ string_of_int !n
+let fresh_dir () = Test_util.fresh_dir "pepsim-wgen"
 
 let test_fleet_triage_gen () =
   let w =
